@@ -8,27 +8,18 @@ from .core import (
     Permutation,
     Trace,
     WordStats,
-    complement_type,
-    d_code,
     decompose_doubleton,
     doubleton_partition,
     from_d_code,
     from_lehmer,
-    lehmer_code,
-    parse_partition,
     recombine_doubleton,
-    standard_form,
-    trace,
-    type_of,
     word_stats,
 )
 from .families import (
     DeskScaleError,
-    FamilySpec,
     beta,
     beta_inv,
     fubini,
-    generate,
     ordered_set_partitions,
     path_diagrams,
     permutations,
@@ -42,18 +33,13 @@ from .motzkin import MotzkinDiagram, lambda_map, motzkin_decode, motzkin_encode,
 from .paths import (
     LatticePath,
     PathDiagram,
-    associated_permutation,
     gamma_sigma,
     g_map,
-    heights,
     insertion_labels,
-    path_from_type,
-    path_type,
     phi,
     phi_inv,
     psi,
     psi_inv,
-    reverse_path,
     theta_map,
     upsilon,
     upsilon_inv,

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from multiprocessing import Pool
 
 from .core import OrderedSetPartition, Permutation
-from .families import DeskScaleError, set_partitions
+from .families import DeskScaleError, _check_scale, compositions, permutations, set_partitions
 from .motzkin import lambda_map
 from .paths import PathDiagram, gamma_sigma, phi, phi_inv, psi, psi_inv, theta_map, upsilon, xi_map
 from .qpoly import carlitz_aq, gauss_binomial, s_hat_pq, stirling_pq, stirling_q
@@ -166,38 +167,32 @@ def _verify_tasks(args) -> list[tuple[str, dict]]:
             return [(theorem, {"parts": tuple(int(t) for t in args.parts.replace(",", " ").split()), **extra})]
         if args.max_sum is None:
             raise ValueError(f"{theorem} needs --parts or --max-sum")
-        from .families import compositions
-
         tasks = []
         for total in range(1, args.max_sum + 1):
             for parts in compositions(total):
                 tasks.append((theorem, {"parts": parts, **extra}))
         return tasks
-    if theorem == "thm3.5":
-        if args.pi:
-            return [(theorem, {"pi": args.pi, **extra})]
-        if args.n is None:
-            raise ValueError("thm3.5 needs --pi or --n (and optionally --k)")
-        tasks = []
-        for n in _parse_range(args.n):
-            ks = range(1, n + 1) if args.k in (None, "all") else _parse_range(args.k)
-            for k in ks:
-                for pi0 in set_partitions(n, k):
-                    tasks.append((theorem, {"pi": pi0.to_text(), **extra}))
-        return tasks
+    if theorem == "thm3.5" and args.pi:
+        return [(theorem, {"pi": args.pi, **extra})]
     if args.n is None:
-        raise ValueError(f"{theorem} needs --n (and optionally --k)")
+        hint = "--pi or --n (and optionally --k)" if theorem == "thm3.5" else "--n (and optionally --k)"
+        raise ValueError(f"{theorem} needs {hint}")
     tasks = []
     for n in _parse_range(args.n):
+        if theorem in ("thm3.1", "thm3.5"):
+            _check_scale(n, args.allow_large)  # the expansion below enumerates by n
         ks = range(1, n + 1) if args.k in (None, "all") else _parse_range(args.k)
         for k in ks:
             if not 1 <= k <= n:
                 continue
-            if theorem == "thm3.1":
+            if theorem == "thm3.5":
+                for pi0 in set_partitions(n, k):
+                    tasks.append((theorem, {"pi": pi0.to_text(), **extra}))
+            elif theorem == "thm3.1":
                 sigmas = (
                     [args.sigma]
                     if args.sigma and args.sigma != "all"
-                    else [sig.one_line() for sig in _all_perms(k)]
+                    else [sig.one_line() for sig in permutations(k)]
                 )
                 for sigma in sigmas:
                     tasks.append((theorem, {"n": n, "k": k, "sigma": sigma, **extra}))
@@ -206,16 +201,20 @@ def _verify_tasks(args) -> list[tuple[str, dict]]:
     return tasks
 
 
-def _all_perms(k: int):
-    from .families import permutations
-
-    return permutations(k)
-
-
 def _cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     tasks = _verify_tasks(args)
-    if args.jobs > 1 and len(tasks) > 1:
-        with Pool(args.jobs) as pool:
+    if not tasks:
+        given = " ".join(
+            f"--{flag} {value}"
+            for flag, value in (("n", args.n), ("k", args.k), ("max-sum", args.max_sum))
+            if value is not None
+        )
+        raise ValueError(f"{args.theorem}: {given} is an empty range; nothing to verify")
+    jobs = min(args.jobs, os.cpu_count() or 1, len(tasks))
+    if jobs > 1:
+        with Pool(jobs) as pool:
             reports = pool.map(run_task, tasks)
     else:
         reports = [run_task(task) for task in tasks]

@@ -19,14 +19,7 @@ __all__ = [
     "PartitionType",
     "Trace",
     "WordStats",
-    "parse_partition",
-    "standard_form",
-    "type_of",
-    "trace",
-    "complement_type",
-    "lehmer_code",
     "from_lehmer",
-    "d_code",
     "from_d_code",
     "word_stats",
     "descent_positions",
@@ -121,12 +114,9 @@ class Permutation:
         return {"images": list(self.images)}
 
 
-def lehmer_code(sigma: Permutation) -> tuple[int, ...]:
-    return sigma.lehmer_code()
-
-
 def from_lehmer(code: Sequence[int]) -> Permutation:
-    """Inverse of ``lehmer_code``: images[i] is the (c_i+1)-th unused value."""
+    """Inverse of ``Permutation.lehmer_code``: images[i] is the (c_i+1)-th
+    unused value."""
     n = len(code)
     remaining = list(range(1, n + 1))
     images = []
@@ -137,13 +127,9 @@ def from_lehmer(code: Sequence[int]) -> Permutation:
     return Permutation(tuple(images))
 
 
-def d_code(sigma: Permutation) -> tuple[int, ...]:
-    return sigma.d_code()
-
-
 def from_d_code(code: Sequence[int]) -> Permutation:
-    """Inverse of ``d_code``: insert values 1..k so that value i has exactly
-    d_i smaller values to its right."""
+    """Inverse of ``Permutation.d_code``: insert values 1..k so that value i
+    has exactly d_i smaller values to its right."""
     word: list[int] = []
     for i, d in enumerate(code, start=1):
         if not 0 <= d <= i - 1:
@@ -221,6 +207,7 @@ class PartitionType:
         return len(self.openers) + len(self.singletons)
 
     def complement(self) -> PartitionType:
+        """Replace every element i by n+1-i and swap the opener/closer roles."""
         n = self.n
         flip = lambda s: frozenset(n + 1 - i for i in s)
         return PartitionType(flip(self.closers), flip(self.openers),
@@ -240,13 +227,6 @@ class PartitionType:
     def __str__(self) -> str:
         fmt = lambda s: "{" + ",".join(str(i) for i in sorted(s)) + "}"
         return f"({fmt(self.openers)},{fmt(self.closers)},{fmt(self.singletons)},{fmt(self.transients)})"
-
-
-def complement_type(lam: PartitionType, n: int | None = None) -> PartitionType:
-    """Replace every element i by n+1-i and swap the opener/closer roles."""
-    if n is not None and n != lam.n:
-        raise ValueError(f"type covers 1..{lam.n}, not 1..{n}")
-    return lam.complement()
 
 
 # ---------------------------------------------------------------------------
@@ -387,22 +367,6 @@ class OrderedSetPartition:
                 blocks.append(kept)
                 active.append(block[-1] > i)
         return Trace(tuple(blocks), tuple(active))
-
-
-def parse_partition(text: str, n: int | None = None) -> OrderedSetPartition:
-    return OrderedSetPartition.parse(text, n=n)
-
-
-def standard_form(pi: OrderedSetPartition) -> tuple[OrderedSetPartition, Permutation]:
-    return pi.standard_form()
-
-
-def type_of(pi: OrderedSetPartition) -> PartitionType:
-    return pi.partition_type()
-
-
-def trace(pi: OrderedSetPartition, i: int) -> Trace:
-    return pi.trace(i)
 
 
 # ---------------------------------------------------------------------------

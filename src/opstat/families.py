@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
 from functools import cache
 from math import factorial
 from typing import Iterator, Sequence
@@ -22,8 +21,6 @@ from .paths import LatticePath, PathDiagram, _insertion_positions, psi_inv
 
 __all__ = [
     "DeskScaleError",
-    "FamilySpec",
-    "generate",
     "set_partitions",
     "ordered_set_partitions",
     "sigma_partitions",
@@ -245,48 +242,6 @@ def path_diagrams(n: int, k: int, allow_large: bool = False) -> Iterator[PathDia
 def subdiagonal_vectors(k: int) -> Iterator[tuple[int, ...]]:
     """All (c_1, ..., c_k) with 0 <= c_j <= j-1; there are k! of them."""
     return itertools.product(*(range(j) for j in range(1, k + 1)))
-
-
-# ---------------------------------------------------------------------------
-# FamilySpec dispatch
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A named family of combinatorial objects with its parameters."""
-
-    kind: str  # P | OP | OP_by_type | P_sigma | R | S | words
-    n: int | None = None
-    k: int | None = None
-    sigma: Permutation | None = None
-    pi: OrderedSetPartition | None = None
-    lam: PartitionType | None = None
-    parts: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        kinds = {"P", "OP", "OP_by_type", "P_sigma", "R", "S", "words"}
-        if self.kind not in kinds:
-            raise ValueError(f"unknown family kind {self.kind!r}; expected one of {sorted(kinds)}")
-
-
-def generate(spec: FamilySpec, allow_large: bool = False) -> Iterator:
-    """Stream the family described by ``spec``, each object exactly once, in
-    a deterministic order."""
-    if spec.kind == "P":
-        return set_partitions(spec.n, spec.k)
-    if spec.kind == "OP":
-        return ordered_set_partitions(spec.n, spec.k, allow_large=allow_large)
-    if spec.kind == "OP_by_type":
-        return partitions_of_type(spec.lam, allow_large=allow_large)
-    if spec.kind == "P_sigma":
-        return sigma_partitions(spec.n, spec.k, spec.sigma)
-    if spec.kind == "R":
-        return rearrangements(spec.pi)
-    if spec.kind == "S":
-        return permutations(spec.k)
-    if spec.kind == "words":
-        return words(spec.parts)
-    raise AssertionError("unreachable")
 
 
 # ---------------------------------------------------------------------------

@@ -30,16 +30,11 @@ from .core import (
     Trace,
     from_d_code,
 )
-from .statistics import bmaj
+from .statistics import _block_bounds, _coord_counts, bmaj
 
 __all__ = [
     "LatticePath",
     "PathDiagram",
-    "heights",
-    "path_type",
-    "path_from_type",
-    "associated_permutation",
-    "reverse_path",
     "phi",
     "phi_inv",
     "psi",
@@ -178,29 +173,6 @@ class LatticePath:
             else:
                 raise AssertionError("unbalanced path passed validation")
         return Permutation(tuple(images))
-
-
-def heights(path: LatticePath) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-step abscissas and heights (x_1..x_n, y_1..y_n)."""
-    xs = tuple(path.x(i) for i in range(1, path.n + 1))
-    ys = tuple(path.y(i) for i in range(1, path.n + 1))
-    return xs, ys
-
-
-def path_type(path: LatticePath) -> PartitionType:
-    return path.partition_type()
-
-
-def path_from_type(lam: PartitionType) -> LatticePath:
-    return LatticePath.from_type(lam)
-
-
-def associated_permutation(path: LatticePath) -> Permutation:
-    return path.associated_permutation()
-
-
-def reverse_path(path: LatticePath) -> LatticePath:
-    return path.reverse()
 
 
 @dataclass(frozen=True)
@@ -353,14 +325,15 @@ def phi(h: PathDiagram) -> OrderedSetPartition:
     return _run_encoding(h, by_gap_rank=True)
 
 
-def _ros_i(pi: OrderedSetPartition, i: int) -> int:
-    pos = pi.block_index[i]
-    return sum(1 for b in pi.blocks[pos:] if b[0] < i)
-
-
-def _rsb_i(pi: OrderedSetPartition, i: int) -> int:
-    pos = pi.block_index[i]
-    return sum(1 for b in pi.blocks[pos:] if b[0] < i < b[-1])
+def _ros_rsb(pi: OrderedSetPartition) -> list[tuple[int, int]]:
+    """(ros_i, rsb_i) for i = 1..n."""
+    bounds = _block_bounds(pi)
+    pos_of = pi.block_index
+    out = []
+    for i in range(1, pi.n + 1):
+        _, ros, _, rcs = _coord_counts(bounds, pos_of[i] - 1, i)
+        out.append((ros, ros - rcs))
+    return out
 
 
 def phi_inv(pi: OrderedSetPartition) -> PathDiagram:
@@ -370,7 +343,8 @@ def phi_inv(pi: OrderedSetPartition) -> PathDiagram:
     path = LatticePath.from_type(lam)
     opener_like = lam.openers | lam.singletons
     labels = tuple(
-        _ros_i(pi, i) if i in opener_like else _rsb_i(pi, i) for i in range(1, pi.n + 1)
+        ros if i in opener_like else rsb
+        for i, (ros, rsb) in enumerate(_ros_rsb(pi), start=1)
     )
     return PathDiagram(path, labels)
 
@@ -394,13 +368,13 @@ def psi_inv(pi: OrderedSetPartition) -> PathDiagram:
     opener_like = lam.openers | lam.singletons
     labels = []
     prev = 0
-    for i in range(1, pi.n + 1):
+    for i, (_, rsb) in enumerate(_ros_rsb(pi), start=1):
         if i in opener_like:
             cur = bmaj(pi.trace(i))
-            labels.append(_rsb_i(pi, i) + cur - prev)
+            labels.append(rsb + cur - prev)
             prev = cur
         else:
-            labels.append(_rsb_i(pi, i))
+            labels.append(rsb)
     return PathDiagram(path, tuple(labels))
 
 

@@ -54,8 +54,11 @@ class LaurentPolynomial:
         data: dict[Exponents, int] = {}
         if terms:
             for exps, coeff in terms.items():
+                exps = tuple(exps)
+                if len(exps) != 4 or not all(isinstance(e, int) for e in exps):
+                    raise ValueError(f"exponent vector must be 4 integers (p, q, t, x), got {exps!r}")
                 if coeff:
-                    data[tuple(exps)] = data.get(tuple(exps), 0) + coeff
+                    data[exps] = data.get(exps, 0) + coeff
         object.__setattr__(self, "_terms", {e: c for e, c in data.items() if c})
         object.__setattr__(self, "_hash", None)
 
@@ -511,6 +514,21 @@ def verify_q_frobenius(n: int, order: int) -> bool:
 Weight = tuple[Union[str, Callable], str]
 
 
+def _tally(family: Iterable, keys: Callable, slots: int, check: Callable | None = None) -> tuple[list[dict], str | None]:
+    """Stream ``family`` once.  Counter j counts the objects by the j-th of
+    the ``slots`` keys in ``keys(obj)``; ``check(obj)`` runs on each object
+    until it first returns something other than None, which is returned
+    beside the counters."""
+    counters: list[dict] = [{} for _ in range(slots)]
+    first = None
+    for obj in family:
+        for counter, key in zip(counters, keys(obj)):
+            counter[key] = counter.get(key, 0) + 1
+        if check is not None and first is None:
+            first = check(obj)
+    return counters, first
+
+
 def distribution(family: Iterable, weights: Sequence[Weight]) -> LaurentPolynomial:
     """Sum, over the family, of the monomial prod_var var^stat(object).
 
@@ -526,11 +544,12 @@ def distribution(family: Iterable, weights: Sequence[Weight]) -> LaurentPolynomi
         (stat if callable(stat) else resolve_stat(stat), _VAR_INDEX[var])
         for stat, var in weights
     ]
-    acc: dict[Exponents, int] = {}
-    for obj in family:
+
+    def exponents(obj) -> tuple[Exponents]:
         exps = [0, 0, 0, 0]
         for fn, idx in resolved:
             exps[idx] += fn(obj)
-        key = tuple(exps)
-        acc[key] = acc.get(key, 0) + 1
-    return LaurentPolynomial(acc)
+        return (tuple(exps),)
+
+    (counts,), _ = _tally(family, exponents, 1)
+    return LaurentPolynomial(counts)

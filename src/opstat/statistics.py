@@ -6,10 +6,29 @@ block by side (left/right of i's block), by the kind of element compared
 combination: e.g. ``ros`` counts blocks to the *right* whose *opener* is
 *smaller*, ``lcb`` blocks to the *left* whose *closer* is *bigger*.  All
 aggregate statistics are sums of coordinate values over the elements.
+
+With L and R the numbers of blocks left and right of i's block, four counts
+determine the other six coordinates of i:
+
+    lob = L - los    lcb = L - lcs    lsb = los - lcs = lcb - lob
+    rob = R - ros    rcb = R - rcs    rsb = ros - rcs = rcb - rob
+
+Three functions compare an element with the other blocks' openers and
+closers, each with its own role:
+
+* ``coord_stats`` counts all ten coordinates literally; it is the reference
+  the tests compare the other two against.
+* ``aggregate_profile`` is the kernel: it takes the four counts per element
+  and returns every coordinate sum, restriction, block statistic and linear
+  composite of one partition.  ``stat``, ``stat_restricted`` and
+  ``composite`` read from it.
+* ``six_composites`` is the fast path for the six Euler-Mahonian composites
+  that the exhaustive checks sum over.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -173,11 +192,89 @@ def trace_ros(t: Trace, i: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Aggregates, restrictions and composite statistics
+# The per-partition kernel: aggregates, restrictions and composites
 # ---------------------------------------------------------------------------
 
-def _aggregate(pi: OrderedSetPartition, name: str) -> int:
-    return sum(getattr(coord_stats(pi, i), name) for i in range(1, pi.n + 1))
+def _coord_counts(bounds: list[tuple[int, int]], pos: int, i: int) -> tuple[int, int, int, int]:
+    """(los, ros, lcs, rcs) of element i, which lies in block ``pos``
+    (0-based) of a partition with block ``bounds``; a closer below i
+    implies an opener below i."""
+    los = ros = lcs = rcs = 0
+    for opener, closer in bounds[:pos]:
+        if opener < i:
+            los += 1
+            if closer < i:
+                lcs += 1
+    for opener, closer in bounds[pos + 1:]:
+        if opener < i:
+            ros += 1
+            if closer < i:
+                rcs += 1
+    return los, ros, lcs, rcs
+
+
+def _coordinates(los: int, ros: int, lcs: int, rcs: int, left: int, right: int) -> tuple[int, ...]:
+    """The ten coordinates, in ``COORD_NAMES`` order, from the four counts
+    and the numbers of blocks to the left and right."""
+    return (los, ros, left - los, right - ros, lcs, rcs, left - lcs, right - rcs, los - lcs, ros - rcs)
+
+
+# the block statistics and composites in ``aggregate_profile``
+_COMPOSITES = (
+    "binv", "bmaj", "bdes", "cbinv", "cbmaj",
+    "mak", "makp", "cinvlsb", "cmajlsb", "inv", "maj", "cls", "opb", "sb",
+)
+
+_SIGMA_STATS: dict[str, Callable[[OrderedSetPartition], int]] = {
+    "invsigma": lambda pi: pi.standard_form()[1].inversion_number(),
+    "majsigma": lambda pi: pi.standard_form()[1].major_index(),
+}
+
+STAT_NAMES = tuple(COORD_NAMES) + tuple(sorted((*_COMPOSITES, *_SIGMA_STATS)))
+_OS_KEYS = tuple(f"{name}_os" for name in COORD_NAMES)
+_TC_KEYS = tuple(f"{name}_tc" for name in COORD_NAMES)
+
+
+def aggregate_profile(pi: OrderedSetPartition) -> dict[str, int]:
+    """Every linear statistic of pi in one pass: the ten coordinate sums,
+    their twenty restrictions ``<name>_os``/``<name>_tc`` to the
+    opener-or-singleton and transient-or-closer elements, the block
+    statistics (binv, bmaj, bdes, cbinv, cbmaj) and the composites (mak,
+    makp, cinvlsb, cmajlsb, inv, maj, cls, opb, sb).
+
+    The test suite compares it exhaustively at small n with sums of the
+    reference ``coord_stats``.
+    """
+    bounds = _block_bounds(pi)
+    k = len(bounds)
+    # per class, one row (los, ros, lcs, rcs, left, right) per element; the
+    # coordinates are linear in the row, so they are derived from its sums
+    rows: tuple[list, list] = ([], [])
+    for pos, block in enumerate(pi.blocks):
+        for j, i in enumerate(block):
+            rows[j > 0].append((*_coord_counts(bounds, pos, i), pos, k - 1 - pos))
+    os_values = _coordinates(*map(sum, zip((0,) * 6, *rows[0])))
+    tc_values = _coordinates(*map(sum, zip((0,) * 6, *rows[1])))
+    out = dict(zip(_OS_KEYS, os_values))
+    out.update(zip(_TC_KEYS, tc_values))
+    out.update(zip(COORD_NAMES, map(operator.add, os_values, tc_values)))
+    choose2 = k * (k - 1) // 2
+    descents = bdes_set(pi)
+    out["binv"] = binv(pi)
+    out["bmaj"] = sum(descents)
+    out["bdes"] = len(descents)
+    out["cbinv"] = choose2 - out["binv"]
+    out["cbmaj"] = choose2 - out["bmaj"]
+    out["mak"] = out["ros"] + out["lcs"]
+    out["makp"] = out["lob"] + out["rcb"]
+    out["cinvlsb"] = out["lsb"] + out["cbinv"] + choose2
+    out["cmajlsb"] = out["lsb"] + out["cbmaj"] + choose2
+    out["inv"] = out["rsb_os"] + out["binv"]
+    out["maj"] = out["rsb_os"] + out["bmaj"]
+    out["cls"] = out["lcs"] + out["rcs"]
+    out["opb"] = out["lob"] + out["rob"]
+    out["sb"] = out["lsb"] + out["rsb"]
+    return out
 
 
 def stat_restricted(pi: OrderedSetPartition, name: str, cls: str) -> int:
@@ -185,89 +282,9 @@ def stat_restricted(pi: OrderedSetPartition, name: str, cls: str) -> int:
     ("OS") or to the transient/closer elements ("TC")."""
     if name not in COORD_NAMES:
         raise ValueError(f"not a coordinate statistic: {name}")
-    lam = pi.partition_type()
-    if cls.upper() == "OS":
-        domain = lam.openers | lam.singletons
-    elif cls.upper() == "TC":
-        domain = lam.transients | lam.closers
-    else:
+    if cls.upper() not in ("OS", "TC"):
         raise ValueError(f"restriction class must be OS or TC, got {cls!r}")
-    return sum(getattr(coord_stats(pi, i), name) for i in sorted(domain))
-
-
-def _mak(pi):
-    return _aggregate(pi, "ros") + _aggregate(pi, "lcs")
-
-
-def _makp(pi):
-    return _aggregate(pi, "lob") + _aggregate(pi, "rcb")
-
-
-def _cbinv(pi):
-    return math.comb(pi.k, 2) - binv(pi)
-
-
-def _cbmaj(pi):
-    return math.comb(pi.k, 2) - bmaj(pi)
-
-
-def _cinv_lsb(pi):
-    return _aggregate(pi, "lsb") + _cbinv(pi) + math.comb(pi.k, 2)
-
-
-def _cmaj_lsb(pi):
-    return _aggregate(pi, "lsb") + _cbmaj(pi) + math.comb(pi.k, 2)
-
-
-def _inv_upper(pi):
-    return stat_restricted(pi, "rsb", "OS") + binv(pi)
-
-
-def _maj_upper(pi):
-    return stat_restricted(pi, "rsb", "OS") + bmaj(pi)
-
-
-def _cls(pi):
-    return _aggregate(pi, "lcs") + _aggregate(pi, "rcs")
-
-
-def _opb(pi):
-    return _aggregate(pi, "lob") + _aggregate(pi, "rob")
-
-
-def _sb(pi):
-    return _aggregate(pi, "lsb") + _aggregate(pi, "rsb")
-
-
-def _inv_sigma(pi):
-    return pi.standard_form()[1].inversion_number()
-
-
-def _maj_sigma(pi):
-    return pi.standard_form()[1].major_index()
-
-
-_COMPOSITES: dict[str, Callable[[OrderedSetPartition], int]] = {
-    "binv": binv,
-    "bmaj": bmaj,
-    "bdes": lambda pi: len(bdes_set(pi)),
-    "cbinv": _cbinv,
-    "cbmaj": _cbmaj,
-    "mak": _mak,
-    "makp": _makp,
-    "mak'": _makp,
-    "cinvlsb": _cinv_lsb,
-    "cmajlsb": _cmaj_lsb,
-    "inv": _inv_upper,
-    "maj": _maj_upper,
-    "cls": _cls,
-    "opb": _opb,
-    "sb": _sb,
-    "invsigma": _inv_sigma,
-    "majsigma": _maj_sigma,
-}
-
-STAT_NAMES = tuple(COORD_NAMES) + tuple(sorted(set(_COMPOSITES) - {"mak'"}))
+    return aggregate_profile(pi)[f"{name}_{cls.lower()}"]
 
 
 def resolve_stat(name: str) -> Callable[[OrderedSetPartition], int]:
@@ -279,14 +296,12 @@ def resolve_stat(name: str) -> Callable[[OrderedSetPartition], int]:
     The exact spellings "Inv" and "Maj" are kept for the latter pair.
     """
     if name in ("Inv", "Maj"):
-        return _COMPOSITES["invsigma" if name == "Inv" else "majsigma"]
-    low = name.lower()
-    if low in COORD_NAMES:
-        return lambda pi, _n=low: _aggregate(pi, _n)
-    if low in _COMPOSITES:
-        return _COMPOSITES[low]
-    if low.endswith(("_os", "_tc")) and low[:-3] in COORD_NAMES:
-        return lambda pi, _n=low[:-3], _c=low[-2:]: stat_restricted(pi, _n, _c)
+        return _SIGMA_STATS["invsigma" if name == "Inv" else "majsigma"]
+    low = "makp" if name.lower() == "mak'" else name.lower()
+    if low in _SIGMA_STATS:
+        return _SIGMA_STATS[low]
+    if low in STAT_NAMES or low in _OS_KEYS or low in _TC_KEYS:
+        return lambda pi: aggregate_profile(pi)[low]
     raise ValueError(f"unknown statistic: {name!r}")
 
 
@@ -298,65 +313,9 @@ def stat(pi: OrderedSetPartition, name: str) -> int:
 
 def composite(pi: OrderedSetPartition, name: str) -> int:
     """Evaluate one of the composed statistics (mak, makp, cinvlsb, ...)."""
-    if name in ("Inv", "Maj"):
-        return resolve_stat(name)(pi)
-    low = name.lower()
-    if low not in _COMPOSITES:
+    if name not in ("Inv", "Maj") and name.lower() not in (*_COMPOSITES, *_SIGMA_STATS, "mak'"):
         raise ValueError(f"unknown composite statistic: {name!r}")
-    return _COMPOSITES[low](pi)
-
-
-def aggregate_profile(pi: OrderedSetPartition) -> dict[str, int]:
-    """All ten coordinate sums, the ros/rcs/rsb restrictions to the
-    opener-or-singleton and transient-or-closer classes, and the block
-    statistics, computed in a single pass over elements and blocks.
-
-    Matches the one-statistic evaluators; the test suite compares the two
-    routes exhaustively at small n.
-    """
-    blocks = pi.blocks
-    bounds = [(b[0], b[-1]) for b in blocks]
-    pos_of = pi.block_index
-    out = dict.fromkeys(COORD_NAMES, 0)
-    out["ros_os"] = out["rcs_os"] = out["rsb_os"] = out["rsb_tc"] = 0
-    for i in range(1, pi.n + 1):
-        pos_i = pos_of[i]
-        opener_like = blocks[pos_i - 1][0] == i
-        ros_i = rcs_i = rsb_i = 0
-        for pos, (opener, closer) in enumerate(bounds, start=1):
-            if pos == pos_i:
-                continue
-            left = pos < pos_i
-            if opener < i:
-                out["los" if left else "ros"] += 1
-                if not left:
-                    ros_i += 1
-            else:
-                out["lob" if left else "rob"] += 1
-            if closer < i:
-                out["lcs" if left else "rcs"] += 1
-                if not left:
-                    rcs_i += 1
-            else:
-                out["lcb" if left else "rcb"] += 1
-            if opener < i < closer:
-                out["lsb" if left else "rsb"] += 1
-                if not left:
-                    rsb_i += 1
-        if opener_like:
-            out["ros_os"] += ros_i
-            out["rcs_os"] += rcs_i
-            out["rsb_os"] += rsb_i
-        else:
-            out["rsb_tc"] += rsb_i
-    out["binv"] = binv(pi)
-    out["bmaj"] = bmaj(pi)
-    out["cls"] = out["lcs"] + out["rcs"]
-    out["opb"] = out["lob"] + out["rob"]
-    out["sb"] = out["lsb"] + out["rsb"]
-    out["inv"] = out["rsb_os"] + out["binv"]
-    out["maj"] = out["rsb_os"] + out["bmaj"]
-    return out
+    return resolve_stat(name)(pi)
 
 
 def six_composites(pi: OrderedSetPartition) -> tuple[int, int, int, int, int, int]:

@@ -36,6 +36,7 @@ doubleton the rearrangement class of the doubleton partition of a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import comb
 from typing import Sequence, Union
 
@@ -48,6 +49,7 @@ from .core import (
     major_index,
 )
 from .families import (
+    _check_scale,
     beta,
     beta_inv,
     ordered_set_partitions,
@@ -60,6 +62,7 @@ from .families import (
 from .paths import upsilon, xi_map
 from .qpoly import (
     LaurentPolynomial,
+    _tally,
     gauss_binomial,
     pq_factorial,
     q_factorial,
@@ -105,10 +108,6 @@ class VerificationReport:
         return " | ".join(bits)
 
 
-def _bump(counts: dict, key: tuple[int, int, int, int]) -> None:
-    counts[key] = counts.get(key, 0) + 1
-
-
 def _as_permutation(sigma: Union[Permutation, str, Sequence[int]]) -> Permutation:
     if isinstance(sigma, Permutation):
         return sigma
@@ -123,28 +122,27 @@ def _as_partition(pi: Union[OrderedSetPartition, str]) -> OrderedSetPartition:
     return OrderedSetPartition.parse(pi)
 
 
+
+
 # ---------------------------------------------------------------------------
 # Euler-Mahonian sums over all ordered partitions (thm3.2 / thm3.4)
 # ---------------------------------------------------------------------------
 
-def _em_distributions(n: int, k: int, allow_large: bool) -> list[LaurentPolynomial]:
-    """(mak+bInv, cinvLSB), (mak'+bInv, cinvLSB), (mak+bMaj, cmajLSB),
-    (mak'+bMaj, cmajLSB) distributions over all ordered partitions."""
-    acc: list[dict] = [{}, {}, {}, {}]
-    for pi in ordered_set_partitions(n, k, allow_large=allow_large):
-        a, b, ci, c, d, cm = six_composites(pi)
-        _bump(acc[0], (a, ci, 0, 0))
-        _bump(acc[1], (b, ci, 0, 0))
-        _bump(acc[2], (c, cm, 0, 0))
-        _bump(acc[3], (d, cm, 0, 0))
-    return [LaurentPolynomial(a) for a in acc]
+def _inv_pair(pi: OrderedSetPartition) -> tuple[tuple[int, int, int, int], ...]:
+    """(mak+bInv, cinvLSB) and (mak'+bInv, cinvLSB) as p,q exponents."""
+    a, b, ci, *_ = six_composites(pi)
+    return (a, ci, 0, 0), (b, ci, 0, 0)
 
 
-def _verify_em(theorem: str, n: int, k: int, use_maj: bool, allow_large: bool) -> VerificationReport:
-    if not n >= k >= 1:
-        raise ValueError("need n >= k >= 1")
-    dists = _em_distributions(n, k, allow_large)
-    lhs_a, lhs_b = (dists[2], dists[3]) if use_maj else (dists[0], dists[1])
+def _maj_pair(pi: OrderedSetPartition) -> tuple[tuple[int, int, int, int], ...]:
+    """(mak+bMaj, cmajLSB) and (mak'+bMaj, cmajLSB) as p,q exponents."""
+    *_, c, d, cm = six_composites(pi)
+    return (c, cm, 0, 0), (d, cm, 0, 0)
+
+
+def _verify_em(theorem: str, pair, allow_large: bool, n: int, k: int) -> VerificationReport:
+    counts, _ = _tally(ordered_set_partitions(n, k, allow_large=allow_large), pair, 2)
+    lhs_a, lhs_b = map(LaurentPolynomial, counts)
     rhs = (
         LaurentPolynomial.variable("q", comb(k, 2)) * pq_factorial(k) * stirling_pq(n, k)
     )
@@ -159,7 +157,7 @@ def _verify_em(theorem: str, n: int, k: int, use_maj: bool, allow_large: bool) -
 # thm3.1: sigma-classes with the (p/q)^inv factor, plus the xi transport
 # ---------------------------------------------------------------------------
 
-def _xi_violation(pi: OrderedSetPartition, sigma: Permutation | None = None) -> str | None:
+def _xi_violation(pi: OrderedSetPartition, sigma: Permutation) -> str | None:
     """The conjugated involution must swap mak+bInv with mak'+bInv, fix
     cinvLSB and rsb_TC, and stay inside the sigma-class."""
     image = xi_map(pi)
@@ -169,29 +167,22 @@ def _xi_violation(pi: OrderedSetPartition, sigma: Permutation | None = None) -> 
         return f"triple swap fails: {pi} -> {image}"
     if stat_restricted(pi, "rsb", "TC") != stat_restricted(image, "rsb", "TC"):
         return f"rsb_TC changes: {pi} -> {image}"
-    if sigma is not None and image.standard_form()[1] != sigma:
+    if image.standard_form()[1] != sigma:
         return f"image leaves the sigma-class: {pi} -> {image}"
     if xi_map(image) != pi:
         return f"not an involution at {pi}"
     return None
 
 
-def _verify_thm31(n: int, k: int, sigma, allow_large: bool) -> VerificationReport:
+def _verify_thm31(allow_large: bool, n: int, k: int, sigma) -> VerificationReport:
     sigma = _as_permutation(sigma)
     if sigma.size != k:
         raise ValueError(f"sigma must act on k={k} blocks")
-    if not n >= k >= 1:
-        raise ValueError("need n >= k >= 1")
-    acc_mak: dict = {}
-    acc_makp: dict = {}
-    counterexample = None
-    for pi in sigma_partitions(n, k, sigma):
-        a, b, ci, *_ = six_composites(pi)
-        _bump(acc_mak, (a, ci, 0, 0))
-        _bump(acc_makp, (b, ci, 0, 0))
-        if counterexample is None:
-            counterexample = _xi_violation(pi, sigma)
-    lhs_a, lhs_b = LaurentPolynomial(acc_mak), LaurentPolynomial(acc_makp)
+    _check_scale(n, allow_large)
+    counts, counterexample = _tally(
+        sigma_partitions(n, k, sigma), _inv_pair, 2, lambda pi: _xi_violation(pi, sigma)
+    )
+    lhs_a, lhs_b = map(LaurentPolynomial, counts)
     inv = sigma.inversion_number()
     rhs = LaurentPolynomial.monomial(1, ep=inv, eq=k * (k - 1) - inv) * stirling_pq(n, k)
     passed = lhs_a == rhs and lhs_b == rhs and counterexample is None
@@ -225,41 +216,31 @@ def _upsilon_violation(pi: OrderedSetPartition) -> str | None:
     return None
 
 
-def _verify_thm33(n: int, k: int, allow_large: bool) -> VerificationReport:
-    if not n >= k >= 1:
-        raise ValueError("need n >= k >= 1")
-    by_type_inv: dict = {}
-    by_type_maj: dict = {}
-    counterexample = None
-    for pi in ordered_set_partitions(n, k, allow_large=allow_large):
-        lam = pi.partition_type()
-        a, b, ci, c, d, cm = six_composites(pi)
-        _bump(by_type_inv.setdefault(lam, {}), (a, b, ci, 0))
-        _bump(by_type_maj.setdefault(lam, {}), (c, d, cm, 0))
-        if counterexample is None:
-            counterexample = _upsilon_violation(pi)
-    bad_type = None
-    for lam, counts in by_type_inv.items():
-        if counts != by_type_maj.get(lam):
-            bad_type = lam
-            break
+def _type_triples(pi: OrderedSetPartition) -> tuple[tuple, ...]:
+    """The bInv- and bMaj-based triples, keyed by type and as exponents."""
+    lam = pi.partition_type()
+    a, b, ci, c, d, cm = six_composites(pi)
+    return (lam, a, b, ci), (lam, c, d, cm), (a, b, ci, 0), (c, d, cm, 0)
+
+
+def _verify_thm33(allow_large: bool, n: int, k: int) -> VerificationReport:
+    (inv_by_type, maj_by_type, inv, maj), counterexample = _tally(
+        ordered_set_partitions(n, k, allow_large=allow_large), _type_triples, 4, _upsilon_violation
+    )
+    # both counters count every object of a type once, so the per-type
+    # distributions differ only where a key of the first has another count
+    bad_type = next(
+        (key[0] for key, count in inv_by_type.items() if maj_by_type.get(key) != count), None
+    )
     if bad_type is not None and counterexample is None:
         counterexample = f"type {bad_type}"
-    passed = bad_type is None and counterexample is None
-    total_maj: dict = {}
-    total_inv: dict = {}
-    for buckets, total in ((by_type_maj, total_maj), (by_type_inv, total_inv)):
-        for counts in buckets.values():
-            for exps, count in counts.items():
-                total[exps] = total.get(exps, 0) + count
-    lhs = LaurentPolynomial(total_maj)
-    rhs = LaurentPolynomial(total_inv)
+    passed = counterexample is None
     return VerificationReport(
         "thm3.3",
         {"n": n, "k": k},
         passed,
-        lhs,
-        rhs,
+        LaurentPolynomial(maj),
+        LaurentPolynomial(inv),
         counterexample,
         "" if passed else "per-type mismatch or transport failure",
     )
@@ -269,30 +250,31 @@ def _verify_thm33(n: int, k: int, allow_large: bool) -> VerificationReport:
 # thm3.5: rearrangement classes of a partition
 # ---------------------------------------------------------------------------
 
-def _verify_thm35(pi) -> VerificationReport:
+def _inv_maj(rho: OrderedSetPartition) -> tuple[tuple[int, int, int, int], ...]:
+    """INV and MAJ as q exponents."""
+    prof = aggregate_profile(rho)
+    return (0, prof["inv"], 0, 0), (0, prof["maj"], 0, 0)
+
+
+def _verify_thm35(allow_large: bool, pi) -> VerificationReport:
     pi0 = _as_partition(pi).standard_form()[0]
-    k = pi0.k
-    acc_inv: dict = {}
-    acc_maj: dict = {}
-    seen = set()
-    for rho in rearrangements(pi0):
-        _bump(acc_inv, (0, stat(rho, "inv"), 0, 0))
-        _bump(acc_maj, (0, stat(rho, "maj"), 0, 0))
-        seen.add(rho)
-    lhs, rhs = LaurentPolynomial(acc_maj), q_factorial(k)
-    counterexample = None
-    image = set()
-    for c in subdiagonal_vectors(k):
-        rho = beta(pi0, c)
-        image.add(rho)
+    (acc_inv, acc_maj, seen), _ = _tally(rearrangements(pi0), lambda rho: (*_inv_maj(rho), rho), 3)
+
+    def beta_violation(pair: tuple[tuple[int, ...], OrderedSetPartition]) -> str | None:
+        c, rho = pair
         if stat(rho, "maj") != sum(c):
-            counterexample = f"MAJ(beta({c})) != {sum(c)} at {rho}"
-            break
+            return f"MAJ(beta({c})) != {sum(c)} at {rho}"
         if beta_inv(rho) != c:
-            counterexample = f"beta_inv round-trip fails at c={c}"
-            break
-    if counterexample is None and image != seen:
+            return f"beta_inv round-trip fails at c={c}"
+        return None
+
+    (image,), counterexample = _tally(
+        ((c, beta(pi0, c)) for c in subdiagonal_vectors(pi0.k)),
+        lambda pair: (pair[1],), 1, beta_violation,
+    )
+    if counterexample is None and image.keys() != seen.keys():
         counterexample = "beta image differs from the rearrangement class"
+    lhs, rhs = LaurentPolynomial(acc_maj), q_factorial(pi0.k)
     passed = lhs == rhs and LaurentPolynomial(acc_inv) == rhs and counterexample is None
     return VerificationReport(
         "thm3.5",
@@ -318,14 +300,15 @@ def _q_multinomial(parts: Sequence[int]) -> LaurentPolynomial:
     return result
 
 
-def _verify_eq11(parts) -> VerificationReport:
+def _word_pair(w: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
+    """inv and maj of a word as q exponents."""
+    return (0, inversion_number(w), 0, 0), (0, major_index(w), 0, 0)
+
+
+def _verify_eq11(allow_large: bool, parts) -> VerificationReport:
     parts = tuple(int(p) for p in parts)
-    acc_inv: dict = {}
-    acc_maj: dict = {}
-    for w in words(parts):
-        _bump(acc_inv, (0, inversion_number(w), 0, 0))
-        _bump(acc_maj, (0, major_index(w), 0, 0))
-    lhs_inv, lhs_maj = LaurentPolynomial(acc_inv), LaurentPolynomial(acc_maj)
+    counts, _ = _tally(words(parts), _word_pair, 2)
+    lhs_inv, lhs_maj = map(LaurentPolynomial, counts)
     rhs = _q_multinomial(parts)
     passed = lhs_inv == rhs and lhs_maj == rhs
     return VerificationReport(
@@ -334,46 +317,37 @@ def _verify_eq11(parts) -> VerificationReport:
     )
 
 
-def _verify_doubleton(parts) -> VerificationReport:
+def _verify_doubleton(allow_large: bool, parts) -> VerificationReport:
     parts = tuple(int(p) for p in parts)
-    big = doubleton_partition(parts)
-    acc_inv: dict = {}
-    acc_maj: dict = {}
-    counterexample = None
-    for rho in rearrangements(big):
-        _bump(acc_inv, (0, stat(rho, "inv"), 0, 0))
-        _bump(acc_maj, (0, stat(rho, "maj"), 0, 0))
-        if counterexample is None:
-            w, components = decompose_doubleton(rho, parts)
-            if stat(rho, "binv") != inversion_number(w) or stat(rho, "bmaj") != major_index(w):
-                counterexample = f"block stats differ from word stats at {rho}"
-            elif stat_restricted(rho, "rsb", "OS") != sum(
-                stat_restricted(comp, "rsb", "OS") for comp in components if comp.n
-            ):
-                counterexample = f"rsb_OS does not split at {rho}"
+
+    def split_violation(rho: OrderedSetPartition) -> str | None:
+        w, components = decompose_doubleton(rho, parts)
+        prof = aggregate_profile(rho)
+        if prof["binv"] != inversion_number(w) or prof["bmaj"] != major_index(w):
+            return f"block stats differ from word stats at {rho}"
+        if prof["rsb_os"] != sum(stat_restricted(comp, "rsb", "OS") for comp in components if comp.n):
+            return f"rsb_OS does not split at {rho}"
+        return None
+
+    counts, counterexample = _tally(
+        rearrangements(doubleton_partition(parts)), _inv_maj, 2, split_violation
+    )
+    acc_inv, acc_maj = map(LaurentPolynomial, counts)
     factor = LaurentPolynomial.constant(1)
     for p in parts:
-        counts: dict = {}
-        for rho in rearrangements(doubleton_partition((p,))):
-            _bump(counts, (0, stat_restricted(rho, "rsb", "OS"), 0, 0))
-        class_dist = LaurentPolynomial(counts)
+        (class_counts,), _ = _tally(
+            rearrangements(doubleton_partition((p,))),
+            lambda rho: ((0, stat_restricted(rho, "rsb", "OS"), 0, 0),), 1,
+        )
+        class_dist = LaurentPolynomial(class_counts)
         if class_dist != q_factorial(p):
             counterexample = counterexample or f"class factor for part {p} is not [{p}]_q!"
         factor = factor * class_dist
-    word_inv: dict = {}
-    word_maj: dict = {}
-    for w in words(parts):
-        _bump(word_inv, (0, inversion_number(w), 0, 0))
-        _bump(word_maj, (0, major_index(w), 0, 0))
-    lhs = LaurentPolynomial(acc_maj)
-    rhs = LaurentPolynomial(word_maj) * factor
-    passed = (
-        lhs == rhs
-        and LaurentPolynomial(acc_inv) == LaurentPolynomial(word_inv) * factor
-        and counterexample is None
-    )
+    word_inv, word_maj = map(LaurentPolynomial, _tally(words(parts), _word_pair, 2)[0])
+    rhs = word_maj * factor
+    passed = acc_maj == rhs and acc_inv == word_inv * factor and counterexample is None
     return VerificationReport(
-        "doubleton", {"parts": parts}, passed, lhs, rhs, counterexample,
+        "doubleton", {"parts": parts}, passed, acc_maj, rhs, counterexample,
         "" if passed else "factorization failure",
     )
 
@@ -382,12 +356,14 @@ def _verify_doubleton(parts) -> VerificationReport:
 # Remaining polynomial identities
 # ---------------------------------------------------------------------------
 
-def _verify_eq23(n: int, k: int) -> VerificationReport:
-    if not n >= k >= 1:
-        raise ValueError("need n >= k >= 1")
-    counts: dict = {}
-    for pi in set_partitions(n, k):
-        _bump(counts, (stat(pi, "rcb"), stat(pi, "lsb"), 0, 0))
+def _rcb_lsb(pi: OrderedSetPartition) -> tuple[tuple[int, int, int, int]]:
+    prof = aggregate_profile(pi)
+    return ((prof["rcb"], prof["lsb"], 0, 0),)
+
+
+def _verify_eq23(allow_large: bool, n: int, k: int) -> VerificationReport:
+    _check_scale(n, allow_large)
+    (counts,), _ = _tally(set_partitions(n, k), _rcb_lsb, 1)
     lhs, rhs = LaurentPolynomial(counts), stirling_pq(n, k)
     passed = lhs == rhs
     return VerificationReport(
@@ -396,35 +372,35 @@ def _verify_eq23(n: int, k: int) -> VerificationReport:
     )
 
 
-def _verify_trefinement(theorem: str, n: int, k: int, use_big_maj: bool, allow_large: bool) -> VerificationReport:
+def _verify_trefinement(
+    theorem: str, t_stats: tuple[str, ...], allow_large: bool, n: int, k: int
+) -> VerificationReport:
     """eq5.8 (t marks inv/maj of the class permutation) and eq9.2 (t marks
     MAJ): both p-weights cls+rsb_TC and opb+rsb_TC against [k]_t! S_{p,q}."""
-    if not n >= k >= 1:
-        raise ValueError("need n >= k >= 1")
-    t_stats = ["maj"] if use_big_maj else ["invsigma", "majsigma"]
-    accs: dict[tuple[str, str], dict] = {
-        (p_stat, t_stat): {} for p_stat in ("cls", "opb") for t_stat in t_stats
-    }
-    for pi in ordered_set_partitions(n, k, allow_large=allow_large):
+
+    def weights(pi: OrderedSetPartition) -> list[tuple[int, int, int, int]]:
         prof = aggregate_profile(pi)
-        cls_w = prof["cls"] + prof["rsb_tc"]
-        opb_w = prof["opb"] + prof["rsb_tc"]
-        eq = prof["sb"] - prof["rsb_tc"]
-        for t_stat in t_stats:
-            tv = prof["maj"] if t_stat == "maj" else stat(pi, t_stat)
-            _bump(accs[("cls", t_stat)], (cls_w, eq, tv, 0))
-            _bump(accs[("opb", t_stat)], (opb_w, eq, tv, 0))
+        q_weight = prof["sb"] - prof["rsb_tc"]
+        t_weights = [prof["maj"] if name == "maj" else stat(pi, name) for name in t_stats]
+        return [
+            (prof[p_stat] + prof["rsb_tc"], q_weight, t_weight, 0)
+            for p_stat in ("cls", "opb")
+            for t_weight in t_weights
+        ]
+
+    counts, _ = _tally(
+        ordered_set_partitions(n, k, allow_large=allow_large), weights, 2 * len(t_stats)
+    )
+    lhs_polys = [LaurentPolynomial(c) for c in counts]
     rhs = q_factorial(k, "t") * stirling_pq(n, k)
-    lhs_polys = {key: LaurentPolynomial(acc) for key, acc in accs.items()}
-    passed = all(poly == rhs for poly in lhs_polys.values())
-    first = next(iter(lhs_polys.values()))
+    passed = all(poly == rhs for poly in lhs_polys)
     return VerificationReport(
-        theorem, {"n": n, "k": k}, passed, first, rhs, None,
+        theorem, {"n": n, "k": k}, passed, lhs_polys[0], rhs, None,
         "" if passed else "t-refined distribution mismatch",
     )
 
 
-def _verify_zezh_id(n: int, k: int) -> VerificationReport:
+def _verify_zezh_id(allow_large: bool, n: int, k: int) -> VerificationReport:
     passed, lhs, rhs = verify_zezh(n, k)
     return VerificationReport(
         "zezh", {"n": n, "k": k}, passed, lhs, rhs, None,
@@ -436,51 +412,46 @@ def _verify_zezh_id(n: int, k: int) -> VerificationReport:
 # Dispatch
 # ---------------------------------------------------------------------------
 
-THEOREM_IDS = (
-    "thm3.1",
-    "thm3.2",
-    "thm3.3",
-    "thm3.4",
-    "thm3.5",
-    "eq1.1",
-    "eq2.3",
-    "eq5.8",
-    "eq9.2",
-    "zezh",
-    "doubleton",
-)
+# id -> (runner, parameter names).  Every runner takes ``allow_large`` first;
+# those that enumerate a family by n pass it to the desk-scale guard.
+_CHECKS = {
+    "thm3.1": (_verify_thm31, ("n", "k", "sigma")),
+    "thm3.2": (partial(_verify_em, "thm3.2", _inv_pair), ("n", "k")),
+    "thm3.3": (_verify_thm33, ("n", "k")),
+    "thm3.4": (partial(_verify_em, "thm3.4", _maj_pair), ("n", "k")),
+    "thm3.5": (_verify_thm35, ("pi",)),
+    "eq1.1": (_verify_eq11, ("parts",)),
+    "eq2.3": (_verify_eq23, ("n", "k")),
+    "eq5.8": (partial(_verify_trefinement, "eq5.8", ("invsigma", "majsigma")), ("n", "k")),
+    "eq9.2": (partial(_verify_trefinement, "eq9.2", ("maj",)), ("n", "k")),
+    "zezh": (_verify_zezh_id, ("n", "k")),
+    "doubleton": (_verify_doubleton, ("parts",)),
+}
+
+THEOREM_IDS = tuple(_CHECKS)
 
 
 def verify(theorem: str, allow_large: bool = False, **params) -> VerificationReport:
     """Run one verification; see the module docstring for the id table.
 
     Parameters by id: thm3.1 takes n, k, sigma; thm3.5 takes pi; eq1.1 and
-    doubleton take parts; all others take n, k.
+    doubleton take parts; all others take n, k.  A missing or unknown
+    parameter raises ValueError.
     """
     theorem = theorem.lower()
-    if theorem == "thm3.1":
-        return _verify_thm31(params["n"], params["k"], params["sigma"], allow_large)
-    if theorem == "thm3.2":
-        return _verify_em("thm3.2", params["n"], params["k"], False, allow_large)
-    if theorem == "thm3.3":
-        return _verify_thm33(params["n"], params["k"], allow_large)
-    if theorem == "thm3.4":
-        return _verify_em("thm3.4", params["n"], params["k"], True, allow_large)
-    if theorem == "thm3.5":
-        return _verify_thm35(params["pi"])
-    if theorem == "eq1.1":
-        return _verify_eq11(params["parts"])
-    if theorem == "eq2.3":
-        return _verify_eq23(params["n"], params["k"])
-    if theorem == "eq5.8":
-        return _verify_trefinement("eq5.8", params["n"], params["k"], False, allow_large)
-    if theorem == "eq9.2":
-        return _verify_trefinement("eq9.2", params["n"], params["k"], True, allow_large)
-    if theorem == "zezh":
-        return _verify_zezh_id(params["n"], params["k"])
-    if theorem == "doubleton":
-        return _verify_doubleton(params["parts"])
-    raise ValueError(f"unknown theorem id {theorem!r}; known: {', '.join(THEOREM_IDS)}")
+    if theorem not in _CHECKS:
+        raise ValueError(f"unknown theorem id {theorem!r}; known: {', '.join(THEOREM_IDS)}")
+    runner, names = _CHECKS[theorem]
+    takes = f"{theorem} takes {', '.join(names)}"
+    missing = [name for name in names if name not in params]
+    if missing:
+        raise ValueError(f"{takes}; missing parameter {', '.join(missing)}")
+    unknown = sorted(set(params) - set(names))
+    if unknown:
+        raise ValueError(f"{takes}; unknown parameter {', '.join(unknown)}")
+    if "k" in names and not params["n"] >= params["k"] >= 1:
+        raise ValueError("need n >= k >= 1")
+    return runner(allow_large, **params)
 
 
 def run_task(task: tuple[str, dict]) -> VerificationReport:

@@ -6,7 +6,7 @@ are hard limits.
 """
 import time
 
-from opstat.core import OrderedSetPartition, Permutation, Trace, complement_type
+from opstat.core import OrderedSetPartition, Permutation, Trace
 from opstat.families import (
     compositions,
     ordered_set_partitions,
@@ -148,7 +148,7 @@ def test_criterion_05_roundtrip_involution_suite():
         for pi in set_partitions(n):
             assert lambda_map(lambda_map(pi)) == pi
             lam = pi.partition_type()
-            assert complement_type(complement_type(lam)) == lam
+            assert lam.complement().complement() == lam
     for k in range(1, 6):
         for pi0 in set_partitions(5, k):
             for c in subdiagonal_vectors(k):

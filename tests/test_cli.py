@@ -129,6 +129,54 @@ def test_desk_scale_guard_exits_one(capsys):
     assert "desk-scale" in err
 
 
+def test_verify_empty_range_exits_one(capsys):
+    assert main(["verify", "thm3.2", "--n", "8..1"]) == 1
+    assert "--n 8..1 is an empty range" in capsys.readouterr().err
+    assert main(["verify", "thm3.2", "--n", "3", "--k", "9"]) == 1
+    assert "--n 3 --k 9 is an empty range" in capsys.readouterr().err
+
+
+def test_desk_scale_guard_covers_every_enumeration(capsys):
+    # each would enumerate for hours if the guard did not refuse it first
+    assert main(["verify", "eq2.3", "--n", "40", "--k", "20"]) == 1
+    assert main(["verify", "thm3.1", "--n", "40", "--k", "20", "--sigma", "all"]) == 1
+    assert main(["verify", "thm3.5", "--n", "40", "--k", "20"]) == 1
+    assert capsys.readouterr().err.count("desk-scale") == 3
+
+
+def test_verify_jobs_must_be_positive(capsys):
+    assert main(["verify", "zezh", "--n", "3", "--jobs", "0"]) == 1
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_verify_pool_size_is_capped(capsys, monkeypatch):
+    from opstat import cli
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(task) for task in tasks]
+
+    monkeypatch.setattr(cli, "Pool", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert main(["verify", "zezh", "--n", "1..5", "--jobs", "1000"]) == 0  # 15 tasks
+    assert main(["verify", "zezh", "--n", "3", "--jobs", "1000"]) == 0  # 3 tasks
+    assert main(["verify", "zezh", "--n", "1..5", "--jobs", "2"]) == 0
+    assert main(["verify", "zezh", "--n", "1", "--jobs", "8"]) == 0  # 1 task: no pool
+    capsys.readouterr()
+    assert sizes == [4, 3, 2]
+
+
 def test_table_command(capsys):
     assert main(["table", "eulerian", "--n", "3"]) == 0
     out = capsys.readouterr().out

@@ -5,13 +5,10 @@ from opstat.core import (
     PartitionType,
     Permutation,
     Trace,
-    complement_type,
-    d_code,
     decompose_doubleton,
     doubleton_partition,
     from_d_code,
     from_lehmer,
-    lehmer_code,
     recombine_doubleton,
     word_stats,
 )
@@ -149,7 +146,8 @@ def test_complement_worked_example():
     lam = PartitionType(
         frozenset({1, 2, 3}), frozenset({7, 8, 10}), frozenset({6, 9}), frozenset({4, 5})
     )
-    bar = complement_type(lam, 10)
+    assert lam.n == 10
+    bar = lam.complement()
     assert bar.as_tuple() == (
         frozenset({1, 3, 4}),
         frozenset({8, 9, 10}),
@@ -160,13 +158,13 @@ def test_complement_worked_example():
 
 def test_complement_fixed_point():
     lam = PartitionType(frozenset(), frozenset(), frozenset({1}), frozenset())
-    assert complement_type(lam) == lam
+    assert lam.complement() == lam
 
 
 def test_complement_involution():
     for pi in set_partitions(8):
         lam = pi.partition_type()
-        assert complement_type(complement_type(lam)) == lam
+        assert lam.complement().complement() == lam
 
 
 # ---------------------------------------------------------------------------
@@ -213,32 +211,32 @@ def test_trace_index_bounds():
 
 def test_lehmer_code_worked_example():
     sigma = Permutation.parse("86347521")
-    assert lehmer_code(sigma) == (7, 5, 2, 2, 3, 2, 1, 0)
-    assert d_code(sigma) == (0, 1, 2, 2, 2, 5, 3, 7)
+    assert sigma.lehmer_code() == (7, 5, 2, 2, 3, 2, 1, 0)
+    assert sigma.d_code() == (0, 1, 2, 2, 2, 5, 3, 7)
 
 
 def test_codes_of_identity():
-    assert lehmer_code(Permutation.identity(4)) == (0, 0, 0, 0)
-    assert d_code(Permutation.identity(4)) == (0, 0, 0, 0)
+    assert Permutation.identity(4).lehmer_code() == (0, 0, 0, 0)
+    assert Permutation.identity(4).d_code() == (0, 0, 0, 0)
 
 
 def test_d_code_second_example():
-    assert d_code(Permutation.parse("43152")) == (0, 0, 2, 3, 1)
+    assert Permutation.parse("43152").d_code() == (0, 0, 2, 3, 1)
 
 
 def test_code_roundtrips_exhaustive():
     for k in range(7):
         for sigma in permutations(k):
-            assert from_lehmer(lehmer_code(sigma)) == sigma
-            assert from_d_code(d_code(sigma)) == sigma
+            assert from_lehmer(sigma.lehmer_code()) == sigma
+            assert from_d_code(sigma.d_code()) == sigma
 
 
 def test_code_sums_are_inversions():
     for k in range(7):
         for sigma in permutations(k):
             inv = sigma.inversion_number()
-            assert sum(lehmer_code(sigma)) == inv
-            assert sum(d_code(sigma)) == inv
+            assert sum(sigma.lehmer_code()) == inv
+            assert sum(sigma.d_code()) == inv
 
 
 def test_code_range_validation():

@@ -5,12 +5,10 @@ import pytest
 from opstat.core import OrderedSetPartition, Permutation
 from opstat.families import (
     DeskScaleError,
-    FamilySpec,
     beta,
     beta_inv,
     compositions,
     fubini,
-    generate,
     ordered_set_partitions,
     partitions_of_type,
     path_diagrams,
@@ -115,14 +113,6 @@ def test_path_diagram_counts_match_fubini():
     for n in range(1, 6):
         total = sum(sum(1 for _ in path_diagrams(n, k)) for k in range(1, n + 1))
         assert total == fubini(n)
-
-
-def test_family_spec_dispatch():
-    assert list(generate(FamilySpec("P", n=3, k=2))) == list(set_partitions(3, 2))
-    assert list(generate(FamilySpec("S", k=3))) == list(permutations(3))
-    assert list(generate(FamilySpec("words", parts=(1, 1)))) == [(1, 2), (2, 1)]
-    with pytest.raises(ValueError, match="unknown family kind"):
-        FamilySpec("Q", n=1)
 
 
 def test_desk_scale_guard(monkeypatch):

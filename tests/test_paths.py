@@ -10,19 +10,14 @@ from opstat.families import (
 from opstat.paths import (
     LatticePath,
     PathDiagram,
-    associated_permutation,
     diagram_permutation,
     g_map,
     gamma_sigma,
-    heights,
     insertion_labels,
-    path_from_type,
-    path_type,
     phi,
     phi_inv,
     psi,
     psi_inv,
-    reverse_path,
     theta_map,
     trace_with_block,
     upsilon,
@@ -59,7 +54,7 @@ def test_path_dimensions():
 
 
 def test_path_type_worked_example():
-    lam = path_type(RUN_PATH)
+    lam = RUN_PATH.partition_type()
     assert lam.as_tuple() == (
         frozenset({1, 2, 3}),
         frozenset({7, 8, 10}),
@@ -69,25 +64,24 @@ def test_path_type_worked_example():
 
 
 def test_path_type_all_east():
-    lam = path_type(LatticePath.parse("EEE"))
+    lam = LatticePath.parse("EEE").partition_type()
     assert lam.singletons == frozenset({1, 2, 3})
 
 
 def test_path_from_type_roundtrip_exhaustive():
     for path in {h.path for h in path_diagrams(5, 3)}:
-        assert path_from_type(path_type(path)) == path
+        assert LatticePath.from_type(path.partition_type()) == path
 
 
 def test_path_from_type_rejects_bad_prefix():
     lam = PartitionType(frozenset({2}), frozenset({1}), frozenset(), frozenset())
     with pytest.raises(ValueError):
-        path_from_type(lam)
+        LatticePath.from_type(lam)
 
 
 def test_heights_worked_example():
-    xs, ys = heights(RUN_PATH)
-    assert (xs[6], ys[6]) == (1, 3)  # step 7 starts at (1, 3)
-    assert (xs[0], ys[0]) == (0, 0)
+    assert (RUN_PATH.x(7), RUN_PATH.y(7)) == (1, 3)  # step 7 starts at (1, 3)
+    assert (RUN_PATH.x(1), RUN_PATH.y(1)) == (0, 0)
 
 
 def test_heights_law_at_rises_and_flats():
@@ -102,21 +96,21 @@ def test_heights_law_at_rises_and_flats():
 
 def test_associated_permutation_figure_example():
     w = LatticePath.parse("NNENDDNEDED")
-    assert associated_permutation(w).images == (4, 2, 1, 3)
+    assert w.associated_permutation().images == (4, 2, 1, 3)
 
 
 def test_associated_permutation_running_example():
-    assert associated_permutation(RUN_PATH).images == (3, 2, 1)
+    assert RUN_PATH.associated_permutation().images == (3, 2, 1)
 
 
 def test_associated_permutation_single_pair():
-    assert associated_permutation(LatticePath.parse("ND")).images == (1,)
+    assert LatticePath.parse("ND").associated_permutation().images == (1,)
 
 
 def test_reverse_running_example():
-    rev = reverse_path(RUN_PATH)
+    rev = RUN_PATH.reverse()
     assert rev.to_text() == "NENNEOODDD"
-    assert path_type(rev) == path_type(RUN_PATH).complement()
+    assert rev.partition_type() == RUN_PATH.partition_type().complement()
 
 
 def test_reverse_associated_permutation_law():
@@ -132,8 +126,8 @@ def test_reverse_associated_permutation_law():
 
 def test_reverse_involution_and_height_law():
     for path in {h.path for h in path_diagrams(6, 3)}:
-        rev = reverse_path(path)
-        assert reverse_path(rev) == path
+        rev = path.reverse()
+        assert rev.reverse() == path
         # the height of step i of the reverse is the ordinate of the point
         # the original reaches after n - i steps
         for i in range(1, path.n + 1):
@@ -172,7 +166,7 @@ def test_phi_smallest():
 
 def test_phi_preserves_type():
     for h in path_diagrams(6, 3):
-        assert phi(h).partition_type() == path_type(h.path)
+        assert phi(h).partition_type() == h.path.partition_type()
 
 
 def test_phi_label_law():
@@ -282,7 +276,7 @@ def test_psi_preserves_type_and_is_onto():
     images = set()
     for h in path_diagrams(5, 3):
         pi = psi(h)
-        assert pi.partition_type() == path_type(h.path)
+        assert pi.partition_type() == h.path.partition_type()
         images.add(pi)
     assert images == set(ordered_set_partitions(5, 3))
 
@@ -300,7 +294,7 @@ def test_varphi_worked_example():
 def test_varphi_zero_opener_labels_copied():
     h = PathDiagram(LatticePath.parse("NDND"), (0, 0, 0, 0))
     image = varphi(h)
-    lam = path_type(image.path)
+    lam = image.path.partition_type()
     for i in sorted(lam.openers | lam.singletons):
         assert image.labels[i - 1] == 0
 
@@ -332,7 +326,7 @@ def test_g_map_worked_example():
 
 def test_g_map_identity_zeroes_opener_labels():
     image = g_map(RUN, Permutation.identity(5))
-    lam = path_type(RUN_PATH)
+    lam = RUN_PATH.partition_type()
     for i in sorted(lam.openers | lam.singletons):
         assert image.labels[i - 1] == 0
 

@@ -83,6 +83,15 @@ def test_zero_coefficients_never_stored():
     assert poly.terms == {}
 
 
+def test_exponent_vectors_must_be_four_integers():
+    with pytest.raises(ValueError, match="4 integers"):
+        LaurentPolynomial({(1, 2): 1})
+    with pytest.raises(ValueError, match="4 integers"):
+        LaurentPolynomial({(1, 2, 0, 0, 0): 1})
+    with pytest.raises(ValueError, match="4 integers"):
+        LaurentPolynomial({(1, 2, 0, 0.5): 1})
+
+
 def test_text_rendering():
     assert (2 * P + Q).to_text() == "2*p + q"
     assert (P ** 2 - 1).to_text() == "p^2 - 1"

@@ -262,6 +262,32 @@ def test_invariant_sweep_n7():
         assert prof["sb"] == sum(lam.closers) - sum(lam.openers) + k - n
 
 
+def test_profile_and_fast_path_match_reference_exhaustive():
+    # every coordinate sum and OS/TC restriction of the kernel against sums
+    # of the ten-counter reference over the element class, and the fused
+    # fast path against the kernel, on all ordered partitions with n <= 6
+    for n in range(1, 7):
+        for pi in ordered_set_partitions(n):
+            prof = aggregate_profile(pi)
+            lam = pi.partition_type()
+            opener_like = lam.openers | lam.singletons
+            rows = {i: coord_stats(pi, i).as_dict() for i in range(1, n + 1)}
+            for name in COORD_NAMES:
+                os_sum = sum(rows[i][name] for i in opener_like)
+                tc_sum = sum(rows[i][name] for i in rows if i not in opener_like)
+                assert prof[name] == os_sum + tc_sum
+                assert prof[f"{name}_os"] == os_sum
+                assert prof[f"{name}_tc"] == tc_sum
+            assert six_composites(pi) == (
+                prof["mak"] + prof["binv"],
+                prof["makp"] + prof["binv"],
+                prof["cinvlsb"],
+                prof["mak"] + prof["bmaj"],
+                prof["makp"] + prof["bmaj"],
+                prof["cmajlsb"],
+            )
+
+
 def test_aggregate_profile_matches_definitions():
     for n in range(1, 6):
         for pi in ordered_set_partitions(n):

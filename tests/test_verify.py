@@ -11,6 +11,17 @@ def test_unknown_id():
         verify("thm9.9", n=3, k=2)
 
 
+def test_missing_parameter_is_named():
+    with pytest.raises(ValueError, match="missing parameter k"):
+        verify("thm3.2", n=3)
+
+
+def test_unknown_parameter_is_named():
+    with pytest.raises(ValueError, match="unknown parameter bogus"):
+        verify("zezh", n=3, k=2, bogus=1)
+    assert verify("zezh", n=3, k=2, allow_large=True).passed
+
+
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 6) for k in range(1, n + 1)])
 def test_em_identities_small(n, k):
     assert verify("thm3.2", n=n, k=k).passed
