@@ -20,13 +20,7 @@ from .families import DeskScaleError, _check_scale, compositions, permutations, 
 from .motzkin import lambda_map
 from .paths import PathDiagram, gamma_sigma, phi, phi_inv, psi, psi_inv, theta_map, upsilon, xi_map
 from .qpoly import carlitz_aq, gauss_binomial, s_hat_pq, stirling_pq, stirling_q
-from .statistics import (
-    COORD_NAMES,
-    coordinate_table,
-    resolve_stat,
-    stat,
-    stat_restricted,
-)
+from .statistics import COORD_NAMES, aggregate_profile, coordinate_table, resolve_stat, stat
 from .verify import THEOREM_IDS, run_task, verify
 
 AGGREGATE_ORDER = (
@@ -88,12 +82,9 @@ def _cmd_stats(args) -> int:
         else:
             print(value)
         return 0
-    aggregates = {name: stat(pi, name) for name in AGGREGATE_ORDER}
-    restricted = {
-        f"{name}_{cls.lower()}": stat_restricted(pi, name, cls)
-        for name in COORD_NAMES
-        for cls in ("OS", "TC")
-    }
+    prof = aggregate_profile(pi)  # invsigma and majsigma are not in it
+    aggregates = {name: prof[name] if name in prof else stat(pi, name) for name in AGGREGATE_ORDER}
+    restricted = {key: prof[key] for name in COORD_NAMES for key in (f"{name}_os", f"{name}_tc")}
     if args.json:
         payload = {
             "partition": pi.to_json(),

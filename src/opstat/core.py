@@ -441,12 +441,6 @@ class Trace:
                 return j
         raise ValueError(f"element {i} not in trace")
 
-    def active_count(self) -> int:
-        return sum(self.active)
-
-    def complete_count(self) -> int:
-        return len(self.blocks) - sum(self.active)
-
     def to_partition(self) -> OrderedSetPartition:
         if any(self.active):
             raise ValueError("trace still has active blocks")

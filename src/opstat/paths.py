@@ -20,6 +20,7 @@ Both are bijections; composing them and the label-transport involution
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,7 +31,6 @@ from .core import (
     Trace,
     from_d_code,
 )
-from .statistics import _block_bounds, _coord_counts, bmaj
 
 __all__ = [
     "LatticePath",
@@ -311,6 +311,45 @@ def _run_encoding(h: PathDiagram, by_gap_rank: bool) -> OrderedSetPartition:
     return OrderedSetPartition.from_blocks(blocks, n=h.n)
 
 
+def _read_labels(pi: OrderedSetPartition, by_gap_rank: bool) -> PathDiagram:
+    """Inverse of ``_run_encoding``: grow the traces of pi and record, per
+    element, the step and the label with which ``_grow`` puts it where pi
+    has it.
+
+    A new block goes to the gap left of the trace blocks that follow it in
+    pi; its label is that gap's rank from the right (phi) or its index in
+    ``_insertion_positions`` (psi).  Any other element's label is the number
+    of active blocks right of its block.
+    """
+    blocks: list[list[int]] = []
+    active: list[bool] = []
+    order: list[int] = []  # pi's block index of each trace block, increasing
+    steps, labels = [], []
+    for i in range(1, pi.n + 1):
+        b = pi.block_index[i]
+        block = pi.blocks[b - 1]
+        if i == block[0]:
+            pos = bisect_left(order, b)
+            if by_gap_rank:
+                labels.append(len(blocks) - pos)
+            else:
+                labels.append(_insertion_positions(blocks, active).index(pos))
+            steps.append(NORTH if len(block) > 1 else EAST)
+            order.insert(pos, b)
+            blocks.insert(pos, [i])
+            active.insert(pos, len(block) > 1)
+        else:
+            idx = bisect_left(order, b)
+            labels.append(sum(active[idx + 1:]))
+            blocks[idx].append(i)
+            if i == block[-1]:
+                steps.append(SOUTH_EAST)
+                active[idx] = False
+            else:
+                steps.append(NULL)
+    return PathDiagram(LatticePath(tuple(steps)), tuple(labels))
+
+
 # ---------------------------------------------------------------------------
 # phi: right-to-left gap numbering
 # ---------------------------------------------------------------------------
@@ -325,28 +364,10 @@ def phi(h: PathDiagram) -> OrderedSetPartition:
     return _run_encoding(h, by_gap_rank=True)
 
 
-def _ros_rsb(pi: OrderedSetPartition) -> list[tuple[int, int]]:
-    """(ros_i, rsb_i) for i = 1..n."""
-    bounds = _block_bounds(pi)
-    pos_of = pi.block_index
-    out = []
-    for i in range(1, pi.n + 1):
-        _, ros, _, rcs = _coord_counts(bounds, pos_of[i] - 1, i)
-        out.append((ros, ros - rcs))
-    return out
-
-
 def phi_inv(pi: OrderedSetPartition) -> PathDiagram:
-    """Inverse of ``phi``: the path is read off the type, the labels off the
-    per-element statistics ros (openers/singletons) and rsb (others)."""
-    lam = pi.partition_type()
-    path = LatticePath.from_type(lam)
-    opener_like = lam.openers | lam.singletons
-    labels = tuple(
-        ros if i in opener_like else rsb
-        for i, (ros, rsb) in enumerate(_ros_rsb(pi), start=1)
-    )
-    return PathDiagram(path, labels)
+    """Inverse of ``phi``: the path is read off the type; the labels are
+    ros_i at openers/singletons and rsb_i elsewhere."""
+    return _read_labels(pi, by_gap_rank=True)
 
 
 # ---------------------------------------------------------------------------
@@ -363,19 +384,7 @@ def psi_inv(pi: OrderedSetPartition) -> PathDiagram:
     """Inverse of ``psi``: at the j-th opener/singleton the label is
     rsb_i plus the growth of the block major index since the previous
     opener/singleton; elsewhere it is rsb_i."""
-    lam = pi.partition_type()
-    path = LatticePath.from_type(lam)
-    opener_like = lam.openers | lam.singletons
-    labels = []
-    prev = 0
-    for i, (_, rsb) in enumerate(_ros_rsb(pi), start=1):
-        if i in opener_like:
-            cur = bmaj(pi.trace(i))
-            labels.append(rsb + cur - prev)
-            prev = cur
-        else:
-            labels.append(rsb)
-    return PathDiagram(path, tuple(labels))
+    return _read_labels(pi, by_gap_rank=False)
 
 
 # ---------------------------------------------------------------------------

@@ -180,11 +180,6 @@ class LaurentPolynomial:
 
     # -- queries and transforms ----------------------------------------------
 
-    def degree(self, var: str) -> int:
-        """Largest exponent of ``var`` (0 for the zero polynomial)."""
-        idx = _VAR_INDEX[var]
-        return max((e[idx] for e in self._terms), default=0)
-
     def truncate(self, var: str, order: int) -> LaurentPolynomial:
         """Drop all terms with exponent of ``var`` above ``order``."""
         idx = _VAR_INDEX[var]
@@ -196,18 +191,6 @@ class LaurentPolynomial:
             key = fn(exps)
             terms[key] = terms.get(key, 0) + coeff
         return LaurentPolynomial(terms)
-
-    def substitute_one(self, *names: str) -> LaurentPolynomial:
-        """Set the named variables to 1."""
-        idxs = [_VAR_INDEX[name] for name in names]
-
-        def drop(exps: Exponents) -> Exponents:
-            out = list(exps)
-            for i in idxs:
-                out[i] = 0
-            return tuple(out)
-
-        return self.map_exponents(drop)
 
     def evaluate(self, p: int = 1, q: int = 1, t: int = 1, x: int = 1) -> int:
         """Exact integer evaluation; a negative exponent requires its value

@@ -13,22 +13,30 @@ determine the other six coordinates of i:
     lob = L - los    lcb = L - lcs    lsb = los - lcs = lcb - lob
     rob = R - ros    rcb = R - rcs    rsb = ros - rcs = rcb - rob
 
-Three functions compare an element with the other blocks' openers and
-closers, each with its own role:
+Two counters compare elements with the other blocks' openers and closers:
 
-* ``coord_stats`` counts all ten coordinates literally; it is the reference
-  the tests compare the other two against.
-* ``aggregate_profile`` is the kernel: it takes the four counts per element
-  and returns every coordinate sum, restriction, block statistic and linear
-  composite of one partition.  ``stat``, ``stat_restricted`` and
-  ``composite`` read from it.
-* ``six_composites`` is the fast path for the six Euler-Mahonian composites
-  that the exhaustive checks sum over.
+* ``coord_stats`` counts all ten coordinates of one element literally; it
+  is the reference the tests compare the kernel against.
+* ``_pair_counts`` is the kernel.  It visits each pair of blocks once and
+  returns los, ros, lcs and rcs summed over all elements and over the
+  openers, plus bMaj and bDes.  Every other statistic is linear in that
+  tuple: the six other coordinates by the identities above (summed, L and
+  R become sum(pos * |B|) and its complement, and C(k,2) each over the
+  openers), bInv as rcs over the openers, TC as all minus OS.
+  ``aggregate_profile`` maps it to every coordinate sum, restriction, block
+  statistic and composite, and ``stat``, ``stat_restricted`` and
+  ``composite`` read from the profile; ``six_composites`` maps it straight
+  to the six Euler-Mahonian composites that the exhaustive checks sum over.
+
+``binv``, ``bdes_set`` and ``bmaj`` compare blocks by definition; they are
+the reference for the kernel's block statistics and also accept traces,
+whose active blocks close at infinity.
 """
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -195,22 +203,37 @@ def trace_ros(t: Trace, i: int) -> int:
 # The per-partition kernel: aggregates, restrictions and composites
 # ---------------------------------------------------------------------------
 
-def _coord_counts(bounds: list[tuple[int, int]], pos: int, i: int) -> tuple[int, int, int, int]:
-    """(los, ros, lcs, rcs) of element i, which lies in block ``pos``
-    (0-based) of a partition with block ``bounds``; a closer below i
-    implies an opener below i."""
-    los = ros = lcs = rcs = 0
-    for opener, closer in bounds[:pos]:
-        if opener < i:
-            los += 1
-            if closer < i:
-                lcs += 1
-    for opener, closer in bounds[pos + 1:]:
-        if opener < i:
-            ros += 1
-            if closer < i:
-                rcs += 1
-    return los, ros, lcs, rcs
+def _pair_counts(blocks: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """(los, ros, lcs, rcs) summed over all elements, the same four summed
+    over the openers (block minima), then bMaj and bDes.
+
+    Each pair of blocks is visited once: the elements of the left block see
+    the right block's opener and closer on their right, and vice versa.
+    Blocks are sorted, so each count of one side is one ``bisect``.
+    """
+    los = ros = lcs = rcs = los_os = ros_os = lcs_os = rcs_os = 0
+    for a, left in enumerate(blocks, start=1):
+        lo, lc, size = left[0], left[-1], len(left)
+        for right in blocks[a:]:
+            ro, rc = right[0], right[-1]
+            ros += size - bisect(left, ro)
+            rcs += size - bisect(left, rc)
+            los += len(right) - bisect(right, lo)
+            lcs += len(right) - bisect(right, lc)
+            if lo > ro:
+                ros_os += 1
+            else:
+                los_os += 1
+            if lo > rc:
+                rcs_os += 1
+            elif ro > lc:
+                lcs_os += 1
+    b_maj = b_des = 0
+    for a in range(1, len(blocks)):
+        if blocks[a - 1][0] > blocks[a][-1]:
+            b_maj += a
+            b_des += 1
+    return los, ros, lcs, rcs, los_os, ros_os, lcs_os, rcs_os, b_maj, b_des
 
 
 def _coordinates(los: int, ros: int, lcs: int, rcs: int, left: int, right: int) -> tuple[int, ...]:
@@ -245,24 +268,20 @@ def aggregate_profile(pi: OrderedSetPartition) -> dict[str, int]:
     The test suite compares it exhaustively at small n with sums of the
     reference ``coord_stats``.
     """
-    bounds = _block_bounds(pi)
-    k = len(bounds)
-    # per class, one row (los, ros, lcs, rcs, left, right) per element; the
-    # coordinates are linear in the row, so they are derived from its sums
-    rows: tuple[list, list] = ([], [])
-    for pos, block in enumerate(pi.blocks):
-        for j, i in enumerate(block):
-            rows[j > 0].append((*_coord_counts(bounds, pos, i), pos, k - 1 - pos))
-    os_values = _coordinates(*map(sum, zip((0,) * 6, *rows[0])))
-    tc_values = _coordinates(*map(sum, zip((0,) * 6, *rows[1])))
-    out = dict(zip(_OS_KEYS, os_values))
-    out.update(zip(_TC_KEYS, tc_values))
-    out.update(zip(COORD_NAMES, map(operator.add, os_values, tc_values)))
+    los, ros, lcs, rcs, los_os, ros_os, lcs_os, rcs_os, b_maj, b_des = _pair_counts(pi.blocks)
+    k = pi.k
     choose2 = k * (k - 1) // 2
-    descents = bdes_set(pi)
-    out["binv"] = binv(pi)
-    out["bmaj"] = sum(descents)
-    out["bdes"] = len(descents)
+    # the j-th opener has j - 1 blocks on its left and k - j on its right;
+    # summed over all elements, a block's position counts once per element
+    left = sum(pos * len(block) for pos, block in enumerate(pi.blocks))
+    os_values = _coordinates(los_os, ros_os, lcs_os, rcs_os, choose2, choose2)
+    all_values = _coordinates(los, ros, lcs, rcs, left, (k - 1) * pi.n - left)
+    out = dict(zip(_OS_KEYS, os_values))
+    out.update(zip(_TC_KEYS, map(operator.sub, all_values, os_values)))
+    out.update(zip(COORD_NAMES, all_values))
+    out["binv"] = rcs_os  # an opener above another block's closer lies above that whole block
+    out["bmaj"] = b_maj
+    out["bdes"] = b_des
     out["cbinv"] = choose2 - out["binv"]
     out["cbmaj"] = choose2 - out["bmaj"]
     out["mak"] = out["ros"] + out["lcs"]
@@ -319,42 +338,19 @@ def composite(pi: OrderedSetPartition, name: str) -> int:
 
 
 def six_composites(pi: OrderedSetPartition) -> tuple[int, int, int, int, int, int]:
-    """(mak+bInv, makp+bInv, cinvLSB, mak+bMaj, makp+bMaj, cmajLSB) computed
-    in one pass straight from the coordinate definitions.
+    """(mak+bInv, makp+bInv, cinvLSB, mak+bMaj, makp+bMaj, cmajLSB), the
+    six Euler-Mahonian composites that the exhaustive checks sum over, read
+    off the kernel without building the profile.
 
-    This is the hot path of the exhaustive equidistribution checks; it is
-    compared element-by-element against the one-statistic evaluators in the
-    test suite.
+    mak = ros + lcs, makp = lob + rcb = (k-1)n - los - rcs, lsb = los - lcs
+    and bInv = rcs over the openers.
     """
-    blocks = pi.blocks
-    k = len(blocks)
-    bounds = [(b[0], b[-1]) for b in blocks]
-    pos_of = pi.block_index
-    ros = lcs = lob = rcb = lsb = 0
-    for i in range(1, pi.n + 1):
-        pos_i = pos_of[i]
-        for pos, (opener, closer) in enumerate(bounds, start=1):
-            if pos == pos_i:
-                continue
-            if pos < pos_i:
-                if closer < i:
-                    lcs += 1
-                if opener > i:
-                    lob += 1
-                elif closer > i:
-                    lsb += 1
-            else:
-                if opener < i:
-                    ros += 1
-                if closer > i:
-                    rcb += 1
-    b_inv = sum(
-        1 for a in range(k) for b in range(a + 1, k) if bounds[a][0] > bounds[b][1]
-    )
-    b_maj = sum(a + 1 for a in range(k - 1) if bounds[a][0] > bounds[a + 1][1])
+    los, ros, lcs, rcs, _, _, _, b_inv, b_maj, _ = _pair_counts(pi.blocks)
+    k = pi.k
     choose2 = k * (k - 1) // 2
     mak = ros + lcs
-    makp = lob + rcb
+    makp = (k - 1) * pi.n - los - rcs
+    lsb = los - lcs
     return (
         mak + b_inv,
         makp + b_inv,

@@ -258,6 +258,7 @@ def _inv_maj(rho: OrderedSetPartition) -> tuple[tuple[int, int, int, int], ...]:
 
 def _verify_thm35(allow_large: bool, pi) -> VerificationReport:
     pi0 = _as_partition(pi).standard_form()[0]
+    _check_scale(pi0.n, allow_large)
     (acc_inv, acc_maj, seen), _ = _tally(rearrangements(pi0), lambda rho: (*_inv_maj(rho), rho), 3)
 
     def beta_violation(pair: tuple[tuple[int, ...], OrderedSetPartition]) -> str | None:
@@ -307,6 +308,7 @@ def _word_pair(w: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
 
 def _verify_eq11(allow_large: bool, parts) -> VerificationReport:
     parts = tuple(int(p) for p in parts)
+    _check_scale(sum(parts), allow_large)
     counts, _ = _tally(words(parts), _word_pair, 2)
     lhs_inv, lhs_maj = map(LaurentPolynomial, counts)
     rhs = _q_multinomial(parts)
@@ -319,6 +321,7 @@ def _verify_eq11(allow_large: bool, parts) -> VerificationReport:
 
 def _verify_doubleton(allow_large: bool, parts) -> VerificationReport:
     parts = tuple(int(p) for p in parts)
+    _check_scale(2 * sum(parts), allow_large)
 
     def split_violation(rho: OrderedSetPartition) -> str | None:
         w, components = decompose_doubleton(rho, parts)
@@ -413,7 +416,8 @@ def _verify_zezh_id(allow_large: bool, n: int, k: int) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 # id -> (runner, parameter names).  Every runner takes ``allow_large`` first;
-# those that enumerate a family by n pass it to the desk-scale guard.
+# those that enumerate a family pass it to the desk-scale guard with the size
+# of the family's ground set.
 _CHECKS = {
     "thm3.1": (_verify_thm31, ("n", "k", "sigma")),
     "thm3.2": (partial(_verify_em, "thm3.2", _inv_pair), ("n", "k")),

@@ -144,6 +144,14 @@ def test_desk_scale_guard_covers_every_enumeration(capsys):
     assert capsys.readouterr().err.count("desk-scale") == 3
 
 
+def test_desk_scale_guard_covers_partition_and_composition_checks(capsys):
+    # 14! rearrangements, and families on ground sets of 28 and 27 elements
+    assert main(["verify", "thm3.5", "--pi", "/".join(map(str, range(1, 15)))]) == 1
+    assert main(["verify", "doubleton", "--parts", "14"]) == 1
+    assert main(["verify", "eq1.1", "--parts", "9,9,9"]) == 1
+    assert capsys.readouterr().err.count("desk-scale") == 3
+
+
 def test_verify_jobs_must_be_positive(capsys):
     assert main(["verify", "zezh", "--n", "3", "--jobs", "0"]) == 1
     assert "--jobs" in capsys.readouterr().err

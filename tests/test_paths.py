@@ -265,6 +265,26 @@ def test_psi_label_law():
                 assert tc_sum == stat_restricted(pi, "rsb", "TC")
 
 
+def test_psi_inv_labels_match_trace_formula():
+    # the paper's label of element i: rsb_i plus, at an opener/singleton,
+    # the growth of bMaj between the trace at the previous opener/singleton
+    # and the trace at i
+    for n in range(1, 7):
+        for pi in ordered_set_partitions(n):
+            lam = pi.partition_type()
+            os = lam.openers | lam.singletons
+            expected, prev = [], 0
+            for i in range(1, n + 1):
+                rsb = coord_stats(pi, i).rsb
+                if i in os:
+                    cur = bmaj(pi.trace(i))
+                    expected.append(rsb + cur - prev)
+                    prev = cur
+                else:
+                    expected.append(rsb)
+            assert psi_inv(pi).labels == tuple(expected)
+
+
 def test_psi_roundtrip_exhaustive():
     for n in range(1, 7):
         for k in range(1, n + 1):

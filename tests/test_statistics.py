@@ -263,9 +263,10 @@ def test_invariant_sweep_n7():
 
 
 def test_profile_and_fast_path_match_reference_exhaustive():
-    # every coordinate sum and OS/TC restriction of the kernel against sums
-    # of the ten-counter reference over the element class, and the fused
-    # fast path against the kernel, on all ordered partitions with n <= 6
+    # every coordinate sum and OS/TC restriction of the profile against sums
+    # of the ten-counter reference over the element class, its block
+    # statistics against the block-pair definitions, and six_composites
+    # against the profile, on all ordered partitions with n <= 6
     for n in range(1, 7):
         for pi in ordered_set_partitions(n):
             prof = aggregate_profile(pi)
@@ -278,6 +279,9 @@ def test_profile_and_fast_path_match_reference_exhaustive():
                 assert prof[name] == os_sum + tc_sum
                 assert prof[f"{name}_os"] == os_sum
                 assert prof[f"{name}_tc"] == tc_sum
+            assert prof["binv"] == binv(pi)
+            assert prof["bmaj"] == bmaj(pi)
+            assert prof["bdes"] == len(bdes_set(pi))
             assert six_composites(pi) == (
                 prof["mak"] + prof["binv"],
                 prof["makp"] + prof["binv"],

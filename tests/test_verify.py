@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from opstat.families import DeskScaleError
 from opstat.qpoly import LaurentPolynomial, q_factorial
 from opstat.verify import THEOREM_IDS, run_task, verify
 
@@ -108,6 +109,18 @@ def test_all_ids_are_runnable():
     assert set(params) == set(THEOREM_IDS)
     for theorem, kwargs in params.items():
         assert verify(theorem, **kwargs).passed
+
+
+def test_desk_scale_guard_sizes_partition_and_composition_checks():
+    # the guard reads the ground set: n of pi, sum(parts) letters of a
+    # word, 2 * sum(parts) elements of a doubleton partition
+    with pytest.raises(DeskScaleError):
+        verify("thm3.5", pi="/".join(map(str, range(1, 15))))
+    with pytest.raises(DeskScaleError):
+        verify("eq1.1", parts=(9, 9, 9))
+    with pytest.raises(DeskScaleError):
+        verify("doubleton", parts=(7,))
+    assert verify("doubleton", parts=(7,), allow_large=True).passed
 
 
 def test_distribution_merge_is_order_independent():
