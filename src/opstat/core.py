@@ -4,6 +4,15 @@ partition types, permutations with their two codes, and words.
 Elements are 1-based throughout: the ground set of size n is {1, ..., n}.
 Block positions inside a partition are 1-based as well.  All values are
 immutable after construction and every operation is a pure function.
+
+The public constructors validate: ``Permutation(...)``,
+``OrderedSetPartition(...)``, ``from_blocks`` and ``parse`` reject anything
+that is not a permutation or a partition of [n] into sorted blocks.  The
+private ``_trusted`` constructors skip that check and are only called on
+values that are valid by construction: ``rearranged`` and ``standard_form``
+reorder the blocks of a validated partition (and ``standard_form`` ranks
+them into a permutation), and the generators in ``families`` reorder such
+blocks or build sorted blocks of [n] themselves.
 """
 from __future__ import annotations
 
@@ -51,6 +60,13 @@ class Permutation:
         object.__setattr__(self, "images", tuple(self.images))
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
+
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> Permutation:
+        """Unchecked constructor for a tuple known to be a permutation."""
+        sigma = object.__new__(cls)
+        object.__setattr__(sigma, "images", images)
+        return sigma
 
     @property
     def size(self) -> int:
@@ -265,6 +281,16 @@ class OrderedSetPartition:
             raise ValueError(f"elements missing from partition: {missing}")
 
     @classmethod
+    def _trusted(cls, n: int, blocks: tuple[tuple[int, ...], ...]) -> OrderedSetPartition:
+        """Unchecked constructor for blocks known to be sorted, nonempty and
+        to partition [n], e.g. the blocks of a validated partition in
+        another order."""
+        pi = object.__new__(cls)
+        object.__setattr__(pi, "n", n)
+        object.__setattr__(pi, "blocks", blocks)
+        return pi
+
+    @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], n: int | None = None) -> OrderedSetPartition:
         normalized = tuple(tuple(sorted(b)) for b in blocks)
         if n is None:
@@ -342,17 +368,19 @@ class OrderedSetPartition:
     def standard_form(self) -> tuple[OrderedSetPartition, Permutation]:
         """Sort the blocks by minima; also return the permutation sigma with
         self = B_{sigma(1)}/.../B_{sigma(k)} in terms of the sorted blocks."""
-        order = sorted(range(self.k), key=lambda j: self.blocks[j][0])
-        std = OrderedSetPartition(self.n, tuple(self.blocks[j] for j in order))
+        blocks = self.blocks
+        order = sorted(range(self.k), key=lambda j: blocks[j][0])
+        std = OrderedSetPartition._trusted(self.n, tuple(blocks[j] for j in order))
         rank = {j: m for m, j in enumerate(order, start=1)}
-        sigma = Permutation(tuple(rank[j] for j in range(self.k)))
+        sigma = Permutation._trusted(tuple(rank[j] for j in range(self.k)))
         return std, sigma
 
     def rearranged(self, sigma: Permutation) -> OrderedSetPartition:
         """Block sequence B_{sigma(1)}, ..., B_{sigma(k)}."""
         if sigma.size != self.k:
             raise ValueError(f"permutation size {sigma.size} != block count {self.k}")
-        return OrderedSetPartition(self.n, tuple(self.blocks[sigma(m) - 1] for m in range(1, self.k + 1)))
+        blocks = self.blocks
+        return OrderedSetPartition._trusted(self.n, tuple(blocks[m - 1] for m in sigma.images))
 
     def trace(self, i: int) -> Trace:
         """Restrict every block to {1..i}, drop empty blocks, and flag the

@@ -3,10 +3,18 @@ over, plus the rearrangement bijection ``beta`` driven by subdiagonal
 integer vectors.
 
 Generators stream in a fixed deterministic order so that any failure report
-is reproducible.  Ordered-partition families refuse n above a desk-scale
-limit (default 12, overridable through the environment variable
-``OPSTAT_MAX_N`` or an explicit flag): the family sizes grow like k! times
-the Stirling numbers and nothing past desk scale is exhaustively checkable.
+is reproducible.  The partition generators build their objects with the
+unchecked ``OrderedSetPartition._trusted``, because each object is valid by
+construction: ``set_partitions`` grows every block of [n] in increasing
+order, and ``ordered_set_partitions``, ``sigma_partitions`` and
+``rearrangements`` reorder the blocks of a partition that is already valid.
+``beta`` inserts blocks one element at a time and validates the result
+through ``OrderedSetPartition.from_blocks``.
+
+Ordered-partition families refuse n above a desk-scale limit (default 12,
+overridable through the environment variable ``OPSTAT_MAX_N`` or an
+explicit flag): the family sizes grow like k! times the Stirling numbers
+and nothing past desk scale is exhaustively checkable.
 """
 from __future__ import annotations
 
@@ -96,7 +104,7 @@ def set_partitions(n: int, k: int | None = None) -> Iterator[OrderedSetPartition
             return
         if i > n:
             if k is None or len(blocks) == k:
-                yield OrderedSetPartition.from_blocks(list(blocks), n=n)
+                yield OrderedSetPartition._trusted(n, tuple(map(tuple, blocks)))
             return
         for j in range(len(blocks)):
             blocks[j].append(i)
@@ -123,8 +131,10 @@ def ordered_set_partitions(
     standard forms in generator order, block orders lexicographic."""
     _check_scale(n, allow_large)
     for std in set_partitions(n, k):
-        for sigma in permutations(std.k):
-            yield std.rearranged(sigma)
+        # itertools.permutations orders block tuples as permutations(k)
+        # orders images, so this is std.rearranged(sigma) for each sigma
+        for blocks in itertools.permutations(std.blocks):
+            yield OrderedSetPartition._trusted(n, blocks)
 
 
 def sigma_partitions(n: int, k: int, sigma: Permutation) -> Iterator[OrderedSetPartition]:
@@ -145,8 +155,8 @@ def partitions_of_type(lam: PartitionType, allow_large: bool = False) -> Iterato
 def rearrangements(pi: OrderedSetPartition) -> Iterator[OrderedSetPartition]:
     """The k! reorderings of the blocks of pi (pi's own block order is the
     reference order)."""
-    for sigma in permutations(pi.k):
-        yield pi.rearranged(sigma)
+    for blocks in itertools.permutations(pi.blocks):
+        yield OrderedSetPartition._trusted(pi.n, blocks)
 
 
 def words(parts: Sequence[int]) -> Iterator[tuple[int, ...]]:

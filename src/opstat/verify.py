@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from math import comb
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .core import (
     OrderedSetPartition,
@@ -259,22 +259,21 @@ def _inv_maj(rho: OrderedSetPartition) -> tuple[tuple[int, int, int, int], ...]:
 def _verify_thm35(allow_large: bool, pi) -> VerificationReport:
     pi0 = _as_partition(pi).standard_form()[0]
     _check_scale(pi0.n, allow_large)
-    (acc_inv, acc_maj, seen), _ = _tally(rearrangements(pi0), lambda rho: (*_inv_maj(rho), rho), 3)
+    (acc_inv, acc_maj), _ = _tally(rearrangements(pi0), _inv_maj, 2)
 
-    def beta_violation(pair: tuple[tuple[int, ...], OrderedSetPartition]) -> str | None:
-        c, rho = pair
+    # The round trip makes beta injective on the k! subdiagonal vectors, and
+    # the class has k! members, so an image inside the class is the class.
+    def beta_violation(c: tuple[int, ...]) -> str | None:
+        rho = beta(pi0, c)
         if stat(rho, "maj") != sum(c):
             return f"MAJ(beta({c})) != {sum(c)} at {rho}"
+        if rho.standard_form()[0] != pi0:
+            return f"beta({c}) leaves the rearrangement class at {rho}"
         if beta_inv(rho) != c:
             return f"beta_inv round-trip fails at c={c}"
         return None
 
-    (image,), counterexample = _tally(
-        ((c, beta(pi0, c)) for c in subdiagonal_vectors(pi0.k)),
-        lambda pair: (pair[1],), 1, beta_violation,
-    )
-    if counterexample is None and image.keys() != seen.keys():
-        counterexample = "beta image differs from the rearrangement class"
+    counterexample = next(filter(None, map(beta_violation, subdiagonal_vectors(pi0.k))), None)
     lhs, rhs = LaurentPolynomial(acc_maj), q_factorial(pi0.k)
     passed = lhs == rhs and LaurentPolynomial(acc_inv) == rhs and counterexample is None
     return VerificationReport(
@@ -375,25 +374,39 @@ def _verify_eq23(allow_large: bool, n: int, k: int) -> VerificationReport:
     )
 
 
+def _sigma_inv_maj(pi: OrderedSetPartition, prof: dict[str, int]) -> tuple[int, int]:
+    """inv and maj of pi's class permutation, from one standard form."""
+    sigma = pi.standard_form()[1]
+    return sigma.inversion_number(), sigma.major_index()
+
+
+def _partition_maj(pi: OrderedSetPartition, prof: dict[str, int]) -> tuple[int]:
+    return (prof["maj"],)
+
+
 def _verify_trefinement(
-    theorem: str, t_stats: tuple[str, ...], allow_large: bool, n: int, k: int
+    theorem: str,
+    t_weights: Callable[[OrderedSetPartition, dict[str, int]], tuple[int, ...]],
+    width: int,
+    allow_large: bool,
+    n: int,
+    k: int,
 ) -> VerificationReport:
     """eq5.8 (t marks inv/maj of the class permutation) and eq9.2 (t marks
-    MAJ): both p-weights cls+rsb_TC and opb+rsb_TC against [k]_t! S_{p,q}."""
+    MAJ): both p-weights cls+rsb_TC and opb+rsb_TC against [k]_t! S_{p,q}.
+    ``t_weights(pi, profile)`` gives the ``width`` t exponents."""
 
     def weights(pi: OrderedSetPartition) -> list[tuple[int, int, int, int]]:
         prof = aggregate_profile(pi)
         q_weight = prof["sb"] - prof["rsb_tc"]
-        t_weights = [prof["maj"] if name == "maj" else stat(pi, name) for name in t_stats]
+        ts = t_weights(pi, prof)
         return [
             (prof[p_stat] + prof["rsb_tc"], q_weight, t_weight, 0)
             for p_stat in ("cls", "opb")
-            for t_weight in t_weights
+            for t_weight in ts
         ]
 
-    counts, _ = _tally(
-        ordered_set_partitions(n, k, allow_large=allow_large), weights, 2 * len(t_stats)
-    )
+    counts, _ = _tally(ordered_set_partitions(n, k, allow_large=allow_large), weights, 2 * width)
     lhs_polys = [LaurentPolynomial(c) for c in counts]
     rhs = q_factorial(k, "t") * stirling_pq(n, k)
     passed = all(poly == rhs for poly in lhs_polys)
@@ -426,8 +439,8 @@ _CHECKS = {
     "thm3.5": (_verify_thm35, ("pi",)),
     "eq1.1": (_verify_eq11, ("parts",)),
     "eq2.3": (_verify_eq23, ("n", "k")),
-    "eq5.8": (partial(_verify_trefinement, "eq5.8", ("invsigma", "majsigma")), ("n", "k")),
-    "eq9.2": (partial(_verify_trefinement, "eq9.2", ("maj",)), ("n", "k")),
+    "eq5.8": (partial(_verify_trefinement, "eq5.8", _sigma_inv_maj, 2), ("n", "k")),
+    "eq9.2": (partial(_verify_trefinement, "eq9.2", _partition_maj, 1), ("n", "k")),
     "zezh": (_verify_zezh_id, ("n", "k")),
     "doubleton": (_verify_doubleton, ("parts",)),
 }

@@ -12,7 +12,7 @@ from opstat.core import (
     recombine_doubleton,
     word_stats,
 )
-from opstat.families import permutations, set_partitions
+from opstat.families import ordered_set_partitions, permutations, set_partitions
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +98,27 @@ def test_standard_form_idempotent():
     for pi in set_partitions(5):
         std, sigma = pi.standard_form()
         assert std == pi and sigma == Permutation.identity(pi.k)
+
+
+def test_standard_form_matches_validated_rebuild_exhaustive():
+    # both results are built unchecked; each must equal, and hash like, what
+    # the validating constructors build from its fields
+    for n in range(1, 7):
+        for pi in ordered_set_partitions(n):
+            pi = OrderedSetPartition(pi.n, pi.blocks)
+            std, sigma = pi.standard_form()
+            rebuilt_std = OrderedSetPartition(std.n, std.blocks)
+            rebuilt_sigma = Permutation(sigma.images)
+            assert std == rebuilt_std and hash(std) == hash(rebuilt_std)
+            assert sigma == rebuilt_sigma and hash(sigma) == hash(rebuilt_sigma)
+            assert std.is_standard() and std.rearranged(sigma) == pi
+
+
+def test_rearranged_rejects_wrong_size():
+    pi = OrderedSetPartition.parse("1 4/2 3/5")
+    for sigma in (Permutation.identity(2), Permutation.identity(4)):
+        with pytest.raises(ValueError, match="permutation size"):
+            pi.rearranged(sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 from math import factorial
 
 import pytest
@@ -48,6 +49,57 @@ def test_generators_are_deterministic_and_duplicate_free():
     second = list(ordered_set_partitions(4))
     assert first == second
     assert len(set(first)) == len(first)
+
+
+def _standard_forms(n):
+    """The set partitions of [n] from their restricted growth words in
+    lexicographic order, built by the validating constructor."""
+    forms = []
+    for word in itertools.product(range(n), repeat=n):
+        if all(word[i] <= max(word[:i], default=-1) + 1 for i in range(n)):
+            blocks = tuple(
+                tuple(i + 1 for i in range(n) if word[i] == b) for b in range(max(word) + 1)
+            )
+            forms.append(OrderedSetPartition(n, blocks))
+    return forms
+
+
+def _orders(pi):
+    """Every block order of pi, in the order of itertools.permutations."""
+    return [
+        OrderedSetPartition(pi.n, tuple(pi.blocks[i] for i in order))
+        for order in itertools.permutations(range(pi.k))
+    ]
+
+
+def _assert_yields(got, expected):
+    assert got == expected
+    for pi in got:
+        rebuilt = OrderedSetPartition(pi.n, pi.blocks)
+        assert pi == rebuilt and hash(pi) == hash(rebuilt)
+
+
+def test_generators_match_validated_oracle_exhaustive():
+    # the generators build their objects unchecked; each must be the object
+    # the validating constructor builds, in the same place of the sequence
+    for n in range(1, 7):
+        standard = _standard_forms(n)
+        _assert_yields(list(set_partitions(n)), standard)
+        _assert_yields(list(ordered_set_partitions(n)), [pi for std in standard for pi in _orders(std)])
+        for k in range(1, n + 1):
+            stds = [std for std in standard if std.k == k]
+            _assert_yields(list(set_partitions(n, k)), stds)
+            _assert_yields(list(ordered_set_partitions(n, k)), [pi for std in stds for pi in _orders(std)])
+            for std in stds:
+                _assert_yields(list(rearrangements(std)), _orders(std))
+                reversed_pi = _orders(std)[-1]
+                _assert_yields(list(rearrangements(reversed_pi)), _orders(reversed_pi))
+            if k <= 4:
+                for images in itertools.permutations(range(1, k + 1)):
+                    expected = [
+                        OrderedSetPartition(n, tuple(std.blocks[i - 1] for i in images)) for std in stds
+                    ]
+                    _assert_yields(list(sigma_partitions(n, k, Permutation(images))), expected)
 
 
 def test_rearrangement_class_worked_example():

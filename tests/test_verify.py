@@ -1,8 +1,11 @@
+import importlib
 import json
+from math import factorial
 
 import pytest
 
-from opstat.families import DeskScaleError
+from opstat.core import OrderedSetPartition
+from opstat.families import DeskScaleError, beta, stirling2
 from opstat.qpoly import LaurentPolynomial, q_factorial
 from opstat.verify import THEOREM_IDS, run_task, verify
 
@@ -49,6 +52,41 @@ def test_thm35_worked_example():
     report = verify("thm3.5", pi="1 4/2 3/5")
     assert report.passed
     assert report.rhs == q_factorial(3)
+
+
+def test_thm35_fails_when_beta_maps_to_one_rearrangement(monkeypatch):
+    pi0 = OrderedSetPartition.parse("1 4/2 3/5")
+    fixed = OrderedSetPartition.parse("2 3/5/1 4")
+    monkeypatch.setattr(importlib.import_module("opstat.verify"), "beta", lambda pi, c: fixed)
+    report = verify("thm3.5", pi=pi0)
+    assert not report.passed and report.to_json()["pass"] is False
+    assert report.counterexample
+
+
+def test_thm35_fails_when_beta_leaves_the_class(monkeypatch):
+    # beta of another standard form with the same type realises the same MAJ
+    # and round-trips through beta_inv; only class membership tells them apart
+    pi0 = OrderedSetPartition.parse("1 3/2 4")
+    other = OrderedSetPartition.parse("1 4/2 3")
+    assert other.partition_type() == pi0.partition_type()
+    monkeypatch.setattr(importlib.import_module("opstat.verify"), "beta", lambda pi, c: beta(other, c))
+    report = verify("thm3.5", pi=pi0)
+    assert not report.passed
+    assert report.counterexample == "beta((0, 0)) leaves the rearrangement class at 1 4/2 3"
+
+
+def test_trefinements_build_sigma_once_per_object(monkeypatch):
+    calls = []
+    standard_form = OrderedSetPartition.standard_form
+    monkeypatch.setattr(
+        OrderedSetPartition, "standard_form", lambda pi: calls.append(pi) or standard_form(pi)
+    )
+    n, k = 5, 3
+    assert verify("eq5.8", n=n, k=k).passed
+    assert len(calls) == factorial(k) * stirling2(n, k)
+    calls.clear()
+    assert verify("eq9.2", n=n, k=k).passed
+    assert calls == []
 
 
 def test_eq11_smallest():
