@@ -150,8 +150,34 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
+# verify flags that only some ids take (--n and --k size the other families)
+_FLAG_IDS = {
+    "sigma": ("thm3.1",),
+    "pi": ("thm3.5",),
+    "parts": ("eq1.1", "doubleton"),
+    "max_sum": ("eq1.1", "doubleton"),
+}
+# pairs of flag groups that each select the whole family, so not both
+_EXCLUSIVE_FLAGS = ((("n", "k"), ("pi", "parts", "max_sum")), (("parts",), ("max_sum",)))
+
+
+def _reject_unused_flags(theorem: str, args) -> None:
+    """Refuse a flag that the id would ignore, naming it."""
+
+    def given(*dests: str) -> list[str]:
+        return [f"--{dest.replace('_', '-')}" for dest in dests if getattr(args, dest) is not None]
+
+    for dest, ids in _FLAG_IDS.items():
+        if theorem not in ids and given(dest):
+            raise ValueError(f"{theorem} does not take {given(dest)[0]} (only {', '.join(ids)})")
+    for first, second in _EXCLUSIVE_FLAGS:
+        if given(*first) and given(*second):
+            raise ValueError(f"{given(*first)[0]} cannot be combined with {given(*second)[0]}")
+
+
 def _verify_tasks(args) -> list[tuple[str, dict]]:
     theorem = args.theorem.lower()
+    _reject_unused_flags(theorem, args)
     extra = {"allow_large": True} if args.allow_large else {}
     if theorem in ("eq1.1", "doubleton"):
         if args.parts:

@@ -296,6 +296,8 @@ def beta_inv(pi: OrderedSetPartition) -> tuple[int, ...]:
     """Recover the subdiagonal vector: c_j is the rsb at the j-th opener plus
     the growth of the block major index across that opener's trace step."""
     diagram = psi_inv(pi)
-    lam = pi.partition_type()
-    opener_like = sorted(lam.openers | lam.singletons)
-    return tuple(diagram.labels[i - 1] for i in opener_like)
+    return tuple(
+        label
+        for step, label in zip(diagram.path.steps, diagram.labels)
+        if step in ("N", "E")
+    )

@@ -35,6 +35,7 @@ from .core import (
 __all__ = [
     "LatticePath",
     "PathDiagram",
+    "step_word",
     "phi",
     "phi_inv",
     "psi",
@@ -175,6 +176,21 @@ class LatticePath:
         return Permutation(tuple(images))
 
 
+def step_word(pi: OrderedSetPartition) -> str:
+    """The step letters of the path of pi's type, read off the blocks in one
+    pass: N at strict openers, D at strict closers, E at singletons and O
+    at transients.  Equal to ``LatticePath.from_type(pi.partition_type())``
+    as text, without building or validating the type."""
+    steps = [NULL] * pi.n
+    for block in pi.blocks:
+        if len(block) == 1:
+            steps[block[0] - 1] = EAST
+        else:
+            steps[block[0] - 1] = NORTH
+            steps[block[-1] - 1] = SOUTH_EAST
+    return "".join(steps)
+
+
 @dataclass(frozen=True)
 class PathDiagram:
     """A path together with one label per step.  Null and South-East labels
@@ -187,15 +203,23 @@ class PathDiagram:
         object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) != self.path.n:
             raise ValueError("one label per step required")
+        x = y = 0  # the starting point of step i
         for i, (step, label) in enumerate(zip(self.path.steps, self.labels), start=1):
             if step in (NULL, SOUTH_EAST):
-                bound = self.path.y(i) - 1
+                bound = y - 1
             else:
-                bound = self.path.x(i) + self.path.y(i)
+                bound = x + y
             if not 0 <= label <= bound:
                 raise ValueError(
                     f"label {label} at step {i} ({step}) outside 0..{bound}"
                 )
+            if step == NORTH:
+                y += 1
+            elif step == EAST:
+                x += 1
+            elif step == SOUTH_EAST:
+                x += 1
+                y -= 1
 
     @property
     def n(self) -> int:

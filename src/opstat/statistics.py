@@ -25,8 +25,10 @@ Two counters compare elements with the other blocks' openers and closers:
   openers), bInv as rcs over the openers, TC as all minus OS.
   ``aggregate_profile`` maps it to every coordinate sum, restriction, block
   statistic and composite, and ``stat``, ``stat_restricted`` and
-  ``composite`` read from the profile; ``six_composites`` maps it straight
-  to the six Euler-Mahonian composites that the exhaustive checks sum over.
+  ``composite`` read from the profile; ``transport_side`` maps it straight
+  to what one side of a transport check compares (the six Euler-Mahonian
+  composites, rsb_TC, INV and MAJ), and ``six_composites``, the first six of
+  those, is what the exhaustive checks sum over.
 
 ``binv``, ``bdes_set`` and ``bmaj`` compare blocks by definition; they are
 the reference for the kernel's block statistics and also accept traces,
@@ -58,6 +60,7 @@ __all__ = [
     "trace_ros",
     "composite",
     "six_composites",
+    "transport_side",
     "aggregate_profile",
     "resolve_stat",
 ]
@@ -339,18 +342,27 @@ def composite(pi: OrderedSetPartition, name: str) -> int:
 
 def six_composites(pi: OrderedSetPartition) -> tuple[int, int, int, int, int, int]:
     """(mak+bInv, makp+bInv, cinvLSB, mak+bMaj, makp+bMaj, cmajLSB), the
-    six Euler-Mahonian composites that the exhaustive checks sum over, read
-    off the kernel without building the profile.
+    six Euler-Mahonian composites that the exhaustive checks sum over."""
+    return transport_side(pi)[:6]
 
-    mak = ros + lcs, makp = lob + rcb = (k-1)n - los - rcs, lsb = los - lcs
-    and bInv = rcs over the openers.
+
+def transport_side(pi: OrderedSetPartition) -> tuple[int, ...]:
+    """The six composites of ``six_composites``, then rsb_TC, INV and MAJ:
+    everything one side of a transport check compares, read off one kernel
+    call without building the profile.
+
+    mak = ros + lcs, makp = lob + rcb = (k-1)n - los - rcs, lsb = los - lcs,
+    bInv = rcs over the openers, rsb = ros - rcs (so rsb_TC is that of all
+    elements minus that of the openers), INV = rsb_OS + bInv = ros over the
+    openers and MAJ = rsb_OS + bMaj.
     """
-    los, ros, lcs, rcs, _, _, _, b_inv, b_maj, _ = _pair_counts(pi.blocks)
+    los, ros, lcs, rcs, _, ros_os, _, b_inv, b_maj, _ = _pair_counts(pi.blocks)
     k = pi.k
     choose2 = k * (k - 1) // 2
     mak = ros + lcs
     makp = (k - 1) * pi.n - los - rcs
     lsb = los - lcs
+    rsb_os = ros_os - b_inv
     return (
         mak + b_inv,
         makp + b_inv,
@@ -358,4 +370,7 @@ def six_composites(pi: OrderedSetPartition) -> tuple[int, int, int, int, int, in
         mak + b_maj,
         makp + b_maj,
         lsb + (choose2 - b_maj) + choose2,
+        ros - rcs - rsb_os,
+        ros_os,
+        rsb_os + b_maj,
     )

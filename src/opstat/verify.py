@@ -59,7 +59,7 @@ from .families import (
     subdiagonal_vectors,
     words,
 )
-from .paths import upsilon, xi_map
+from .paths import LatticePath, step_word, upsilon, xi_map
 from .qpoly import (
     LaurentPolynomial,
     _tally,
@@ -69,7 +69,9 @@ from .qpoly import (
     stirling_pq,
     verify_zezh,
 )
-from .statistics import aggregate_profile, six_composites, stat, stat_restricted
+# ``stat`` is imported for the benchmark's tracer (bench/tracing.py), which
+# wraps it under this module's name
+from .statistics import aggregate_profile, six_composites, stat, stat_restricted, transport_side
 
 __all__ = ["VerificationReport", "verify", "THEOREM_IDS", "run_task"]
 
@@ -128,20 +130,21 @@ def _as_partition(pi: Union[OrderedSetPartition, str]) -> OrderedSetPartition:
 # Euler-Mahonian sums over all ordered partitions (thm3.2 / thm3.4)
 # ---------------------------------------------------------------------------
 
-def _inv_pair(pi: OrderedSetPartition) -> tuple[tuple[int, int, int, int], ...]:
+def _inv_pair(composites: Sequence[int]) -> tuple[tuple[int, int, int, int], ...]:
     """(mak+bInv, cinvLSB) and (mak'+bInv, cinvLSB) as p,q exponents."""
-    a, b, ci, *_ = six_composites(pi)
+    a, b, ci, *_ = composites
     return (a, ci, 0, 0), (b, ci, 0, 0)
 
 
-def _maj_pair(pi: OrderedSetPartition) -> tuple[tuple[int, int, int, int], ...]:
+def _maj_pair(composites: Sequence[int]) -> tuple[tuple[int, int, int, int], ...]:
     """(mak+bMaj, cmajLSB) and (mak'+bMaj, cmajLSB) as p,q exponents."""
-    *_, c, d, cm = six_composites(pi)
+    _, _, _, c, d, cm, *_ = composites
     return (c, cm, 0, 0), (d, cm, 0, 0)
 
 
 def _verify_em(theorem: str, pair, allow_large: bool, n: int, k: int) -> VerificationReport:
-    counts, _ = _tally(ordered_set_partitions(n, k, allow_large=allow_large), pair, 2)
+    family = ordered_set_partitions(n, k, allow_large=allow_large)
+    counts, _ = _tally(map(six_composites, family), pair, 2)
     lhs_a, lhs_b = map(LaurentPolynomial, counts)
     rhs = (
         LaurentPolynomial.variable("q", comb(k, 2)) * pq_factorial(k) * stirling_pq(n, k)
@@ -157,15 +160,29 @@ def _verify_em(theorem: str, pair, allow_large: bool, n: int, k: int) -> Verific
 # thm3.1: sigma-classes with the (p/q)^inv factor, plus the xi transport
 # ---------------------------------------------------------------------------
 
-def _xi_violation(pi: OrderedSetPartition, sigma: Permutation) -> str | None:
+# Each transport check reads both of its sides from ``transport_side``:
+# (mak+bInv, mak'+bInv, cinvLSB, mak+bMaj, mak'+bMaj, cmajLSB, rsb_TC, INV,
+# MAJ).  The family is tallied as (pi, side) rows, so pi's side is computed
+# once for the distribution keys and the pointwise check.
+
+def _with_side(family):
+    return ((pi, transport_side(pi)) for pi in family)
+
+
+def _xi_violation(
+    pi: OrderedSetPartition, sigma: Permutation, side: tuple[int, ...] | None = None
+) -> str | None:
     """The conjugated involution must swap mak+bInv with mak'+bInv, fix
-    cinvLSB and rsb_TC, and stay inside the sigma-class."""
+    cinvLSB and rsb_TC, and stay inside the sigma-class.  ``side`` is pi's
+    ``transport_side`` when the caller has already computed it."""
+    if side is None:
+        side = transport_side(pi)
     image = xi_map(pi)
-    a, b, ci, *_ = six_composites(pi)
-    a2, b2, ci2, *_ = six_composites(image)
+    a, b, ci, _, _, _, rsb_tc, *_ = side
+    a2, b2, ci2, _, _, _, rsb_tc2, *_ = transport_side(image)
     if (a2, b2, ci2) != (b, a, ci):
         return f"triple swap fails: {pi} -> {image}"
-    if stat_restricted(pi, "rsb", "TC") != stat_restricted(image, "rsb", "TC"):
+    if rsb_tc != rsb_tc2:
         return f"rsb_TC changes: {pi} -> {image}"
     if image.standard_form()[1] != sigma:
         return f"image leaves the sigma-class: {pi} -> {image}"
@@ -180,7 +197,10 @@ def _verify_thm31(allow_large: bool, n: int, k: int, sigma) -> VerificationRepor
         raise ValueError(f"sigma must act on k={k} blocks")
     _check_scale(n, allow_large)
     counts, counterexample = _tally(
-        sigma_partitions(n, k, sigma), _inv_pair, 2, lambda pi: _xi_violation(pi, sigma)
+        _with_side(sigma_partitions(n, k, sigma)),
+        lambda row: _inv_pair(row[1]),
+        2,
+        lambda row: _xi_violation(row[0], sigma, row[1]),
     )
     lhs_a, lhs_b = map(LaurentPolynomial, counts)
     inv = sigma.inversion_number()
@@ -201,39 +221,43 @@ def _verify_thm31(allow_large: bool, n: int, k: int, sigma) -> VerificationRepor
 # thm3.3: per-type equidistribution plus the upsilon transport
 # ---------------------------------------------------------------------------
 
-def _upsilon_violation(pi: OrderedSetPartition) -> str | None:
+def _upsilon_violation(pi: OrderedSetPartition, side: tuple[int, ...]) -> str | None:
     """The encoding swap must preserve the type and rsb_TC and carry the
     bInv-based triple to the bMaj-based one."""
     image = upsilon(pi)
-    a, b, ci, *_ = six_composites(pi)
-    *_, c2, d2, cm2 = six_composites(image)
+    a, b, ci, _, _, _, rsb_tc, *_ = side
+    _, _, _, c2, d2, cm2, rsb_tc2, *_ = transport_side(image)
     if (c2, d2, cm2) != (a, b, ci):
         return f"triple transport fails: {pi} -> {image}"
-    if image.partition_type() != pi.partition_type():
+    if step_word(image) != step_word(pi):
         return f"type changes: {pi} -> {image}"
-    if stat_restricted(pi, "rsb", "TC") != stat_restricted(image, "rsb", "TC"):
+    if rsb_tc != rsb_tc2:
         return f"rsb_TC changes: {pi} -> {image}"
     return None
 
 
-def _type_triples(pi: OrderedSetPartition) -> tuple[tuple, ...]:
-    """The bInv- and bMaj-based triples, keyed by type and as exponents."""
-    lam = pi.partition_type()
-    a, b, ci, c, d, cm = six_composites(pi)
-    return (lam, a, b, ci), (lam, c, d, cm), (a, b, ci, 0), (c, d, cm, 0)
+def _type_triples(pi: OrderedSetPartition, side: tuple[int, ...]) -> tuple[tuple, ...]:
+    """The bInv- and bMaj-based triples, keyed by type (as the path's step
+    word) and as exponents."""
+    word = step_word(pi)
+    a, b, ci, c, d, cm, *_ = side
+    return (word, a, b, ci), (word, c, d, cm), (a, b, ci, 0), (c, d, cm, 0)
 
 
 def _verify_thm33(allow_large: bool, n: int, k: int) -> VerificationReport:
     (inv_by_type, maj_by_type, inv, maj), counterexample = _tally(
-        ordered_set_partitions(n, k, allow_large=allow_large), _type_triples, 4, _upsilon_violation
+        _with_side(ordered_set_partitions(n, k, allow_large=allow_large)),
+        lambda row: _type_triples(*row),
+        4,
+        lambda row: _upsilon_violation(*row),
     )
     # both counters count every object of a type once, so the per-type
     # distributions differ only where a key of the first has another count
-    bad_type = next(
+    bad_word = next(
         (key[0] for key, count in inv_by_type.items() if maj_by_type.get(key) != count), None
     )
-    if bad_type is not None and counterexample is None:
-        counterexample = f"type {bad_type}"
+    if bad_word is not None and counterexample is None:
+        counterexample = f"type {LatticePath(tuple(bad_word)).partition_type()}"
     passed = counterexample is None
     return VerificationReport(
         "thm3.3",
@@ -252,8 +276,8 @@ def _verify_thm33(allow_large: bool, n: int, k: int) -> VerificationReport:
 
 def _inv_maj(rho: OrderedSetPartition) -> tuple[tuple[int, int, int, int], ...]:
     """INV and MAJ as q exponents."""
-    prof = aggregate_profile(rho)
-    return (0, prof["inv"], 0, 0), (0, prof["maj"], 0, 0)
+    *_, inv, maj = transport_side(rho)
+    return (0, inv, 0, 0), (0, maj, 0, 0)
 
 
 def _verify_thm35(allow_large: bool, pi) -> VerificationReport:
@@ -265,7 +289,8 @@ def _verify_thm35(allow_large: bool, pi) -> VerificationReport:
     # the class has k! members, so an image inside the class is the class.
     def beta_violation(c: tuple[int, ...]) -> str | None:
         rho = beta(pi0, c)
-        if stat(rho, "maj") != sum(c):
+        *_, maj = transport_side(rho)
+        if maj != sum(c):
             return f"MAJ(beta({c})) != {sum(c)} at {rho}"
         if rho.standard_form()[0] != pi0:
             return f"beta({c}) leaves the rearrangement class at {rho}"

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from opstat.cli import main, render_stats_table
 from opstat.core import OrderedSetPartition
@@ -152,6 +155,25 @@ def test_desk_scale_guard_covers_partition_and_composition_checks(capsys):
     assert capsys.readouterr().err.count("desk-scale") == 3
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["thm3.3", "--n", "4", "--k", "2", "--sigma", "2,1"], "thm3.3 does not take --sigma"),
+        (["thm3.2", "--n", "3", "--pi", "1/2"], "thm3.2 does not take --pi"),
+        (["thm3.2", "--n", "3", "--k", "2", "--parts", "4"], "thm3.2 does not take --parts"),
+        (["zezh", "--n", "3", "--max-sum", "2"], "zezh does not take --max-sum"),
+        (["thm3.5", "--pi", "1/2", "--n", "9", "--k", "3"], "--n cannot be combined with --pi"),
+        (["thm3.5", "--pi", "1/2", "--k", "1"], "--k cannot be combined with --pi"),
+        (["eq1.1", "--parts", "2,1", "--n", "3"], "--n cannot be combined with --parts"),
+        (["doubleton", "--max-sum", "3", "--k", "2"], "--k cannot be combined with --max-sum"),
+        (["eq1.1", "--parts", "2", "--max-sum", "3"], "--parts cannot be combined with --max-sum"),
+    ],
+)
+def test_verify_rejects_flags_the_id_would_ignore(capsys, argv, message):
+    assert main(["verify", *argv]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_verify_jobs_must_be_positive(capsys):
     assert main(["verify", "zezh", "--n", "3", "--jobs", "0"]) == 1
     assert "--jobs" in capsys.readouterr().err
@@ -192,3 +214,61 @@ def test_table_command(capsys):
     assert main(["table", "stirling-pq", "--n", "3", "--json"]) == 0
     rows = json.loads(capsys.readouterr().out)
     assert {"n": 3, "k": 2, "poly": [[1, 2, 0, 0, 0], [1, 1, 1, 0, 0], [1, 1, 0, 0, 0]]} in rows
+
+
+# SHA-256 of the stdout of `opstat verify <id> --n N --k K [--sigma all] --json`,
+# recorded before the transport checks were rebuilt on the block-pair kernel
+TRANSPORT_DIGESTS = {
+    ("thm3.1", 1, 1): "e9f5dbe463439049d39584575d622629d52f0b529fa45cf1dfdec094e6ef0177",
+    ("thm3.1", 2, 1): "72a13b7ac683d63fc5aed5ca6222763518c3b5847c5ff379f9bb456bd732069a",
+    ("thm3.1", 2, 2): "e83224e83f5576c09eb6c5446270989e1d059a2b0b6f009f18302b89e0f2de75",
+    ("thm3.1", 3, 1): "fbca173749542d6f13fd7c9e5e88ed63c9ff1bdec91994a83fd70148f7e62730",
+    ("thm3.1", 3, 2): "d9e41b6e64a57bdf7bc96065ac1bca0f652c0fbff18084ac1cff6f25e519e6ff",
+    ("thm3.1", 3, 3): "1286a62c20161593593db82132dd007dede28708ae0d9cc38120bf0b6bf34c03",
+    ("thm3.1", 4, 1): "e1adf40c88238bc2896fa4d9546d8395de4754c95e35d4a0fe2bfd31b7760baf",
+    ("thm3.1", 4, 2): "0b7666ee801233c18764a983cd4c03462cdd6bcfc6db7772f84f0114e6cef5f4",
+    ("thm3.1", 4, 3): "c06ee148de922297de11f77a014558a39bb12026e2a7f6e0f88b0c15ab359537",
+    ("thm3.1", 5, 1): "e047ad7efd16d3d2205c18471297835fea59fdc50041ae019f5dcfec3b09dac7",
+    ("thm3.1", 5, 2): "899e4dd36de380b991bf05040c7cc34861296f5fc9cae44a2051532259ca3e66",
+    ("thm3.1", 5, 3): "5a6b963c0033dd9633a0ee90ee2eb3579e9da973add9f3e2e8cb4fc2a36761c3",
+    ("thm3.3", 1, 1): "2a230e2c860b1553475a8c6546b2a357948f2c3889ded6846b5a3fb3f79b4f95",
+    ("thm3.3", 2, 1): "09474731b3b15348470100da1d07e9013f6beb12383de3bed87c23e48b1731a8",
+    ("thm3.3", 2, 2): "eefa7d1f7c26ed9043548a981eec4055d7464974ad4edddf7d67ae26d40e736d",
+    ("thm3.3", 3, 1): "8f95075c4cf4551ac539ad40c4d3deee1892ab0f9fc7860268091e011a6f15bf",
+    ("thm3.3", 3, 2): "eb0581bdbfc6b04442ab493408aeb44efa73e3d835b4ee67e8410ce65b1998e2",
+    ("thm3.3", 3, 3): "c0bc23ce438e26ff2671dc30991d39857d85f8e628ddc330220e091de5f72a79",
+    ("thm3.3", 4, 1): "cdb6b0bd7766de95059cd1612fa6e84d8c180e5f2bd6dcd7124d10b3968aef29",
+    ("thm3.3", 4, 2): "36df5cdd04d0bf5bb5946b4701d3b3a432dfcd8dbc65324bab57bb528ce5f67d",
+    ("thm3.3", 4, 3): "2d58f82778f037c49437456ff79d69e58fd934910bc34d60539017a19f27f3b9",
+    ("thm3.3", 4, 4): "51aa56f0762b239606b4326e34b1bb475e031a5432a9e36a7ace89d84d47e70c",
+    ("thm3.3", 5, 1): "3210c17246ce498849024d84a26b1f3d43bcd5003be4326a32186dd6c7c68cda",
+    ("thm3.3", 5, 2): "4c17717c5701a4dae20f2a20fec55a50d1676061d9c27eb93bf91c43d3226461",
+    ("thm3.3", 5, 3): "573093030e843e3e563974dc02a85e248fdbecd35edbf4651bbeacd909630572",
+    ("thm3.3", 5, 4): "3002eed2833aac62b382fe1f673881dbe9148145766b50fba93893e38da7a03d",
+    ("thm3.3", 5, 5): "da3ccf7a44d0fcd01620926f74cbe24aacf710d29ddef67c53d6494059f83c57",
+    ("thm3.5", 1, 1): "9d9c480f227c40d574cdc0839ec185b8aff66216a2a2a392c8d1f3a8330af11e",
+    ("thm3.5", 2, 1): "1a94e1cc5b9695f28ec58f2cbb735c4736d567782af9cc9bf67d86682e484f8a",
+    ("thm3.5", 2, 2): "5439e1c47c83987a405a8789f92ec65c19182d1cc6aa8a65309fac0312190903",
+    ("thm3.5", 3, 1): "e0ef833c24e100ae5746593b303943447bd80058d3a387c5a76aaaf3aae40894",
+    ("thm3.5", 3, 2): "3f9f15da283b51cd0e45113aa85f8517d2cf5ec82954d0adc8373bd84156534e",
+    ("thm3.5", 3, 3): "43b860f344ef0f1cf70598ffa84ea17822786ba21cfecac86baa5fa8d5849405",
+    ("thm3.5", 4, 1): "091ede7d0405061a5dccbd405f133dcbfea35c512b54f4daaafca8237f1d9d5d",
+    ("thm3.5", 4, 2): "b424baf304b0a36c4c6bc162849eda5efdb6cf9449ffc505d445408b09d3e0b6",
+    ("thm3.5", 4, 3): "5ff30acd37656b8746163b1174265c4a2b79d8ddd509ce3b3d8b5cdde1ef32d4",
+    ("thm3.5", 4, 4): "4f6259ca525ae989317e1f0a47bd4f92ffa178d3d361d536e0002923ae49119c",
+    ("thm3.5", 5, 1): "924105545d700121b358c41e4fcd74d17d56a3e2e33c0744bb585721e4b3e208",
+    ("thm3.5", 5, 2): "118d9c086cb6d996f5f92d55c8eee631a5c8328d496a35997bf229b249cb8a9b",
+    ("thm3.5", 5, 3): "15898693012609fad9795ad7a0087a8da8dc1c69d31570f9a8b282880f517374",
+    ("thm3.5", 5, 4): "b3e35c6616de23771c4fe7a2c8cc06d36e21a6c1c001f70f8c827f207de3af3c",
+    ("thm3.5", 5, 5): "d165d953f5ac342dadf9b69c3f9f5d6b5cc6aa4eda9cf900b3fac482b3c73b65",
+}
+
+
+@pytest.mark.parametrize("theorem,n,k", sorted(TRANSPORT_DIGESTS))
+def test_transport_outputs_match_recorded_digests(capsys, theorem, n, k):
+    argv = ["verify", theorem, "--n", str(n), "--k", str(k), "--json"]
+    if theorem == "thm3.1":
+        argv += ["--sigma", "all"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TRANSPORT_DIGESTS[theorem, n, k]

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from opstat.core import OrderedSetPartition, PartitionType, Permutation, Trace
@@ -18,6 +20,7 @@ from opstat.paths import (
     phi_inv,
     psi,
     psi_inv,
+    step_word,
     theta_map,
     trace_with_block,
     upsilon,
@@ -450,3 +453,35 @@ def test_xi_swaps_cls_opb():
         assert stat(image, "opb") == stat(pi, "cls")
         assert stat(image, "invsigma") == stat(pi, "invsigma")
         assert stat_restricted(image, "rsb", "TC") == stat_restricted(pi, "rsb", "TC")
+
+
+def test_step_word_is_the_path_of_the_type_exhaustive():
+    for n in range(1, 7):
+        for pi in ordered_set_partitions(n):
+            word = step_word(pi)
+            assert word == LatticePath.from_type(pi.partition_type()).to_text()
+            assert word == phi_inv(pi).path.to_text()
+
+
+def test_diagram_label_bounds_match_step_coordinates():
+    # on every lattice path with n <= 5, each step's label at -1, at its
+    # bound and at bound + 1, the others 0: bound = y(i) - 1 on O/D steps and
+    # x(i) + y(i) on N/E steps
+    for n in range(1, 6):
+        for steps in itertools.product("NEDO", repeat=n):
+            try:
+                path = LatticePath(steps)
+            except ValueError:
+                continue
+            for i, step in enumerate(steps, start=1):
+                bound = path.y(i) - 1 if step in "OD" else path.x(i) + path.y(i)
+                for label in (-1, bound, bound + 1):
+                    labels = [0] * n
+                    labels[i - 1] = label
+                    if 0 <= label <= bound:
+                        assert PathDiagram(path, tuple(labels)).labels == tuple(labels)
+                    else:
+                        message = f"label {label} at step {i} ({step}) outside 0..{bound}"
+                        with pytest.raises(ValueError) as excinfo:
+                            PathDiagram(path, tuple(labels))
+                        assert str(excinfo.value) == message

@@ -18,6 +18,7 @@ from opstat.statistics import (
     six_composites,
     stat,
     stat_restricted,
+    transport_side,
     trace_ros,
     trace_rsb,
 )
@@ -289,6 +290,40 @@ def test_profile_and_fast_path_match_reference_exhaustive():
                 prof["mak"] + prof["bmaj"],
                 prof["makp"] + prof["bmaj"],
                 prof["cmajlsb"],
+            )
+
+
+def test_transport_side_matches_profile_and_reference_exhaustive():
+    # the per-side tuple of the transport checks against six_composites and
+    # the profile, and against sums of the ten-counter reference and the
+    # block-pair definitions, on all ordered partitions with n <= 6
+    for n in range(1, 7):
+        for pi in ordered_set_partitions(n):
+            side = transport_side(pi)
+            prof = aggregate_profile(pi)
+            assert side == (*six_composites(pi), prof["rsb_tc"], prof["inv"], prof["maj"])
+
+            lam = pi.partition_type()
+            opener_like = lam.openers | lam.singletons
+            rows = {i: coord_stats(pi, i) for i in range(1, n + 1)}
+            total = lambda f, elements=rows: sum(f(rows[i]) for i in elements)
+            choose2 = math.comb(pi.k, 2)
+            mak = total(lambda c: c.ros + c.lcs)
+            makp = total(lambda c: c.lob + c.rcb)
+            lsb = total(lambda c: c.lsb)
+            rsb_os = total(lambda c: c.rsb, opener_like)
+            rsb_tc = total(lambda c: c.rsb, set(rows) - opener_like)
+            b_inv, b_maj = binv(pi), bmaj(pi)
+            assert side == (
+                mak + b_inv,
+                makp + b_inv,
+                lsb + (choose2 - b_inv) + choose2,
+                mak + b_maj,
+                makp + b_maj,
+                lsb + (choose2 - b_maj) + choose2,
+                rsb_tc,
+                rsb_os + b_inv,
+                rsb_os + b_maj,
             )
 
 

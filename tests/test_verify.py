@@ -89,6 +89,86 @@ def test_trefinements_build_sigma_once_per_object(monkeypatch):
     assert calls == []
 
 
+# Planted defects: each test breaks one piece of a transport check and
+# expects the check to fail with the first violating object.
+
+_TARGET = OrderedSetPartition.parse("4/1 3/2")  # n = 4, k = 3, sigma = 3 1 2
+_ROS, _ROS_OS, _BMAJ = 1, 5, 8  # entries of the kernel tuple
+
+
+def _kernel_off_by_one(monkeypatch, index):
+    """Raise entry ``index`` of the block-pair kernel by one on _TARGET only."""
+    statistics = importlib.import_module("opstat.statistics")
+    kernel = statistics._pair_counts
+
+    def planted(blocks):
+        counts = kernel(blocks)
+        if blocks == _TARGET.blocks:
+            counts = counts[:index] + (counts[index] + 1,) + counts[index + 1:]
+        return counts
+
+    monkeypatch.setattr(statistics, "_pair_counts", planted)
+
+
+def _assert_fails_at(report, counterexample):
+    assert not report.passed and report.to_json()["pass"] is False
+    assert report.counterexample == counterexample
+
+
+def test_thm33_fails_when_upsilon_returns_its_input(monkeypatch):
+    monkeypatch.setattr(importlib.import_module("opstat.verify"), "upsilon", lambda pi: pi)
+    _assert_fails_at(verify("thm3.3", n=4, k=3), "triple transport fails: 1 2/4/3 -> 1 2/4/3")
+
+
+def test_thm31_fails_when_xi_returns_its_input(monkeypatch):
+    monkeypatch.setattr(importlib.import_module("opstat.verify"), "xi_map", lambda pi: pi)
+    _assert_fails_at(
+        verify("thm3.1", n=4, k=3, sigma="312"), "triple swap fails: 4/1 2/3 -> 4/1 2/3"
+    )
+
+
+@pytest.mark.parametrize(
+    "theorem,params,index,counterexample",
+    [
+        ("thm3.1", dict(n=4, k=3, sigma="312"), _ROS, "triple swap fails: 4/1 3/2 -> 3/1/2 4"),
+        ("thm3.1", dict(n=4, k=3, sigma="312"), _ROS_OS, "rsb_TC changes: 4/1 3/2 -> 3/1/2 4"),
+        ("thm3.3", dict(n=4, k=3), _ROS, "triple transport fails: 1 3/4/2 -> 4/1 3/2"),
+        ("thm3.3", dict(n=4, k=3), _ROS_OS, "rsb_TC changes: 1 3/4/2 -> 4/1 3/2"),
+        ("thm3.5", dict(pi=_TARGET), _ROS_OS, "MAJ(beta((0, 0, 1))) != 1 at 4/1 3/2"),
+    ],
+)
+def test_transport_checks_fail_when_the_kernel_is_off_by_one(
+    monkeypatch, theorem, params, index, counterexample
+):
+    _kernel_off_by_one(monkeypatch, index)
+    _assert_fails_at(verify(theorem, **params), counterexample)
+
+
+def test_thm31_fails_when_the_rhs_is_multiplied_by_q(monkeypatch):
+    # the transport still holds, so the only witness is the polynomial pair
+    from opstat.qpoly import stirling_pq
+
+    q = LaurentPolynomial.variable("q")
+    monkeypatch.setattr(
+        importlib.import_module("opstat.verify"), "stirling_pq", lambda n, k: q * stirling_pq(n, k)
+    )
+    report = verify("thm3.1", n=4, k=3, sigma="312")
+    assert not report.passed and report.to_json()["pass"] is False
+    assert report.detail == "identity or transport failure"
+    assert report.counterexample is None
+    assert report.lhs * q == report.rhs
+
+
+def test_thm33_names_the_type_of_a_per_type_mismatch(monkeypatch):
+    # with the upsilon check off, a bMaj raised on one object leaves only the
+    # per-type comparison to catch it
+    verify_module = importlib.import_module("opstat.verify")
+    monkeypatch.setattr(verify_module, "_upsilon_violation", lambda *args: None)
+    assert verify("thm3.3", n=4, k=3).passed
+    _kernel_off_by_one(monkeypatch, _BMAJ)
+    _assert_fails_at(verify("thm3.3", n=4, k=3), "type ({1},{3},{2,4},{})")
+
+
 def test_eq11_smallest():
     report = verify("eq1.1", parts=(1, 1))
     assert report.passed
