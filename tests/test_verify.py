@@ -169,6 +169,164 @@ def test_thm33_names_the_type_of_a_per_type_mismatch(monkeypatch):
     _assert_fails_at(verify("thm3.3", n=4, k=3), "type ({1},{3},{2,4},{})")
 
 
+# Planted defects in the distribution comparisons: each plant is seen by one
+# compared LHS slot only, so a check that drops that slot's comparison passes
+# it.  Where the report displays another slot, the displayed pair stays equal.
+
+_Q = LaurentPolynomial.variable("q")
+_VERIFY = "opstat.verify"
+
+
+def _plant(monkeypatch, name, target, change):
+    """Make ``opstat.verify.<name>`` return ``change(value)`` at ``target``."""
+    module = importlib.import_module(_VERIFY)
+    original = getattr(module, name)
+    monkeypatch.setattr(
+        module, name, lambda obj: change(original(obj)) if obj == target else original(obj)
+    )
+
+
+def _stand_in(monkeypatch, generator, member, stand_in):
+    """Make the family generator ``opstat.verify.<generator>`` yield
+    ``stand_in`` where it would yield ``member``."""
+    module = importlib.import_module(_VERIFY)
+    original = getattr(module, generator)
+    monkeypatch.setattr(
+        module, generator, lambda *args: (stand_in if x == member else x for x in original(*args))
+    )
+
+
+def _bump(index):
+    """Raise entry ``index`` of a tuple or a profile dict by one."""
+    if isinstance(index, str):
+        return lambda profile: {**profile, index: profile[index] + 1}
+    return lambda values: values[:index] + (values[index] + 1,) + values[index + 1:]
+
+
+def _swap(monkeypatch, key, x, y):
+    """Exchange the profile entry ``key`` of partitions ``x`` and ``y``."""
+    from opstat.statistics import aggregate_profile
+
+    x, y = OrderedSetPartition.parse(x), OrderedSetPartition.parse(y)
+    value_x, value_y = aggregate_profile(x)[key], aggregate_profile(y)[key]
+    _plant(monkeypatch, "aggregate_profile", x, lambda profile: {**profile, key: value_y})
+    _plant(monkeypatch, "aggregate_profile", y, lambda profile: {**profile, key: value_x})
+
+
+def _parsed(text):
+    return OrderedSetPartition.parse(text)
+
+
+_DOUBLETON = _parsed("5 6/1 3/2 4")  # a rearrangement of doubleton_partition((2, 1))
+_INV, _MAJ = 7, 8  # entries of transport_side
+_SLOT_PLANTS = [
+    # id, parameters, plant, whether the plant reaches the displayed LHS
+    ("thm3.2", dict(n=4, k=3), lambda mp: _plant(mp, "six_composites", _TARGET, _bump(0)), True),
+    ("thm3.2", dict(n=4, k=3), lambda mp: _plant(mp, "six_composites", _TARGET, _bump(1)), False),
+    ("thm3.4", dict(n=4, k=3), lambda mp: _plant(mp, "six_composites", _TARGET, _bump(3)), True),
+    ("thm3.4", dict(n=4, k=3), lambda mp: _plant(mp, "six_composites", _TARGET, _bump(4)), False),
+    ("eq2.3", dict(n=4, k=3), lambda mp: _plant(mp, "aggregate_profile", _parsed("1 3/2/4"), _bump("rcb")), True),
+    ("eq9.2", dict(n=4, k=3), lambda mp: _plant(mp, "aggregate_profile", _TARGET, _bump("cls")), True),
+    ("eq9.2", dict(n=4, k=3), lambda mp: _plant(mp, "aggregate_profile", _TARGET, _bump("opb")), False),
+    # the two partitions share rsb_TC, sb and inv (maj) of the class
+    # permutation, so only the slot pairing the swapped entry with maj (inv)
+    # sees the swap
+    ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, "cls", "1 2/4/3", "2 3/4/1"), True),
+    ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, "cls", "1 2/4/3", "2 3/1/4"), False),
+    ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, "opb", "1 2/4/3", "2 3/4/1"), False),
+    ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, "opb", "1 2/4/3", "2 3/1/4"), False),
+    ("eq1.1", dict(parts=(2, 1)), lambda mp: _plant(mp, "inversion_number", (2, 1, 1), lambda v: v + 1), True),
+    ("eq1.1", dict(parts=(2, 1)), lambda mp: _plant(mp, "major_index", (2, 1, 1), lambda v: v + 1), False),
+    ("doubleton", dict(parts=(2, 1)), lambda mp: _plant(mp, "transport_side", _DOUBLETON, _bump(_MAJ)), True),
+    ("doubleton", dict(parts=(2, 1)), lambda mp: _plant(mp, "transport_side", _DOUBLETON, _bump(_INV)), False),
+    # a duplicate stands in for a sigma-class member that differs from it
+    # only in mak+bInv (mak'+bInv); the xi transport holds on both
+    ("thm3.1", dict(n=4, k=2, sigma="21"),
+     lambda mp: _stand_in(mp, "sigma_partitions", _parsed("2 3/1 4"), _parsed("3/1 2 4")), True),
+    ("thm3.1", dict(n=4, k=2, sigma="21"),
+     lambda mp: _stand_in(mp, "sigma_partitions", _parsed("2 3/1 4"), _parsed("2/1 3 4")), False),
+    # a duplicate stands in for a class member with the same INV (MAJ);
+    # beta still covers the class
+    ("thm3.5", dict(pi="1 3/2/4"),
+     lambda mp: _stand_in(mp, "rearrangements", _parsed("2/1 3/4"), _parsed("1 3/4/2")), True),
+    ("thm3.5", dict(pi="1 3/2/4"),
+     lambda mp: _stand_in(mp, "rearrangements", _parsed("4/2/1 3"), _parsed("1 3/4/2")), False),
+]
+
+
+@pytest.mark.parametrize(
+    "theorem,params,plant,shown",
+    _SLOT_PLANTS,
+    ids=[f"{theorem}-{i}" for i, (theorem, *_) in enumerate(_SLOT_PLANTS)],
+)
+def test_distribution_checks_fail_when_one_slot_is_off(monkeypatch, theorem, params, plant, shown):
+    assert verify(theorem, **params).passed
+    plant(monkeypatch)
+    report = verify(theorem, **params)
+    assert not report.passed and report.to_json()["pass"] is False
+    assert report.counterexample is None
+    assert (report.lhs != report.rhs) is shown
+
+
+_RHS_TIMES_Q = [
+    # id, parameters, the name on opstat.verify whose value the RHS takes
+    ("thm3.2", dict(n=4, k=3), "stirling_pq"),
+    ("thm3.4", dict(n=4, k=3), "stirling_pq"),
+    ("eq2.3", dict(n=4, k=3), "stirling_pq"),
+    ("eq5.8", dict(n=4, k=3), "stirling_pq"),
+    ("eq9.2", dict(n=4, k=3), "stirling_pq"),
+    ("eq1.1", dict(parts=(2, 1)), "_q_multinomial"),
+]
+
+
+@pytest.mark.parametrize("theorem,params,name", _RHS_TIMES_Q)
+def test_distribution_checks_fail_when_the_rhs_is_multiplied_by_q(monkeypatch, theorem, params, name):
+    module = importlib.import_module(_VERIFY)
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: _Q * original(*args))
+    report = verify(theorem, **params)
+    assert not report.passed and report.counterexample is None
+    assert report.lhs * _Q == report.rhs
+
+
+def test_doubleton_fails_when_the_word_side_is_multiplied_by_q(monkeypatch):
+    # both word distributions gain a factor q, so the RHS does
+    module = importlib.import_module(_VERIFY)
+    word_pair = module._word_pair
+    monkeypatch.setattr(
+        module, "_word_pair", lambda w: tuple((p, q + 1, t, r) for p, q, t, r in word_pair(w))
+    )
+    report = verify("doubleton", parts=(2, 1))
+    assert not report.passed and report.counterexample is None
+    assert report.lhs * _Q == report.rhs
+
+
+def test_doubleton_names_the_first_split_failure(monkeypatch):
+    _plant(monkeypatch, "major_index", (2, 1, 1), lambda v: v + 1)
+    assert not verify("eq1.1", parts=(2, 1)).passed
+    _assert_fails_at(
+        verify("doubleton", parts=(2, 1)), "block stats differ from word stats at 5 6/1 3/2 4"
+    )
+
+
+@pytest.mark.parametrize("side,name", [("lhs", "stirling_q"), ("rhs", "carlitz_aq")])
+def test_zezh_fails_when_one_side_is_multiplied_by_q(monkeypatch, side, name):
+    # the plant reaches the recursion's own calls, so its cache holds
+    # planted values until it is cleared
+    qpoly = importlib.import_module("opstat.qpoly")
+    original = getattr(qpoly, name)
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(qpoly, name, lambda n, k: _Q * original(n, k))
+            report = verify("zezh", n=4, k=2)
+    finally:
+        original.cache_clear()
+    assert not report.passed and report.counterexample is None
+    assert report.lhs != report.rhs
+    assert report.to_json()[side] != verify("zezh", n=4, k=2).to_json()[side]
+    assert verify("zezh", n=4, k=2).passed
+
+
 def test_eq11_smallest():
     report = verify("eq1.1", parts=(1, 1))
     assert report.passed
