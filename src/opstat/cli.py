@@ -21,7 +21,7 @@ from .motzkin import lambda_map
 from .paths import PathDiagram, gamma_sigma, phi, phi_inv, psi, psi_inv, theta_map, upsilon, xi_map
 from .qpoly import carlitz_aq, gauss_binomial, s_hat_pq, stirling_pq, stirling_q
 from .statistics import COORD_NAMES, aggregate_profile, coordinate_table, resolve_stat, stat
-from .verify import THEOREM_IDS, run_task, verify
+from .verify import _CHECKS, THEOREM_IDS, run_task
 
 AGGREGATE_ORDER = (
     "binv", "bmaj", "cbinv", "cbmaj",
@@ -150,25 +150,22 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
-# verify flags that only some ids take (--n and --k size the other families)
-_FLAG_IDS = {
-    "sigma": ("thm3.1",),
-    "pi": ("thm3.5",),
-    "parts": ("eq1.1", "doubleton"),
-    "max_sum": ("eq1.1", "doubleton"),
-}
+# the verify parameter each id-specific flag sets; an id takes the flag when
+# its record in opstat.verify names that parameter (--n and --k size the rest)
+_FLAG_PARAMS = {"sigma": "sigma", "pi": "pi", "parts": "parts", "max_sum": "parts"}
 # pairs of flag groups that each select the whole family, so not both
 _EXCLUSIVE_FLAGS = ((("n", "k"), ("pi", "parts", "max_sum")), (("parts",), ("max_sum",)))
 
 
-def _reject_unused_flags(theorem: str, args) -> None:
+def _reject_unused_flags(theorem: str, names: tuple[str, ...], args) -> None:
     """Refuse a flag that the id would ignore, naming it."""
 
     def given(*dests: str) -> list[str]:
         return [f"--{dest.replace('_', '-')}" for dest in dests if getattr(args, dest) is not None]
 
-    for dest, ids in _FLAG_IDS.items():
-        if theorem not in ids and given(dest):
+    for dest, param in _FLAG_PARAMS.items():
+        if param not in names and given(dest):
+            ids = [t for t, check in _CHECKS.items() if param in check.names]
             raise ValueError(f"{theorem} does not take {given(dest)[0]} (only {', '.join(ids)})")
     for first, second in _EXCLUSIVE_FLAGS:
         if given(*first) and given(*second):
@@ -177,9 +174,10 @@ def _reject_unused_flags(theorem: str, args) -> None:
 
 def _verify_tasks(args) -> list[tuple[str, dict]]:
     theorem = args.theorem.lower()
-    _reject_unused_flags(theorem, args)
+    names = _CHECKS[theorem].names
+    _reject_unused_flags(theorem, names, args)
     extra = {"allow_large": True} if args.allow_large else {}
-    if theorem in ("eq1.1", "doubleton"):
+    if "parts" in names:
         if args.parts:
             return [(theorem, {"parts": tuple(int(t) for t in args.parts.replace(",", " ").split()), **extra})]
         if args.max_sum is None:
@@ -189,23 +187,23 @@ def _verify_tasks(args) -> list[tuple[str, dict]]:
             for parts in compositions(total):
                 tasks.append((theorem, {"parts": parts, **extra}))
         return tasks
-    if theorem == "thm3.5" and args.pi:
+    if "pi" in names and args.pi:
         return [(theorem, {"pi": args.pi, **extra})]
     if args.n is None:
-        hint = "--pi or --n (and optionally --k)" if theorem == "thm3.5" else "--n (and optionally --k)"
+        hint = "--pi or --n (and optionally --k)" if "pi" in names else "--n (and optionally --k)"
         raise ValueError(f"{theorem} needs {hint}")
     tasks = []
     for n in _parse_range(args.n):
-        if theorem in ("thm3.1", "thm3.5"):
+        if "pi" in names or "sigma" in names:
             _check_scale(n, args.allow_large)  # the expansion below enumerates by n
         ks = range(1, n + 1) if args.k in (None, "all") else _parse_range(args.k)
         for k in ks:
             if not 1 <= k <= n:
                 continue
-            if theorem == "thm3.5":
+            if "pi" in names:
                 for pi0 in set_partitions(n, k):
                     tasks.append((theorem, {"pi": pi0.to_text(), **extra}))
-            elif theorem == "thm3.1":
+            elif "sigma" in names:
                 sigmas = (
                     [args.sigma]
                     if args.sigma and args.sigma != "all"

@@ -118,42 +118,22 @@ def _as_permutation(sigma: Union[Permutation, str, Sequence[int]]) -> Permutatio
     return Permutation(tuple(sigma))
 
 
-def _as_partition(pi: Union[OrderedSetPartition, str]) -> OrderedSetPartition:
-    if isinstance(pi, OrderedSetPartition):
-        return pi
-    return OrderedSetPartition.parse(pi)
-
-
-
-
 # ---------------------------------------------------------------------------
 # Euler-Mahonian sums over all ordered partitions (thm3.2 / thm3.4)
 # ---------------------------------------------------------------------------
 
-def _inv_pair(composites: Sequence[int]) -> tuple[tuple[int, int, int, int], ...]:
-    """(mak+bInv, cinvLSB) and (mak'+bInv, cinvLSB) as p,q exponents."""
-    a, b, ci, *_ = composites
-    return (a, ci, 0, 0), (b, ci, 0, 0)
+def _em_pair(offset: int, composites: Sequence[int]) -> tuple[tuple[int, int, int, int], ...]:
+    """(mak+bStat, cstatLSB) and (mak'+bStat, cstatLSB) as p,q exponents,
+    for bStat = bInv (offset 0) or bMaj (offset 3)."""
+    a, b, c = composites[offset:offset + 3]
+    return (a, c, 0, 0), (b, c, 0, 0)
 
 
-def _maj_pair(composites: Sequence[int]) -> tuple[tuple[int, int, int, int], ...]:
-    """(mak+bMaj, cmajLSB) and (mak'+bMaj, cmajLSB) as p,q exponents."""
-    _, _, _, c, d, cm, *_ = composites
-    return (c, cm, 0, 0), (d, cm, 0, 0)
-
-
-def _verify_em(theorem: str, pair, allow_large: bool, n: int, k: int) -> VerificationReport:
-    family = ordered_set_partitions(n, k, allow_large=allow_large)
-    counts, _ = _tally(map(six_composites, family), pair, 2)
-    lhs_a, lhs_b = map(LaurentPolynomial, counts)
-    rhs = (
-        LaurentPolynomial.variable("q", comb(k, 2)) * pq_factorial(k) * stirling_pq(n, k)
-    )
-    passed = lhs_a == rhs and lhs_b == rhs
-    return VerificationReport(
-        theorem, {"n": n, "k": k}, passed, lhs_a, rhs, None,
-        "" if passed else "distribution mismatch",
-    )
+def _em_sweep(offset: int, n: int, k: int) -> tuple[list, None]:
+    family = ordered_set_partitions(n, k, allow_large=True)
+    counts, _ = _tally(map(six_composites, family), partial(_em_pair, offset), 2)
+    rhs = LaurentPolynomial.variable("q", comb(k, 2)) * pq_factorial(k) * stirling_pq(n, k)
+    return [(LaurentPolynomial(c), rhs) for c in counts], None
 
 
 # ---------------------------------------------------------------------------
@@ -191,30 +171,16 @@ def _xi_violation(
     return None
 
 
-def _verify_thm31(allow_large: bool, n: int, k: int, sigma) -> VerificationReport:
-    sigma = _as_permutation(sigma)
-    if sigma.size != k:
-        raise ValueError(f"sigma must act on k={k} blocks")
-    _check_scale(n, allow_large)
+def _thm31_sweep(n: int, k: int, sigma: Permutation) -> tuple[list, str | None]:
     counts, counterexample = _tally(
         _with_side(sigma_partitions(n, k, sigma)),
-        lambda row: _inv_pair(row[1]),
+        lambda row: _em_pair(0, row[1]),
         2,
         lambda row: _xi_violation(row[0], sigma, row[1]),
     )
-    lhs_a, lhs_b = map(LaurentPolynomial, counts)
     inv = sigma.inversion_number()
     rhs = LaurentPolynomial.monomial(1, ep=inv, eq=k * (k - 1) - inv) * stirling_pq(n, k)
-    passed = lhs_a == rhs and lhs_b == rhs and counterexample is None
-    return VerificationReport(
-        "thm3.1",
-        {"n": n, "k": k, "sigma": sigma.one_line()},
-        passed,
-        lhs_a,
-        rhs,
-        counterexample,
-        "" if passed else "identity or transport failure",
-    )
+    return [(LaurentPolynomial(c), rhs) for c in counts], counterexample
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +210,9 @@ def _type_triples(pi: OrderedSetPartition, side: tuple[int, ...]) -> tuple[tuple
     return (word, a, b, ci), (word, c, d, cm), (a, b, ci, 0), (c, d, cm, 0)
 
 
-def _verify_thm33(allow_large: bool, n: int, k: int) -> VerificationReport:
+def _thm33_sweep(n: int, k: int) -> tuple[list, str | None]:
     (inv_by_type, maj_by_type, inv, maj), counterexample = _tally(
-        _with_side(ordered_set_partitions(n, k, allow_large=allow_large)),
+        _with_side(ordered_set_partitions(n, k, allow_large=True)),
         lambda row: _type_triples(*row),
         4,
         lambda row: _upsilon_violation(*row),
@@ -258,16 +224,8 @@ def _verify_thm33(allow_large: bool, n: int, k: int) -> VerificationReport:
     )
     if bad_word is not None and counterexample is None:
         counterexample = f"type {LatticePath(tuple(bad_word)).partition_type()}"
-    passed = counterexample is None
-    return VerificationReport(
-        "thm3.3",
-        {"n": n, "k": k},
-        passed,
-        LaurentPolynomial(maj),
-        LaurentPolynomial(inv),
-        counterexample,
-        "" if passed else "per-type mismatch or transport failure",
-    )
+    # equal per-type distributions make the totals equal
+    return [(LaurentPolynomial(maj), LaurentPolynomial(inv))], counterexample
 
 
 # ---------------------------------------------------------------------------
@@ -280,36 +238,26 @@ def _inv_maj(rho: OrderedSetPartition) -> tuple[tuple[int, int, int, int], ...]:
     return (0, inv, 0, 0), (0, maj, 0, 0)
 
 
-def _verify_thm35(allow_large: bool, pi) -> VerificationReport:
-    pi0 = _as_partition(pi).standard_form()[0]
-    _check_scale(pi0.n, allow_large)
-    (acc_inv, acc_maj), _ = _tally(rearrangements(pi0), _inv_maj, 2)
+def _thm35_sweep(pi: OrderedSetPartition) -> tuple[list, str | None]:
+    """``pi`` is in standard form."""
+    (acc_inv, acc_maj), _ = _tally(rearrangements(pi), _inv_maj, 2)
 
     # The round trip makes beta injective on the k! subdiagonal vectors, and
     # the class has k! members, so an image inside the class is the class.
     def beta_violation(c: tuple[int, ...]) -> str | None:
-        rho = beta(pi0, c)
+        rho = beta(pi, c)
         *_, maj = transport_side(rho)
         if maj != sum(c):
             return f"MAJ(beta({c})) != {sum(c)} at {rho}"
-        if rho.standard_form()[0] != pi0:
+        if rho.standard_form()[0] != pi:
             return f"beta({c}) leaves the rearrangement class at {rho}"
         if beta_inv(rho) != c:
             return f"beta_inv round-trip fails at c={c}"
         return None
 
-    counterexample = next(filter(None, map(beta_violation, subdiagonal_vectors(pi0.k))), None)
-    lhs, rhs = LaurentPolynomial(acc_maj), q_factorial(pi0.k)
-    passed = lhs == rhs and LaurentPolynomial(acc_inv) == rhs and counterexample is None
-    return VerificationReport(
-        "thm3.5",
-        {"pi": pi0.to_text()},
-        passed,
-        lhs,
-        rhs,
-        counterexample,
-        "" if passed else "distribution or bijection failure",
-    )
+    counterexample = next(filter(None, map(beta_violation, subdiagonal_vectors(pi.k))), None)
+    rhs = q_factorial(pi.k)
+    return [(LaurentPolynomial(acc_maj), rhs), (LaurentPolynomial(acc_inv), rhs)], counterexample
 
 
 # ---------------------------------------------------------------------------
@@ -330,23 +278,13 @@ def _word_pair(w: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
     return (0, inversion_number(w), 0, 0), (0, major_index(w), 0, 0)
 
 
-def _verify_eq11(allow_large: bool, parts) -> VerificationReport:
-    parts = tuple(int(p) for p in parts)
-    _check_scale(sum(parts), allow_large)
+def _eq11_sweep(parts: tuple[int, ...]) -> tuple[list, None]:
     counts, _ = _tally(words(parts), _word_pair, 2)
-    lhs_inv, lhs_maj = map(LaurentPolynomial, counts)
     rhs = _q_multinomial(parts)
-    passed = lhs_inv == rhs and lhs_maj == rhs
-    return VerificationReport(
-        "eq1.1", {"parts": parts}, passed, lhs_inv, rhs, None,
-        "" if passed else "word distribution mismatch",
-    )
+    return [(LaurentPolynomial(c), rhs) for c in counts], None
 
 
-def _verify_doubleton(allow_large: bool, parts) -> VerificationReport:
-    parts = tuple(int(p) for p in parts)
-    _check_scale(2 * sum(parts), allow_large)
-
+def _doubleton_sweep(parts: tuple[int, ...]) -> tuple[list, str | None]:
     def split_violation(rho: OrderedSetPartition) -> str | None:
         w, components = decompose_doubleton(rho, parts)
         prof = aggregate_profile(rho)
@@ -371,12 +309,7 @@ def _verify_doubleton(allow_large: bool, parts) -> VerificationReport:
             counterexample = counterexample or f"class factor for part {p} is not [{p}]_q!"
         factor = factor * class_dist
     word_inv, word_maj = map(LaurentPolynomial, _tally(words(parts), _word_pair, 2)[0])
-    rhs = word_maj * factor
-    passed = acc_maj == rhs and acc_inv == word_inv * factor and counterexample is None
-    return VerificationReport(
-        "doubleton", {"parts": parts}, passed, acc_maj, rhs, counterexample,
-        "" if passed else "factorization failure",
-    )
+    return [(acc_maj, word_maj * factor), (acc_inv, word_inv * factor)], counterexample
 
 
 # ---------------------------------------------------------------------------
@@ -388,15 +321,9 @@ def _rcb_lsb(pi: OrderedSetPartition) -> tuple[tuple[int, int, int, int]]:
     return ((prof["rcb"], prof["lsb"], 0, 0),)
 
 
-def _verify_eq23(allow_large: bool, n: int, k: int) -> VerificationReport:
-    _check_scale(n, allow_large)
+def _eq23_sweep(n: int, k: int) -> tuple[list, None]:
     (counts,), _ = _tally(set_partitions(n, k), _rcb_lsb, 1)
-    lhs, rhs = LaurentPolynomial(counts), stirling_pq(n, k)
-    passed = lhs == rhs
-    return VerificationReport(
-        "eq2.3", {"n": n, "k": k}, passed, lhs, rhs, None,
-        "" if passed else "distribution mismatch",
-    )
+    return [(LaurentPolynomial(counts), stirling_pq(n, k))], None
 
 
 def _sigma_inv_maj(pi: OrderedSetPartition, prof: dict[str, int]) -> tuple[int, int]:
@@ -409,14 +336,7 @@ def _partition_maj(pi: OrderedSetPartition, prof: dict[str, int]) -> tuple[int]:
     return (prof["maj"],)
 
 
-def _verify_trefinement(
-    theorem: str,
-    t_weights: Callable[[OrderedSetPartition, dict[str, int]], tuple[int, ...]],
-    width: int,
-    allow_large: bool,
-    n: int,
-    k: int,
-) -> VerificationReport:
+def _t_sweep(t_weights, width: int, n: int, k: int) -> tuple[list, None]:
     """eq5.8 (t marks inv/maj of the class permutation) and eq9.2 (t marks
     MAJ): both p-weights cls+rsb_TC and opb+rsb_TC against [k]_t! S_{p,q}.
     ``t_weights(pi, profile)`` gives the ``width`` t exponents."""
@@ -431,69 +351,87 @@ def _verify_trefinement(
             for t_weight in ts
         ]
 
-    counts, _ = _tally(ordered_set_partitions(n, k, allow_large=allow_large), weights, 2 * width)
-    lhs_polys = [LaurentPolynomial(c) for c in counts]
+    counts, _ = _tally(ordered_set_partitions(n, k, allow_large=True), weights, 2 * width)
     rhs = q_factorial(k, "t") * stirling_pq(n, k)
-    passed = all(poly == rhs for poly in lhs_polys)
-    return VerificationReport(
-        theorem, {"n": n, "k": k}, passed, lhs_polys[0], rhs, None,
-        "" if passed else "t-refined distribution mismatch",
-    )
-
-
-def _verify_zezh_id(allow_large: bool, n: int, k: int) -> VerificationReport:
-    passed, lhs, rhs = verify_zezh(n, k)
-    return VerificationReport(
-        "zezh", {"n": n, "k": k}, passed, lhs, rhs, None,
-        "" if passed else "q-Stirling/Eulerian identity mismatch",
-    )
+    return [(LaurentPolynomial(c), rhs) for c in counts], None
 
 
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
 
-# id -> (runner, parameter names).  Every runner takes ``allow_large`` first;
-# those that enumerate a family pass it to the desk-scale guard with the size
-# of the family's ground set.
+@dataclass(frozen=True)
+class _Check:
+    """``sweep(**params)`` returns the (LHS, RHS) pairs that must be equal
+    (the report shows the first) and the first counterexample or None; it
+    runs after the desk-scale guard has read ``size(params)``."""
+
+    names: tuple[str, ...]
+    sweep: Callable[..., tuple[list, str | None]]
+    detail: str
+    size: Callable[[dict], int] = lambda params: params["n"]
+
+
 _CHECKS = {
-    "thm3.1": (_verify_thm31, ("n", "k", "sigma")),
-    "thm3.2": (partial(_verify_em, "thm3.2", _inv_pair), ("n", "k")),
-    "thm3.3": (_verify_thm33, ("n", "k")),
-    "thm3.4": (partial(_verify_em, "thm3.4", _maj_pair), ("n", "k")),
-    "thm3.5": (_verify_thm35, ("pi",)),
-    "eq1.1": (_verify_eq11, ("parts",)),
-    "eq2.3": (_verify_eq23, ("n", "k")),
-    "eq5.8": (partial(_verify_trefinement, "eq5.8", _sigma_inv_maj, 2), ("n", "k")),
-    "eq9.2": (partial(_verify_trefinement, "eq9.2", _partition_maj, 1), ("n", "k")),
-    "zezh": (_verify_zezh_id, ("n", "k")),
-    "doubleton": (_verify_doubleton, ("parts",)),
+    "thm3.1": _Check(("n", "k", "sigma"), _thm31_sweep, "identity or transport failure"),
+    "thm3.2": _Check(("n", "k"), partial(_em_sweep, 0), "distribution mismatch"),
+    "thm3.3": _Check(("n", "k"), _thm33_sweep, "per-type mismatch or transport failure"),
+    "thm3.4": _Check(("n", "k"), partial(_em_sweep, 3), "distribution mismatch"),
+    "thm3.5": _Check(("pi",), _thm35_sweep, "distribution or bijection failure", lambda p: p["pi"].n),
+    # words have sum(parts) letters, doubleton partitions 2 * sum(parts) elements
+    "eq1.1": _Check(("parts",), _eq11_sweep, "word distribution mismatch", lambda p: sum(p["parts"])),
+    "eq2.3": _Check(("n", "k"), _eq23_sweep, "distribution mismatch"),
+    "eq5.8": _Check(("n", "k"), partial(_t_sweep, _sigma_inv_maj, 2), "t-refined distribution mismatch"),
+    "eq9.2": _Check(("n", "k"), partial(_t_sweep, _partition_maj, 1), "t-refined distribution mismatch"),
+    # both sides are closed forms: nothing is enumerated
+    "zezh": _Check(
+        ("n", "k"), lambda n, k: ([verify_zezh(n, k)[1:]], None),
+        "q-Stirling/Eulerian identity mismatch", lambda p: 0,
+    ),
+    "doubleton": _Check(("parts",), _doubleton_sweep, "factorization failure", lambda p: 2 * sum(p["parts"])),
 }
 
 THEOREM_IDS = tuple(_CHECKS)
 
+_NORMALISE = {
+    "sigma": _as_permutation,
+    "pi": lambda pi: (OrderedSetPartition.parse(pi) if isinstance(pi, str) else pi).standard_form()[0],
+    "parts": lambda parts: tuple(int(p) for p in parts),
+}
+
 
 def verify(theorem: str, allow_large: bool = False, **params) -> VerificationReport:
-    """Run one verification; see the module docstring for the id table.
-
-    Parameters by id: thm3.1 takes n, k, sigma; thm3.5 takes pi; eq1.1 and
-    doubleton take parts; all others take n, k.  A missing or unknown
+    """Run one verification; see the module docstring for the id table and
+    ``_CHECKS`` for each id's parameters.  A missing, unknown or malformed
     parameter raises ValueError.
     """
     theorem = theorem.lower()
     if theorem not in _CHECKS:
         raise ValueError(f"unknown theorem id {theorem!r}; known: {', '.join(THEOREM_IDS)}")
-    runner, names = _CHECKS[theorem]
-    takes = f"{theorem} takes {', '.join(names)}"
-    missing = [name for name in names if name not in params]
+    check = _CHECKS[theorem]
+    takes = f"{theorem} takes {', '.join(check.names)}"
+    missing = [name for name in check.names if name not in params]
     if missing:
         raise ValueError(f"{takes}; missing parameter {', '.join(missing)}")
-    unknown = sorted(set(params) - set(names))
+    unknown = sorted(set(params) - set(check.names))
     if unknown:
         raise ValueError(f"{takes}; unknown parameter {', '.join(unknown)}")
-    if "k" in names and not params["n"] >= params["k"] >= 1:
+    if "k" in params and not params["n"] >= params["k"] >= 1:
         raise ValueError("need n >= k >= 1")
-    return runner(allow_large, **params)
+    params = {name: _NORMALISE.get(name, lambda value: value)(params[name]) for name in check.names}
+    if "sigma" in params and params["sigma"].size != params["k"]:
+        raise ValueError(f"sigma must act on k={params['k']} blocks")
+    # zero parts are allowed, but an empty sum leaves nothing to check
+    if "parts" in params and sum(params["parts"]) < 1:
+        raise ValueError(f"parts must have a positive sum, got {params['parts']}")
+    _check_scale(check.size(params), allow_large)
+    pairs, counterexample = check.sweep(**params)
+    passed = all(lhs == rhs for lhs, rhs in pairs) and counterexample is None
+    # the report shows sigma and pi as text
+    shown = {name: value if name in ("n", "k", "parts") else str(value) for name, value in params.items()}
+    return VerificationReport(
+        theorem, shown, passed, *pairs[0], counterexample, "" if passed else check.detail
+    )
 
 
 def run_task(task: tuple[str, dict]) -> VerificationReport:

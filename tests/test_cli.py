@@ -174,6 +174,21 @@ def test_verify_rejects_flags_the_id_would_ignore(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eq1.1", "--parts", ","],
+        ["doubleton", "--parts", ","],
+        ["eq1.1", "--parts", "0"],
+        ["doubleton", "--parts", "0,0"],
+    ],
+)
+def test_verify_refuses_a_composition_with_sum_zero(capsys, argv):
+    assert main(["verify", *argv]) == 1
+    assert "parts must have a positive sum" in capsys.readouterr().err
+    assert main(["verify", "eq1.1", "--parts", "2,0,1"]) == 0
+
+
 def test_verify_jobs_must_be_positive(capsys):
     assert main(["verify", "zezh", "--n", "3", "--jobs", "0"]) == 1
     assert "--jobs" in capsys.readouterr().err

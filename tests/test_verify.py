@@ -399,6 +399,20 @@ def test_desk_scale_guard_sizes_partition_and_composition_checks():
     assert verify("doubleton", parts=(7,), allow_large=True).passed
 
 
+@pytest.mark.parametrize(
+    "theorem,parts", [("eq1.1", ()), ("eq1.1", (0,)), ("doubleton", ()), ("doubleton", (0, 0))]
+)
+def test_composition_checks_refuse_an_empty_sum(theorem, parts):
+    # one empty word or partition would "pass" without checking anything
+    with pytest.raises(ValueError, match="parts must have a positive sum"):
+        verify(theorem, parts=parts)
+
+
+def test_zero_parts_inside_a_composition_are_allowed():
+    assert verify("eq1.1", parts=(2, 0, 1)).passed
+    assert verify("doubleton", parts=(1, 0, 1)).passed
+
+
 def test_distribution_merge_is_order_independent():
     # partial distribution polynomials from family chunks merge associatively
     from opstat.families import ordered_set_partitions
