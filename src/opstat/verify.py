@@ -363,8 +363,8 @@ def _t_sweep(t_weights, width: int, n: int, k: int) -> tuple[list, None]:
 @dataclass(frozen=True)
 class _Check:
     """``sweep(**params)`` returns the (LHS, RHS) pairs that must be equal
-    (the report shows the first) and the first counterexample or None; it
-    runs after the desk-scale guard has read ``size(params)``."""
+    (the report shows the first) and the first counterexample or None.  It
+    runs after the guard has read ``size(params)``, so passes allow_large."""
 
     names: tuple[str, ...]
     sweep: Callable[..., tuple[list, str | None]]
