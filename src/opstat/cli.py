@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from multiprocessing import Pool
 
@@ -331,10 +332,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_parts(argv: list[str]) -> list[str]:
+    """Write ``--parts -1,2`` as ``--parts=-1,2``: argparse takes a value
+    that starts with '-' and is not a plain negative number for a flag, and
+    the composition check, not the parser, should refuse it."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--parts" and re.match(r"-\d", arg):
+            out[-1] = f"--parts={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_parts(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1

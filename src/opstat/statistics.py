@@ -13,7 +13,7 @@ determine the other six coordinates of i:
     lob = L - los    lcb = L - lcs    lsb = los - lcs = lcb - lob
     rob = R - ros    rcb = R - rcs    rsb = ros - rcs = rcb - rob
 
-Two counters compare elements with the other blocks' openers and closers:
+Three counters compare elements with the other blocks' openers and closers:
 
 * ``coord_stats`` counts all ten coordinates of one element literally; it
   is the reference the tests compare the kernel against.
@@ -28,7 +28,14 @@ Two counters compare elements with the other blocks' openers and closers:
   ``composite`` read from the profile; ``transport_side`` maps it straight
   to what one side of a transport check compares (the six Euler-Mahonian
   composites, rsb_TC, INV and MAJ), and ``six_composites``, the first six of
-  those, is what the exhaustive checks sum over.
+  those, is the reference for the pair-table kernel.
+* ``table_composites`` is the pair-table kernel for sums over whole
+  families.  A pair of blocks adds the same terms to every block order
+  that puts the same one of the two on the left, so one table per set of
+  blocks holds, for each block, the prefix sums of those terms over every
+  subset of the other blocks.  Each block order then costs one table
+  lookup and one addition per block.  The thm3.2 and thm3.4 sweeps read
+  it, and the tests compare it with ``six_composites``.
 
 ``binv``, ``bdes_set`` and ``bmaj`` compare blocks by definition; they are
 the reference for the kernel's block statistics and also accept traces,
@@ -60,6 +67,7 @@ __all__ = [
     "trace_ros",
     "composite",
     "six_composites",
+    "table_composites",
     "transport_side",
     "aggregate_profile",
     "resolve_stat",
@@ -342,7 +350,7 @@ def composite(pi: OrderedSetPartition, name: str) -> int:
 
 def six_composites(pi: OrderedSetPartition) -> tuple[int, int, int, int, int, int]:
     """(mak+bInv, makp+bInv, cinvLSB, mak+bMaj, makp+bMaj, cmajLSB), the
-    six Euler-Mahonian composites that the exhaustive checks sum over."""
+    six Euler-Mahonian composites; the reference for ``table_composites``."""
     return transport_side(pi)[:6]
 
 
@@ -373,4 +381,89 @@ def transport_side(pi: OrderedSetPartition) -> tuple[int, ...]:
         ros - rcs - rsb_os,
         ros_os,
         rsb_os + b_maj,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The pair-table kernel: one table per set of blocks, O(k) per block order
+# ---------------------------------------------------------------------------
+
+def _pair_terms(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """What ``_pair_counts`` adds to ros+lcs, los+rcs, los-lcs and bInv
+    (rcs over the openers) for the pair with ``left`` left of ``right``."""
+    size = len(left)
+    ros = size - bisect(left, right[0])
+    rcs = size - bisect(left, right[-1])
+    los = len(right) - bisect(right, left[0])
+    lcs = len(right) - bisect(right, left[-1])
+    return ros + lcs, los + rcs, los - lcs, int(left[0] > right[-1])
+
+
+def _pair_table(blocks: tuple[tuple[int, ...], ...]) -> tuple[dict, int]:
+    """Map each block B_j to (W_j, 2^j), where W_j[mask] is the sum of
+    ``_pair_terms(B_i, B_j)`` over the blocks B_i with bit i set in
+    ``mask``, and return it with the field width.
+
+    The four terms are packed into one integer, ``width`` bits each.  No
+    field can carry into the next: over any block order, each sums to less
+    than 2nk.  W_j doubles once per block: the masks with bit i set are
+    those without it plus B_i's term, so the table takes O(k 2^k) additions.
+    """
+    k = len(blocks)
+    width = (2 * k * sum(map(len, blocks))).bit_length()
+    index = {}
+    for j, right in enumerate(blocks):
+        row = [0]
+        for i, left in enumerate(blocks):
+            term = 0
+            if i != j:
+                a, b, c, d = _pair_terms(left, right)
+                term = a | b << width | c << 2 * width | d << 3 * width
+            row += [w + term for w in row]
+        index[right] = (row, 1 << j)
+    return index, width
+
+
+# the table of the last partition read; block orders of one set of blocks share it
+_table: tuple[dict, int] = ({}, 0)
+
+
+def table_composites(pi: OrderedSetPartition) -> tuple[int, int, int, int, int, int]:
+    """``six_composites(pi)`` read from the pair table of pi's blocks.
+
+    The table of the last partition read is kept and rebuilt only when one
+    of pi's blocks is not in it, so the k! block orders of one set of blocks
+    share one table wherever they come in the family.  Every term is a sum
+    over pairs of pi's own blocks, so any table that holds them all gives
+    the same answer.  bMaj is read from the k - 1 adjacent pairs.
+    """
+    global _table
+    index, width = _table
+    blocks = pi.blocks
+    mask = total = b_maj = pos = opener = 0
+    for block in blocks:
+        entry = index.get(block)
+        if entry is None:
+            _table = _pair_table(blocks)
+            return table_composites(pi)
+        row, bit = entry
+        total += row[mask]
+        mask |= bit
+        if opener > block[-1]:
+            b_maj += pos
+        opener = block[0]
+        pos += 1
+    field = (1 << width) - 1
+    mak = total & field
+    makp = (pos - 1) * pi.n - (total >> width & field)
+    lsb = total >> 2 * width & field
+    b_inv = total >> 3 * width
+    twice_choose2 = pos * (pos - 1)
+    return (
+        mak + b_inv,
+        makp + b_inv,
+        lsb + twice_choose2 - b_inv,
+        mak + b_maj,
+        makp + b_maj,
+        lsb + twice_choose2 - b_maj,
     )

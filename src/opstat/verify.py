@@ -69,9 +69,17 @@ from .qpoly import (
     stirling_pq,
     verify_zezh,
 )
-# ``stat`` is imported for the benchmark's tracer (bench/tracing.py), which
-# wraps it under this module's name
-from .statistics import aggregate_profile, six_composites, stat, stat_restricted, transport_side
+# ``stat`` and ``six_composites`` are imported for the benchmark's tracer
+# (bench/tracing.py), which wraps them under this module's name; no check
+# here calls them
+from .statistics import (
+    aggregate_profile,
+    six_composites,
+    stat,
+    stat_restricted,
+    table_composites,
+    transport_side,
+)
 
 __all__ = ["VerificationReport", "verify", "THEOREM_IDS", "run_task"]
 
@@ -130,8 +138,10 @@ def _em_pair(offset: int, composites: Sequence[int]) -> tuple[tuple[int, int, in
 
 
 def _em_sweep(offset: int, n: int, k: int) -> tuple[list, None]:
+    """Each object's composites come from the pair table of its blocks,
+    ``table_composites``, which equals ``six_composites``."""
     family = ordered_set_partitions(n, k, allow_large=True)
-    counts, _ = _tally(map(six_composites, family), partial(_em_pair, offset), 2)
+    counts, _ = _tally(map(table_composites, family), partial(_em_pair, offset), 2)
     rhs = LaurentPolynomial.variable("q", comb(k, 2)) * pq_factorial(k) * stirling_pq(n, k)
     return [(LaurentPolynomial(c), rhs) for c in counts], None
 
@@ -421,9 +431,12 @@ def verify(theorem: str, allow_large: bool = False, **params) -> VerificationRep
     params = {name: _NORMALISE.get(name, lambda value: value)(params[name]) for name in check.names}
     if "sigma" in params and params["sigma"].size != params["k"]:
         raise ValueError(f"sigma must act on k={params['k']} blocks")
-    # zero parts are allowed, but an empty sum leaves nothing to check
-    if "parts" in params and sum(params["parts"]) < 1:
-        raise ValueError(f"parts must have a positive sum, got {params['parts']}")
+    if "parts" in params:
+        if any(part < 0 for part in params["parts"]):
+            raise ValueError("composition parts must be nonnegative")
+        # zero parts are allowed, but an empty sum leaves nothing to check
+        if sum(params["parts"]) < 1:
+            raise ValueError(f"parts must have a positive sum, got {params['parts']}")
     _check_scale(check.size(params), allow_large)
     pairs, counterexample = check.sweep(**params)
     passed = all(lhs == rhs for lhs, rhs in pairs) and counterexample is None

@@ -189,6 +189,21 @@ def test_verify_refuses_a_composition_with_sum_zero(capsys, argv):
     assert main(["verify", "eq1.1", "--parts", "2,0,1"]) == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["doubleton", "--parts", "-1,2"],
+        ["doubleton", "--parts=-1,2"],
+        ["eq1.1", "--parts", "-1"],
+        ["eq1.1", "--parts", "2,-1"],
+        ["eq1.1", "--parts", "1,-1"],  # sum zero: the sign is named first
+    ],
+)
+def test_verify_refuses_negative_parts(capsys, argv):
+    assert main(["verify", *argv]) == 1
+    assert "composition parts must be nonnegative" in capsys.readouterr().err
+
+
 def test_verify_jobs_must_be_positive(capsys):
     assert main(["verify", "zezh", "--n", "3", "--jobs", "0"]) == 1
     assert "--jobs" in capsys.readouterr().err
@@ -234,8 +249,9 @@ def test_table_command(capsys):
 # SHA-256 of the stdout of `opstat verify <id> --n N --k K [--sigma all] --json`
 # (`--max-sum N` for the composition ids, keyed with K None).  The thm3.1,
 # thm3.3 and thm3.5 entries were recorded before the transport checks were
-# rebuilt on the block-pair kernel, the others before the checks became one
-# record per id.
+# rebuilt on the block-pair kernel, the thm3.2 and thm3.4 entries at n = 6
+# before those sweeps read the pair table, the others before the checks
+# became one record per id.
 VERIFY_DIGESTS = {
     ("thm3.1", 1, 1): "e9f5dbe463439049d39584575d622629d52f0b529fa45cf1dfdec094e6ef0177",
     ("thm3.1", 2, 1): "72a13b7ac683d63fc5aed5ca6222763518c3b5847c5ff379f9bb456bd732069a",
@@ -294,6 +310,12 @@ VERIFY_DIGESTS = {
     ("thm3.2", 5, 3): "3ed2dccb01d37a721e179b2da24b2533f8e7f33da9b266a514b6964f2eeb6802",
     ("thm3.2", 5, 4): "7eb80a6d5d400303b8899ee098da5f044ea995ca9370a1f07c78d30ca2d3f866",
     ("thm3.2", 5, 5): "1296cfdca27bc574ff59e3f45dc281bfb55afdd05e841938ff578a4911f34edf",
+    ("thm3.2", 6, 1): "26d305054c11168da693d3a1a91b21018e5ac1069805ff78d035cae93c4f0e95",
+    ("thm3.2", 6, 2): "440473266748ca9fa720d100c161f49e4910e1eb5f709eb1a80194eb92f47e15",
+    ("thm3.2", 6, 3): "be61a0cb5dcc8f5dd089cca240510a841a85b471fd54855f7f8448f463914525",
+    ("thm3.2", 6, 4): "1d1ecb56fbaf80e9195b7043e1cccfe7f550a2c031cf89a2839403ba88e7999d",
+    ("thm3.2", 6, 5): "a83e11117610f0d9173c074640a49d2c72b3588109cc24f3d5469edf63d025a6",
+    ("thm3.2", 6, 6): "abec29abc8a5bacaaacae94ddf681bdebaa1da4b8f5ac77e7c1cc3a18dd0d2da",
     ("thm3.4", 1, 1): "ca38aaaa7bd6b2e2277d6e32dd3c57e65eb00d60a52611650b1320e67575374f",
     ("thm3.4", 2, 1): "8228b073d063235f00af33fbaca33a107fba757d5f63c68452d040374b07beb5",
     ("thm3.4", 2, 2): "017d84f454dc90321b77d5ac433614aa75585da9894425ff532c927d5ec57c73",
@@ -309,6 +331,12 @@ VERIFY_DIGESTS = {
     ("thm3.4", 5, 3): "5a6998ba26d00508d6183ee81032bed0ca121198f7cb2c425d66af5dbef72c4f",
     ("thm3.4", 5, 4): "11cf247e16f94da7ba4866918fe4f3c639684fe104c4e7adf245ed1c97c63ab7",
     ("thm3.4", 5, 5): "a62a541633980e44cfb90787a6f89a76eb82673d58443eda9cbc73339209e923",
+    ("thm3.4", 6, 1): "782e7fc8ad9953720dba4a6411b6766035c72d3fddccb15c5d6059a1ebc8fab2",
+    ("thm3.4", 6, 2): "a10fd3741e6c4e3cca6f710a4feb9f4e79f300dbe13d570db8c45e674a7a0258",
+    ("thm3.4", 6, 3): "b87332cce21f804f266c14214be56db04f9e5849a5d8ec1429408197665a9e11",
+    ("thm3.4", 6, 4): "60dcc1711f069cee2c2047f34517328f237760874cf2b8bb90e98ab459b931ff",
+    ("thm3.4", 6, 5): "592b33de22d5e94d4f0dd0ab4d69d056b4bdf3e22d009ea9b83dd022b37133ce",
+    ("thm3.4", 6, 6): "3139a9a21da71a3087cc817a5d025dde382f0099157da84afc87bdb06209c7a1",
     ("eq2.3", 1, 1): "83a155ba1e74929e7f777578850c8dc2ceac04d0e4827bc0b190fc83ff27e754",
     ("eq2.3", 2, 1): "8b0884eb0a4fff587ea9a57177f4379e2a79f6acaf1e148a8040bfc4046c7a79",
     ("eq2.3", 2, 2): "a7ed1d2479b9c8e5a113d610fc372e2deeab10d821977587f26e52ea29cb02e4",

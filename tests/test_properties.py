@@ -26,6 +26,7 @@ from opstat.statistics import (
     six_composites,
     stat,
     stat_restricted,
+    table_composites,
     trace_rsb,
 )
 
@@ -142,3 +143,9 @@ def test_fast_paths_match_definitions_random(pi):
         composite(pi, "cmajlsb"),
     )
     assert six_composites(pi) == expected
+
+
+@settings(max_examples=80)
+@given(partitions(max_n=10))
+def test_table_composites_random(pi):
+    assert table_composites(pi) == six_composites(pi)

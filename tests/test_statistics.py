@@ -18,6 +18,7 @@ from opstat.statistics import (
     six_composites,
     stat,
     stat_restricted,
+    table_composites,
     transport_side,
     trace_ros,
     trace_rsb,
@@ -325,6 +326,31 @@ def test_transport_side_matches_profile_and_reference_exhaustive():
                 rsb_os + b_inv,
                 rsb_os + b_maj,
             )
+
+
+def test_table_composites_match_six_composites_exhaustive():
+    # every block order of every ordered partition with n <= 6
+    for n in range(1, 7):
+        for pi in ordered_set_partitions(n):
+            assert table_composites(pi) == six_composites(pi)
+
+
+def test_table_composites_read_any_table_that_holds_the_blocks():
+    # 1/2 and 2/1 are read from the table of 3/1/2, whose blocks include theirs
+    from opstat import statistics
+
+    big = OrderedSetPartition.parse("3/1/2")
+    assert table_composites(big) == six_composites(big)
+    table = statistics._table
+    for text in ("1/2", "2/1", "3/1/2", "2/3/1"):
+        pi = OrderedSetPartition.parse(text)
+        assert table_composites(pi) == six_composites(pi)
+        assert statistics._table is table
+    for text in ("2 3/1", "1/2"):
+        pi = OrderedSetPartition.parse(text)
+        assert table_composites(pi) == six_composites(pi)
+        assert statistics._table is not table
+        table = statistics._table
 
 
 def test_aggregate_profile_matches_definitions():

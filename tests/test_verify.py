@@ -1,5 +1,6 @@
 import importlib
 import json
+import random
 from math import factorial
 
 import pytest
@@ -221,10 +222,10 @@ _DOUBLETON = _parsed("5 6/1 3/2 4")  # a rearrangement of doubleton_partition((2
 _INV, _MAJ = 7, 8  # entries of transport_side
 _SLOT_PLANTS = [
     # id, parameters, plant, whether the plant reaches the displayed LHS
-    ("thm3.2", dict(n=4, k=3), lambda mp: _plant(mp, "six_composites", _TARGET, _bump(0)), True),
-    ("thm3.2", dict(n=4, k=3), lambda mp: _plant(mp, "six_composites", _TARGET, _bump(1)), False),
-    ("thm3.4", dict(n=4, k=3), lambda mp: _plant(mp, "six_composites", _TARGET, _bump(3)), True),
-    ("thm3.4", dict(n=4, k=3), lambda mp: _plant(mp, "six_composites", _TARGET, _bump(4)), False),
+    ("thm3.2", dict(n=4, k=3), lambda mp: _plant(mp, "table_composites", _TARGET, _bump(0)), True),
+    ("thm3.2", dict(n=4, k=3), lambda mp: _plant(mp, "table_composites", _TARGET, _bump(1)), False),
+    ("thm3.4", dict(n=4, k=3), lambda mp: _plant(mp, "table_composites", _TARGET, _bump(3)), True),
+    ("thm3.4", dict(n=4, k=3), lambda mp: _plant(mp, "table_composites", _TARGET, _bump(4)), False),
     ("eq2.3", dict(n=4, k=3), lambda mp: _plant(mp, "aggregate_profile", _parsed("1 3/2/4"), _bump("rcb")), True),
     ("eq9.2", dict(n=4, k=3), lambda mp: _plant(mp, "aggregate_profile", _TARGET, _bump("cls")), True),
     ("eq9.2", dict(n=4, k=3), lambda mp: _plant(mp, "aggregate_profile", _TARGET, _bump("opb")), False),
@@ -277,6 +278,63 @@ _RHS_TIMES_Q = [
     ("eq9.2", dict(n=4, k=3), "stirling_pq"),
     ("eq1.1", dict(parts=(2, 1)), "_q_multinomial"),
 ]
+
+
+@pytest.mark.parametrize("theorem,offset", [("thm3.2", 0), ("thm3.4", 3)])
+def test_em_sweeps_see_one_raised_pair_table_entry_in_slot_0_only(monkeypatch, theorem, offset):
+    # mak, for 4 left of 1 3 only: the table of 4/1 3/2 adds it to the three
+    # block orders that put 4 left of 1 3, and mak' does not read it
+    statistics = importlib.import_module("opstat.statistics")
+    terms = statistics._pair_terms
+
+    def planted(left, right):
+        mak, *rest = terms(left, right)
+        return (mak + 1, *rest) if (left, right) == ((4,), (1, 3)) else (mak, *rest)
+
+    monkeypatch.setattr(statistics, "_pair_terms", planted)
+    monkeypatch.setattr(statistics, "_table", ({}, 0))  # no table built before the plant
+    (mak_slot, makp_slot), _ = importlib.import_module(_VERIFY)._em_sweep(offset, 4, 3)
+    assert mak_slot[0] != mak_slot[1]
+    assert makp_slot[0] == makp_slot[1]
+    report = verify(theorem, n=4, k=3)
+    assert not report.passed and report.to_json()["pass"] is False
+    assert report.counterexample is None
+    assert report.lhs != report.rhs
+
+
+def test_em_sweep_counts_match_the_reference_kernel():
+    from opstat.families import ordered_set_partitions
+    from opstat.qpoly import _tally
+    from opstat.statistics import six_composites
+
+    module = importlib.import_module(_VERIFY)
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            reference, _ = _tally(
+                map(six_composites, ordered_set_partitions(n, k)),
+                lambda c: module._em_pair(0, c) + module._em_pair(3, c),
+                4,
+            )
+            for offset, expected in ((0, reference[:2]), (3, reference[2:])):
+                pairs, _ = module._em_sweep(offset, n, k)
+                assert [lhs for lhs, _ in pairs] == [LaurentPolynomial(c) for c in expected]
+
+
+def test_em_reports_do_not_depend_on_the_family_order(monkeypatch):
+    # each object is read from the table of its own blocks, whether or not
+    # the block orders of one standard form come together
+    module = importlib.import_module(_VERIFY)
+    original = module.ordered_set_partitions
+    cases = [(theorem, k) for theorem in ("thm3.2", "thm3.4") for k in range(1, 7)]
+    expected = [verify(theorem, n=6, k=k).to_json() for theorem, k in cases]
+
+    def shuffled(*args, **kwargs):
+        family = list(original(*args, **kwargs))
+        random.Random(0).shuffle(family)
+        return iter(family)
+
+    monkeypatch.setattr(module, "ordered_set_partitions", shuffled)
+    assert [verify(theorem, n=6, k=k).to_json() for theorem, k in cases] == expected
 
 
 @pytest.mark.parametrize("theorem,params,name", _RHS_TIMES_Q)
