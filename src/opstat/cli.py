@@ -258,6 +258,8 @@ _TABLES = {
 
 
 def _cmd_table(args) -> int:
+    if args.n < 0:
+        raise ValueError(f"--n must be nonnegative, got {args.n}")
     label, fn = _TABLES[args.kind]
     rows = []
     for n in range(args.n + 1):

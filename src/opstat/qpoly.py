@@ -4,12 +4,33 @@ distribution identities.
 
 Coefficients are arbitrary-precision integers and exponents may be negative;
 all arithmetic is exact.  Polynomials are immutable and hashable.
+
+A product takes one of three routes:
+
+- monomial: if either factor has one term, shift the other's exponents and
+  scale its coefficients;
+- dense (Kronecker substitution; Schoenhage 1982, Harvey 2009): if the
+  product's exponent box has at most len(a) * len(b) slots, pack each factor
+  into one integer with a fixed-width slot per exponent vector of the box,
+  multiply the two integers, and read the product's coefficients off the
+  slots.  The rule keeps the dense route from touching more slots than the
+  schoolbook touches pairs;
+- schoolbook: otherwise, one dict update per pair of terms.
+  ``_schoolbook_mul`` is also the reference the tests hold the other routes
+  to.
+
+The recursions are ``functools.cache`` functions that fill lower rows first
+when called at a large n, so they never recurse more than a few dozen rows
+deep.
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
-from functools import cache
-from math import comb
+from functools import cache, wraps
+from itertools import compress, product
+from math import comb, prod
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 __all__ = [
@@ -149,16 +170,14 @@ class LaurentPolynomial:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> LaurentPolynomial:
-        other = self._coerce(other)
-        terms: dict[Exponents, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exps = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                new = terms.get(exps, 0) + c1 * c2
-                if new:
-                    terms[exps] = new
-                else:
-                    del terms[exps]
+        a, b = self._terms, self._coerce(other)._terms
+        if not (a and b):
+            terms = {}
+        elif len(a) == 1 or len(b) == 1:
+            terms = _monomial_mul(a, b) if len(a) == 1 else _monomial_mul(b, a)
+        else:
+            box = _dense_box(a, b)
+            terms = _schoolbook_mul(a, b) if box is None else _kronecker_mul(a, b, box)
         out = LaurentPolynomial.__new__(LaurentPolynomial)
         object.__setattr__(out, "_terms", terms)
         object.__setattr__(out, "_hash", None)
@@ -210,7 +229,7 @@ class LaurentPolynomial:
 
     def sorted_terms(self) -> list[tuple[Exponents, int]]:
         """Terms in descending lexicographic order of exponent vectors."""
-        return sorted(self._terms.items(), key=lambda item: item[0], reverse=True)
+        return sorted(self._terms.items(), reverse=True)  # exponent vectors are unique
 
     def to_text(self) -> str:
         if not self._terms:
@@ -246,6 +265,115 @@ class LaurentPolynomial:
         return [[coeff, *exps] for exps, coeff in self.sorted_terms()]
 
 
+# ---------------------------------------------------------------------------
+# Multiplication routes
+# ---------------------------------------------------------------------------
+
+Terms = dict[Exponents, int]
+# signed machine integers by size in bytes
+_SIGNED_CODES = {array(code).itemsize: code for code in "bhiq"}
+
+
+def _monomial_mul(mono: Terms, other: Terms) -> Terms:
+    """Shift every exponent of ``other`` by the one term of ``mono`` and
+    scale its coefficients; nothing can cancel."""
+    ((e, c),) = mono.items()
+    return {(e[0] + f[0], e[1] + f[1], e[2] + f[2], e[3] + f[3]): c * d for f, d in other.items()}
+
+
+def _schoolbook_mul(a_terms: Terms, b_terms: Terms) -> Terms:
+    """The product by one dict update per pair of terms: the reference for
+    the other routes and the route for sparse products."""
+    terms: Terms = {}
+    for e1, c1 in a_terms.items():
+        for e2, c2 in b_terms.items():
+            exps = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
+            new = terms.get(exps, 0) + c1 * c2
+            if new:
+                terms[exps] = new
+            else:
+                del terms[exps]
+    return terms
+
+
+def _dense_box(a_terms: Terms, b_terms: Terms) -> list[range] | None:
+    """The product's exponent box, one range per variable, or None when the
+    box has more slots than the schoolbook has pairs of terms."""
+    box = [
+        range(min(ea) + min(eb), max(ea) + max(eb) + 1)
+        for ea, eb in zip(zip(*a_terms), zip(*b_terms))
+    ]
+    return box if prod(map(len, box)) <= len(a_terms) * len(b_terms) else None
+
+
+def _slot_width(bound: int) -> int:
+    """Bytes per slot for coefficients up to ``bound`` in absolute value:
+    enough for the bound and a sign bit, rounded up to a machine integer's
+    size where one is that wide, so that slots convert at C speed."""
+    need = bound.bit_length() // 8 + 1
+    return next((size for size in sorted(_SIGNED_CODES) if size >= need), need)
+
+
+def _slot_list(terms: Terms, strides: tuple[int, ...], count: int) -> list[int]:
+    """``count`` slots holding each coefficient at the mixed-radix index of
+    its exponent vector minus the least one, under ``strides``."""
+    s0, s1, s2, _ = strides
+    l0, l1, l2, l3 = (min(e) for e in zip(*terms))
+    base = l0 * s0 + l1 * s1 + l2 * s2 + l3
+    values = [0] * count
+    for (e0, e1, e2, e3), c in terms.items():
+        values[e0 * s0 + e1 * s1 + e2 * s2 + e3 - base] = c
+    return values
+
+
+def _little_endian(slots: array) -> array:
+    """Swap ``slots`` between machine and little-endian byte order (the
+    same swap either way)."""
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots
+
+
+def _pack(values: list[int], width: int, top: int) -> int:
+    """sum_i values[i] * 256^(width * i); ``top`` has the top bit of every
+    slot set."""
+    if width in _SIGNED_CODES:
+        data = _little_endian(array(_SIGNED_CODES[width], values)).tobytes()
+    else:
+        data = b"".join(v.to_bytes(width, "little", signed=True) for v in values)
+    packed = int.from_bytes(data, "little")
+    # read unsigned, a slot's top bit counts 2^(bits-1) instead of -2^(bits-1)
+    return packed - ((packed & top) << 1)
+
+
+def _unpack(packed: int, width: int, top: int) -> Sequence[int]:
+    """The inverse of :func:`_pack`, slot by slot."""
+    # Adding 2^(bits-1) to every slot makes each one nonnegative, so no slot
+    # borrows from the next; flipping each top bit then takes the bias off
+    # again and leaves each slot in two's complement.
+    data = ((packed + top) ^ top).to_bytes((top.bit_length() + 7) // 8, "little")
+    if width in _SIGNED_CODES:
+        return _little_endian(array(_SIGNED_CODES[width], data))
+    return [int.from_bytes(data[i:i + width], "little", signed=True) for i in range(0, len(data), width)]
+
+
+def _kronecker_mul(a_terms: Terms, b_terms: Terms, box: list[range]) -> Terms:
+    """The product as one big-integer multiplication (Kronecker
+    substitution): each factor becomes an integer with one ``width``-byte
+    slot per exponent vector of ``box``, the last variable varying fastest,
+    and the product's slots are its coefficients.  No coefficient exceeds
+    max|a| * sum|b|, so ``width`` bytes hold it with a sign bit and no slot
+    spills into the next."""
+    sizes = [len(r) for r in box]
+    strides = (sizes[1] * sizes[2] * sizes[3], sizes[2] * sizes[3], sizes[3], 1)
+    count = sizes[0] * strides[0]
+    width = _slot_width(max(map(abs, a_terms.values())) * sum(map(abs, b_terms.values())))
+    top = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    a, b = (_pack(_slot_list(terms, strides, count), width, top) for terms in (a_terms, b_terms))
+    coeffs = _unpack(a * b, width, top)
+    return dict(zip(compress(product(*box), coeffs), filter(None, coeffs)))
+
+
 ZERO = LaurentPolynomial()
 ONE = LaurentPolynomial.constant(1)
 P = LaurentPolynomial.variable("p")
@@ -257,6 +385,48 @@ X = LaurentPolynomial.variable("x")
 def subs_q_to_q_over_p(poly: LaurentPolynomial) -> LaurentPolynomial:
     """Replace q by q/p, i.e. each q-exponent also subtracts from p's."""
     return poly.map_exponents(lambda e: (e[0] - e[1], e[1], e[2], e[3]))
+
+
+# ---------------------------------------------------------------------------
+# Cached recursions
+# ---------------------------------------------------------------------------
+
+_FILL_STRIDE = 32
+
+
+def _row_cache(row_cells: Callable[..., list[tuple]]):
+    """``functools.cache`` for a recursion in n (the first argument) that
+    reads only row n - 1.  A call made from outside the recursion first
+    evaluates, in increasing n, the cells of every ``_FILL_STRIDE``-th row
+    below it that it depends on (``row_cells(m, *args)`` lists those of row
+    m), so the recursion never runs more than ``_FILL_STRIDE`` rows deep,
+    however large n is.  Below ``_FILL_STRIDE`` rows it is plain ``cache``."""
+
+    def decorate(fn):
+        filling = False
+
+        @cache
+        @wraps(fn)
+        def cached(n, *rest):
+            nonlocal filling
+            if not filling and n > _FILL_STRIDE:
+                filling = True
+                try:
+                    for m in range(_FILL_STRIDE, n, _FILL_STRIDE):
+                        for cell in row_cells(m, n, *rest):
+                            cached(*cell)
+                finally:
+                    filling = False
+            return fn(n, *rest)
+
+        return cached
+
+    return decorate
+
+
+def _pascal_cells(m: int, n: int, k: int) -> list[tuple[int, int]]:
+    """The cells (m, j) that (n, k) reaches through (n-1, k-1) and (n-1, k)."""
+    return [(m, j) for j in range(max(0, k - n + m), min(m, k) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +453,7 @@ def pq_int(k: int) -> LaurentPolynomial:
     return LaurentPolynomial({(k - 1 - i, i, 0, 0): 1 for i in range(k)})
 
 
-@cache
+@_row_cache(lambda m, k, var="q": [(m, var)])
 def q_factorial(k: int, var: str = "q") -> LaurentPolynomial:
     if k < 0:
         raise ValueError("factorial of a negative argument")
@@ -292,7 +462,7 @@ def q_factorial(k: int, var: str = "q") -> LaurentPolynomial:
     return q_factorial(k - 1, var) * q_int(k, var)
 
 
-@cache
+@_row_cache(lambda m, k: [(m,)])
 def pq_factorial(k: int) -> LaurentPolynomial:
     if k < 0:
         raise ValueError("factorial of a negative argument")
@@ -313,7 +483,7 @@ def pochhammer(n: int, x: LaurentPolynomial = X, q: LaurentPolynomial = Q) -> La
     return result
 
 
-@cache
+@_row_cache(_pascal_cells)
 def gauss_binomial(n: int, k: int) -> LaurentPolynomial:
     """The q-binomial coefficient, via the Pascal-type recursion."""
     if k < 0 or k > n:
@@ -327,7 +497,7 @@ def gauss_binomial(n: int, k: int) -> LaurentPolynomial:
 # Stirling and Eulerian recursions
 # ---------------------------------------------------------------------------
 
-@cache
+@_row_cache(_pascal_cells)
 def stirling_pq(n: int, k: int) -> LaurentPolynomial:
     """S_{p,q}(n,k) = p^(k-1) S(n-1,k-1) + [k]_{p,q} S(n-1,k)."""
     if n == 0 and k == 0:
@@ -340,7 +510,7 @@ def stirling_pq(n: int, k: int) -> LaurentPolynomial:
     )
 
 
-@cache
+@_row_cache(_pascal_cells)
 def stirling_q(n: int, k: int) -> LaurentPolynomial:
     """S_q(n,k): the p = q, q = 1 specialisation of S_{p,q}, computed by its
     own recursion S_q(n,k) = q^(k-1) S_q(n-1,k-1) + [k]_q S_q(n-1,k)."""
@@ -361,7 +531,7 @@ def stirling_tilde(n: int, k: int) -> LaurentPolynomial:
     )
 
 
-@cache
+@_row_cache(_pascal_cells)
 def s_hat_pq(n: int, k: int) -> LaurentPolynomial:
     """The Laurent variant with recursion
     q^(k-1) S(n-1,k-1) + p^(-n) [k]_{p,q} S(n-1,k)."""
@@ -381,7 +551,7 @@ def s_hat_closed_form(n: int, k: int) -> LaurentPolynomial:
     return LaurentPolynomial.variable("p", shift) * subs_q_to_q_over_p(stirling_q(n, k))
 
 
-@cache
+@_row_cache(_pascal_cells)
 def carlitz_aq(n: int, k: int) -> LaurentPolynomial:
     """Carlitz q-Eulerian numbers: the maj generating function of the
     permutations of [n] with exactly k descents.

@@ -246,12 +246,27 @@ def test_table_command(capsys):
     assert {"n": 3, "k": 2, "poly": [[1, 2, 0, 0, 0], [1, 1, 1, 0, 0], [1, 1, 0, 0, 0]]} in rows
 
 
+def test_table_refuses_a_negative_size(capsys):
+    assert main(["table", "gauss", "--n", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n must be nonnegative" in captured.err
+
+
+def test_closed_forms_run_past_the_recursion_limit(capsys):
+    # S_q(n,1), A_q(n,0) and C_q(n-1,n-1) are 1; each recursion still runs
+    # n rows deep, past the interpreter's recursion limit
+    assert main(["verify", "zezh", "--n", "1200", "--k", "1"]) == 0
+    assert "1/1 checks passed" in capsys.readouterr().out
+
+
 # SHA-256 of the stdout of `opstat verify <id> --n N --k K [--sigma all] --json`
 # (`--max-sum N` for the composition ids, keyed with K None).  The thm3.1,
 # thm3.3 and thm3.5 entries were recorded before the transport checks were
 # rebuilt on the block-pair kernel, the thm3.2 and thm3.4 entries at n = 6
-# before those sweeps read the pair table, the others before the checks
-# became one record per id.
+# before those sweeps read the pair table, the zezh entries with K "all"
+# before products of dense polynomials became one big-integer product, the
+# others before the checks became one record per id.
 VERIFY_DIGESTS = {
     ("thm3.1", 1, 1): "e9f5dbe463439049d39584575d622629d52f0b529fa45cf1dfdec094e6ef0177",
     ("thm3.1", 2, 1): "72a13b7ac683d63fc5aed5ca6222763518c3b5847c5ff379f9bb456bd732069a",
@@ -399,6 +414,24 @@ VERIFY_DIGESTS = {
     ("zezh", 5, 5): "a18a1e327c03a3e0294b3bd42a1ff9b53fd694308b8b2cad65baf5a75aa0df3d",
     ("eq1.1", 4, None): "835c8f36c69513f43145e55e46f91f3b4c31f1ff2d98f83bbf2aad76ff7f0d18",
     ("doubleton", 4, None): "15718663dd545ed22c04d887296665eff7187cb3204aadfc763e8105f86ffad4",
+    ("zezh", 6, "all"): "2e1404bfe404ca1180e2a5a3f5a7391643ac5677203437bb0e364fd407ae4aff",
+    ("zezh", 7, "all"): "690a646fe7fbe1c89464ad302d3497b4f46da0ac2e7507f1aefc40eef2fbd7ef",
+    ("zezh", 8, "all"): "0fd2c20bb947c432132d4482f4596eb27a9ab87573c6e43f56662610b5d373a3",
+    ("zezh", 9, "all"): "f7b8fce65e2fca612b01fcc2970bce2ec8ffb64ca3e035a1009860372191e9d9",
+    ("zezh", 10, "all"): "e2abca10f72bf98fe2fbae9ba6fd85704de97572482240c3520d790efc7f5889",
+    ("zezh", 11, "all"): "6b90836d3ff0d6c69526a99b843ed38560c95cfb8c1386fd7634cf20d37595f3",
+    ("zezh", 12, "all"): "0f16fdc44b47c9d32032becd348569704cdf4a1843ab02b03caa612fe2976271",
+}
+
+# SHA-256 of the stdout of `opstat table <kind> --n 14 --json`, recorded, like
+# the ("zezh", m, "all") entries above, before products of dense polynomials
+# went through one big-integer multiplication
+TABLE_DIGESTS = {
+    "eulerian": "2ab35d0f660f6c101b1f9acc95146a09d2b6fb3ec88a8e07f8ebfff7c87a56cc",
+    "gauss": "69f8a4f12747c1655fc419c28060169a34110699d8e32bf1169c6881a690611c",
+    "stirling": "1264bf73e7134a732205514ab811db22936fa04494cfdc92943d1002173d5447",
+    "stirling-hat": "c13b6625e50da1e21ca754d025aecf501bf14ed7a66a9dcd726c60c2a27078ac",
+    "stirling-pq": "f77ba5f85a663cf7fa2c85cf89d772d39af28650f66b65d64a863e36086e93be",
 }
 
 
@@ -414,3 +447,10 @@ def test_transport_outputs_match_recorded_digests(capsys, theorem, n, k):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[theorem, n, k]
+
+
+@pytest.mark.parametrize("kind", sorted(TABLE_DIGESTS))
+def test_table_outputs_match_recorded_digests(capsys, kind):
+    assert main(["table", kind, "--n", "14", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[kind]

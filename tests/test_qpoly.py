@@ -1,9 +1,12 @@
+import sys
+from itertools import product
 from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opstat import qpoly
 from opstat.families import ordered_set_partitions, permutations, set_partitions, stirling2
 from opstat.qpoly import (
     ONE,
@@ -30,6 +33,7 @@ from opstat.qpoly import (
     verify_q_frobenius,
     verify_zezh,
 )
+from opstat.qpoly import _schoolbook_mul
 
 exponents = st.tuples(
     st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 2), st.integers(0, 2)
@@ -90,6 +94,189 @@ def test_exponent_vectors_must_be_four_integers():
         LaurentPolynomial({(1, 2, 0, 0, 0): 1})
     with pytest.raises(ValueError, match="4 integers"):
         LaurentPolynomial({(1, 2, 0, 0.5): 1})
+
+
+# ---------------------------------------------------------------------------
+# Multiplication routes: every product against the schoolbook reference
+# ---------------------------------------------------------------------------
+
+EDGE_COEFFS = [2**63 - 1, -(2**63), 255, 256, -255, -256, 2**200, -(2**200)]
+coefficients = st.integers(-(2**200), 2**200) | st.integers(-300, 300) | st.sampled_from(EDGE_COEFFS)
+# a box of 3 * 3 * 2 * 2 exponent vectors, negative in every variable, so
+# that many products fill their box and take the dense route
+box_polynomials = st.dictionaries(
+    st.tuples(st.integers(-2, 0), st.integers(-1, 1), st.integers(-1, 0), st.integers(-1, 0)),
+    coefficients,
+    max_size=36,
+).map(LaurentPolynomial)
+
+
+def assert_schoolbook_product(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
+    result = a * b
+    assert result.terms == _schoolbook_mul(a.terms, b.terms)
+    assert 0 not in result.terms.values()
+    return result
+
+
+@settings(max_examples=300)
+@given(box_polynomials | polynomials, box_polynomials | polynomials)
+def test_product_matches_schoolbook(a, b):
+    assert_schoolbook_product(a, b)
+
+
+def edge_poly(coeff: int) -> LaurentPolynomial:
+    """coeff * (1 + q): the middle coefficient of its product with (1 + q)
+    is twice coeff, one bit past coeff."""
+    return coeff * (1 + Q)
+
+
+MIXED = LaurentPolynomial({(-1, -2, -1, -3): 5, (0, -1, -2, -1): -7, (-2, 0, 0, -2): 3, (-1, -1, -1, -1): -1})
+# (1 - p)(2 + q)(1 - t)(3 - x) / (pqtx): 16 signed terms filling the box {-1, 0}^4
+FULL = LaurentPolynomial({
+    (i - 1, j - 1, k - 1, m - 1): (-1) ** (i + k) * (2 - j) * (3 - 4 * m)
+    for i, j, k, m in product((0, 1), repeat=4)
+})
+ROUTE_CASES = {
+    # name: (a, b, expected route)
+    "negative exponents in all four variables": (FULL, 3 - FULL, "kronecker"),
+    "sparse, negative exponents in all four variables": (MIXED, MIXED - FULL, "schoolbook"),
+    "coefficients of 2^200": (2**200 - Q, -(2**200) + 3 * Q, "kronecker"),
+    "coefficients of 2^200 in four variables": (2**200 * FULL, FULL - 2**200, "kronecker"),
+    "2^63 - 1": (edge_poly(2**63 - 1), 1 + Q, "kronecker"),
+    "-2^63": (edge_poly(-(2**63)), 1 + Q, "kronecker"),
+    "255": (edge_poly(255), 1 + Q, "kronecker"),
+    "256": (edge_poly(256), 1 - Q, "kronecker"),
+    "-256 * (2^63 - 1)": (edge_poly(-256), edge_poly(2**63 - 1), "kronecker"),
+    "(1 - q)(1 + q)": (1 - Q, 1 + Q, "kronecker"),
+    "(p - q)(p + q)": (P - Q, P + Q, "schoolbook"),
+    "(p - q)(1 + p)(1 + q) times (p + q)(1 + p)(1 + q)": ((P - Q) * (1 + P) * (1 + Q), (P + Q) * (1 + P) * (1 + Q), "kronecker"),
+    "(1 + p^50)(1 + q^50)": (1 + P**50, 1 + Q**50, "schoolbook"),
+    "monomial on the left": (LaurentPolynomial.monomial(-3, -2, 0, 0, 1), MIXED, "monomial"),
+    "monomial on the right": (MIXED, LaurentPolynomial.monomial(2**70, -1, 2, -3, 4), "monomial"),
+}
+
+
+def routes_taken(monkeypatch, a: LaurentPolynomial, b: LaurentPolynomial) -> tuple[LaurentPolynomial, list[str]]:
+    """a * b, and the multiplication routes it called."""
+    taken = []
+    with monkeypatch.context() as patch:
+        for route in ("monomial", "kronecker", "schoolbook"):
+            fn = getattr(qpoly, f"_{route}_mul")
+            patch.setattr(qpoly, f"_{route}_mul", lambda *args, fn=fn, route=route: taken.append(route) or fn(*args))
+        result = a * b
+    return result, taken
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_CASES))
+def test_fixed_products_take_their_route(monkeypatch, name):
+    a, b, route = ROUTE_CASES[name]
+    result, taken = routes_taken(monkeypatch, a, b)
+    assert taken == [route]
+    assert result.terms == _schoolbook_mul(a.terms, b.terms)
+    assert b * a == result
+
+
+def test_each_route_is_taken(monkeypatch):
+    taken = set()
+    for a, b, _ in ROUTE_CASES.values():
+        taken.update(routes_taken(monkeypatch, a, b)[1])
+    assert taken == {"monomial", "kronecker", "schoolbook"}
+
+
+def test_products_that_cancel():
+    assert assert_schoolbook_product(1 - Q, 1 + Q) == 1 - Q**2
+    assert assert_schoolbook_product(P - Q, P + Q) == P**2 - Q**2
+    box = (1 + P) * (1 + Q)
+    assert assert_schoolbook_product((P - Q) * box, (P + Q) * box) == (P**2 - Q**2) * box * box
+    assert assert_schoolbook_product(1 - P * Q, 1 + P * Q + (P * Q) ** 2) == 1 - (P * Q) ** 3
+    assert assert_schoolbook_product(edge_poly(-(2**63)), 1 - Q) == -(2**63) * (1 - Q**2)
+    # (x; q)_n one factor at a time
+    poly = ONE
+    for i in range(8):
+        poly = assert_schoolbook_product(poly, 1 - X * Q**i)
+    assert poly == pochhammer(8)
+    assert poly.evaluate(x=1) == 0
+
+
+def test_products_with_integers_and_zero():
+    a = MIXED
+    assert 3 * a == a * 3 == a + a + a
+    assert (-1) * a == -a
+    assert 0 * a == a * 0 == ZERO * a == a * ZERO == ZERO
+    assert ZERO * ZERO == ZERO
+    assert 1 * a == a
+    assert (3 * a).terms == {e: 3 * c for e, c in a.terms.items()}
+
+
+def test_s_hat_products_match_schoolbook():
+    # p^(-n) [k]_{p,q} S_hat(n-1,k): a Laurent factor whose box the rule
+    # may send to the schoolbook
+    for n in range(2, 10):
+        for k in range(1, n):
+            left = assert_schoolbook_product(LaurentPolynomial.variable("p", -n), pq_int(k))
+            assert_schoolbook_product(left, s_hat_pq(n - 1, k))
+            assert_schoolbook_product(LaurentPolynomial.variable("q", k - 1), s_hat_pq(n - 1, k - 1))
+
+
+def test_slot_width_holds_the_bound_and_a_sign_bit():
+    for bound in (1, 127, 128, 255, 2**15 - 1, 2**15, 2**31, 2**63 - 1, 2**63, 2**200):
+        width = qpoly._slot_width(bound)
+        assert bound < 2 ** (8 * width - 1)
+        assert width in (1, 2, 4, 8) or width == bound.bit_length() // 8 + 1
+
+
+def test_pack_unpack_roundtrip():
+    for width in (1, 2, 3, 4, 8, 9, 26):
+        values = [0, 1, -1, 2 ** (8 * width - 1) - 1, -(2 ** (8 * width - 1)), 0, 5, -5]
+        top = int.from_bytes((bytes(width - 1) + b"\x80") * len(values), "little")
+        packed = qpoly._pack(values, width, top)
+        assert packed == sum(v * 256 ** (width * i) for i, v in enumerate(values))
+        assert list(qpoly._unpack(packed, width, top)) == values
+
+
+def test_row_cache_runs_past_the_recursion_limit():
+    n = sys.getrecursionlimit() * 3
+
+    @qpoly._row_cache(lambda m, n: [(m,)])
+    def chain(n):
+        return 0 if n == 0 else chain(n - 1) + 1
+
+    @qpoly._row_cache(qpoly._pascal_cells)
+    def binomial(n, k):
+        if k < 0 or k > n:
+            return 0
+        return 1 if k in (0, n) else binomial(n - 1, k - 1) + binomial(n - 1, k)
+
+    assert chain(n) == n
+    assert binomial(n, 3) == comb(n, 3)
+    assert binomial(n, n - 2) == comb(n, 2)
+    assert chain.__name__ == "chain" and binomial.cache_info().currsize > 0
+
+
+def test_closed_form_recursions_run_past_the_recursion_limit():
+    n = sys.getrecursionlimit() + 100
+    assert stirling_pq(n, 1) == ONE
+    assert stirling_q(n, 1) == ONE
+    assert s_hat_pq(n, 1) == LaurentPolynomial.variable("p", 1 - comb(n + 1, 2))
+    assert carlitz_aq(n, 0) == ONE
+    assert gauss_binomial(n, 1) == q_int(n)
+
+
+@pytest.mark.parametrize("fn,n", [(q_factorial, 70), (pq_factorial, 40)])
+def test_factorials_fill_the_cells_their_recursion_reads(fn, n):
+    # the fill and the recursion must call with the same arguments, or
+    # the filled cells are never read
+    fn.cache_clear()
+    fn(n)
+    assert fn.cache_info().currsize == n + 1
+
+
+def test_recursions_keep_their_names_and_caches():
+    for fn in (q_factorial, pq_factorial, gauss_binomial, stirling_pq, stirling_q, s_hat_pq, carlitz_aq):
+        assert getattr(qpoly, fn.__name__) is fn
+        assert fn.__module__ == "opstat.qpoly"
+        fn.cache_clear()
+        assert fn.cache_info().currsize == 0
 
 
 def test_text_rendering():
