@@ -70,18 +70,30 @@ def _check_scale(n: int, allow_large: bool) -> None:
 # Counting
 # ---------------------------------------------------------------------------
 
+def _stirling2_row(n: int, k: int) -> list[int]:
+    """S(n, 0), ..., S(n, k) for n >= 0: one row updated in place by
+    S(m, j) = S(m-1, j-1) + j S(m-1, j) for m = 1, ..., n, so that no call
+    recurses and a large n costs O(nk) steps, not stack depth."""
+    row = [1] + [0] * k
+    for m in range(1, n + 1):
+        for j in range(min(m, k), 0, -1):
+            row[j] = row[j - 1] + j * row[j]
+        row[0] = 0
+    return row
+
+
 @cache
 def stirling2(n: int, k: int) -> int:
-    if n == 0 and k == 0:
-        return 1
-    if k <= 0 or k > n:
+    if k < 0 or k > n:
         return 0
-    return stirling2(n - 1, k - 1) + k * stirling2(n - 1, k)
+    return _stirling2_row(n, k)[k]
 
 
 def fubini(n: int) -> int:
     """Number of ordered set partitions of [n]."""
-    return sum(factorial(k) * stirling2(n, k) for k in range(n + 1))
+    if n < 0:
+        return 0
+    return sum(factorial(k) * s for k, s in enumerate(_stirling2_row(n, n)))
 
 
 # ---------------------------------------------------------------------------

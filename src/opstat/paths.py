@@ -17,6 +17,11 @@ ordered set partitions:
 
 Both are bijections; composing them and the label-transport involution
 ``varphi`` yields the maps ``xi_map``, ``upsilon`` and ``theta_map``.
+
+The encoders and their inverses build objects that are valid by
+construction, so they skip validation through the private ``_trusted``
+constructors; the validating constructors are the tests' oracle.  The
+diagram ``varphi`` returns is validated.
 """
 from __future__ import annotations
 
@@ -82,6 +87,14 @@ class LatticePath:
                     raise ValueError(f"null step at height 0 (step {i})")
         if y != 0:
             raise ValueError("path does not return to height 0")
+
+    @classmethod
+    def _trusted(cls, steps: tuple[str, ...]) -> LatticePath:
+        """Unchecked constructor for a step tuple known to be a valid path,
+        e.g. the step word of a partition's type."""
+        path = object.__new__(cls)
+        object.__setattr__(path, "steps", steps)
+        return path
 
     @classmethod
     def parse(cls, text: str) -> LatticePath:
@@ -221,6 +234,16 @@ class PathDiagram:
                 x += 1
                 y -= 1
 
+    @classmethod
+    def _trusted(cls, path: LatticePath, labels: tuple[int, ...]) -> PathDiagram:
+        """Unchecked constructor for labels known to lie within their steps'
+        bounds, e.g. those that ``phi_inv`` and ``psi_inv`` read off a
+        partition."""
+        diagram = object.__new__(cls)
+        object.__setattr__(diagram, "path", path)
+        object.__setattr__(diagram, "labels", labels)
+        return diagram
+
     @property
     def n(self) -> int:
         return self.path.n
@@ -276,15 +299,14 @@ def _insertion_positions(blocks: list[list[int]], active: list[bool]) -> tuple[i
     position a_l raises rsb + bMaj by exactly l.
     """
     r = len(blocks)
-    act = {j for j in range(r) if active[j]}
-    desc = {
-        j
-        for j in range(1, r)
-        if not active[j] and blocks[j - 1][0] > blocks[j][-1]
-    }
-    special = sorted(act | desc, reverse=True)
-    rest = sorted(set(range(r)) - act - desc)
-    return (r, *special, *rest)
+    special = [r]  # the right end, then the special positions, decreasing
+    rest = []
+    for j in range(r):
+        if active[j] or (j and blocks[j - 1][0] > blocks[j][-1]):
+            special.insert(1, j)
+        else:
+            rest.append(j)
+    return (*special, *rest)
 
 
 def insertion_labels(t: Trace) -> tuple[int, ...]:
@@ -332,7 +354,9 @@ def _run_encoding(h: PathDiagram, by_gap_rank: bool) -> OrderedSetPartition:
     for i, (step, label) in enumerate(zip(h.path.steps, h.labels), start=1):
         _grow(blocks, active, step, label, i, by_gap_rank)
     assert not any(active)
-    return OrderedSetPartition.from_blocks(blocks, n=h.n)
+    # each block grew in increasing order and every element of [n] went
+    # into one block, so the blocks are a sorted partition of [n]
+    return OrderedSetPartition._trusted(h.n, tuple(map(tuple, blocks)))
 
 
 def _read_labels(pi: OrderedSetPartition, by_gap_rank: bool) -> PathDiagram:
@@ -340,38 +364,39 @@ def _read_labels(pi: OrderedSetPartition, by_gap_rank: bool) -> PathDiagram:
     element, the step and the label with which ``_grow`` puts it where pi
     has it.
 
-    A new block goes to the gap left of the trace blocks that follow it in
-    pi; its label is that gap's rank from the right (phi) or its index in
-    ``_insertion_positions`` (psi).  Any other element's label is the number
-    of active blocks right of its block.
+    The steps are ``step_word(pi)``.  A new block goes to the gap left of
+    the trace blocks that follow it in pi; its label is that gap's rank from
+    the right (phi) or its index in ``_insertion_positions`` (psi).  Any
+    other element's label is the number of active blocks right of its block.
+    Every label lies within its step's bounds, so the diagram is built
+    unchecked.
     """
+    word = step_word(pi)
+    owner = [0] * (pi.n + 1)  # pi's block index of each element
+    for b, block in enumerate(pi.blocks):
+        for el in block:
+            owner[el] = b
     blocks: list[list[int]] = []
     active: list[bool] = []
     order: list[int] = []  # pi's block index of each trace block, increasing
-    steps, labels = [], []
-    for i in range(1, pi.n + 1):
-        b = pi.block_index[i]
-        block = pi.blocks[b - 1]
-        if i == block[0]:
-            pos = bisect_left(order, b)
+    labels = []
+    for i, step in enumerate(word, start=1):
+        b = owner[i]
+        pos = bisect_left(order, b)
+        if step in (NORTH, EAST):
             if by_gap_rank:
                 labels.append(len(blocks) - pos)
             else:
                 labels.append(_insertion_positions(blocks, active).index(pos))
-            steps.append(NORTH if len(block) > 1 else EAST)
             order.insert(pos, b)
             blocks.insert(pos, [i])
-            active.insert(pos, len(block) > 1)
+            active.insert(pos, step == NORTH)
         else:
-            idx = bisect_left(order, b)
-            labels.append(sum(active[idx + 1:]))
-            blocks[idx].append(i)
-            if i == block[-1]:
-                steps.append(SOUTH_EAST)
-                active[idx] = False
-            else:
-                steps.append(NULL)
-    return PathDiagram(LatticePath(tuple(steps)), tuple(labels))
+            labels.append(sum(active[pos + 1:]))
+            blocks[pos].append(i)
+            if step == SOUTH_EAST:
+                active[pos] = False
+    return PathDiagram._trusted(LatticePath._trusted(tuple(word)), tuple(labels))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,10 @@ Three counters compare elements with the other blocks' openers and closers:
   blocks holds, for each block, the prefix sums of those terms over every
   subset of the other blocks.  Each block order then costs one table
   lookup and one addition per block.  The thm3.2 and thm3.4 sweeps read
-  it, and the tests compare it with ``six_composites``.
+  it, and the tests compare it with ``six_composites``.  ``table_side``
+  reads all of ``transport_side`` from the same builder's table with two
+  more fields, for the sweeps whose objects are block orders of one set of
+  blocks, and the tests compare it with ``transport_side``.
 
 ``binv``, ``bdes_set`` and ``bmaj`` compare blocks by definition; they are
 the reference for the kernel's block statistics and also accept traces,
@@ -68,6 +71,7 @@ __all__ = [
     "composite",
     "six_composites",
     "table_composites",
+    "table_side",
     "transport_side",
     "aggregate_profile",
     "resolve_stat",
@@ -366,20 +370,23 @@ def transport_side(pi: OrderedSetPartition) -> tuple[int, ...]:
     """
     los, ros, lcs, rcs, _, ros_os, _, b_inv, b_maj, _ = _pair_counts(pi.blocks)
     k = pi.k
-    choose2 = k * (k - 1) // 2
-    mak = ros + lcs
-    makp = (k - 1) * pi.n - los - rcs
-    lsb = los - lcs
-    rsb_os = ros_os - b_inv
+    return _side(ros + lcs, (k - 1) * pi.n - los - rcs, los - lcs, b_inv, b_maj, ros - rcs, ros_os, k)
+
+
+def _side(mak: int, makp: int, lsb: int, b_inv: int, b_maj: int, rsb: int, inv: int, k: int) -> tuple[int, ...]:
+    """The ``transport_side`` tuple of a partition with k blocks from its
+    mak, makp, lsb, bInv, bMaj, rsb and INV (ros over the openers)."""
+    twice_choose2 = k * (k - 1)
+    rsb_os = inv - b_inv
     return (
         mak + b_inv,
         makp + b_inv,
-        lsb + (choose2 - b_inv) + choose2,
+        lsb + twice_choose2 - b_inv,
         mak + b_maj,
         makp + b_maj,
-        lsb + (choose2 - b_maj) + choose2,
-        ros - rcs - rsb_os,
-        ros_os,
+        lsb + twice_choose2 - b_maj,
+        rsb - rsb_os,
+        inv,
         rsb_os + b_maj,
     )
 
@@ -388,26 +395,28 @@ def transport_side(pi: OrderedSetPartition) -> tuple[int, ...]:
 # The pair-table kernel: one table per set of blocks, O(k) per block order
 # ---------------------------------------------------------------------------
 
-def _pair_terms(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, int, int, int]:
-    """What ``_pair_counts`` adds to ros+lcs, los+rcs, los-lcs and bInv
-    (rcs over the openers) for the pair with ``left`` left of ``right``."""
+def _pair_terms(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
+    """What ``_pair_counts`` adds to ros+lcs, los+rcs, los-lcs, bInv (rcs
+    over the openers), ros-rcs and ros over the openers for the pair with
+    ``left`` left of ``right``."""
     size = len(left)
     ros = size - bisect(left, right[0])
     rcs = size - bisect(left, right[-1])
     los = len(right) - bisect(right, left[0])
     lcs = len(right) - bisect(right, left[-1])
-    return ros + lcs, los + rcs, los - lcs, int(left[0] > right[-1])
+    return ros + lcs, los + rcs, los - lcs, int(left[0] > right[-1]), ros - rcs, int(left[0] > right[0])
 
 
-def _pair_table(blocks: tuple[tuple[int, ...], ...]) -> tuple[dict, int]:
+def _pair_table(blocks: tuple[tuple[int, ...], ...], fields: int) -> tuple[dict, int]:
     """Map each block B_j to (W_j, 2^j), where W_j[mask] is the sum of
-    ``_pair_terms(B_i, B_j)`` over the blocks B_i with bit i set in
-    ``mask``, and return it with the field width.
+    the first ``fields`` of ``_pair_terms(B_i, B_j)`` over the blocks B_i
+    with bit i set in ``mask``, and return it with the field width.
 
-    The four terms are packed into one integer, ``width`` bits each.  No
-    field can carry into the next: over any block order, each sums to less
-    than 2nk.  W_j doubles once per block: the masks with bit i set are
-    those without it plus B_i's term, so the table takes O(k 2^k) additions.
+    The terms are packed into one integer, ``width`` bits each, the first
+    lowest.  No field can carry into the next: over any block order, each
+    sums to less than 2nk.  W_j doubles once per block: the masks with bit
+    i set are those without it plus B_i's term, so the table takes
+    O(k 2^k) additions.
     """
     k = len(blocks)
     width = (2 * k * sum(map(len, blocks))).bit_length()
@@ -417,19 +426,24 @@ def _pair_table(blocks: tuple[tuple[int, ...], ...]) -> tuple[dict, int]:
         for i, left in enumerate(blocks):
             term = 0
             if i != j:
-                a, b, c, d = _pair_terms(left, right)
-                term = a | b << width | c << 2 * width | d << 3 * width
+                for value in _pair_terms(left, right)[fields - 1::-1]:
+                    term = term << width | value
             row += [w + term for w in row]
         index[right] = (row, 1 << j)
     return index, width
 
 
-# the table of the last partition read; block orders of one set of blocks share it
+# The table of the last partition read, one per field count: four fields for
+# ``table_composites``, six for ``table_side``.  Block orders of one set of
+# blocks share it.  Each function reads its table in its own loop, so that
+# the thm3.2/thm3.4 sweeps pay no call and no field beyond their four.
 _table: tuple[dict, int] = ({}, 0)
+_side_table: tuple[dict, int] = ({}, 0)
 
 
 def table_composites(pi: OrderedSetPartition) -> tuple[int, int, int, int, int, int]:
-    """``six_composites(pi)`` read from the pair table of pi's blocks.
+    """``six_composites(pi)`` read from the four-field pair table of pi's
+    blocks.
 
     The table of the last partition read is kept and rebuilt only when one
     of pi's blocks is not in it, so the k! block orders of one set of blocks
@@ -444,7 +458,7 @@ def table_composites(pi: OrderedSetPartition) -> tuple[int, int, int, int, int, 
     for block in blocks:
         entry = index.get(block)
         if entry is None:
-            _table = _pair_table(blocks)
+            _table = _pair_table(blocks, 4)
             return table_composites(pi)
         row, bit = entry
         total += row[mask]
@@ -466,4 +480,42 @@ def table_composites(pi: OrderedSetPartition) -> tuple[int, int, int, int, int, 
         mak + b_maj,
         makp + b_maj,
         lsb + twice_choose2 - b_maj,
+    )
+
+
+def table_side(pi: OrderedSetPartition) -> tuple[int, ...]:
+    """``transport_side(pi)`` read from the six-field pair table of pi's
+    blocks, kept and read like that of ``table_composites``.  It serves
+    families of block orders of one set of blocks: rearrangement classes,
+    and ordered partitions in generator order.
+
+    The two extra fields give rsb_TC = (ros - rcs) - rsb_OS and INV = ros
+    over the openers, with rsb_OS = INV - bInv and MAJ = rsb_OS + bMaj.
+    """
+    global _side_table
+    index, width = _side_table
+    blocks = pi.blocks
+    mask = total = b_maj = pos = opener = 0
+    for block in blocks:
+        entry = index.get(block)
+        if entry is None:
+            _side_table = _pair_table(blocks, 6)
+            return table_side(pi)
+        row, bit = entry
+        total += row[mask]
+        mask |= bit
+        if opener > block[-1]:
+            b_maj += pos
+        opener = block[0]
+        pos += 1
+    field = (1 << width) - 1
+    return _side(
+        total & field,
+        (pos - 1) * pi.n - (total >> width & field),
+        total >> 2 * width & field,
+        total >> 3 * width & field,
+        b_maj,
+        total >> 4 * width & field,
+        total >> 5 * width,
+        pos,
     )

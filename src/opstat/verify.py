@@ -78,6 +78,7 @@ from .statistics import (
     stat,
     stat_restricted,
     table_composites,
+    table_side,
     transport_side,
 )
 
@@ -150,13 +151,17 @@ def _em_sweep(offset: int, n: int, k: int) -> tuple[list, None]:
 # thm3.1: sigma-classes with the (p/q)^inv factor, plus the xi transport
 # ---------------------------------------------------------------------------
 
-# Each transport check reads both of its sides from ``transport_side``:
+# Each transport check reads both of its sides as ``transport_side`` tuples:
 # (mak+bInv, mak'+bInv, cinvLSB, mak+bMaj, mak'+bMaj, cmajLSB, rsb_TC, INV,
 # MAJ).  The family is tallied as (pi, side) rows, so pi's side is computed
-# once for the distribution keys and the pointwise check.
+# once for the distribution keys and the pointwise check.  Where every object
+# is a block order of one set of blocks (the ordered partitions in generator
+# order, a rearrangement class and its beta images), the side is read from
+# the pair table, ``table_side``; images under xi and upsilon have other
+# blocks and are read by ``transport_side``.
 
-def _with_side(family):
-    return ((pi, transport_side(pi)) for pi in family)
+def _with_side(family, side):
+    return ((pi, side(pi)) for pi in family)
 
 
 def _xi_violation(
@@ -183,7 +188,7 @@ def _xi_violation(
 
 def _thm31_sweep(n: int, k: int, sigma: Permutation) -> tuple[list, str | None]:
     counts, counterexample = _tally(
-        _with_side(sigma_partitions(n, k, sigma)),
+        _with_side(sigma_partitions(n, k, sigma), transport_side),
         lambda row: _em_pair(0, row[1]),
         2,
         lambda row: _xi_violation(row[0], sigma, row[1]),
@@ -222,7 +227,7 @@ def _type_triples(pi: OrderedSetPartition, side: tuple[int, ...]) -> tuple[tuple
 
 def _thm33_sweep(n: int, k: int) -> tuple[list, str | None]:
     (inv_by_type, maj_by_type, inv, maj), counterexample = _tally(
-        _with_side(ordered_set_partitions(n, k, allow_large=True)),
+        _with_side(ordered_set_partitions(n, k, allow_large=True), table_side),
         lambda row: _type_triples(*row),
         4,
         lambda row: _upsilon_violation(*row),
@@ -244,7 +249,7 @@ def _thm33_sweep(n: int, k: int) -> tuple[list, str | None]:
 
 def _inv_maj(rho: OrderedSetPartition) -> tuple[tuple[int, int, int, int], ...]:
     """INV and MAJ as q exponents."""
-    *_, inv, maj = transport_side(rho)
+    *_, inv, maj = table_side(rho)
     return (0, inv, 0, 0), (0, maj, 0, 0)
 
 
@@ -256,7 +261,7 @@ def _thm35_sweep(pi: OrderedSetPartition) -> tuple[list, str | None]:
     # the class has k! members, so an image inside the class is the class.
     def beta_violation(c: tuple[int, ...]) -> str | None:
         rho = beta(pi, c)
-        *_, maj = transport_side(rho)
+        *_, maj = table_side(rho)
         if maj != sum(c):
             return f"MAJ(beta({c})) != {sum(c)} at {rho}"
         if rho.standard_form()[0] != pi:

@@ -421,6 +421,19 @@ VERIFY_DIGESTS = {
     ("zezh", 10, "all"): "e2abca10f72bf98fe2fbae9ba6fd85704de97572482240c3520d790efc7f5889",
     ("zezh", 11, "all"): "6b90836d3ff0d6c69526a99b843ed38560c95cfb8c1386fd7634cf20d37595f3",
     ("zezh", 12, "all"): "0f16fdc44b47c9d32032becd348569704cdf4a1843ab02b03caa612fe2976271",
+    # the transport checks at n = 6, recorded before the encoders built
+    # unchecked outputs and the rearrangement classes read the pair table;
+    # each thm3.5 entry covers every standard form with k blocks
+    ("thm3.1", 6, 3): "639e53c20eac7bd0d9d0776390f2e95ba105cc1d3be42b6418ea7612c790fb63",
+    ("thm3.3", 6, 1): "9d554ad5f4bec4186ec5f916d3b9cc3a09b599e4ce0c843f4ad0138c998c27e2",
+    ("thm3.3", 6, 2): "dcca8d7046e69a49482656241c724e99b53000413c88cd06bc0bc7816a51c2bd",
+    ("thm3.3", 6, 3): "e8ddcb545095113c111f275300ecb32cfdaafcd2cba19accb341b3cff489f0e5",
+    ("thm3.3", 6, 4): "70caa3135a6421369d10bdd7ce1045f737ddcf58ca19a98f18658b92a103305d",
+    ("thm3.3", 6, 5): "9542b15f8ce7bbc06e6be7d01b940283d75abd87bf94edf9891b51a064a73ae8",
+    ("thm3.3", 6, 6): "b34cdc6507b29e52005e50d68b257e78649ea63db1534f4ddd3d6eda227eb277",
+    ("thm3.5", 6, 4): "56a41524426ed749fe55ffc456b68a7c654dc41505db5d2fc0290680924d9cb3",
+    ("thm3.5", 6, 5): "68f4d2f17ba4aabd160e52e4cdda589d12ab6378a09f7f242b17609844e3d58b",
+    ("thm3.5", 6, 6): "fa94b3b54406bb75177726b3a36e734e693dcc59d6827c434248dfbef32e5f93",
 }
 
 # SHA-256 of the stdout of `opstat table <kind> --n 14 --json`, recorded, like

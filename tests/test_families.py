@@ -1,4 +1,5 @@
 import itertools
+from functools import cache
 from math import factorial
 
 import pytest
@@ -214,3 +215,30 @@ def test_beta_validation():
         beta(pi0, (0, 5))
     with pytest.raises(ValueError):
         beta(OrderedSetPartition.parse("3/1 2"), (0, 0))
+
+
+@cache
+def _stirling2_by_recursion(n, k):
+    """The recurrence, one call level per n: the reference for ``stirling2``."""
+    if n == 0 and k == 0:
+        return 1
+    if k <= 0 or k > n:
+        return 0
+    return _stirling2_by_recursion(n - 1, k - 1) + k * _stirling2_by_recursion(n - 1, k)
+
+
+def test_stirling2_matches_the_recursion():
+    for n in range(31):
+        for k in range(-1, n + 2):
+            assert stirling2(n, k) == _stirling2_by_recursion(n, k)
+        assert fubini(n) == sum(factorial(k) * _stirling2_by_recursion(n, k) for k in range(n + 1))
+
+
+def test_fubini_known_values():
+    # OEIS A000670
+    known = [1, 1, 3, 13, 75, 541, 4683, 47293, 545835, 7087261, 102247563]
+    assert [fubini(n) for n in range(11)] == known
+
+
+def test_stirling2_runs_past_the_recursion_limit():
+    assert stirling2(1200, 2) == 2 ** 1199 - 1

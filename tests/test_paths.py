@@ -12,6 +12,7 @@ from opstat.families import (
 from opstat.paths import (
     LatticePath,
     PathDiagram,
+    _insertion_positions,
     diagram_permutation,
     g_map,
     gamma_sigma,
@@ -485,3 +486,49 @@ def test_diagram_label_bounds_match_step_coordinates():
                         with pytest.raises(ValueError) as excinfo:
                             PathDiagram(path, tuple(labels))
                         assert str(excinfo.value) == message
+
+
+# ---------------------------------------------------------------------------
+# Trusted encoder outputs and the one-pass gap relabelling, against the
+# validating constructors and the set-and-sort relabelling
+# ---------------------------------------------------------------------------
+
+def test_encoder_inverses_build_what_the_validating_constructors_accept():
+    for n in range(1, 7):
+        for pi in ordered_set_partitions(n):
+            for encode in (phi_inv, psi_inv):
+                h = encode(pi)
+                assert h == PathDiagram(LatticePath(h.path.steps), h.labels)
+
+
+def test_encoders_build_what_the_validating_constructors_accept():
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for h in path_diagrams(n, k):
+                for decode in (phi, psi):
+                    out = decode(h)
+                    assert out == OrderedSetPartition.from_blocks(out.blocks, n=out.n)
+
+
+def _insertion_positions_by_sets(blocks, active):
+    """The gap relabelling built from two sets and two sorts: the reference
+    for ``_insertion_positions``."""
+    r = len(blocks)
+    act = {j for j in range(r) if active[j]}
+    desc = {
+        j
+        for j in range(1, r)
+        if not active[j] and blocks[j - 1][0] > blocks[j][-1]
+    }
+    special = sorted(act | desc, reverse=True)
+    rest = sorted(set(range(r)) - act - desc)
+    return (r, *special, *rest)
+
+
+def test_insertion_positions_match_the_set_and_sort_reference():
+    for n in range(1, 7):
+        for pi in ordered_set_partitions(n):
+            for i in range(n + 1):
+                t = pi.trace(i)
+                blocks, active = [list(b) for b in t.blocks], list(t.active)
+                assert _insertion_positions(blocks, active) == _insertion_positions_by_sets(blocks, active)

@@ -27,7 +27,9 @@ from opstat.statistics import (
     stat,
     stat_restricted,
     table_composites,
+    table_side,
     trace_rsb,
+    transport_side,
 )
 
 
@@ -149,3 +151,9 @@ def test_fast_paths_match_definitions_random(pi):
 @given(partitions(max_n=10))
 def test_table_composites_random(pi):
     assert table_composites(pi) == six_composites(pi)
+
+
+@settings(max_examples=80)
+@given(partitions(max_n=10))
+def test_table_side_random(pi):
+    assert table_side(pi) == transport_side(pi)

@@ -19,6 +19,7 @@ from opstat.statistics import (
     stat,
     stat_restricted,
     table_composites,
+    table_side,
     transport_side,
     trace_ros,
     trace_rsb,
@@ -351,6 +352,13 @@ def test_table_composites_read_any_table_that_holds_the_blocks():
         assert table_composites(pi) == six_composites(pi)
         assert statistics._table is not table
         table = statistics._table
+
+
+def test_table_side_matches_transport_side_exhaustive():
+    # every block order of every ordered partition with n <= 6
+    for n in range(1, 7):
+        for pi in ordered_set_partitions(n):
+            assert table_side(pi) == transport_side(pi)
 
 
 def test_aggregate_profile_matches_definitions():

@@ -98,7 +98,10 @@ _ROS, _ROS_OS, _BMAJ = 1, 5, 8  # entries of the kernel tuple
 
 
 def _kernel_off_by_one(monkeypatch, index):
-    """Raise entry ``index`` of the block-pair kernel by one on _TARGET only."""
+    """Raise entry ``index`` of the block-pair kernel by one on _TARGET only.
+    The sweeps that read sides from the pair table (``table_side`` on
+    opstat.verify) see the same raised entry: at _TARGET it returns the side
+    that the planted kernel gives."""
     statistics = importlib.import_module("opstat.statistics")
     kernel = statistics._pair_counts
 
@@ -109,6 +112,13 @@ def _kernel_off_by_one(monkeypatch, index):
         return counts
 
     monkeypatch.setattr(statistics, "_pair_counts", planted)
+    verify_module = importlib.import_module(_VERIFY)
+    table_side = verify_module.table_side
+    monkeypatch.setattr(
+        verify_module,
+        "table_side",
+        lambda pi: statistics.transport_side(pi) if pi == _TARGET else table_side(pi),
+    )
 
 
 def _assert_fails_at(report, counterexample):
@@ -219,7 +229,7 @@ def _parsed(text):
 
 
 _DOUBLETON = _parsed("5 6/1 3/2 4")  # a rearrangement of doubleton_partition((2, 1))
-_INV, _MAJ = 7, 8  # entries of transport_side
+_INV, _MAJ = 7, 8  # entries of transport_side and table_side
 _SLOT_PLANTS = [
     # id, parameters, plant, whether the plant reaches the displayed LHS
     ("thm3.2", dict(n=4, k=3), lambda mp: _plant(mp, "table_composites", _TARGET, _bump(0)), True),
@@ -238,8 +248,8 @@ _SLOT_PLANTS = [
     ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, "opb", "1 2/4/3", "2 3/1/4"), False),
     ("eq1.1", dict(parts=(2, 1)), lambda mp: _plant(mp, "inversion_number", (2, 1, 1), lambda v: v + 1), True),
     ("eq1.1", dict(parts=(2, 1)), lambda mp: _plant(mp, "major_index", (2, 1, 1), lambda v: v + 1), False),
-    ("doubleton", dict(parts=(2, 1)), lambda mp: _plant(mp, "transport_side", _DOUBLETON, _bump(_MAJ)), True),
-    ("doubleton", dict(parts=(2, 1)), lambda mp: _plant(mp, "transport_side", _DOUBLETON, _bump(_INV)), False),
+    ("doubleton", dict(parts=(2, 1)), lambda mp: _plant(mp, "table_side", _DOUBLETON, _bump(_MAJ)), True),
+    ("doubleton", dict(parts=(2, 1)), lambda mp: _plant(mp, "table_side", _DOUBLETON, _bump(_INV)), False),
     # a duplicate stands in for a sigma-class member that differs from it
     # only in mak+bInv (mak'+bInv); the xi transport holds on both
     ("thm3.1", dict(n=4, k=2, sigma="21"),
@@ -300,6 +310,25 @@ def test_em_sweeps_see_one_raised_pair_table_entry_in_slot_0_only(monkeypatch, t
     assert not report.passed and report.to_json()["pass"] is False
     assert report.counterexample is None
     assert report.lhs != report.rhs
+
+
+def test_thm35_sees_one_raised_ros_os_field_of_the_pair_table(monkeypatch):
+    # INV = ros over the openers, for 4 left of 1 3 only: the table of
+    # 4/1 3/2 adds it to the three block orders that put 4 left of 1 3, so
+    # INV, MAJ and the MAJ of beta's images there are one too high
+    statistics = importlib.import_module("opstat.statistics")
+    terms = statistics._pair_terms
+    ros_os = 5  # field of _pair_terms
+
+    def planted(left, right):
+        values = terms(left, right)
+        return _bump(ros_os)(values) if (left, right) == ((4,), (1, 3)) else values
+
+    monkeypatch.setattr(statistics, "_pair_terms", planted)
+    monkeypatch.setattr(statistics, "_side_table", ({}, 0))  # no table built before the plant
+    pairs, counterexample = importlib.import_module(_VERIFY)._thm35_sweep(_TARGET.standard_form()[0])
+    assert all(lhs != rhs for lhs, rhs in pairs)
+    _assert_fails_at(verify("thm3.5", pi=_TARGET), "MAJ(beta((0, 0, 1))) != 1 at 4/1 3/2")
 
 
 def test_em_sweep_counts_match_the_reference_kernel():
