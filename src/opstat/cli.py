@@ -143,12 +143,15 @@ def _cmd_map(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _parse_range(text: str) -> list[int]:
-    text = text.strip()
-    if ".." in text:
-        a, b = text.split("..", 1)
-        return list(range(int(a), int(b) + 1))
-    return [int(text)]
+_INTEGER = r"\s*(-?[0-9]+)\s*"  # ASCII digits only, unlike int()
+
+
+def _parse_range(flag: str, text: str) -> list[int]:
+    match = re.fullmatch(rf"{_INTEGER}(?:\.\.{_INTEGER})?", text)
+    if match is None:
+        raise ValueError(f"--{flag} takes an integer or a range a..b, got {text!r}")
+    a, b = match.groups()
+    return list(range(int(a), int(b or a) + 1))
 
 
 # the verify parameter each id-specific flag sets; an id takes the flag when
@@ -180,7 +183,12 @@ def _verify_tasks(args) -> list[tuple[str, dict]]:
     extra = {"allow_large": True} if args.allow_large else {}
     if "parts" in names:
         if args.parts:
-            return [(theorem, {"parts": tuple(int(t) for t in args.parts.replace(",", " ").split()), **extra})]
+            tokens = args.parts.replace(",", " ").split()
+            # a negative part is left to the composition check
+            bad = [token for token in tokens if not re.fullmatch(_INTEGER, token)]
+            if bad:
+                raise ValueError(f"--parts takes integers separated by commas, got {bad[0]!r}")
+            return [(theorem, {"parts": tuple(map(int, tokens)), **extra})]
         if args.max_sum is None:
             raise ValueError(f"{theorem} needs --parts or --max-sum")
         tasks = []
@@ -194,10 +202,10 @@ def _verify_tasks(args) -> list[tuple[str, dict]]:
         hint = "--pi or --n (and optionally --k)" if "pi" in names else "--n (and optionally --k)"
         raise ValueError(f"{theorem} needs {hint}")
     tasks = []
-    for n in _parse_range(args.n):
+    for n in _parse_range("n", args.n):
         if "pi" in names or "sigma" in names:
             _check_scale(n, args.allow_large)  # the expansion below enumerates by n
-        ks = range(1, n + 1) if args.k in (None, "all") else _parse_range(args.k)
+        ks = range(1, n + 1) if args.k in (None, "all") else _parse_range("k", args.k)
         for k in ks:
             if not 1 <= k <= n:
                 continue

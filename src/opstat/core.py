@@ -42,6 +42,14 @@ __all__ = [
 INFINITY = "∞"  # the marker appended to active trace blocks
 
 
+def _decimal(token: str) -> int:
+    """The value of a token of ASCII digits.  ``int`` alone would also take
+    a sign, '_' between digits and the digits of other scripts."""
+    if not (token.isascii() and token.isdigit()):
+        raise ValueError(f"not a decimal number: {token!r}")
+    return int(token)
+
+
 # ---------------------------------------------------------------------------
 # Permutations
 # ---------------------------------------------------------------------------
@@ -81,8 +89,8 @@ class Permutation:
         """Parse "5 4 1 3 2" (separated) or "54132" (compact, single digits)."""
         text = text.strip()
         if re.search(r"[\s,]", text):
-            return cls(tuple(int(tok) for tok in re.split(r"[\s,]+", text) if tok))
-        return cls(tuple(int(ch) for ch in text))
+            return cls(tuple(_decimal(tok) for tok in re.split(r"[\s,]+", text) if tok))
+        return cls(tuple(_decimal(ch) for ch in text))
 
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
@@ -318,7 +326,7 @@ class OrderedSetPartition:
             toks = [t for t in _BLOCK_SPLIT.split(part.strip()) if t]
             if not toks:
                 raise ValueError("empty block")
-            blocks.append([int(t) for t in toks])
+            blocks.append([_decimal(t) for t in toks])
         return cls.from_blocks(blocks, n=n)
 
     @property
@@ -441,7 +449,7 @@ class Trace:
                 toks = toks[:-1]
             if not toks:
                 raise ValueError("active marker on empty block")
-            blocks.append(tuple(sorted(int(t) for t in toks)))
+            blocks.append(tuple(sorted(_decimal(t) for t in toks)))
             active.append(flag)
         return cls(tuple(blocks), tuple(active))
 

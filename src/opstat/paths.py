@@ -34,6 +34,7 @@ from .core import (
     PartitionType,
     Permutation,
     Trace,
+    _decimal,
     from_d_code,
 )
 
@@ -261,7 +262,7 @@ class PathDiagram:
             steps, label_part = parts[0], ""
         else:
             steps, label_part = parts[0], " ".join(parts[1:])
-        labels = tuple(int(t) for t in label_part.replace(",", " ").split()) if label_part else ()
+        labels = tuple(_decimal(t) for t in label_part.replace(",", " ").split()) if label_part else ()
         return cls(LatticePath.parse(steps), labels)
 
     def to_text(self) -> str:

@@ -27,18 +27,17 @@ Three counters compare elements with the other blocks' openers and closers:
   statistic and composite, and ``stat``, ``stat_restricted`` and
   ``composite`` read from the profile; ``transport_side`` maps it straight
   to what one side of a transport check compares (the six Euler-Mahonian
-  composites, rsb_TC, INV and MAJ), and ``six_composites``, the first six of
-  those, is the reference for the pair-table kernel.
-* ``table_composites`` is the pair-table kernel for sums over whole
-  families.  A pair of blocks adds the same terms to every block order
-  that puts the same one of the two on the left, so one table per set of
-  blocks holds, for each block, the prefix sums of those terms over every
-  subset of the other blocks.  Each block order then costs one table
-  lookup and one addition per block.  The thm3.2 and thm3.4 sweeps read
-  it, and the tests compare it with ``six_composites``.  ``table_side``
-  reads all of ``transport_side`` from the same builder's table with two
-  more fields, for the sweeps whose objects are block orders of one set of
-  blocks, and the tests compare it with ``transport_side``.
+  composites, rsb_TC, INV and MAJ), and ``six_composites`` is the first six
+  of those.
+* ``table_side`` is the pair-table kernel for sums over whole families.  A
+  pair of blocks adds the same terms to every block order that puts the
+  same one of the two on the left, so one table per set of blocks holds,
+  for each block, the prefix sums of those terms over every subset of the
+  other blocks.  Each block order then costs one table lookup and one
+  addition per block.  It reads all of ``transport_side``, and every sweep
+  whose objects are block orders of one set of blocks reads it: ordered
+  partitions in generator order and rearrangement classes.  The tests
+  compare it with ``transport_side``.
 
 ``binv``, ``bdes_set`` and ``bmaj`` compare blocks by definition; they are
 the reference for the kernel's block statistics and also accept traces,
@@ -70,7 +69,6 @@ __all__ = [
     "trace_ros",
     "composite",
     "six_composites",
-    "table_composites",
     "table_side",
     "transport_side",
     "aggregate_profile",
@@ -354,7 +352,8 @@ def composite(pi: OrderedSetPartition, name: str) -> int:
 
 def six_composites(pi: OrderedSetPartition) -> tuple[int, int, int, int, int, int]:
     """(mak+bInv, makp+bInv, cinvLSB, mak+bMaj, makp+bMaj, cmajLSB), the
-    six Euler-Mahonian composites; the reference for ``table_composites``."""
+    six Euler-Mahonian composites: the first six entries of
+    ``transport_side``."""
     return transport_side(pi)[:6]
 
 
@@ -407,10 +406,10 @@ def _pair_terms(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...
     return ros + lcs, los + rcs, los - lcs, int(left[0] > right[-1]), ros - rcs, int(left[0] > right[0])
 
 
-def _pair_table(blocks: tuple[tuple[int, ...], ...], fields: int) -> tuple[dict, int]:
+def _pair_table(blocks: tuple[tuple[int, ...], ...]) -> tuple[dict, int]:
     """Map each block B_j to (W_j, 2^j), where W_j[mask] is the sum of
-    the first ``fields`` of ``_pair_terms(B_i, B_j)`` over the blocks B_i
-    with bit i set in ``mask``, and return it with the field width.
+    ``_pair_terms(B_i, B_j)`` over the blocks B_i with bit i set in
+    ``mask``, and return it with the field width.
 
     The terms are packed into one integer, ``width`` bits each, the first
     lowest.  No field can carry into the next: over any block order, each
@@ -426,71 +425,28 @@ def _pair_table(blocks: tuple[tuple[int, ...], ...], fields: int) -> tuple[dict,
         for i, left in enumerate(blocks):
             term = 0
             if i != j:
-                for value in _pair_terms(left, right)[fields - 1::-1]:
+                for value in reversed(_pair_terms(left, right)):
                     term = term << width | value
             row += [w + term for w in row]
         index[right] = (row, 1 << j)
     return index, width
 
 
-# The table of the last partition read, one per field count: four fields for
-# ``table_composites``, six for ``table_side``.  Block orders of one set of
-# blocks share it.  Each function reads its table in its own loop, so that
-# the thm3.2/thm3.4 sweeps pay no call and no field beyond their four.
-_table: tuple[dict, int] = ({}, 0)
+# The table of the last partition read.  Block orders of one set of blocks
+# share it.
 _side_table: tuple[dict, int] = ({}, 0)
 
 
-def table_composites(pi: OrderedSetPartition) -> tuple[int, int, int, int, int, int]:
-    """``six_composites(pi)`` read from the four-field pair table of pi's
-    blocks.
+def table_side(pi: OrderedSetPartition) -> tuple[int, ...]:
+    """``transport_side(pi)`` read from the pair table of pi's blocks.
 
     The table of the last partition read is kept and rebuilt only when one
     of pi's blocks is not in it, so the k! block orders of one set of blocks
     share one table wherever they come in the family.  Every term is a sum
     over pairs of pi's own blocks, so any table that holds them all gives
-    the same answer.  bMaj is read from the k - 1 adjacent pairs.
-    """
-    global _table
-    index, width = _table
-    blocks = pi.blocks
-    mask = total = b_maj = pos = opener = 0
-    for block in blocks:
-        entry = index.get(block)
-        if entry is None:
-            _table = _pair_table(blocks, 4)
-            return table_composites(pi)
-        row, bit = entry
-        total += row[mask]
-        mask |= bit
-        if opener > block[-1]:
-            b_maj += pos
-        opener = block[0]
-        pos += 1
-    field = (1 << width) - 1
-    mak = total & field
-    makp = (pos - 1) * pi.n - (total >> width & field)
-    lsb = total >> 2 * width & field
-    b_inv = total >> 3 * width
-    twice_choose2 = pos * (pos - 1)
-    return (
-        mak + b_inv,
-        makp + b_inv,
-        lsb + twice_choose2 - b_inv,
-        mak + b_maj,
-        makp + b_maj,
-        lsb + twice_choose2 - b_maj,
-    )
-
-
-def table_side(pi: OrderedSetPartition) -> tuple[int, ...]:
-    """``transport_side(pi)`` read from the six-field pair table of pi's
-    blocks, kept and read like that of ``table_composites``.  It serves
-    families of block orders of one set of blocks: rearrangement classes,
-    and ordered partitions in generator order.
-
-    The two extra fields give rsb_TC = (ros - rcs) - rsb_OS and INV = ros
-    over the openers, with rsb_OS = INV - bInv and MAJ = rsb_OS + bMaj.
+    the same answer.  bMaj is read from the k - 1 adjacent pairs; the last
+    two fields give rsb_TC = (ros - rcs) - rsb_OS and INV = ros over the
+    openers, with rsb_OS = INV - bInv and MAJ = rsb_OS + bMaj.
     """
     global _side_table
     index, width = _side_table
@@ -499,7 +455,7 @@ def table_side(pi: OrderedSetPartition) -> tuple[int, ...]:
     for block in blocks:
         entry = index.get(block)
         if entry is None:
-            _side_table = _pair_table(blocks, 6)
+            _side_table = _pair_table(blocks)
             return table_side(pi)
         row, bit = entry
         total += row[mask]

@@ -35,6 +35,7 @@ doubleton the rearrangement class of the doubleton partition of a
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from math import comb
@@ -77,7 +78,6 @@ from .statistics import (
     six_composites,
     stat,
     stat_restricted,
-    table_composites,
     table_side,
     transport_side,
 )
@@ -128,8 +128,17 @@ def _as_permutation(sigma: Union[Permutation, str, Sequence[int]]) -> Permutatio
 
 
 # ---------------------------------------------------------------------------
-# Euler-Mahonian sums over all ordered partitions (thm3.2 / thm3.4)
+# Sums over all ordered partitions: thm3.2, thm3.4, eq5.8 and eq9.2
 # ---------------------------------------------------------------------------
+
+# Each weight that these ids sum is read off pi's ``table_side`` tuple
+# (a, b, ci, c, d, cm, rsb_TC, INV, MAJ), except eq5.8's maj sigma, which
+# its rows append.  thm3.2 takes (a, ci) and (b, ci), thm3.4 (c, cm) and
+# (d, cm), and eq5.8 and eq9.2 take
+#   cls + rsb_TC = a - INV,  opb + rsb_TC = b - INV,
+#   sb - rsb_TC = ci - k(k-1) + INV,  inv sigma = INV  and  MAJ.
+_INV, _MAJ, _MAJ_SIGMA = 7, 8, 9
+
 
 def _em_pair(offset: int, composites: Sequence[int]) -> tuple[tuple[int, int, int, int], ...]:
     """(mak+bStat, cstatLSB) and (mak'+bStat, cstatLSB) as p,q exponents,
@@ -138,13 +147,46 @@ def _em_pair(offset: int, composites: Sequence[int]) -> tuple[tuple[int, int, in
     return (a, c, 0, 0), (b, c, 0, 0)
 
 
-def _em_sweep(offset: int, n: int, k: int) -> tuple[list, None]:
-    """Each object's composites come from the pair table of its blocks,
-    ``table_composites``, which equals ``six_composites``."""
-    family = ordered_set_partitions(n, k, allow_large=True)
-    counts, _ = _tally(map(table_composites, family), partial(_em_pair, offset), 2)
-    rhs = LaurentPolynomial.variable("q", comb(k, 2)) * pq_factorial(k) * stirling_pq(n, k)
-    return [(LaurentPolynomial(c), rhs) for c in counts], None
+def _maj_sigma(pi: OrderedSetPartition) -> int:
+    """maj of pi's class permutation: the sum of the positions j at which
+    the opener of block j exceeds that of block j + 1."""
+    blocks = pi.blocks
+    return sum(j for j in range(1, len(blocks)) if blocks[j - 1][0] > blocks[j][0])
+
+
+def _side_and_maj_sigma(pi: OrderedSetPartition) -> tuple[int, ...]:
+    return (*table_side(pi), _maj_sigma(pi))
+
+
+def _t_keys(t_slots: tuple[int, ...], k: int, row: Sequence[int]) -> list[tuple[int, int, int, int]]:
+    """eq5.8/eq9.2: p^(cls+rsb_TC) q^(sb-rsb_TC), then the same with opb in
+    place of cls, each against t^row[j] for j in ``t_slots``."""
+    a, b, ci = row[:3]
+    inv = row[_INV]
+    q_weight = ci - k * (k - 1) + inv
+    return [(p_weight - inv, q_weight, row[j], 0) for p_weight in (a, b) for j in t_slots]
+
+
+def _op_sweep(n: int, k: int, row: Callable, keys: Callable, slots: int, rhs: Callable) -> tuple[list, None]:
+    """Sum over OP(n,k) against ``rhs(n, k)``: ``row(pi)`` is all that the
+    ``slots`` keys ``keys(row)`` read of pi.  Many objects share a row (the
+    47,293 ordered partitions of [7] have 10,325 sides), so each distinct row
+    is keyed once and counted with its number of objects."""
+    rows = Counter(map(row, ordered_set_partitions(n, k, allow_large=True)))
+    counts = [Counter() for _ in range(slots)]
+    for values, objects in rows.items():
+        for counter, key in zip(counts, keys(values)):
+            counter[key] += objects
+    expected = rhs(n, k)
+    return [(LaurentPolynomial(c), expected) for c in counts], None
+
+
+def _em_rhs(n: int, k: int) -> LaurentPolynomial:
+    return LaurentPolynomial.variable("q", comb(k, 2)) * pq_factorial(k) * stirling_pq(n, k)
+
+
+def _t_rhs(n: int, k: int) -> LaurentPolynomial:
+    return q_factorial(k, "t") * stirling_pq(n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +197,11 @@ def _em_sweep(offset: int, n: int, k: int) -> tuple[list, None]:
 # (mak+bInv, mak'+bInv, cinvLSB, mak+bMaj, mak'+bMaj, cmajLSB, rsb_TC, INV,
 # MAJ).  The family is tallied as (pi, side) rows, so pi's side is computed
 # once for the distribution keys and the pointwise check.  Where every object
-# is a block order of one set of blocks (the ordered partitions in generator
-# order, a rearrangement class and its beta images), the side is read from
-# the pair table, ``table_side``; images under xi and upsilon have other
-# blocks and are read by ``transport_side``.
+# is a block order of one set of blocks (thm3.3's ordered partitions in
+# generator order, as in the OP(n,k) sums above, a rearrangement class and
+# its beta images), the side is read from the pair table, ``table_side``;
+# images under xi and upsilon have other blocks and are read by
+# ``transport_side``.
 
 def _with_side(family, side):
     return ((pi, side(pi)) for pi in family)
@@ -341,36 +384,6 @@ def _eq23_sweep(n: int, k: int) -> tuple[list, None]:
     return [(LaurentPolynomial(counts), stirling_pq(n, k))], None
 
 
-def _sigma_inv_maj(pi: OrderedSetPartition, prof: dict[str, int]) -> tuple[int, int]:
-    """inv and maj of pi's class permutation, from one standard form."""
-    sigma = pi.standard_form()[1]
-    return sigma.inversion_number(), sigma.major_index()
-
-
-def _partition_maj(pi: OrderedSetPartition, prof: dict[str, int]) -> tuple[int]:
-    return (prof["maj"],)
-
-
-def _t_sweep(t_weights, width: int, n: int, k: int) -> tuple[list, None]:
-    """eq5.8 (t marks inv/maj of the class permutation) and eq9.2 (t marks
-    MAJ): both p-weights cls+rsb_TC and opb+rsb_TC against [k]_t! S_{p,q}.
-    ``t_weights(pi, profile)`` gives the ``width`` t exponents."""
-
-    def weights(pi: OrderedSetPartition) -> list[tuple[int, int, int, int]]:
-        prof = aggregate_profile(pi)
-        q_weight = prof["sb"] - prof["rsb_tc"]
-        ts = t_weights(pi, prof)
-        return [
-            (prof[p_stat] + prof["rsb_tc"], q_weight, t_weight, 0)
-            for p_stat in ("cls", "opb")
-            for t_weight in ts
-        ]
-
-    counts, _ = _tally(ordered_set_partitions(n, k, allow_large=True), weights, 2 * width)
-    rhs = q_factorial(k, "t") * stirling_pq(n, k)
-    return [(LaurentPolynomial(c), rhs) for c in counts], None
-
-
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
@@ -389,15 +402,22 @@ class _Check:
 
 _CHECKS = {
     "thm3.1": _Check(("n", "k", "sigma"), _thm31_sweep, "identity or transport failure"),
-    "thm3.2": _Check(("n", "k"), partial(_em_sweep, 0), "distribution mismatch"),
+    # the OP(n,k) sweeps look table_side up when they run, so a replaced one
+    # is the one they read
+    "thm3.2": _Check(("n", "k"), lambda n, k: _op_sweep(
+        n, k, table_side, partial(_em_pair, 0), 2, _em_rhs), "distribution mismatch"),
     "thm3.3": _Check(("n", "k"), _thm33_sweep, "per-type mismatch or transport failure"),
-    "thm3.4": _Check(("n", "k"), partial(_em_sweep, 3), "distribution mismatch"),
+    "thm3.4": _Check(("n", "k"), lambda n, k: _op_sweep(
+        n, k, table_side, partial(_em_pair, 3), 2, _em_rhs), "distribution mismatch"),
     "thm3.5": _Check(("pi",), _thm35_sweep, "distribution or bijection failure", lambda p: p["pi"].n),
     # words have sum(parts) letters, doubleton partitions 2 * sum(parts) elements
     "eq1.1": _Check(("parts",), _eq11_sweep, "word distribution mismatch", lambda p: sum(p["parts"])),
     "eq2.3": _Check(("n", "k"), _eq23_sweep, "distribution mismatch"),
-    "eq5.8": _Check(("n", "k"), partial(_t_sweep, _sigma_inv_maj, 2), "t-refined distribution mismatch"),
-    "eq9.2": _Check(("n", "k"), partial(_t_sweep, _partition_maj, 1), "t-refined distribution mismatch"),
+    "eq5.8": _Check(("n", "k"), lambda n, k: _op_sweep(
+        n, k, _side_and_maj_sigma, partial(_t_keys, (_INV, _MAJ_SIGMA), k), 4, _t_rhs),
+        "t-refined distribution mismatch"),
+    "eq9.2": _Check(("n", "k"), lambda n, k: _op_sweep(
+        n, k, table_side, partial(_t_keys, (_MAJ,), k), 2, _t_rhs), "t-refined distribution mismatch"),
     # both sides are closed forms: nothing is enumerated
     "zezh": _Check(
         ("n", "k"), lambda n, k: ([verify_zezh(n, k)[1:]], None),

@@ -113,6 +113,22 @@ def test_invalid_input_exits_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--n", "3", "--k", "x"], "--k takes an integer or a range a..b, got 'x'"),
+        (["--n", "1..x"], "--n takes an integer or a range a..b, got '1..x'"),
+        (["--n", "\uff13"], "--n takes an integer or a range a..b, got '\uff13'"),
+        (["--parts", "a,1"], "--parts takes integers separated by commas, got 'a'"),
+        (["--parts", "1_0"], "--parts takes integers separated by commas, got '1_0'"),
+    ],
+)
+def test_numeric_flag_errors_name_the_flag(capsys, flags, message):
+    theorem = "eq1.1" if flags[0] == "--parts" else "thm3.2"
+    assert main(["verify", theorem, *flags]) == 1
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+
+
 def test_verification_failure_exits_two(capsys, monkeypatch):
     from opstat import cli
     from opstat.verify import VerificationReport

@@ -47,6 +47,10 @@ def test_parse_braces_and_commas():
         ("1//2", "empty block"),
         ("", "no blocks"),
         ("0 1", "outside"),
+        # int() alone reads "1_0" as 10 and a fullwidth digit as 1
+        ("1_0/2 3 4 5 6 7 8 9 1", "not a decimal number: '1_0'"),
+        ("\uff11/2", "not a decimal number: '\uff11'"),
+        ("-1/2", "not a decimal number: '-1'"),
     ],
 )
 def test_parse_errors(text, message):
@@ -220,6 +224,12 @@ def test_trace_parse_accepts_inf():
     assert t.to_text() == "3 5 7/1 4 ∞/6/2 ∞"
 
 
+@pytest.mark.parametrize("text", ["1_0/2 \u221e", "\uff12 \u221e/1"])
+def test_trace_parse_takes_only_ascii_decimal_tokens(text):
+    with pytest.raises(ValueError, match="not a decimal number"):
+        Trace.parse(text)
+
+
 def test_trace_index_bounds():
     pi = OrderedSetPartition.parse("1 2")
     with pytest.raises(ValueError):
@@ -270,6 +280,12 @@ def test_code_range_validation():
 def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation((1, 1, 2))
+
+
+@pytest.mark.parametrize("text", ["\uff12\uff11", "2 \uff11", "1_0 1 2 3 4 5 6 7 8 9"])
+def test_permutation_parse_takes_only_ascii_decimal_tokens(text):
+    with pytest.raises(ValueError, match="not a decimal number"):
+        Permutation.parse(text)
 
 
 # ---------------------------------------------------------------------------

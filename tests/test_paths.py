@@ -156,6 +156,12 @@ def test_diagram_text_roundtrip():
     assert PathDiagram.parse("NNNOOEDDED:0,0,2,1,2,3,2,0,1,0") == RUN
 
 
+@pytest.mark.parametrize("labels", ["0,\uff10", "0_0,0"])
+def test_diagram_parse_takes_only_ascii_decimal_labels(labels):
+    with pytest.raises(ValueError, match="not a decimal number"):
+        PathDiagram.parse(f"ND {labels}")
+
+
 # ---------------------------------------------------------------------------
 # phi
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from opstat.statistics import (
     six_composites,
     stat,
     stat_restricted,
-    table_composites,
     table_side,
     trace_rsb,
     transport_side,
@@ -149,11 +148,22 @@ def test_fast_paths_match_definitions_random(pi):
 
 @settings(max_examples=80)
 @given(partitions(max_n=10))
-def test_table_composites_random(pi):
-    assert table_composites(pi) == six_composites(pi)
+def test_table_side_random(pi):
+    assert table_side(pi) == transport_side(pi)
 
 
 @settings(max_examples=80)
 @given(partitions(max_n=10))
-def test_table_side_random(pi):
-    assert table_side(pi) == transport_side(pi)
+def test_trefinement_keys_random(pi):
+    # the eq5.8/eq9.2 keys read off table_side against the profile and the
+    # standard form's permutation
+    from opstat.verify import _INV, _MAJ, _MAJ_SIGMA, _side_and_maj_sigma, _t_keys
+
+    prof = aggregate_profile(pi)
+    p_weights = [prof[name] + prof["rsb_tc"] for name in ("cls", "opb")]
+    q_weight = prof["sb"] - prof["rsb_tc"]
+    t_weights = (stat(pi, "invsigma"), stat(pi, "majsigma"))
+    assert _t_keys((_INV, _MAJ_SIGMA), pi.k, _side_and_maj_sigma(pi)) == [
+        (p, q_weight, t, 0) for p in p_weights for t in t_weights
+    ]
+    assert _t_keys((_MAJ,), pi.k, table_side(pi)) == [(p, q_weight, prof["maj"], 0) for p in p_weights]

@@ -18,7 +18,6 @@ from opstat.statistics import (
     six_composites,
     stat,
     stat_restricted,
-    table_composites,
     table_side,
     transport_side,
     trace_ros,
@@ -329,36 +328,39 @@ def test_transport_side_matches_profile_and_reference_exhaustive():
             )
 
 
-def test_table_composites_match_six_composites_exhaustive():
-    # every block order of every ordered partition with n <= 6
-    for n in range(1, 7):
-        for pi in ordered_set_partitions(n):
-            assert table_composites(pi) == six_composites(pi)
-
-
-def test_table_composites_read_any_table_that_holds_the_blocks():
-    # 1/2 and 2/1 are read from the table of 3/1/2, whose blocks include theirs
-    from opstat import statistics
-
-    big = OrderedSetPartition.parse("3/1/2")
-    assert table_composites(big) == six_composites(big)
-    table = statistics._table
-    for text in ("1/2", "2/1", "3/1/2", "2/3/1"):
-        pi = OrderedSetPartition.parse(text)
-        assert table_composites(pi) == six_composites(pi)
-        assert statistics._table is table
-    for text in ("2 3/1", "1/2"):
-        pi = OrderedSetPartition.parse(text)
-        assert table_composites(pi) == six_composites(pi)
-        assert statistics._table is not table
-        table = statistics._table
-
-
 def test_table_side_matches_transport_side_exhaustive():
     # every block order of every ordered partition with n <= 6
     for n in range(1, 7):
         for pi in ordered_set_partitions(n):
             assert table_side(pi) == transport_side(pi)
+
+
+def test_table_side_reads_any_table_that_holds_the_blocks():
+    # 1/2 and 2/1 are read from the table of 3/1/2, whose blocks include theirs
+    from opstat import statistics
+
+    big = OrderedSetPartition.parse("3/1/2")
+    assert table_side(big) == transport_side(big)
+    table = statistics._side_table
+    for text in ("1/2", "2/1", "3/1/2", "2/3/1"):
+        pi = OrderedSetPartition.parse(text)
+        assert table_side(pi) == transport_side(pi)
+        assert statistics._side_table is table
+    for text in ("2 3/1", "1/2"):
+        pi = OrderedSetPartition.parse(text)
+        assert table_side(pi) == transport_side(pi)
+        assert statistics._side_table is not table
+        table = statistics._side_table
+
+
+@pytest.mark.parametrize("order", ["increasing", "decreasing"])
+def test_table_side_matches_transport_side_at_the_packing_extremes(order):
+    # twelve singletons: the most blocks, and so the widest fields and the
+    # largest table, for the ground sets that the desk-scale guard admits;
+    # in decreasing order every pair is an inversion and a descent
+    elements = range(1, 13) if order == "increasing" else range(12, 0, -1)
+    pi = OrderedSetPartition.parse("/".join(map(str, elements)))
+    assert table_side(pi) == transport_side(pi)
 
 
 def test_aggregate_profile_matches_definitions():

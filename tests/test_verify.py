@@ -1,12 +1,11 @@
 import importlib
 import json
 import random
-from math import factorial
 
 import pytest
 
 from opstat.core import OrderedSetPartition
-from opstat.families import DeskScaleError, beta, stirling2
+from opstat.families import DeskScaleError, beta
 from opstat.qpoly import LaurentPolynomial, q_factorial
 from opstat.verify import THEOREM_IDS, run_task, verify
 
@@ -77,6 +76,8 @@ def test_thm35_fails_when_beta_leaves_the_class(monkeypatch):
 
 
 def test_trefinements_build_sigma_once_per_object(monkeypatch):
+    # both read inv and maj of the class permutation off the blocks, so
+    # neither builds a standard form at all
     calls = []
     standard_form = OrderedSetPartition.standard_form
     monkeypatch.setattr(
@@ -84,10 +85,43 @@ def test_trefinements_build_sigma_once_per_object(monkeypatch):
     )
     n, k = 5, 3
     assert verify("eq5.8", n=n, k=k).passed
-    assert len(calls) == factorial(k) * stirling2(n, k)
-    calls.clear()
+    assert calls == []
     assert verify("eq9.2", n=n, k=k).passed
     assert calls == []
+
+
+def _trefinement_keys(pi):
+    """The eq5.8 and eq9.2 keys of pi as their sweeps read them."""
+    module = importlib.import_module(_VERIFY)
+    eq58 = module._t_keys((module._INV, module._MAJ_SIGMA), pi.k, module._side_and_maj_sigma(pi))
+    eq92 = module._t_keys((module._MAJ,), pi.k, module.table_side(pi))
+    return eq58, eq92
+
+
+def _reference_trefinement_keys(pi, *t_stats):
+    """The same keys from the profile and the named t statistics."""
+    from opstat.statistics import aggregate_profile, stat
+
+    prof = aggregate_profile(pi)
+    q_weight = prof["sb"] - prof["rsb_tc"]
+    return [
+        (prof[p_stat] + prof["rsb_tc"], q_weight, stat(pi, t_stat), 0)
+        for p_stat in ("cls", "opb")
+        for t_stat in t_stats
+    ]
+
+
+def test_trefinement_keys_match_profile_and_class_permutation_exhaustive():
+    # every ordered partition with n <= 6: the eq5.8/eq9.2 keys read off
+    # table_side (and the opener descents) against the profile and the
+    # standard form's permutation
+    from opstat.families import ordered_set_partitions
+
+    for n in range(1, 7):
+        for pi in ordered_set_partitions(n):
+            eq58, eq92 = _trefinement_keys(pi)
+            assert eq58 == _reference_trefinement_keys(pi, "invsigma", "majsigma")
+            assert eq92 == _reference_trefinement_keys(pi, "maj")
 
 
 # Planted defects: each test breaks one piece of a transport check and
@@ -211,17 +245,23 @@ def _bump(index):
     """Raise entry ``index`` of a tuple or a profile dict by one."""
     if isinstance(index, str):
         return lambda profile: {**profile, index: profile[index] + 1}
-    return lambda values: values[:index] + (values[index] + 1,) + values[index + 1:]
+    return lambda values: _add(values, index, 1)
 
 
-def _swap(monkeypatch, key, x, y):
-    """Exchange the profile entry ``key`` of partitions ``x`` and ``y``."""
-    from opstat.statistics import aggregate_profile
+def _swap(monkeypatch, index, x, y):
+    """Exchange ``side[index] - side[INV]`` of the ``table_side`` of
+    partitions ``x`` and ``y``: for index 0 (1) that is cls+rsb_TC
+    (opb+rsb_TC), eq5.8's p weight.  Each keeps its own INV."""
+    from opstat.statistics import transport_side
 
-    x, y = OrderedSetPartition.parse(x), OrderedSetPartition.parse(y)
-    value_x, value_y = aggregate_profile(x)[key], aggregate_profile(y)[key]
-    _plant(monkeypatch, "aggregate_profile", x, lambda profile: {**profile, key: value_y})
-    _plant(monkeypatch, "aggregate_profile", y, lambda profile: {**profile, key: value_x})
+    side_x, side_y = transport_side(_parsed(x)), transport_side(_parsed(y))
+    shift = side_y[index] - side_y[_INV] - side_x[index] + side_x[_INV]
+    _plant(monkeypatch, "table_side", _parsed(x), lambda side: _add(side, index, shift))
+    _plant(monkeypatch, "table_side", _parsed(y), lambda side: _add(side, index, -shift))
+
+
+def _add(values, index, delta):
+    return values[:index] + (values[index] + delta,) + values[index + 1:]
 
 
 def _parsed(text):
@@ -232,20 +272,21 @@ _DOUBLETON = _parsed("5 6/1 3/2 4")  # a rearrangement of doubleton_partition((2
 _INV, _MAJ = 7, 8  # entries of transport_side and table_side
 _SLOT_PLANTS = [
     # id, parameters, plant, whether the plant reaches the displayed LHS
-    ("thm3.2", dict(n=4, k=3), lambda mp: _plant(mp, "table_composites", _TARGET, _bump(0)), True),
-    ("thm3.2", dict(n=4, k=3), lambda mp: _plant(mp, "table_composites", _TARGET, _bump(1)), False),
-    ("thm3.4", dict(n=4, k=3), lambda mp: _plant(mp, "table_composites", _TARGET, _bump(3)), True),
-    ("thm3.4", dict(n=4, k=3), lambda mp: _plant(mp, "table_composites", _TARGET, _bump(4)), False),
+    ("thm3.2", dict(n=4, k=3), lambda mp: _plant(mp, "table_side", _TARGET, _bump(0)), True),
+    ("thm3.2", dict(n=4, k=3), lambda mp: _plant(mp, "table_side", _TARGET, _bump(1)), False),
+    ("thm3.4", dict(n=4, k=3), lambda mp: _plant(mp, "table_side", _TARGET, _bump(3)), True),
+    ("thm3.4", dict(n=4, k=3), lambda mp: _plant(mp, "table_side", _TARGET, _bump(4)), False),
     ("eq2.3", dict(n=4, k=3), lambda mp: _plant(mp, "aggregate_profile", _parsed("1 3/2/4"), _bump("rcb")), True),
-    ("eq9.2", dict(n=4, k=3), lambda mp: _plant(mp, "aggregate_profile", _TARGET, _bump("cls")), True),
-    ("eq9.2", dict(n=4, k=3), lambda mp: _plant(mp, "aggregate_profile", _TARGET, _bump("opb")), False),
+    # side entries 0 and 1 are cls+rsb_TC+INV and opb+rsb_TC+INV
+    ("eq9.2", dict(n=4, k=3), lambda mp: _plant(mp, "table_side", _TARGET, _bump(0)), True),
+    ("eq9.2", dict(n=4, k=3), lambda mp: _plant(mp, "table_side", _TARGET, _bump(1)), False),
     # the two partitions share rsb_TC, sb and inv (maj) of the class
-    # permutation, so only the slot pairing the swapped entry with maj (inv)
-    # sees the swap
-    ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, "cls", "1 2/4/3", "2 3/4/1"), True),
-    ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, "cls", "1 2/4/3", "2 3/1/4"), False),
-    ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, "opb", "1 2/4/3", "2 3/4/1"), False),
-    ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, "opb", "1 2/4/3", "2 3/1/4"), False),
+    # permutation, so only the slot pairing the swapped cls (opb) with maj
+    # (inv) sees the swap
+    ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, 0, "1 2/4/3", "2 3/4/1"), True),
+    ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, 0, "1 2/4/3", "2 3/1/4"), False),
+    ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, 1, "1 2/4/3", "2 3/4/1"), False),
+    ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, 1, "1 2/4/3", "2 3/1/4"), False),
     ("eq1.1", dict(parts=(2, 1)), lambda mp: _plant(mp, "inversion_number", (2, 1, 1), lambda v: v + 1), True),
     ("eq1.1", dict(parts=(2, 1)), lambda mp: _plant(mp, "major_index", (2, 1, 1), lambda v: v + 1), False),
     ("doubleton", dict(parts=(2, 1)), lambda mp: _plant(mp, "table_side", _DOUBLETON, _bump(_MAJ)), True),
@@ -262,6 +303,9 @@ _SLOT_PLANTS = [
      lambda mp: _stand_in(mp, "rearrangements", _parsed("2/1 3/4"), _parsed("1 3/4/2")), True),
     ("thm3.5", dict(pi="1 3/2/4"),
      lambda mp: _stand_in(mp, "rearrangements", _parsed("4/2/1 3"), _parsed("1 3/4/2")), False),
+    # maj sigma is read off the blocks for eq5.8 alone, and only its two
+    # (., maj sigma) slots pair with it
+    ("eq5.8", dict(n=4, k=3), lambda mp: _plant(mp, "_maj_sigma", _TARGET, lambda v: v + 1), False),
 ]
 
 
@@ -302,8 +346,8 @@ def test_em_sweeps_see_one_raised_pair_table_entry_in_slot_0_only(monkeypatch, t
         return (mak + 1, *rest) if (left, right) == ((4,), (1, 3)) else (mak, *rest)
 
     monkeypatch.setattr(statistics, "_pair_terms", planted)
-    monkeypatch.setattr(statistics, "_table", ({}, 0))  # no table built before the plant
-    (mak_slot, makp_slot), _ = importlib.import_module(_VERIFY)._em_sweep(offset, 4, 3)
+    monkeypatch.setattr(statistics, "_side_table", ({}, 0))  # no table built before the plant
+    (mak_slot, makp_slot), _ = importlib.import_module(_VERIFY)._CHECKS[theorem].sweep(n=4, k=3)
     assert mak_slot[0] != mak_slot[1]
     assert makp_slot[0] == makp_slot[1]
     report = verify(theorem, n=4, k=3)
@@ -344,8 +388,8 @@ def test_em_sweep_counts_match_the_reference_kernel():
                 lambda c: module._em_pair(0, c) + module._em_pair(3, c),
                 4,
             )
-            for offset, expected in ((0, reference[:2]), (3, reference[2:])):
-                pairs, _ = module._em_sweep(offset, n, k)
+            for theorem, expected in (("thm3.2", reference[:2]), ("thm3.4", reference[2:])):
+                pairs, _ = module._CHECKS[theorem].sweep(n=n, k=k)
                 assert [lhs for lhs, _ in pairs] == [LaurentPolynomial(c) for c in expected]
 
 
