@@ -148,6 +148,13 @@ def test_fast_paths_match_definitions_random(pi):
 
 @settings(max_examples=80)
 @given(partitions(max_n=10))
+def test_table_composites_random(pi):
+    # the six composites are the first six entries that table_side reads
+    assert table_side(pi)[:6] == six_composites(pi)
+
+
+@settings(max_examples=80)
+@given(partitions(max_n=10))
 def test_table_side_random(pi):
     assert table_side(pi) == transport_side(pi)
 

@@ -328,6 +328,14 @@ def test_transport_side_matches_profile_and_reference_exhaustive():
             )
 
 
+def test_table_composites_match_six_composites_exhaustive():
+    # every block order of every ordered partition with n <= 6: the six
+    # composites are the first six entries that table_side reads
+    for n in range(1, 7):
+        for pi in ordered_set_partitions(n):
+            assert table_side(pi)[:6] == six_composites(pi)
+
+
 def test_table_side_matches_transport_side_exhaustive():
     # every block order of every ordered partition with n <= 6
     for n in range(1, 7):
