@@ -146,6 +146,13 @@ def _cmd_map(args) -> int:
 _INTEGER = r"\s*(-?[0-9]+)\s*"  # ASCII digits only, unlike int()
 
 
+def _parse_int(flag: str, text: str) -> int:
+    match = re.fullmatch(_INTEGER, text)
+    if match is None:
+        raise ValueError(f"--{flag} takes an integer, got {text!r}")
+    return int(match.group(1))
+
+
 def _parse_range(flag: str, text: str) -> list[int]:
     match = re.fullmatch(rf"{_INTEGER}(?:\.\.{_INTEGER})?", text)
     if match is None:
@@ -192,7 +199,7 @@ def _verify_tasks(args) -> list[tuple[str, dict]]:
         if args.max_sum is None:
             raise ValueError(f"{theorem} needs --parts or --max-sum")
         tasks = []
-        for total in range(1, args.max_sum + 1):
+        for total in range(1, _parse_int("max-sum", args.max_sum) + 1):
             for parts in compositions(total):
                 tasks.append((theorem, {"parts": parts, **extra}))
         return tasks
@@ -226,8 +233,9 @@ def _verify_tasks(args) -> list[tuple[str, dict]]:
 
 
 def _cmd_verify(args) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    jobs = _parse_int("jobs", args.jobs)
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
     tasks = _verify_tasks(args)
     if not tasks:
         given = " ".join(
@@ -236,7 +244,7 @@ def _cmd_verify(args) -> int:
             if value is not None
         )
         raise ValueError(f"{args.theorem}: {given} is an empty range; nothing to verify")
-    jobs = min(args.jobs, os.cpu_count() or 1, len(tasks))
+    jobs = min(jobs, os.cpu_count() or 1, len(tasks))
     if jobs > 1:
         with Pool(jobs) as pool:
             reports = pool.map(run_task, tasks)
@@ -266,11 +274,12 @@ _TABLES = {
 
 
 def _cmd_table(args) -> int:
-    if args.n < 0:
-        raise ValueError(f"--n must be nonnegative, got {args.n}")
+    size = _parse_int("n", args.n)
+    if size < 0:
+        raise ValueError(f"--n must be nonnegative, got {size}")
     label, fn = _TABLES[args.kind]
     rows = []
-    for n in range(args.n + 1):
+    for n in range(size + 1):
         for k in range(n + 1):
             poly = fn(n, k)
             if not poly.is_zero():
@@ -326,8 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--sigma", help="one-line permutation, or 'all'")
     p_verify.add_argument("--pi", help="partition text (thm3.5)")
     p_verify.add_argument("--parts", help="composition, e.g. '3,2,3'")
-    p_verify.add_argument("--max-sum", type=int, help="run all compositions up to this sum")
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--max-sum", help="run all compositions up to this sum")
+    p_verify.add_argument("--jobs", default="1")
     p_verify.add_argument("--allow-large", action="store_true",
                           help="override the desk-scale guard (or set OPSTAT_MAX_N)")
     p_verify.add_argument("--json", action="store_true")
@@ -335,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="polynomial tables")
     p_table.add_argument("kind", choices=sorted(_TABLES))
-    p_table.add_argument("--n", type=int, required=True)
+    p_table.add_argument("--n", required=True)
     p_table.add_argument("--json", action="store_true")
     p_table.set_defaults(func=_cmd_table)
 

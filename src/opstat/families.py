@@ -9,7 +9,11 @@ construction: ``set_partitions`` grows every block of [n] in increasing
 order, and ``ordered_set_partitions``, ``sigma_partitions`` and
 ``rearrangements`` reorder the blocks of a partition that is already valid.
 ``beta`` inserts blocks one element at a time and validates the result
-through ``OrderedSetPartition.from_blocks``.
+through ``OrderedSetPartition.from_blocks``.  What it reads of its
+standard form (each element's opener rank or opener, and whether it opens
+or closes a block) is a per-class plan, built once and kept for as long as
+the calls pass an equal standard form, so the k! vectors of one class share
+it.
 
 Ordered-partition families refuse n above a desk-scale limit (default 12,
 overridable through the environment variable ``OPSTAT_MAX_N`` or an
@@ -270,37 +274,59 @@ def subdiagonal_vectors(k: int) -> Iterator[tuple[int, ...]]:
 # The rearrangement bijection beta
 # ---------------------------------------------------------------------------
 
+# The plan of the last class rearranged: its standard form, and per element
+# of [n] either (True, b, opens) at the opener or singleton of the b-th block
+# (0-based), with opens set for a block of two or more elements, or (False,
+# opener, closes) at any other element, with closes set at the block's
+# closer.  The k! vectors c of one class share it.
+_beta_plan: tuple[OrderedSetPartition | None, tuple[tuple[bool, int, bool], ...]] = (None, ())
+
+
+def _class_plan(pi0: OrderedSetPartition) -> tuple[tuple[bool, int, bool], ...]:
+    """The plan of pi0's class, kept while pi0 is equal to the last one."""
+    global _beta_plan
+    if _beta_plan[0] != pi0:
+        if not pi0.is_standard():
+            raise ValueError("beta expects a standard-form partition")
+        plan: list = [None] * pi0.n
+        for b, block in enumerate(pi0.blocks):
+            opener, closer = block[0], block[-1]
+            plan[opener - 1] = (True, b, opener != closer)
+            for el in block[1:]:
+                plan[el - 1] = (False, opener, el == closer)
+        _beta_plan = (pi0, tuple(plan))
+    return _beta_plan[1]
+
+
 def beta(pi0: OrderedSetPartition, c: Sequence[int]) -> OrderedSetPartition:
     """Rearrange a standard-form partition so that the block entering at the
     j-th opener/singleton lands at the gap relabelled c_j; transients and
     closers rejoin the block holding their original opener.  The resulting
-    block order realises MAJ = c_1 + ... + c_k.
+    block order realises MAJ = c_1 + ... + c_k.  What it reads of pi0 comes
+    from the plan of pi0's class, which the k! calls of one class share.
     """
-    if not pi0.is_standard():
-        raise ValueError("beta expects a standard-form partition")
+    plan = _class_plan(pi0)
     if len(c) != pi0.k:
         raise ValueError(f"need one entry per block: {pi0.k}")
-    lam = pi0.partition_type()
-    opener_like = sorted(lam.openers | lam.singletons)
-    rank = {el: j for j, el in enumerate(opener_like, start=1)}
-    opener_of = {el: block[0] for block in pi0.blocks for el in block}
+    # standard form: the j-th block's opener is the j-th opener/singleton
+    for j, c_j in enumerate(c, start=1):
+        if not 0 <= c_j <= j - 1:
+            raise ValueError(f"entry c_{j}={c_j} outside 0..{j - 1}")
 
     blocks: list[list[int]] = []
     active: list[bool] = []
-    for i in range(1, pi0.n + 1):
-        if i in rank:
-            c_j = c[rank[i] - 1]
-            if not 0 <= c_j <= rank[i] - 1:
-                raise ValueError(f"entry c_{rank[i]}={c_j} outside 0..{rank[i] - 1}")
-            pos = _insertion_positions(blocks, active)[c_j]
-            blocks.insert(pos, [i])
-            active.insert(pos, i in lam.openers)
+    block_of: dict[int, list[int]] = {}  # opener -> its block
+    for i, (new_block, key, flag) in enumerate(plan, start=1):
+        if new_block:
+            pos = _insertion_positions(blocks, active)[c[key]]
+            block = block_of[i] = [i]
+            blocks.insert(pos, block)
+            active.insert(pos, flag)
         else:
-            target = opener_of[i]
-            idx = next(j for j, b in enumerate(blocks) if active[j] and b[0] == target)
-            blocks[idx].append(i)
-            if i in lam.closers:
-                active[idx] = False
+            block = block_of[key]
+            block.append(i)
+            if flag:
+                active[blocks.index(block)] = False
     return OrderedSetPartition.from_blocks(blocks, n=pi0.n)
 
 

@@ -21,7 +21,11 @@ Both are bijections; composing them and the label-transport involution
 The encoders and their inverses build objects that are valid by
 construction, so they skip validation through the private ``_trusted``
 constructors; the validating constructors are the tests' oracle.  The
-diagram ``varphi`` returns is validated.
+diagram ``varphi`` returns is validated.  ``varphi`` collects the labels
+and the North/South-East pairing in one pass over the diagram and writes
+the image in one pass over the reversed steps, and
+``LatticePath.associated_permutation`` pairs the steps in one stack pass,
+as brackets are matched.
 """
 from __future__ import annotations
 
@@ -170,24 +174,33 @@ class LatticePath:
 
     def reverse(self) -> LatticePath:
         """Read the steps backwards, exchanging North and South-East."""
-        swap = {NORTH: SOUTH_EAST, SOUTH_EAST: NORTH, EAST: EAST, NULL: NULL}
-        return LatticePath(tuple(swap[s] for s in reversed(self.steps)))
+        return LatticePath(_reversed_steps(self.steps))
 
     def associated_permutation(self) -> Permutation:
         """Pair the j-th North step, starting at height t, with the first
-        later South-East step starting at height t+1."""
-        norths = self.step_positions(NORTH)
-        souths = self.step_positions(SOUTH_EAST)
-        images = []
-        for o in norths:
-            t = self.y(o)
-            for j, c in enumerate(souths, start=1):
-                if c > o and self.y(c) == t + 1:
-                    images.append(j)
-                    break
-            else:
-                raise AssertionError("unbalanced path passed validation")
+        later South-East step starting at height t+1.
+
+        Read as brackets, that South-East step is the North step's match,
+        so one stack pass pairs them all.
+        """
+        images: list[int] = []
+        unmatched: list[int] = []  # indices into images of open North steps
+        souths = 0
+        for step in self.steps:
+            if step == NORTH:
+                unmatched.append(len(images))
+                images.append(0)
+            elif step == SOUTH_EAST:
+                souths += 1
+                images[unmatched.pop()] = souths
         return Permutation(tuple(images))
+
+
+_REVERSED_STEP = {NORTH: SOUTH_EAST, SOUTH_EAST: NORTH, EAST: EAST, NULL: NULL}
+
+
+def _reversed_steps(steps: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(_REVERSED_STEP[s] for s in reversed(steps))
 
 
 def step_word(pi: OrderedSetPartition) -> str:
@@ -452,26 +465,31 @@ def varphi(h: PathDiagram) -> PathDiagram:
     reversed, and South-East labels travel along the North/South-East
     pairing of the associated permutation.  Both label sums (over N/E and
     over O/D steps) are preserved.
+
+    Read on the steps of h, the image reverses the order in which the N/E
+    labels are read, leaves each transient label on its step and moves each
+    South-East label onto its matching North step.  One pass over h
+    collects the N/E labels and the pairing, and one pass over the reversed
+    steps writes the image, which is validated.
     """
-    w = h.path
-    wb = w.reverse()
-    gamma = h.labels
-    sigma = w.associated_permutation()
-    r = sigma.size
-
-    os_w, os_wb = _os_positions(w), _os_positions(wb)
-    t_w, t_wb = w.step_positions(NULL), wb.step_positions(NULL)
-    c_w, c_wb = w.step_positions(SOUTH_EAST), wb.step_positions(SOUTH_EAST)
-
-    xi = [0] * h.n
-    for m, pos in enumerate(os_wb):
-        xi[pos - 1] = gamma[os_w[m] - 1]
-    u = len(t_w)
-    for m, pos in enumerate(t_wb, start=1):
-        xi[pos - 1] = gamma[t_w[u - m] - 1]
-    for m, pos in enumerate(c_wb, start=1):
-        xi[pos - 1] = gamma[c_w[sigma(r + 1 - m) - 1] - 1]
-    return PathDiagram(wb, tuple(xi))
+    steps = h.path.steps
+    os_labels = []  # the labels of the N/E steps, in order
+    moved = list(h.labels)  # each North step takes its South-East's label
+    unmatched = []  # the open North steps
+    for i, (step, label) in enumerate(zip(steps, h.labels)):
+        if step == NORTH or step == EAST:
+            os_labels.append(label)
+            if step == NORTH:
+                unmatched.append(i)
+        elif step == SOUTH_EAST:
+            moved[unmatched.pop()] = label
+    # the reversed path reads h's South-East and East steps as its N/E steps
+    os_iter = iter(os_labels)
+    labels = tuple(
+        next(os_iter) if step == SOUTH_EAST or step == EAST else moved[i]
+        for i, step in zip(reversed(range(len(steps))), reversed(steps))
+    )
+    return PathDiagram(LatticePath(_reversed_steps(steps)), labels)
 
 
 def diagram_permutation(h: PathDiagram) -> Permutation:

@@ -28,7 +28,9 @@ Three counters compare elements with the other blocks' openers and closers:
   ``composite`` read from the profile; ``transport_side`` maps it straight
   to what one side of a transport check compares (the six Euler-Mahonian
   composites, rsb_TC, INV and MAJ), and ``six_composites`` is the first six
-  of those.
+  of those.  ``rcb_lsb`` counts only rcb and lsb, which is all eq2.3 reads,
+  by one or two ``bisect`` calls per pair of blocks; the profile is its
+  reference.
 * ``table_side`` is the pair-table kernel for sums over whole families.  A
   pair of blocks adds the same terms to every block order that puts the
   same one of the two on the left, so one table per set of blocks holds,
@@ -72,6 +74,7 @@ __all__ = [
     "table_side",
     "transport_side",
     "aggregate_profile",
+    "rcb_lsb",
     "resolve_stat",
 ]
 
@@ -307,6 +310,25 @@ def aggregate_profile(pi: OrderedSetPartition) -> dict[str, int]:
     out["opb"] = out["lob"] + out["rob"]
     out["sb"] = out["lsb"] + out["rsb"]
     return out
+
+
+def rcb_lsb(pi: OrderedSetPartition) -> tuple[int, int]:
+    """rcb and lsb summed over all elements, which is all that eq2.3 reads;
+    ``aggregate_profile`` is the reference.
+
+    For each pair of blocks, L left of R, the elements of L below R's closer
+    add to rcb, and the elements of R strictly between L's opener and closer
+    add to lsb.  Blocks are sorted, so each count is one or two ``bisect``
+    calls, whatever the order of the blocks.
+    """
+    rcb = lsb = 0
+    blocks = pi.blocks
+    for a, left in enumerate(blocks, start=1):
+        lo, lc = left[0], left[-1]
+        for right in blocks[a:]:
+            rcb += bisect(left, right[-1])
+            lsb += bisect(right, lc) - bisect(right, lo)
+    return rcb, lsb
 
 
 def stat_restricted(pi: OrderedSetPartition, name: str, cls: str) -> int:

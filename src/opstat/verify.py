@@ -75,6 +75,7 @@ from .qpoly import (
 # here calls them
 from .statistics import (
     aggregate_profile,
+    rcb_lsb,
     six_composites,
     stat,
     stat_restricted,
@@ -307,7 +308,8 @@ def _thm35_sweep(pi: OrderedSetPartition) -> tuple[list, str | None]:
         *_, maj = table_side(rho)
         if maj != sum(c):
             return f"MAJ(beta({c})) != {sum(c)} at {rho}"
-        if rho.standard_form()[0] != pi:
+        # disjoint blocks sort by their minima, so this is rho's standard form
+        if tuple(sorted(rho.blocks)) != pi.blocks:
             return f"beta({c}) leaves the rearrangement class at {rho}"
         if beta_inv(rho) != c:
             return f"beta_inv round-trip fails at c={c}"
@@ -375,8 +377,8 @@ def _doubleton_sweep(parts: tuple[int, ...]) -> tuple[list, str | None]:
 # ---------------------------------------------------------------------------
 
 def _rcb_lsb(pi: OrderedSetPartition) -> tuple[tuple[int, int, int, int]]:
-    prof = aggregate_profile(pi)
-    return ((prof["rcb"], prof["lsb"], 0, 0),)
+    rcb, lsb = rcb_lsb(pi)
+    return ((rcb, lsb, 0, 0),)
 
 
 def _eq23_sweep(n: int, k: int) -> tuple[list, None]:

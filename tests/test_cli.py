@@ -129,6 +129,23 @@ def test_numeric_flag_errors_name_the_flag(capsys, flags, message):
     assert capsys.readouterr().err.strip() == f"error: {message}"
 
 
+@pytest.mark.parametrize("value", ["\uff13", "1_0", "+3"])
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["verify", "doubleton", "--max-sum"], "--max-sum"),
+        (["verify", "zezh", "--n", "3", "--jobs"], "--jobs"),
+        (["table", "stirling", "--n"], "--n"),
+    ],
+)
+def test_integer_flags_take_ascii_digits_only(capsys, argv, flag, value):
+    # int() would read each of these as 3 or 10
+    assert main([*argv, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == f"error: {flag} takes an integer, got {value!r}"
+
+
 def test_verification_failure_exits_two(capsys, monkeypatch):
     from opstat import cli
     from opstat.verify import VerificationReport
@@ -450,6 +467,11 @@ VERIFY_DIGESTS = {
     ("thm3.5", 6, 4): "56a41524426ed749fe55ffc456b68a7c654dc41505db5d2fc0290680924d9cb3",
     ("thm3.5", 6, 5): "68f4d2f17ba4aabd160e52e4cdda589d12ab6378a09f7f242b17609844e3d58b",
     ("thm3.5", 6, 6): "fa94b3b54406bb75177726b3a36e734e693dcc59d6827c434248dfbef32e5f93",
+    # recorded before varphi became one pass, beta read a per-class plan and
+    # eq2.3 read rcb and lsb without the profile
+    ("thm3.1", 6, 4): "b0a90493ccceeb28d636302a4d24dd44425149e0ecc6fe32756d04757e89fdf7",
+    ("eq2.3", 6, "all"): "916699fb1784d32d13186d4292abfad376bd45e905cedde073cde29936cf9e28",
+    ("eq2.3", 7, "all"): "4494da3c64968259123f7546e51b1c1e87bc0ad630a15ca8d69c5491c8d21799",
 }
 
 # SHA-256 of the stdout of `opstat table <kind> --n 14 --json`, recorded, like

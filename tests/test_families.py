@@ -22,6 +22,7 @@ from opstat.families import (
     subdiagonal_vectors,
     words,
 )
+from opstat.paths import _insertion_positions
 from opstat.statistics import stat
 
 
@@ -215,6 +216,77 @@ def test_beta_validation():
         beta(pi0, (0, 5))
     with pytest.raises(ValueError):
         beta(OrderedSetPartition.parse("3/1 2"), (0, 0))
+
+
+def _beta_per_call(pi0, c):
+    """beta with the class's type, opener ranks and openers rebuilt on every
+    call and each block found by a scan: the reference for ``beta``."""
+    if not pi0.is_standard():
+        raise ValueError("beta expects a standard-form partition")
+    if len(c) != pi0.k:
+        raise ValueError(f"need one entry per block: {pi0.k}")
+    lam = pi0.partition_type()
+    rank = {el: j for j, el in enumerate(sorted(lam.openers | lam.singletons), start=1)}
+    opener_of = {el: block[0] for block in pi0.blocks for el in block}
+    blocks, active = [], []
+    for i in range(1, pi0.n + 1):
+        if i in rank:
+            c_j = c[rank[i] - 1]
+            if not 0 <= c_j <= rank[i] - 1:
+                raise ValueError(f"entry c_{rank[i]}={c_j} outside 0..{rank[i] - 1}")
+            pos = _insertion_positions(blocks, active)[c_j]
+            blocks.insert(pos, [i])
+            active.insert(pos, i in lam.openers)
+        else:
+            idx = next(j for j, b in enumerate(blocks) if active[j] and b[0] == opener_of[i])
+            blocks[idx].append(i)
+            if i in lam.closers:
+                active[idx] = False
+    return OrderedSetPartition.from_blocks(blocks, n=pi0.n)
+
+
+def test_beta_matches_the_per_call_reference_exhaustive():
+    count = 0
+    for n in range(8):
+        for pi0 in set_partitions(n):
+            for c in subdiagonal_vectors(pi0.k):
+                assert beta(pi0, c) == _beta_per_call(pi0, c)
+                count += 1
+    assert count == sum(fubini(n) for n in range(8))
+
+
+def test_beta_reads_the_plan_of_the_class_it_is_given():
+    # classes A, B, A with one type, so a plan kept across classes would put
+    # the wrong transients into the blocks; then A as another equal object
+    a, b = OrderedSetPartition.parse("1 3/2 4/5"), OrderedSetPartition.parse("1 4/2 3/5")
+    assert a.partition_type() == b.partition_type()
+    copy_of_a = OrderedSetPartition.parse("1 3/2 4/5")
+    assert copy_of_a == a and copy_of_a is not a
+    for pi0 in (a, b, a, copy_of_a, b):
+        for c in subdiagonal_vectors(3):
+            rho = beta(pi0, c)
+            assert rho == _beta_per_call(pi0, c)
+            assert sorted(rho.blocks) == list(pi0.blocks)
+
+
+@pytest.mark.parametrize(
+    "pi0,c,message",
+    [
+        ("3/1 2", (0,), "beta expects a standard-form partition"),
+        ("1 2/3", (0, 5, 0), "need one entry per block: 2"),
+        ("1 2/3", (0, 5), "entry c_2=5 outside 0..1"),
+        ("1/2/3", (1, 5, 9), "entry c_1=1 outside 0..0"),
+        ("1/2/3", (0, 0, -1), "entry c_3=-1 outside 0..2"),
+    ],
+)
+def test_beta_refuses_in_the_reference_order(pi0, c, message):
+    pi0 = OrderedSetPartition.parse(pi0)
+    # a plan kept for another class changes nothing
+    beta(OrderedSetPartition.parse("1 2/3"), (0, 1))
+    for rearrange in (beta, _beta_per_call):
+        with pytest.raises(ValueError) as excinfo:
+            rearrange(pi0, c)
+        assert str(excinfo.value) == message
 
 
 @cache

@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 
 import pytest
 
 from opstat.core import OrderedSetPartition, PartitionType, Permutation, Trace
 from opstat.families import (
+    _paths,
     ordered_set_partitions,
     path_diagrams,
     permutations,
@@ -538,3 +540,81 @@ def test_insertion_positions_match_the_set_and_sort_reference():
                 t = pi.trace(i)
                 blocks, active = [list(b) for b in t.blocks], list(t.active)
                 assert _insertion_positions(blocks, active) == _insertion_positions_by_sets(blocks, active)
+
+
+# ---------------------------------------------------------------------------
+# The one-pass varphi and the stack pairing, against the six-scan varphi and
+# the nested-scan pairing; the encodings' outputs, against digests
+# ---------------------------------------------------------------------------
+
+def _positions(path, kinds):
+    return tuple(i for i, s in enumerate(path.steps, start=1) if s in kinds)
+
+
+def _associated_permutation_by_scans(path):
+    """Each North step's South-East step found by a scan over all of them:
+    the reference for ``LatticePath.associated_permutation``."""
+    souths = _positions(path, "D")
+    images = []
+    for o in _positions(path, "N"):
+        t = path.y(o)
+        images.append(next(j for j, c in enumerate(souths, start=1) if c > o and path.y(c) == t + 1))
+    return Permutation(tuple(images))
+
+
+def _varphi_by_scans(h):
+    """varphi from the step positions of the path and of its reverse, six
+    scans in all: the reference for ``varphi``."""
+    w = h.path
+    wb = w.reverse()
+    sigma = _associated_permutation_by_scans(w)
+    r = sigma.size
+    os_w, os_wb = _positions(w, "NE"), _positions(wb, "NE")
+    t_w, t_wb = _positions(w, "O"), _positions(wb, "O")
+    c_w, c_wb = _positions(w, "D"), _positions(wb, "D")
+    xi = [0] * h.n
+    for m, pos in enumerate(os_wb):
+        xi[pos - 1] = h.labels[os_w[m] - 1]
+    u = len(t_w)
+    for m, pos in enumerate(t_wb, start=1):
+        xi[pos - 1] = h.labels[t_w[u - m] - 1]
+    for m, pos in enumerate(c_wb, start=1):
+        xi[pos - 1] = h.labels[c_w[sigma(r + 1 - m) - 1] - 1]
+    return PathDiagram(wb, tuple(xi))
+
+
+def test_varphi_matches_the_six_scan_reference():
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for h in path_diagrams(n, k):
+                assert varphi(h) == _varphi_by_scans(h)
+
+
+def test_associated_permutation_matches_the_nested_scan_reference():
+    count = 0
+    for n in range(9):
+        for k in range(n + 1):
+            for steps in _paths(n, k):
+                path = LatticePath(steps)
+                assert path.associated_permutation() == _associated_permutation_by_scans(path)
+                count += 1
+    assert count == 2056  # the paths of every depth with n <= 8
+
+
+# SHA-256 of the concatenated stdout of `opstat map --xi|--upsilon|--theta <pi>`
+# and `opstat encode --phi|--psi <pi>` over every ordered partition with
+# 1 <= n <= 6, in generator order: each call prints the image's text and a
+# newline.  Recorded before varphi became one pass.
+ENCODING_DIGESTS = {
+    xi_map: "0f4a504caefff2876803821c30250da5b7e02f394898be6438b610a30ccbeb9a",
+    upsilon: "112012d7aada0d574263ab78816b9e82c51d99732408488b7da29de892989f32",
+    theta_map: "f5b0219be6dd79fae271555e4448287eea51db777ada983b7ee377a7b4e33aeb",
+    phi_inv: "5c7c73b7f700d58b835b7d28e9a1d85e24063d6f55758f993c7af1b587496f94",
+    psi_inv: "6b87e53235702134a49256d3dc807cc5a5086793e7c02d377e34862c1a43fbbf",
+}
+
+
+@pytest.mark.parametrize("encoding", ENCODING_DIGESTS, ids=lambda f: f.__name__)
+def test_encoding_outputs_match_recorded_digests(encoding):
+    out = "".join(f"{encoding(pi).to_text()}\n" for n in range(1, 7) for pi in ordered_set_partitions(n))
+    assert hashlib.sha256(out.encode()).hexdigest() == ENCODING_DIGESTS[encoding]

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from opstat.core import OrderedSetPartition, Trace
-from opstat.families import ordered_set_partitions
+from opstat.families import ordered_set_partitions, set_partitions
 from opstat.statistics import (
     COORD_NAMES,
     aggregate_profile,
@@ -14,6 +14,7 @@ from opstat.statistics import (
     composite,
     coord_stats,
     coordinate_table,
+    rcb_lsb,
     resolve_stat,
     six_composites,
     stat,
@@ -326,6 +327,16 @@ def test_transport_side_matches_profile_and_reference_exhaustive():
                 rsb_os + b_inv,
                 rsb_os + b_maj,
             )
+
+
+def test_rcb_lsb_matches_the_profile_exhaustive():
+    # every block order for n <= 6, and the standard forms eq2.3 sums over
+    # for n <= 8
+    family = [pi for n in range(1, 7) for pi in ordered_set_partitions(n)]
+    family += [pi for n in range(7, 9) for pi in set_partitions(n)]
+    for pi in family:
+        prof = aggregate_profile(pi)
+        assert rcb_lsb(pi) == (prof["rcb"], prof["lsb"])
 
 
 def test_table_composites_match_six_composites_exhaustive():

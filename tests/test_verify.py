@@ -242,9 +242,7 @@ def _stand_in(monkeypatch, generator, member, stand_in):
 
 
 def _bump(index):
-    """Raise entry ``index`` of a tuple or a profile dict by one."""
-    if isinstance(index, str):
-        return lambda profile: {**profile, index: profile[index] + 1}
+    """Raise entry ``index`` of a tuple by one."""
     return lambda values: _add(values, index, 1)
 
 
@@ -276,7 +274,8 @@ _SLOT_PLANTS = [
     ("thm3.2", dict(n=4, k=3), lambda mp: _plant(mp, "table_side", _TARGET, _bump(1)), False),
     ("thm3.4", dict(n=4, k=3), lambda mp: _plant(mp, "table_side", _TARGET, _bump(3)), True),
     ("thm3.4", dict(n=4, k=3), lambda mp: _plant(mp, "table_side", _TARGET, _bump(4)), False),
-    ("eq2.3", dict(n=4, k=3), lambda mp: _plant(mp, "aggregate_profile", _parsed("1 3/2/4"), _bump("rcb")), True),
+    # rcb_lsb returns (rcb, lsb)
+    ("eq2.3", dict(n=4, k=3), lambda mp: _plant(mp, "rcb_lsb", _parsed("1 3/2/4"), _bump(0)), True),
     # side entries 0 and 1 are cls+rsb_TC+INV and opb+rsb_TC+INV
     ("eq9.2", dict(n=4, k=3), lambda mp: _plant(mp, "table_side", _TARGET, _bump(0)), True),
     ("eq9.2", dict(n=4, k=3), lambda mp: _plant(mp, "table_side", _TARGET, _bump(1)), False),
