@@ -21,7 +21,11 @@ Both are bijections; composing them and the label-transport involution
 The encoders and their inverses build objects that are valid by
 construction, so they skip validation through the private ``_trusted``
 constructors; the validating constructors are the tests' oracle.  The
-diagram ``varphi`` returns is validated.  ``varphi`` collects the labels
+inverses count labels off a state list (each of pi's blocks unseen, active
+or complete), and the decoders take an O/D step's block from a
+left-to-right list of the active blocks, replaying no trace.
+
+The diagram ``varphi`` returns is validated.  ``varphi`` collects the labels
 and the North/South-East pairing in one pass over the diagram and writes
 the image in one pass over the reversed steps, and
 ``LatticePath.associated_permutation`` pairs the steps in one stack pass,
@@ -29,7 +33,6 @@ as brackets are matched.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,6 +67,7 @@ __all__ = [
 
 NORTH, EAST, SOUTH_EAST, NULL = "N", "E", "D", "O"
 _STEP_CHARS = {NORTH, EAST, SOUTH_EAST, NULL}
+_UNSEEN, _ACTIVE, _COMPLETE = 0, 1, 2  # the states of a block while a partition is read
 
 
 @dataclass(frozen=True)
@@ -292,18 +296,7 @@ class PathDiagram:
 # Shared trace-growing machinery
 # ---------------------------------------------------------------------------
 
-def _active_index_from_right(active: list[bool], m: int) -> int:
-    """Index of the active block having exactly m active blocks to its right."""
-    count = 0
-    for idx in range(len(active) - 1, -1, -1):
-        if active[idx]:
-            if count == m:
-                return idx
-            count += 1
-    raise ValueError(f"no active block with {m} active blocks to its right")
-
-
-def _insertion_positions(blocks: list[list[int]], active: list[bool]) -> tuple[int, ...]:
+def _insertion_positions(blocks: list[list[int]] | list[tuple[int, ...]], active: list[bool]) -> tuple[int, ...]:
     """Gap relabelling (a_0, ..., a_r) of the r+1 insertion positions.
 
     Position j sits left of block j+1 (position r is the right end); it is
@@ -325,7 +318,7 @@ def _insertion_positions(blocks: list[list[int]], active: list[bool]) -> tuple[i
 
 def insertion_labels(t: Trace) -> tuple[int, ...]:
     """Public form of the gap relabelling, for an explicit trace."""
-    return _insertion_positions([list(b) for b in t.blocks], list(t.active))
+    return _insertion_positions(list(t.blocks), list(t.active))
 
 
 def trace_with_block(t: Trace, position: int, element: int, active: bool = False) -> Trace:
@@ -340,76 +333,70 @@ def trace_with_block(t: Trace, position: int, element: int, active: bool = False
     return Trace(tuple(blocks), tuple(flags))
 
 
-def _grow(builder_blocks, builder_active, step, label, i, by_gap_rank):
-    """Extend a partial partition by one element.
-
-    N/E create a block at a gap; O/D join the active block with ``label``
-    active blocks to its right.  ``by_gap_rank`` chooses between plain
-    right-to-left gap numbering (phi) and the descent-sensitive relabelling
-    (psi) for the N/E case.
-    """
-    if step in (NORTH, EAST):
-        if by_gap_rank:
-            pos = len(builder_blocks) - label
-        else:
-            pos = _insertion_positions(builder_blocks, builder_active)[label]
-        builder_blocks.insert(pos, [i])
-        builder_active.insert(pos, step == NORTH)
-    else:
-        idx = _active_index_from_right(builder_active, label)
-        builder_blocks[idx].append(i)
-        if step == SOUTH_EAST:
-            builder_active[idx] = False
-
-
 def _run_encoding(h: PathDiagram, by_gap_rank: bool) -> OrderedSetPartition:
-    blocks: list[list[int]] = []
+    """Decode h.  An N/E label names the gap of the new block: it counts the
+    gaps right of it (phi) or indexes ``_insertion_positions`` (psi).  An O/D
+    label l names ``open_blocks[-1 - l]``, the active block with l active
+    blocks right of it."""
+    blocks: list[list[int]] = []  # the trace, left to right
     active: list[bool] = []
+    open_blocks: list[list[int]] = []  # the active blocks, left to right
     for i, (step, label) in enumerate(zip(h.path.steps, h.labels), start=1):
-        _grow(blocks, active, step, label, i, by_gap_rank)
-    assert not any(active)
+        if step == NORTH or step == EAST:
+            pos = len(blocks) - label if by_gap_rank else _insertion_positions(blocks, active)[label]
+            block = [i]
+            if step == NORTH:
+                open_blocks.insert(active[:pos].count(True), block)
+            blocks.insert(pos, block)
+            active.insert(pos, step == NORTH)
+        else:
+            block = open_blocks[-1 - label]
+            block.append(i)
+            if step == SOUTH_EAST:
+                del open_blocks[-1 - label]
+                active[blocks.index(block)] = False  # the blocks are disjoint
+    assert not open_blocks
     # each block grew in increasing order and every element of [n] went
     # into one block, so the blocks are a sorted partition of [n]
     return OrderedSetPartition._trusted(h.n, tuple(map(tuple, blocks)))
 
 
 def _read_labels(pi: OrderedSetPartition, by_gap_rank: bool) -> PathDiagram:
-    """Inverse of ``_run_encoding``: grow the traces of pi and record, per
-    element, the step and the label with which ``_grow`` puts it where pi
-    has it.
-
-    The steps are ``step_word(pi)``.  A new block goes to the gap left of
-    the trace blocks that follow it in pi; its label is that gap's rank from
-    the right (phi) or its index in ``_insertion_positions`` (psi).  Any
-    other element's label is the number of active blocks right of its block.
-    Every label lies within its step's bounds, so the diagram is built
-    unchecked.
+    """Inverse of ``_run_encoding``, on the steps ``step_word(pi)``.  With
+    ``state`` holding each of pi's blocks unseen, active or complete, a label
+    counts the blocks right of the element's block in pi that are created
+    (phi, at an opener or singleton) or active (elsewhere).  psi's opener
+    labels index ``_insertion_positions`` of the trace, held as pi's whole
+    blocks: it reads each block's first element and the last of complete
+    blocks only.  The labels lie within their steps' bounds, so the diagram
+    is built unchecked.
     """
     word = step_word(pi)
-    owner = [0] * (pi.n + 1)  # pi's block index of each element
+    owner = [0] * pi.n  # pi's block index of each element
     for b, block in enumerate(pi.blocks):
         for el in block:
-            owner[el] = b
-    blocks: list[list[int]] = []
+            owner[el - 1] = b
+    state = [_UNSEEN] * pi.k
+    trace: list[tuple[int, ...]] = []  # psi only
     active: list[bool] = []
-    order: list[int] = []  # pi's block index of each trace block, increasing
     labels = []
-    for i, step in enumerate(word, start=1):
-        b = owner[i]
-        pos = bisect_left(order, b)
-        if step in (NORTH, EAST):
+    for step, b in zip(word, owner):
+        if step == NORTH or step == EAST:
             if by_gap_rank:
-                labels.append(len(blocks) - pos)
+                right = state[b + 1:]
+                labels.append(len(right) - right.count(_UNSEEN))
             else:
-                labels.append(_insertion_positions(blocks, active).index(pos))
-            order.insert(pos, b)
-            blocks.insert(pos, [i])
-            active.insert(pos, step == NORTH)
+                pos = b - state[:b].count(_UNSEEN)  # block b's position in the trace
+                labels.append(_insertion_positions(trace, active).index(pos))
+                trace.insert(pos, pi.blocks[b])
+                active.insert(pos, step == NORTH)
+            state[b] = _ACTIVE if step == NORTH else _COMPLETE
         else:
-            labels.append(sum(active[pos + 1:]))
-            blocks[pos].append(i)
+            labels.append(state[b + 1:].count(_ACTIVE))
             if step == SOUTH_EAST:
-                active[pos] = False
+                if not by_gap_rank:
+                    active[b - state[:b].count(_UNSEEN)] = False
+                state[b] = _COMPLETE
     return PathDiagram._trusted(LatticePath._trusted(tuple(word)), tuple(labels))
 
 

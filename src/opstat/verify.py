@@ -209,11 +209,21 @@ def _with_side(family, side):
 
 
 def _xi_violation(
-    pi: OrderedSetPartition, sigma: Permutation, side: tuple[int, ...] | None = None
+    pi: OrderedSetPartition, sigma: Permutation, side: tuple[int, ...] | None = None,
+    partners: dict | None = None,
 ) -> str | None:
     """The conjugated involution must swap mak+bInv with mak'+bInv, fix
     cinvLSB and rsb_TC, and stay inside the sigma-class.  ``side`` is pi's
-    ``transport_side`` when the caller has already computed it."""
+    ``transport_side`` when the caller has already computed it.
+
+    A sweep passes one ``partners`` dict to every check.  When pi passes
+    with xi(pi) = rho != pi, xi(rho) = pi holds, and rho's checks are pi's
+    with the two exchanged, which are symmetric, except the class of rho's
+    image pi.  So pi records rho -> pi, and at rho only that class is tested.
+    """
+    image = partners.pop(pi, None) if partners else None
+    if image is not None:
+        return None if image.standard_form()[1] == sigma else f"image leaves the sigma-class: {pi} -> {image}"
     if side is None:
         side = transport_side(pi)
     image = xi_map(pi)
@@ -225,17 +235,20 @@ def _xi_violation(
         return f"rsb_TC changes: {pi} -> {image}"
     if image.standard_form()[1] != sigma:
         return f"image leaves the sigma-class: {pi} -> {image}"
-    if xi_map(image) != pi:
+    if image != pi and xi_map(image) != pi:
         return f"not an involution at {pi}"
+    if image != pi and partners is not None:
+        partners[image] = pi
     return None
 
 
 def _thm31_sweep(n: int, k: int, sigma: Permutation) -> tuple[list, str | None]:
+    partners: dict = {}
     counts, counterexample = _tally(
         _with_side(sigma_partitions(n, k, sigma), transport_side),
         lambda row: _em_pair(0, row[1]),
         2,
-        lambda row: _xi_violation(row[0], sigma, row[1]),
+        lambda row: _xi_violation(row[0], sigma, row[1], partners),
     )
     inv = sigma.inversion_number()
     rhs = LaurentPolynomial.monomial(1, ep=inv, eq=k * (k - 1) - inv) * stirling_pq(n, k)

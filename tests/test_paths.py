@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from bisect import bisect_left
 
 import pytest
 
@@ -12,6 +13,9 @@ from opstat.families import (
     set_partitions,
 )
 from opstat.paths import (
+    EAST,
+    NORTH,
+    SOUTH_EAST,
     LatticePath,
     PathDiagram,
     _insertion_positions,
@@ -540,6 +544,119 @@ def test_insertion_positions_match_the_set_and_sort_reference():
                 t = pi.trace(i)
                 blocks, active = [list(b) for b in t.blocks], list(t.active)
                 assert _insertion_positions(blocks, active) == _insertion_positions_by_sets(blocks, active)
+
+
+
+# ---------------------------------------------------------------------------
+# The state-count label reading and the open-block decoder, against the
+# trace-replaying encoders
+# ---------------------------------------------------------------------------
+
+def _active_index_from_right(active: list[bool], m: int) -> int:
+    """Index of the active block having exactly m active blocks to its right."""
+    count = 0
+    for idx in range(len(active) - 1, -1, -1):
+        if active[idx]:
+            if count == m:
+                return idx
+            count += 1
+    raise ValueError(f"no active block with {m} active blocks to its right")
+
+
+def _grow(builder_blocks, builder_active, step, label, i, by_gap_rank):
+    """Extend a partial partition by one element.
+
+    N/E create a block at a gap; O/D join the active block with ``label``
+    active blocks to its right.  ``by_gap_rank`` chooses between plain
+    right-to-left gap numbering (phi) and the descent-sensitive relabelling
+    (psi) for the N/E case.
+    """
+    if step in (NORTH, EAST):
+        if by_gap_rank:
+            pos = len(builder_blocks) - label
+        else:
+            pos = _insertion_positions(builder_blocks, builder_active)[label]
+        builder_blocks.insert(pos, [i])
+        builder_active.insert(pos, step == NORTH)
+    else:
+        idx = _active_index_from_right(builder_active, label)
+        builder_blocks[idx].append(i)
+        if step == SOUTH_EAST:
+            builder_active[idx] = False
+
+
+def _run_encoding_by_replay(h: PathDiagram, by_gap_rank: bool) -> OrderedSetPartition:
+    """The decoder that scans for each active block: the reference for
+    ``phi`` and ``psi``."""
+    blocks: list[list[int]] = []
+    active: list[bool] = []
+    for i, (step, label) in enumerate(zip(h.path.steps, h.labels), start=1):
+        _grow(blocks, active, step, label, i, by_gap_rank)
+    assert not any(active)
+    # each block grew in increasing order and every element of [n] went
+    # into one block, so the blocks are a sorted partition of [n]
+    return OrderedSetPartition._trusted(h.n, tuple(map(tuple, blocks)))
+
+
+def _read_labels_by_replay(pi: OrderedSetPartition, by_gap_rank: bool) -> PathDiagram:
+    """Inverse of ``_run_encoding``: grow the traces of pi and record, per
+    element, the step and the label with which ``_grow`` puts it where pi
+    has it.
+
+    The steps are ``step_word(pi)``.  A new block goes to the gap left of
+    the trace blocks that follow it in pi; its label is that gap's rank from
+    the right (phi) or its index in ``_insertion_positions`` (psi).  Any
+    other element's label is the number of active blocks right of its block.
+    Every label lies within its step's bounds, so the diagram is built
+    unchecked.
+    """
+    word = step_word(pi)
+    owner = [0] * (pi.n + 1)  # pi's block index of each element
+    for b, block in enumerate(pi.blocks):
+        for el in block:
+            owner[el] = b
+    blocks: list[list[int]] = []
+    active: list[bool] = []
+    order: list[int] = []  # pi's block index of each trace block, increasing
+    labels = []
+    for i, step in enumerate(word, start=1):
+        b = owner[i]
+        pos = bisect_left(order, b)
+        if step in (NORTH, EAST):
+            if by_gap_rank:
+                labels.append(len(blocks) - pos)
+            else:
+                labels.append(_insertion_positions(blocks, active).index(pos))
+            order.insert(pos, b)
+            blocks.insert(pos, [i])
+            active.insert(pos, step == NORTH)
+        else:
+            labels.append(sum(active[pos + 1:]))
+            blocks[pos].append(i)
+            if step == SOUTH_EAST:
+                active[pos] = False
+    return PathDiagram._trusted(LatticePath._trusted(tuple(word)), tuple(labels))
+
+
+def test_encoder_inverses_match_the_trace_replaying_reference():
+    count = 0
+    for n in range(1, 7):
+        for pi in ordered_set_partitions(n):
+            assert phi_inv(pi) == _read_labels_by_replay(pi, by_gap_rank=True)
+            assert psi_inv(pi) == _read_labels_by_replay(pi, by_gap_rank=False)
+            count += 1
+    assert count == 5316  # the ordered partitions with 1 <= n <= 6
+
+
+def test_encoders_match_the_trace_replaying_reference():
+    count = 0
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for h in path_diagrams(n, k):
+                assert phi(h) == _run_encoding_by_replay(h, by_gap_rank=True)
+                assert psi(h) == _run_encoding_by_replay(h, by_gap_rank=False)
+                count += 1
+    assert count == 5316  # as many path diagrams: phi is a bijection
 
 
 # ---------------------------------------------------------------------------

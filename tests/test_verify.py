@@ -172,6 +172,67 @@ def test_thm31_fails_when_xi_returns_its_input(monkeypatch):
     )
 
 
+def test_thm31_runs_xi_once_per_class_member(monkeypatch):
+    # a member with image rho != pi runs xi at pi and at rho, and rho's own
+    # check then runs none; a fixed point runs xi once
+    from opstat.families import permutations
+
+    module = importlib.import_module(_VERIFY)
+    xi_map = module.xi_map
+    calls = []
+    monkeypatch.setattr(module, "xi_map", lambda pi: calls.append(pi) or xi_map(pi))
+    for sigma in permutations(3):
+        calls.clear()
+        assert verify("thm3.1", n=5, k=3, sigma=sigma).passed
+        assert len(calls) == 25  # S(5,3), the size of each sigma-class
+
+
+def test_thm31_fails_when_xi_is_not_an_involution(monkeypatch):
+    # xi fixes the image of the class's first member, so that member's
+    # image passes the triple swap, rsb_TC and class checks but does not
+    # map back
+    module = importlib.import_module(_VERIFY)
+    xi_map = module.xi_map
+    rho = xi_map(_parsed("5/1 2 3/4"))
+    assert rho == _parsed("3 4 5/1/2")
+    monkeypatch.setattr(module, "xi_map", lambda pi: pi if pi == rho else xi_map(pi))
+    _assert_fails_at(verify("thm3.1", n=5, k=3, sigma="312"), "not an involution at 5/1 2 3/4")
+
+
+def test_thm31_tests_the_class_of_a_recorded_partner(monkeypatch):
+    # 2/4/1 3, outside the class, stands in for 4/1 3/2, and xi exchanges it
+    # with the member 3/1/2 4, whose side is its side with mak and mak'
+    # swapped.  The stand-in's check passes and records 3/1/2 4, so the
+    # class of the stand-in is tested when 3/1/2 4 comes
+    module = importlib.import_module(_VERIFY)
+    stand_in, rho = _parsed("2/4/1 3"), _parsed("3/1/2 4")
+    _stand_in(monkeypatch, "sigma_partitions", _parsed("4/1 3/2"), stand_in)
+    xi_map = module.xi_map
+    swapped = {stand_in: rho, rho: stand_in}
+    monkeypatch.setattr(module, "xi_map", lambda pi: swapped.get(pi) or xi_map(pi))
+    _assert_fails_at(
+        verify("thm3.1", n=4, k=3, sigma="312"), "image leaves the sigma-class: 3/1/2 4 -> 2/4/1 3"
+    )
+
+
+def test_thm33_sees_two_special_gaps_swapped_in_psi(monkeypatch):
+    # psi's relabelling with a_1 and a_2 exchanged wherever the trace has at
+    # least two special gaps: at n = 5, k = 2 does not see it and k = 3 does
+    paths = importlib.import_module("opstat.paths")
+    positions = paths._insertion_positions
+
+    def planted(blocks, active):
+        labels = positions(blocks, active)
+        special = sum(
+            1 for j in range(len(blocks)) if active[j] or (j and blocks[j - 1][0] > blocks[j][-1])
+        )
+        return (labels[0], labels[2], labels[1], *labels[3:]) if special >= 2 else labels
+
+    monkeypatch.setattr(paths, "_insertion_positions", planted)
+    assert verify("thm3.3", n=5, k=2).passed
+    _assert_fails_at(verify("thm3.3", n=5, k=3), "triple transport fails: 3 5/4/1 2 -> 4/3 5/1 2")
+
+
 @pytest.mark.parametrize(
     "theorem,params,index,counterexample",
     [
