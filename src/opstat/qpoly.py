@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, wraps
 from itertools import compress, product
@@ -61,8 +62,14 @@ __all__ = [
 ]
 
 VARS = ("p", "q", "t", "x")
-_VAR_INDEX = {name: i for i, name in enumerate(VARS)}
 Exponents = tuple[int, int, int, int]
+
+
+def _var_index(name: str) -> int:
+    """The exponent slot of variable ``name``."""
+    if name not in VARS:
+        raise ValueError(f"unknown variable {name!r}; the variables are {', '.join(VARS)}")
+    return VARS.index(name)
 
 
 class LaurentPolynomial:
@@ -102,7 +109,7 @@ class LaurentPolynomial:
     @classmethod
     def variable(cls, name: str, exp: int = 1) -> LaurentPolynomial:
         exps = [0, 0, 0, 0]
-        exps[_VAR_INDEX[name]] = exp
+        exps[_var_index(name)] = exp
         return cls({tuple(exps): 1})
 
     # -- basic protocol -----------------------------------------------------
@@ -201,7 +208,7 @@ class LaurentPolynomial:
 
     def truncate(self, var: str, order: int) -> LaurentPolynomial:
         """Drop all terms with exponent of ``var`` above ``order``."""
-        idx = _VAR_INDEX[var]
+        idx = _var_index(var)
         return LaurentPolynomial({e: c for e, c in self._terms.items() if e[idx] <= order})
 
     def map_exponents(self, fn: Callable[[Exponents], Exponents]) -> LaurentPolynomial:
@@ -437,7 +444,7 @@ def q_int(k: int, var: str = "q") -> LaurentPolynomial:
     """[k] = 1 + v + ... + v^(k-1) in the chosen variable."""
     if k < 0:
         raise ValueError("q-integer of a negative argument")
-    idx = _VAR_INDEX[var]
+    idx = _var_index(var)
     terms = {}
     for i in range(k):
         exps = [0, 0, 0, 0]
@@ -667,21 +674,6 @@ def verify_q_frobenius(n: int, order: int) -> bool:
 Weight = tuple[Union[str, Callable], str]
 
 
-def _tally(family: Iterable, keys: Callable, slots: int, check: Callable | None = None) -> tuple[list[dict], str | None]:
-    """Stream ``family`` once.  Counter j counts the objects by the j-th of
-    the ``slots`` keys in ``keys(obj)``; ``check(obj)`` runs on each object
-    until it first returns something other than None, which is returned
-    beside the counters."""
-    counters: list[dict] = [{} for _ in range(slots)]
-    first = None
-    for obj in family:
-        for counter, key in zip(counters, keys(obj)):
-            counter[key] = counter.get(key, 0) + 1
-        if check is not None and first is None:
-            first = check(obj)
-    return counters, first
-
-
 def distribution(family: Iterable, weights: Sequence[Weight]) -> LaurentPolynomial:
     """Sum, over the family, of the monomial prod_var var^stat(object).
 
@@ -694,15 +686,14 @@ def distribution(family: Iterable, weights: Sequence[Weight]) -> LaurentPolynomi
     from .statistics import resolve_stat
 
     resolved = [
-        (stat if callable(stat) else resolve_stat(stat), _VAR_INDEX[var])
+        (stat if callable(stat) else resolve_stat(stat), _var_index(var))
         for stat, var in weights
     ]
 
-    def exponents(obj) -> tuple[Exponents]:
+    def exponents(obj) -> Exponents:
         exps = [0, 0, 0, 0]
         for fn, idx in resolved:
             exps[idx] += fn(obj)
-        return (tuple(exps),)
+        return tuple(exps)
 
-    (counts,), _ = _tally(family, exponents, 1)
-    return LaurentPolynomial(counts)
+    return LaurentPolynomial(Counter(map(exponents, family)))

@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from math import comb
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .core import (
     OrderedSetPartition,
@@ -63,7 +63,6 @@ from .families import (
 from .paths import LatticePath, step_word, upsilon, xi_map
 from .qpoly import (
     LaurentPolynomial,
-    _tally,
     gauss_binomial,
     pq_factorial,
     q_factorial,
@@ -129,6 +128,43 @@ def _as_permutation(sigma: Union[Permutation, str, Sequence[int]]) -> Permutatio
 
 
 # ---------------------------------------------------------------------------
+# One fold, keyed per distinct row, for every enumerated sum
+# ---------------------------------------------------------------------------
+
+def _fold(family: Iterable, row: Callable, keys: Callable, slots: int, check: Callable | None = None) -> tuple:
+    """Count j sums the j-th of the ``slots`` keys in ``keys(row(obj))``
+    over the family, keying each distinct row once, weighted by its number
+    of objects.  ``check(obj, row(obj))`` runs on every object in order until
+    it first returns a counterexample, which is returned beside the counts."""
+    first = None
+    if check is None:
+        rows = Counter(map(row, family))
+    else:
+        rows = Counter()
+        for obj in family:
+            values = row(obj)
+            rows[values] = rows.get(values, 0) + 1
+            if first is None:
+                first = check(obj, values)
+    counts: list[dict] = [{} for _ in range(slots)]
+    for values, objects in rows.items():
+        for counter, key in zip(counts, keys(values)):
+            counter[key] = counter.get(key, 0) + objects
+    return counts, first
+
+
+def _sum_sweep(family: Iterable, row: Callable, keys: Callable, slots: int, rhs: LaurentPolynomial) -> tuple:
+    """Each of the ``slots`` sums of ``_fold`` against ``rhs``."""
+    counts, _ = _fold(family, row, keys, slots)
+    return [(LaurentPolynomial(c), rhs) for c in counts], None
+
+
+def _q_keys(row: Sequence[int]) -> list[tuple[int, int, int, int]]:
+    """Each entry of the row, such as (inv, maj), as a q exponent."""
+    return [(0, e, 0, 0) for e in row]
+
+
+# ---------------------------------------------------------------------------
 # Sums over all ordered partitions: thm3.2, thm3.4, eq5.8 and eq9.2
 # ---------------------------------------------------------------------------
 
@@ -169,17 +205,8 @@ def _t_keys(t_slots: tuple[int, ...], k: int, row: Sequence[int]) -> list[tuple[
 
 
 def _op_sweep(n: int, k: int, row: Callable, keys: Callable, slots: int, rhs: Callable) -> tuple[list, None]:
-    """Sum over OP(n,k) against ``rhs(n, k)``: ``row(pi)`` is all that the
-    ``slots`` keys ``keys(row)`` read of pi.  Many objects share a row (the
-    47,293 ordered partitions of [7] have 10,325 sides), so each distinct row
-    is keyed once and counted with its number of objects."""
-    rows = Counter(map(row, ordered_set_partitions(n, k, allow_large=True)))
-    counts = [Counter() for _ in range(slots)]
-    for values, objects in rows.items():
-        for counter, key in zip(counts, keys(values)):
-            counter[key] += objects
-    expected = rhs(n, k)
-    return [(LaurentPolynomial(c), expected) for c in counts], None
+    """The sums over OP(n,k) against ``rhs(n, k)``."""
+    return _sum_sweep(ordered_set_partitions(n, k, allow_large=True), row, keys, slots, rhs(n, k))
 
 
 def _em_rhs(n: int, k: int) -> LaurentPolynomial:
@@ -196,17 +223,11 @@ def _t_rhs(n: int, k: int) -> LaurentPolynomial:
 
 # Each transport check reads both of its sides as ``transport_side`` tuples:
 # (mak+bInv, mak'+bInv, cinvLSB, mak+bMaj, mak'+bMaj, cmajLSB, rsb_TC, INV,
-# MAJ).  The family is tallied as (pi, side) rows, so pi's side is computed
-# once for the distribution keys and the pointwise check.  Where every object
-# is a block order of one set of blocks (thm3.3's ordered partitions in
-# generator order, as in the OP(n,k) sums above, a rearrangement class and
-# its beta images), the side is read from the pair table, ``table_side``;
-# images under xi and upsilon have other blocks and are read by
-# ``transport_side``.
-
-def _with_side(family, side):
-    return ((pi, side(pi)) for pi in family)
-
+# MAJ).  pi's side is in its row, which the fold hands to the pointwise check.
+# Where every object is a block order of one set of blocks (thm3.3's ordered
+# partitions, as in the OP(n,k) sums above, a rearrangement class and its
+# beta images), it is read from the pair table, ``table_side``; images under
+# xi and upsilon have other blocks and are read by ``transport_side``.
 
 def _xi_violation(
     pi: OrderedSetPartition, sigma: Permutation, side: tuple[int, ...] | None = None,
@@ -244,11 +265,9 @@ def _xi_violation(
 
 def _thm31_sweep(n: int, k: int, sigma: Permutation) -> tuple[list, str | None]:
     partners: dict = {}
-    counts, counterexample = _tally(
-        _with_side(sigma_partitions(n, k, sigma), transport_side),
-        lambda row: _em_pair(0, row[1]),
-        2,
-        lambda row: _xi_violation(row[0], sigma, row[1], partners),
+    counts, counterexample = _fold(
+        sigma_partitions(n, k, sigma), transport_side, partial(_em_pair, 0), 2,
+        lambda pi, side: _xi_violation(pi, sigma, side, partners),
     )
     inv = sigma.inversion_number()
     rhs = LaurentPolynomial.monomial(1, ep=inv, eq=k * (k - 1) - inv) * stirling_pq(n, k)
@@ -259,35 +278,37 @@ def _thm31_sweep(n: int, k: int, sigma: Permutation) -> tuple[list, str | None]:
 # thm3.3: per-type equidistribution plus the upsilon transport
 # ---------------------------------------------------------------------------
 
-def _upsilon_violation(pi: OrderedSetPartition, side: tuple[int, ...]) -> str | None:
+def _typed_side(pi: OrderedSetPartition) -> tuple:
+    """pi's type, as its path's step word, then the first seven entries of
+    its ``table_side``: the two triples and rsb_TC."""
+    return (step_word(pi), *table_side(pi)[:7])
+
+
+def _upsilon_violation(pi: OrderedSetPartition, row: tuple) -> str | None:
     """The encoding swap must preserve the type and rsb_TC and carry the
     bInv-based triple to the bMaj-based one."""
     image = upsilon(pi)
-    a, b, ci, _, _, _, rsb_tc, *_ = side
+    word, a, b, ci, _, _, _, rsb_tc = row
     _, _, _, c2, d2, cm2, rsb_tc2, *_ = transport_side(image)
     if (c2, d2, cm2) != (a, b, ci):
         return f"triple transport fails: {pi} -> {image}"
-    if step_word(image) != step_word(pi):
+    if step_word(image) != word:
         return f"type changes: {pi} -> {image}"
     if rsb_tc != rsb_tc2:
         return f"rsb_TC changes: {pi} -> {image}"
     return None
 
 
-def _type_triples(pi: OrderedSetPartition, side: tuple[int, ...]) -> tuple[tuple, ...]:
-    """The bInv- and bMaj-based triples, keyed by type (as the path's step
-    word) and as exponents."""
-    word = step_word(pi)
-    a, b, ci, c, d, cm, *_ = side
+def _type_triples(row: tuple) -> tuple[tuple, ...]:
+    """The bInv- and bMaj-based triples, keyed by type and as exponents."""
+    word, a, b, ci, c, d, cm, _ = row
     return (word, a, b, ci), (word, c, d, cm), (a, b, ci, 0), (c, d, cm, 0)
 
 
 def _thm33_sweep(n: int, k: int) -> tuple[list, str | None]:
-    (inv_by_type, maj_by_type, inv, maj), counterexample = _tally(
-        _with_side(ordered_set_partitions(n, k, allow_large=True), table_side),
-        lambda row: _type_triples(*row),
-        4,
-        lambda row: _upsilon_violation(*row),
+    (inv_by_type, maj_by_type, inv, maj), counterexample = _fold(
+        ordered_set_partitions(n, k, allow_large=True), _typed_side, _type_triples, 4,
+        _upsilon_violation,
     )
     # both counters count every object of a type once, so the per-type
     # distributions differ only where a key of the first has another count
@@ -304,15 +325,14 @@ def _thm33_sweep(n: int, k: int) -> tuple[list, str | None]:
 # thm3.5: rearrangement classes of a partition
 # ---------------------------------------------------------------------------
 
-def _inv_maj(rho: OrderedSetPartition) -> tuple[tuple[int, int, int, int], ...]:
-    """INV and MAJ as q exponents."""
-    *_, inv, maj = table_side(rho)
-    return (0, inv, 0, 0), (0, maj, 0, 0)
+def _inv_maj(rho: OrderedSetPartition) -> tuple[int, int]:
+    """INV and MAJ, the last two entries of rho's ``table_side``."""
+    return table_side(rho)[_INV:]
 
 
 def _thm35_sweep(pi: OrderedSetPartition) -> tuple[list, str | None]:
     """``pi`` is in standard form."""
-    (acc_inv, acc_maj), _ = _tally(rearrangements(pi), _inv_maj, 2)
+    (acc_inv, acc_maj), _ = _fold(rearrangements(pi), _inv_maj, _q_keys, 2)
 
     # The round trip makes beta injective on the k! subdiagonal vectors, and
     # the class has k! members, so an image inside the class is the class.
@@ -346,19 +366,12 @@ def _q_multinomial(parts: Sequence[int]) -> LaurentPolynomial:
     return result
 
 
-def _word_pair(w: tuple[int, ...]) -> tuple[tuple[int, int, int, int], ...]:
-    """inv and maj of a word as q exponents."""
-    return (0, inversion_number(w), 0, 0), (0, major_index(w), 0, 0)
-
-
-def _eq11_sweep(parts: tuple[int, ...]) -> tuple[list, None]:
-    counts, _ = _tally(words(parts), _word_pair, 2)
-    rhs = _q_multinomial(parts)
-    return [(LaurentPolynomial(c), rhs) for c in counts], None
+def _word_inv_maj(w: tuple[int, ...]) -> tuple[int, int]:
+    return inversion_number(w), major_index(w)
 
 
 def _doubleton_sweep(parts: tuple[int, ...]) -> tuple[list, str | None]:
-    def split_violation(rho: OrderedSetPartition) -> str | None:
+    def split_violation(rho: OrderedSetPartition, _row) -> str | None:
         w, components = decompose_doubleton(rho, parts)
         prof = aggregate_profile(rho)
         if prof["binv"] != inversion_number(w) or prof["bmaj"] != major_index(w):
@@ -367,36 +380,22 @@ def _doubleton_sweep(parts: tuple[int, ...]) -> tuple[list, str | None]:
             return f"rsb_OS does not split at {rho}"
         return None
 
-    counts, counterexample = _tally(
-        rearrangements(doubleton_partition(parts)), _inv_maj, 2, split_violation
+    counts, counterexample = _fold(
+        rearrangements(doubleton_partition(parts)), _inv_maj, _q_keys, 2, split_violation
     )
     acc_inv, acc_maj = map(LaurentPolynomial, counts)
     factor = LaurentPolynomial.constant(1)
     for p in parts:
-        (class_counts,), _ = _tally(
+        (class_counts,), _ = _fold(
             rearrangements(doubleton_partition((p,))),
-            lambda rho: ((0, stat_restricted(rho, "rsb", "OS"), 0, 0),), 1,
+            lambda rho: (stat_restricted(rho, "rsb", "OS"),), _q_keys, 1,
         )
         class_dist = LaurentPolynomial(class_counts)
         if class_dist != q_factorial(p):
             counterexample = counterexample or f"class factor for part {p} is not [{p}]_q!"
         factor = factor * class_dist
-    word_inv, word_maj = map(LaurentPolynomial, _tally(words(parts), _word_pair, 2)[0])
+    word_inv, word_maj = map(LaurentPolynomial, _fold(words(parts), _word_inv_maj, _q_keys, 2)[0])
     return [(acc_maj, word_maj * factor), (acc_inv, word_inv * factor)], counterexample
-
-
-# ---------------------------------------------------------------------------
-# Remaining polynomial identities
-# ---------------------------------------------------------------------------
-
-def _rcb_lsb(pi: OrderedSetPartition) -> tuple[tuple[int, int, int, int]]:
-    rcb, lsb = rcb_lsb(pi)
-    return ((rcb, lsb, 0, 0),)
-
-
-def _eq23_sweep(n: int, k: int) -> tuple[list, None]:
-    (counts,), _ = _tally(set_partitions(n, k), _rcb_lsb, 1)
-    return [(LaurentPolynomial(counts), stirling_pq(n, k))], None
 
 
 # ---------------------------------------------------------------------------
@@ -417,8 +416,8 @@ class _Check:
 
 _CHECKS = {
     "thm3.1": _Check(("n", "k", "sigma"), _thm31_sweep, "identity or transport failure"),
-    # the OP(n,k) sweeps look table_side up when they run, so a replaced one
-    # is the one they read
+    # the lambdas look their families and statistics up when they run, so a
+    # replaced one is the one they read
     "thm3.2": _Check(("n", "k"), lambda n, k: _op_sweep(
         n, k, table_side, partial(_em_pair, 0), 2, _em_rhs), "distribution mismatch"),
     "thm3.3": _Check(("n", "k"), _thm33_sweep, "per-type mismatch or transport failure"),
@@ -426,8 +425,12 @@ _CHECKS = {
         n, k, table_side, partial(_em_pair, 3), 2, _em_rhs), "distribution mismatch"),
     "thm3.5": _Check(("pi",), _thm35_sweep, "distribution or bijection failure", lambda p: p["pi"].n),
     # words have sum(parts) letters, doubleton partitions 2 * sum(parts) elements
-    "eq1.1": _Check(("parts",), _eq11_sweep, "word distribution mismatch", lambda p: sum(p["parts"])),
-    "eq2.3": _Check(("n", "k"), _eq23_sweep, "distribution mismatch"),
+    "eq1.1": _Check(("parts",), lambda parts: _sum_sweep(
+        words(parts), _word_inv_maj, _q_keys, 2, _q_multinomial(parts)),
+        "word distribution mismatch", lambda p: sum(p["parts"])),
+    "eq2.3": _Check(("n", "k"), lambda n, k: _sum_sweep(
+        set_partitions(n, k), rcb_lsb, lambda row: ((*row, 0, 0),), 1, stirling_pq(n, k)),
+        "distribution mismatch"),
     "eq5.8": _Check(("n", "k"), lambda n, k: _op_sweep(
         n, k, _side_and_maj_sigma, partial(_t_keys, (_INV, _MAJ_SIGMA), k), 4, _t_rhs),
         "t-refined distribution mismatch"),

@@ -472,6 +472,17 @@ VERIFY_DIGESTS = {
     ("thm3.1", 6, 4): "b0a90493ccceeb28d636302a4d24dd44425149e0ecc6fe32756d04757e89fdf7",
     ("eq2.3", 6, "all"): "916699fb1784d32d13186d4292abfad376bd45e905cedde073cde29936cf9e28",
     ("eq2.3", 7, "all"): "4494da3c64968259123f7546e51b1c1e87bc0ad630a15ca8d69c5491c8d21799",
+    # recorded before every enumerated sum went through one fold that keys
+    # each distinct row once
+    ("eq1.1", 5, None): "b6badec747a87d1628646c3d732f167a71ba6fb56578ad005c98aa5f500b0553",
+    ("doubleton", 5, None): "0b8eb606ad317cea4d2ef0bab6087369fc5a6b58351c4e88bf183d3d3a9e3f2f",
+    ("eq2.3", 7, "1"): "e222994feff2ad77897ff6e023da33b1e1bd06dd43aeaed743471c6492607eee",
+    ("eq2.3", 7, "2"): "a567a6118dcbdd8e63fb1f5c49d37154de301fd0e8ad494103c955a715143af7",
+    ("eq2.3", 7, "3"): "36774a9c93c052d808b0d520e98a2046609c28aa5ed39ccdba4f8b9ab9987755",
+    ("eq2.3", 7, "4"): "02920ac636dc7164a2f076e7cc79eb215a9d7f26b292deb5bbf580d39e48f9cc",
+    ("eq2.3", 7, "5"): "07310a086b448be89fea26df84f10d2e98d92ee151ea785be8f2122d5467135e",
+    ("eq2.3", 7, "6"): "816339a342350907774eab492134ec7fc8b99a7aeb2399e6cbfc71aa2b457b67",
+    ("eq2.3", 7, "7"): "2b4d05df60f6cd91f045fc85dc75bb180c355163dbb1d36e439a39edd3a4db94",
 }
 
 # SHA-256 of the stdout of `opstat table <kind> --n 14 --json`, recorded, like

@@ -523,3 +523,18 @@ def test_distribution_euler_mahonian_example():
 def test_distribution_counts_at_one():
     poly = distribution(ordered_set_partitions(4, 2), [("mak", "p")])
     assert poly.evaluate() == factorial(2) * stirling2(4, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: LaurentPolynomial.variable("z"),
+        lambda: Q.truncate("z", 2),
+        lambda: q_int(3, "z"),
+        lambda: distribution(ordered_set_partitions(3), [("mak", "z")]),
+    ],
+    ids=["variable", "truncate", "q_int", "distribution"],
+)
+def test_an_unknown_variable_is_refused_by_name(call):
+    with pytest.raises(ValueError, match=r"unknown variable 'z'; the variables are p, q, t, x"):
+        call()

@@ -215,6 +215,39 @@ def test_thm31_tests_the_class_of_a_recorded_partner(monkeypatch):
     )
 
 
+def test_thm33_reads_the_step_word_twice_per_object(monkeypatch):
+    # once for the object's row and once for its image under upsilon
+    module = importlib.import_module(_VERIFY)
+    step_word = module.step_word
+    calls = []
+    monkeypatch.setattr(module, "step_word", lambda pi: calls.append(pi) or step_word(pi))
+    assert verify("thm3.3", n=5, k=3).passed
+    assert len(calls) == 2 * 150  # 3! S(5,3) ordered partitions
+
+
+def test_thm33_checks_every_object_not_every_distinct_row(monkeypatch):
+    # the plant fails only at an object whose row an earlier, passing object
+    # already has, so a fold that checked each distinct row once would pass
+    from opstat.families import ordered_set_partitions
+
+    module = importlib.import_module(_VERIFY)
+    seen = set()
+    for repeat in ordered_set_partitions(4, 3):
+        row = module._typed_side(repeat)
+        if row in seen:
+            break
+        seen.add(row)
+    else:
+        pytest.fail("no two ordered partitions of [4] into 3 blocks share a row")
+    upsilon_violation = module._upsilon_violation
+    monkeypatch.setattr(
+        module,
+        "_upsilon_violation",
+        lambda pi, row: f"planted at {pi}" if pi == repeat else upsilon_violation(pi, row),
+    )
+    _assert_fails_at(verify("thm3.3", n=4, k=3), f"planted at {repeat}")
+
+
 def test_thm33_sees_two_special_gaps_swapped_in_psi(monkeypatch):
     # psi's relabelling with a_1 and a_2 exchanged wherever the trace has at
     # least two special gaps: at n = 5, k = 2 does not see it and k = 3 does
@@ -436,18 +469,20 @@ def test_thm35_sees_one_raised_ros_os_field_of_the_pair_table(monkeypatch):
 
 
 def test_em_sweep_counts_match_the_reference_kernel():
+    from collections import Counter
+
     from opstat.families import ordered_set_partitions
-    from opstat.qpoly import _tally
     from opstat.statistics import six_composites
 
     module = importlib.import_module(_VERIFY)
     for n in range(1, 8):
         for k in range(1, n + 1):
-            reference, _ = _tally(
-                map(six_composites, ordered_set_partitions(n, k)),
-                lambda c: module._em_pair(0, c) + module._em_pair(3, c),
-                4,
-            )
+            # one key per object and slot, straight from the reference kernel
+            keys = [
+                module._em_pair(0, c) + module._em_pair(3, c)
+                for c in map(six_composites, ordered_set_partitions(n, k))
+            ]
+            reference = [Counter(key[slot] for key in keys) for slot in range(4)]
             for theorem, expected in (("thm3.2", reference[:2]), ("thm3.4", reference[2:])):
                 pairs, _ = module._CHECKS[theorem].sweep(n=n, k=k)
                 assert [lhs for lhs, _ in pairs] == [LaurentPolynomial(c) for c in expected]
@@ -481,12 +516,12 @@ def test_distribution_checks_fail_when_the_rhs_is_multiplied_by_q(monkeypatch, t
 
 
 def test_doubleton_fails_when_the_word_side_is_multiplied_by_q(monkeypatch):
-    # both word distributions gain a factor q, so the RHS does
+    # both word distributions gain a factor q, so the RHS does.  The plant
+    # raises the words' (inv, maj) rows: the q-key map is shared with the
+    # class side, where a raise would multiply the LHS by q too
     module = importlib.import_module(_VERIFY)
-    word_pair = module._word_pair
-    monkeypatch.setattr(
-        module, "_word_pair", lambda w: tuple((p, q + 1, t, r) for p, q, t, r in word_pair(w))
-    )
+    word_inv_maj = module._word_inv_maj
+    monkeypatch.setattr(module, "_word_inv_maj", lambda w: tuple(v + 1 for v in word_inv_maj(w)))
     report = verify("doubleton", parts=(2, 1))
     assert not report.passed and report.counterexample is None
     assert report.lhs * _Q == report.rhs
