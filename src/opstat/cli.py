@@ -17,7 +17,7 @@ import sys
 from multiprocessing import Pool
 
 from .core import OrderedSetPartition, Permutation
-from .families import DeskScaleError, _check_scale, compositions, permutations, set_partitions
+from .families import _check_scale, compositions, permutations, set_partitions
 from .motzkin import lambda_map
 from .paths import PathDiagram, gamma_sigma, phi, phi_inv, psi, psi_inv, theta_map, upsilon, xi_map
 from .qpoly import carlitz_aq, gauss_binomial, s_hat_pq, stirling_pq, stirling_q
@@ -371,9 +371,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    except DeskScaleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -28,7 +28,7 @@ from functools import cache
 from math import factorial
 from typing import Iterator, Sequence
 
-from .core import OrderedSetPartition, PartitionType, Permutation
+from .core import OrderedSetPartition, PartitionType, Permutation, _decimal
 from .paths import LatticePath, PathDiagram, _insertion_positions, psi_inv
 
 __all__ = [
@@ -58,7 +58,13 @@ class DeskScaleError(ValueError):
 
 
 def desk_scale_limit() -> int:
-    return int(os.environ.get("OPSTAT_MAX_N", DESK_SCALE_DEFAULT))
+    raw = os.environ.get("OPSTAT_MAX_N")
+    if raw is None:
+        return DESK_SCALE_DEFAULT
+    try:
+        return _decimal(raw)
+    except ValueError:
+        raise ValueError(f"OPSTAT_MAX_N is not a decimal number: {raw!r}") from None
 
 
 def _check_scale(n: int, allow_large: bool) -> None:

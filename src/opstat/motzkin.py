@@ -7,14 +7,34 @@ one plus the number of still-open blocks left of the element's block, which
 is 1 + lsb_i; rising steps always carry label 1.  Heights count the open
 blocks, so the labels are bounded by the step height (falling/flat-transient)
 or height + 1 (flat-singleton).
+
+The four maps are views of the path-diagram bijections of ``paths``.
+Reversing the blocks of a standard form lands in the sigma-class of
+w0 = k...1, where every block right of a new block already exists: each
+North/East label of ``phi_inv`` is at its maximum x + y, and an O/D label
+counts the open blocks left of the element's block in the standard form.
+So a diagram of that class is a labelled Motzkin path (Flajolet, 1980),
+``varphi`` keeps it in the class, and each map below is a composition over
+``paths`` through ``_motzkin``/``_path_diagram``, the one conversion
+between the two forms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .core import OrderedSetPartition
-from .statistics import coord_stats
+from .core import OrderedSetPartition, _decimal
+from .paths import (
+    EAST,
+    NORTH,
+    NULL,
+    SOUTH_EAST,
+    LatticePath,
+    PathDiagram,
+    phi,
+    phi_inv,
+    varphi,
+    xi_map,
+)
 
 __all__ = [
     "MotzkinDiagram",
@@ -64,18 +84,6 @@ class MotzkinDiagram:
     def n(self) -> int:
         return len(self.steps)
 
-    @cached_property
-    def start_heights(self) -> tuple[int, ...]:
-        hs = []
-        h = 0
-        for step in self.steps:
-            hs.append(h)
-            if step == UP:
-                h += 1
-            elif step == DOWN:
-                h -= 1
-        return tuple(hs)
-
     def to_text(self) -> str:
         return f"{''.join(self.steps)} {','.join(str(v) for v in self.labels)}"
 
@@ -87,100 +95,81 @@ class MotzkinDiagram:
         body = text.strip().replace(":", " ")
         parts = body.split()
         steps = tuple(parts[0].upper())
-        labels = tuple(int(t) for t in " ".join(parts[1:]).replace(",", " ").split())
+        labels = tuple(_decimal(t) for t in " ".join(parts[1:]).replace(",", " ").split())
         return cls(steps, labels)
 
     def to_json(self) -> dict:
         return {"steps": "".join(self.steps), "labels": list(self.labels)}
 
 
-def motzkin_encode(pi: OrderedSetPartition) -> MotzkinDiagram:
-    """Encode a standard-form partition as a labelled Motzkin path."""
-    if not pi.is_standard():
-        raise ValueError("motzkin_encode expects a standard-form partition")
-    lam = pi.partition_type()
+def _motzkin(h: PathDiagram) -> MotzkinDiagram:
+    """Read a diagram of the w0-class as a Motzkin path: N -> U (label 1),
+    E -> F (label height + 1), and O -> F, D -> D with the label raised by 1."""
     steps = []
     labels = []
-    for i in range(1, pi.n + 1):
-        if i in lam.openers:
+    height = 0
+    for step, label in zip(h.path.steps, h.labels):
+        if step == NORTH:
             steps.append(UP)
             labels.append(1)
+            height += 1
+        elif step == EAST:
+            steps.append(FLAT)
+            labels.append(height + 1)
         else:
-            steps.append(DOWN if i in lam.closers else FLAT)
-            labels.append(coord_stats(pi, i).lsb + 1)
+            steps.append(DOWN if step == SOUTH_EAST else FLAT)
+            labels.append(label + 1)
+            height -= step == SOUTH_EAST
     return MotzkinDiagram(tuple(steps), tuple(labels))
 
 
-def motzkin_decode(d: MotzkinDiagram) -> OrderedSetPartition:
-    """Inverse of ``motzkin_encode``.
-
-    New blocks always join at the right (their minima increase), so a flat
-    step means a singleton exactly when its label exceeds the number of open
-    blocks; otherwise it adds a transient to the open block with label-1
-    open blocks on its left.
-    """
-    blocks: list[list[int]] = []
-    open_flags: list[bool] = []
-
-    def open_block_at(rank: int) -> int:
-        count = 0
-        for idx, flag in enumerate(open_flags):
-            if flag:
-                count += 1
-                if count == rank:
-                    return idx
-        raise ValueError(f"no open block of rank {rank}")
-
-    for i, (step, label, h) in enumerate(
-        zip(d.steps, d.labels, d.start_heights), start=1
-    ):
-        if step == UP:
-            blocks.append([i])
-            open_flags.append(True)
-        elif step == DOWN:
-            idx = open_block_at(label)
-            blocks[idx].append(i)
-            open_flags[idx] = False
-        elif label == h + 1:
-            blocks.append([i])
-            open_flags.append(False)
+def _path_diagram(d: MotzkinDiagram) -> PathDiagram:
+    """Inverse of ``_motzkin``: a flat label of height + 1 is a singleton (E),
+    and each N/E step takes its maximum label x + y, the number of N/E steps
+    before it."""
+    steps = []
+    labels = []
+    height = created = 0
+    for step, label in zip(d.steps, d.labels):
+        if step == UP or (step == FLAT and label == height + 1):
+            steps.append(NORTH if step == UP else EAST)
+            labels.append(created)
+            created += 1
+            height += step == UP
         else:
-            blocks[open_block_at(label)].append(i)
-    return OrderedSetPartition.from_blocks(blocks, n=d.n)
+            steps.append(SOUTH_EAST if step == DOWN else NULL)
+            labels.append(label - 1)
+            height -= step == DOWN
+    return PathDiagram(LatticePath(tuple(steps)), tuple(labels))
+
+
+def _rev(pi: OrderedSetPartition) -> OrderedSetPartition:
+    if not pi.is_standard():
+        raise ValueError("motzkin_encode expects a standard-form partition")
+    return OrderedSetPartition._trusted(pi.n, pi.blocks[::-1])
+
+
+def motzkin_encode(pi: OrderedSetPartition) -> MotzkinDiagram:
+    """Encode a standard-form partition as a labelled Motzkin path:
+    ``phi_inv`` of the reversed blocks."""
+    return _motzkin(phi_inv(_rev(pi)))
+
+
+def motzkin_decode(d: MotzkinDiagram) -> OrderedSetPartition:
+    """Inverse of ``motzkin_encode``: the standard form of ``phi``."""
+    return phi(_path_diagram(d)).standard_form()[0]
 
 
 def motzkin_g(d: MotzkinDiagram) -> MotzkinDiagram:
-    """Reverse the path and transport the labels.
-
-    Rising and falling steps trade places under reversal; every rising step
-    of the original, starting at height h, is paired with the first later
-    falling step starting at height h+1, and that falling step's label moves
-    onto the reversed copy of the rising step.  Flat labels travel with
-    their step.  Applying the map twice restores the diagram.
-    """
-    n = d.n
-    heights = d.start_heights
-    swap = {UP: DOWN, DOWN: UP, FLAT: FLAT}
-    steps = tuple(swap[s] for s in reversed(d.steps))
-
-    down_positions = [i for i in range(1, n + 1) if d.steps[i - 1] == DOWN]
-    labels = [0] * n
-    for i in range(1, n + 1):
-        step = d.steps[i - 1]
-        rev = n + 1 - i
-        if step == FLAT:
-            labels[rev - 1] = d.labels[i - 1]
-        elif step == UP:
-            partner = next(
-                c for c in down_positions if c > i and heights[c - 1] == heights[i - 1] + 1
-            )
-            labels[rev - 1] = d.labels[partner - 1]
-        else:
-            labels[rev - 1] = 1
-    return MotzkinDiagram(steps, tuple(labels))
+    """Reverse the path and transport the labels: ``varphi`` read on Motzkin
+    paths.  Flat labels travel with their step, and each falling step's
+    label moves onto the reversed copy of its matching rising step.
+    Applying the map twice restores the diagram."""
+    return _motzkin(varphi(_path_diagram(d)))
 
 
 def lambda_map(pi: OrderedSetPartition) -> OrderedSetPartition:
     """Involution on standard-form partitions exchanging the statistics mak
-    (= ros + lcs) and rcb while preserving lcb and the block count."""
-    return motzkin_decode(motzkin_g(motzkin_encode(pi)))
+    (= ros + lcs) and rcb while preserving lcb and the block count: the
+    standard form of ``xi_map`` of the reversed blocks."""
+    return xi_map(_rev(pi)).standard_form()[0]

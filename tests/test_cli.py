@@ -165,6 +165,13 @@ def test_desk_scale_guard_exits_one(capsys):
     assert "desk-scale" in err
 
 
+@pytest.mark.parametrize("raw", ["x", "1_0", "-5", ""])
+def test_a_malformed_desk_scale_limit_exits_one(monkeypatch, capsys, raw):
+    monkeypatch.setenv("OPSTAT_MAX_N", raw)
+    assert main(["verify", "zezh", "--n", "3", "--k", "2"]) == 1
+    assert capsys.readouterr().err == f"error: OPSTAT_MAX_N is not a decimal number: {raw!r}\n"
+
+
 def test_verify_empty_range_exits_one(capsys):
     assert main(["verify", "thm3.2", "--n", "8..1"]) == 1
     assert "--n 8..1 is an empty range" in capsys.readouterr().err
@@ -476,13 +483,13 @@ VERIFY_DIGESTS = {
     # each distinct row once
     ("eq1.1", 5, None): "b6badec747a87d1628646c3d732f167a71ba6fb56578ad005c98aa5f500b0553",
     ("doubleton", 5, None): "0b8eb606ad317cea4d2ef0bab6087369fc5a6b58351c4e88bf183d3d3a9e3f2f",
-    ("eq2.3", 7, "1"): "e222994feff2ad77897ff6e023da33b1e1bd06dd43aeaed743471c6492607eee",
-    ("eq2.3", 7, "2"): "a567a6118dcbdd8e63fb1f5c49d37154de301fd0e8ad494103c955a715143af7",
-    ("eq2.3", 7, "3"): "36774a9c93c052d808b0d520e98a2046609c28aa5ed39ccdba4f8b9ab9987755",
-    ("eq2.3", 7, "4"): "02920ac636dc7164a2f076e7cc79eb215a9d7f26b292deb5bbf580d39e48f9cc",
-    ("eq2.3", 7, "5"): "07310a086b448be89fea26df84f10d2e98d92ee151ea785be8f2122d5467135e",
-    ("eq2.3", 7, "6"): "816339a342350907774eab492134ec7fc8b99a7aeb2399e6cbfc71aa2b457b67",
-    ("eq2.3", 7, "7"): "2b4d05df60f6cd91f045fc85dc75bb180c355163dbb1d36e439a39edd3a4db94",
+    ("eq2.3", 7, 1): "e222994feff2ad77897ff6e023da33b1e1bd06dd43aeaed743471c6492607eee",
+    ("eq2.3", 7, 2): "a567a6118dcbdd8e63fb1f5c49d37154de301fd0e8ad494103c955a715143af7",
+    ("eq2.3", 7, 3): "36774a9c93c052d808b0d520e98a2046609c28aa5ed39ccdba4f8b9ab9987755",
+    ("eq2.3", 7, 4): "02920ac636dc7164a2f076e7cc79eb215a9d7f26b292deb5bbf580d39e48f9cc",
+    ("eq2.3", 7, 5): "07310a086b448be89fea26df84f10d2e98d92ee151ea785be8f2122d5467135e",
+    ("eq2.3", 7, 6): "816339a342350907774eab492134ec7fc8b99a7aeb2399e6cbfc71aa2b457b67",
+    ("eq2.3", 7, 7): "2b4d05df60f6cd91f045fc85dc75bb180c355163dbb1d36e439a39edd3a4db94",
 }
 
 # SHA-256 of the stdout of `opstat table <kind> --n 14 --json`, recorded, like
@@ -497,8 +504,11 @@ TABLE_DIGESTS = {
 }
 
 
-# named for the transport ids it first covered; the name keeps their test ids
-@pytest.mark.parametrize("theorem,n,k", sorted(VERIFY_DIGESTS))
+# named for the transport ids it first covered; the name keeps their test ids.
+# The k column mixes ints, "all" and None, so the key orders by type name first.
+@pytest.mark.parametrize(
+    "theorem,n,k", sorted(VERIFY_DIGESTS, key=lambda key: [(type(v).__name__, v) for v in key])
+)
 def test_transport_outputs_match_recorded_digests(capsys, theorem, n, k):
     if k is None:
         argv = ["verify", theorem, "--max-sum", str(n), "--json"]

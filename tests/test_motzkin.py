@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from opstat.core import OrderedSetPartition
@@ -92,3 +94,23 @@ def test_lambda_involution_and_statistics():
             assert lambda_map(image) == pi
             assert stat(pi, "mak") == stat(image, "rcb")
             assert stat(image, "lcb") == stat(pi, "lcb")
+
+
+def test_parse_reads_ascii_decimal_labels():
+    assert MotzkinDiagram.parse("UD 1,1") == MotzkinDiagram(("U", "D"), (1, 1))
+    for text in ("UD 1,+1", "UD 1,\uff11", "UD 1, 1_0"):
+        with pytest.raises(ValueError, match="not a decimal number"):
+            MotzkinDiagram.parse(text)
+
+
+def test_maps_match_recorded_digest():
+    # recorded when the maps still had their own decoder and label transport
+    lines = []
+    for n in range(9):
+        for pi in set_partitions(n):
+            d = motzkin_encode(pi)
+            assert motzkin_decode(d) == pi
+            lines.append(f"{pi} | {d} | {motzkin_g(d)} | {lambda_map(pi)}")
+    assert len(lines) == 5296
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "637af637ce85f7a0cc39f6a9d43c75cd398c7ed890620bdb6f22cee3e6a305f3"

@@ -625,6 +625,14 @@ def test_desk_scale_guard_sizes_partition_and_composition_checks():
     assert verify("doubleton", parts=(7,), allow_large=True).passed
 
 
+@pytest.mark.parametrize("raw", ["x", "1_0", "-5", ""])
+def test_a_malformed_desk_scale_limit_is_refused_by_name(monkeypatch, raw):
+    # int() would read "1_0" as 10 and "-5" as a limit below every n
+    monkeypatch.setenv("OPSTAT_MAX_N", raw)
+    with pytest.raises(ValueError, match=f"^OPSTAT_MAX_N is not a decimal number: {raw!r}$"):
+        verify("zezh", n=3, k=2)
+
+
 @pytest.mark.parametrize(
     "theorem,parts", [("eq1.1", ()), ("eq1.1", (0,)), ("doubleton", ()), ("doubleton", (0, 0))]
 )
