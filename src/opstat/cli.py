@@ -191,8 +191,11 @@ def _verify_tasks(args) -> list[tuple[str, dict]]:
     if "parts" in names:
         if args.parts:
             tokens = args.parts.replace(",", " ").split()
-            # a negative part is left to the composition check
+            # a negative part is left to the composition check, and a part
+            # left empty between two commas is refused, not skipped
             bad = [token for token in tokens if not re.fullmatch(_INTEGER, token)]
+            if re.search(r",\s*,", args.parts):
+                bad.insert(0, "")
             if bad:
                 raise ValueError(f"--parts takes integers separated by commas, got {bad[0]!r}")
             return [(theorem, {"parts": tuple(map(int, tokens)), **extra})]
@@ -222,7 +225,7 @@ def _verify_tasks(args) -> list[tuple[str, dict]]:
             elif "sigma" in names:
                 sigmas = (
                     [args.sigma]
-                    if args.sigma and args.sigma != "all"
+                    if args.sigma not in (None, "all")
                     else [sig.one_line() for sig in permutations(k)]
                 )
                 for sigma in sigmas:

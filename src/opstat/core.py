@@ -11,8 +11,9 @@ that is not a permutation or a partition of [n] into sorted blocks.  The
 private ``_trusted`` constructors skip that check and are only called on
 values that are valid by construction: ``rearranged`` and ``standard_form``
 reorder the blocks of a validated partition (and ``standard_form`` ranks
-them into a permutation), and the generators in ``families`` reorder such
-blocks or build sorted blocks of [n] themselves.
+them into a permutation), the generators in ``families`` reorder such
+blocks or build sorted blocks of [n] themselves, and ``families.beta``
+reorders the validated blocks of its standard form.
 """
 from __future__ import annotations
 

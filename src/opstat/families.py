@@ -8,12 +8,8 @@ unchecked ``OrderedSetPartition._trusted``, because each object is valid by
 construction: ``set_partitions`` grows every block of [n] in increasing
 order, and ``ordered_set_partitions``, ``sigma_partitions`` and
 ``rearrangements`` reorder the blocks of a partition that is already valid.
-``beta`` inserts blocks one element at a time and validates the result
-through ``OrderedSetPartition.from_blocks``.  What it reads of its
-standard form (each element's opener rank or opener, and whether it opens
-or closes a block) is a per-class plan, built once and kept for as long as
-the calls pass an equal standard form, so the k! vectors of one class share
-it.
+``beta`` reorders the blocks of its standard form too: it inserts them
+whole, in opener order, each at the gap its entry of c names.
 
 Ordered-partition families refuse n above a desk-scale limit (default 12,
 overridable through the environment variable ``OPSTAT_MAX_N`` or an
@@ -168,10 +164,13 @@ def sigma_partitions(n: int, k: int, sigma: Permutation) -> Iterator[OrderedSetP
 
 
 def partitions_of_type(lam: PartitionType, allow_large: bool = False) -> Iterator[OrderedSetPartition]:
-    """Ordered partitions with the given type."""
-    for pi in ordered_set_partitions(lam.n, lam.k, allow_large=allow_large):
-        if pi.partition_type() == lam:
-            yield pi
+    """Ordered partitions with the given type.  The type belongs to the
+    block set, so these are the rearrangements of the standard forms of
+    that type, in the order of ``ordered_set_partitions``."""
+    _check_scale(lam.n, allow_large)
+    for std in set_partitions(lam.n, lam.k):
+        if std.partition_type() == lam:
+            yield from rearrangements(std)
 
 
 def rearrangements(pi: OrderedSetPartition) -> Iterator[OrderedSetPartition]:
@@ -280,60 +279,29 @@ def subdiagonal_vectors(k: int) -> Iterator[tuple[int, ...]]:
 # The rearrangement bijection beta
 # ---------------------------------------------------------------------------
 
-# The plan of the last class rearranged: its standard form, and per element
-# of [n] either (True, b, opens) at the opener or singleton of the b-th block
-# (0-based), with opens set for a block of two or more elements, or (False,
-# opener, closes) at any other element, with closes set at the block's
-# closer.  The k! vectors c of one class share it.
-_beta_plan: tuple[OrderedSetPartition | None, tuple[tuple[bool, int, bool], ...]] = (None, ())
-
-
-def _class_plan(pi0: OrderedSetPartition) -> tuple[tuple[bool, int, bool], ...]:
-    """The plan of pi0's class, kept while pi0 is equal to the last one."""
-    global _beta_plan
-    if _beta_plan[0] != pi0:
-        if not pi0.is_standard():
-            raise ValueError("beta expects a standard-form partition")
-        plan: list = [None] * pi0.n
-        for b, block in enumerate(pi0.blocks):
-            opener, closer = block[0], block[-1]
-            plan[opener - 1] = (True, b, opener != closer)
-            for el in block[1:]:
-                plan[el - 1] = (False, opener, el == closer)
-        _beta_plan = (pi0, tuple(plan))
-    return _beta_plan[1]
-
-
 def beta(pi0: OrderedSetPartition, c: Sequence[int]) -> OrderedSetPartition:
     """Rearrange a standard-form partition so that the block entering at the
-    j-th opener/singleton lands at the gap relabelled c_j; transients and
-    closers rejoin the block holding their original opener.  The resulting
-    block order realises MAJ = c_1 + ... + c_k.  What it reads of pi0 comes
-    from the plan of pi0's class, which the k! calls of one class share.
+    j-th opener/singleton lands at the gap relabelled c_j.  The resulting
+    block order realises MAJ = c_1 + ... + c_k.
+
+    Transients and closers never leave their block, so whole blocks stand in
+    for the trace: when a block opens, an earlier block is active exactly
+    when its closer exceeds the new opener, and an inactive block is
+    already complete, so the block descents read off whole blocks are the
+    trace's.
     """
-    plan = _class_plan(pi0)
+    if not pi0.is_standard():
+        raise ValueError("beta expects a standard-form partition")
     if len(c) != pi0.k:
         raise ValueError(f"need one entry per block: {pi0.k}")
     # standard form: the j-th block's opener is the j-th opener/singleton
     for j, c_j in enumerate(c, start=1):
         if not 0 <= c_j <= j - 1:
             raise ValueError(f"entry c_{j}={c_j} outside 0..{j - 1}")
-
-    blocks: list[list[int]] = []
-    active: list[bool] = []
-    block_of: dict[int, list[int]] = {}  # opener -> its block
-    for i, (new_block, key, flag) in enumerate(plan, start=1):
-        if new_block:
-            pos = _insertion_positions(blocks, active)[c[key]]
-            block = block_of[i] = [i]
-            blocks.insert(pos, block)
-            active.insert(pos, flag)
-        else:
-            block = block_of[key]
-            block.append(i)
-            if flag:
-                active[blocks.index(block)] = False
-    return OrderedSetPartition.from_blocks(blocks, n=pi0.n)
+    order: list[tuple[int, ...]] = []
+    for block, c_j in zip(pi0.blocks, c):
+        order.insert(_insertion_positions(order, [b[-1] > block[0] for b in order])[c_j], block)
+    return OrderedSetPartition._trusted(pi0.n, tuple(order))
 
 
 def beta_inv(pi: OrderedSetPartition) -> tuple[int, ...]:

@@ -94,6 +94,8 @@ class MotzkinDiagram:
     def parse(cls, text: str) -> MotzkinDiagram:
         body = text.strip().replace(":", " ")
         parts = body.split()
+        if not parts:
+            raise ValueError(f"no steps in diagram text: {text!r}")
         steps = tuple(parts[0].upper())
         labels = tuple(_decimal(t) for t in " ".join(parts[1:]).replace(",", " ").split())
         return cls(steps, labels)

@@ -275,12 +275,10 @@ class PathDiagram:
         """Parse "NNNOOEDDED 0,0,2,1,2,3,2,0,1,0" (":" also separates)."""
         body = text.strip().replace(":", " ")
         parts = body.split()
-        if len(parts) == 1:
-            steps, label_part = parts[0], ""
-        else:
-            steps, label_part = parts[0], " ".join(parts[1:])
-        labels = tuple(_decimal(t) for t in label_part.replace(",", " ").split()) if label_part else ()
-        return cls(LatticePath.parse(steps), labels)
+        if not parts:
+            raise ValueError(f"no steps in diagram text: {text!r}")
+        labels = tuple(_decimal(t) for t in " ".join(parts[1:]).replace(",", " ").split())
+        return cls(LatticePath.parse(parts[0]), labels)
 
     def to_text(self) -> str:
         return f"{self.path.to_text()} {','.join(str(v) for v in self.labels)}"

@@ -121,6 +121,7 @@ def test_invalid_input_exits_one(capsys):
         (["--n", "\uff13"], "--n takes an integer or a range a..b, got '\uff13'"),
         (["--parts", "a,1"], "--parts takes integers separated by commas, got 'a'"),
         (["--parts", "1_0"], "--parts takes integers separated by commas, got '1_0'"),
+        (["--parts", "1,,2"], "--parts takes integers separated by commas, got ''"),
     ],
 )
 def test_numeric_flag_errors_name_the_flag(capsys, flags, message):
@@ -207,6 +208,8 @@ def test_desk_scale_guard_covers_partition_and_composition_checks(capsys):
         (["eq1.1", "--parts", "2,1", "--n", "3"], "--n cannot be combined with --parts"),
         (["doubleton", "--max-sum", "3", "--k", "2"], "--k cannot be combined with --max-sum"),
         (["eq1.1", "--parts", "2", "--max-sum", "3"], "--parts cannot be combined with --max-sum"),
+        # an empty --sigma is a given sigma, not every sigma
+        (["thm3.1", "--n", "3", "--k", "2", "--sigma", ""], "sigma must act on k=2 blocks"),
     ],
 )
 def test_verify_rejects_flags_the_id_would_ignore(capsys, argv, message):
@@ -242,6 +245,18 @@ def test_verify_refuses_a_composition_with_sum_zero(capsys, argv):
 def test_verify_refuses_negative_parts(capsys, argv):
     assert main(["verify", *argv]) == 1
     assert "composition parts must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["decode", ""], ["decode", "--psi", "   "]])
+def test_decode_refuses_blank_diagram_text(capsys, argv):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: no steps in diagram text:")
+
+
+def test_parts_are_separated_by_commas_or_spaces(capsys):
+    for parts in ("1 2", "1, 2", "1 , 2"):
+        assert main(["verify", "eq1.1", "--parts", parts]) == 0
+        assert "eq1.1 {'parts': (1, 2)}: pass" in capsys.readouterr().out
 
 
 def test_verify_jobs_must_be_positive(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from functools import cache
 from math import factorial
@@ -151,6 +152,20 @@ def test_partitions_of_type():
     assert {pi.to_text() for pi in members} == {"1 3/2", "2/1 3"}
 
 
+def test_partitions_of_type_match_recorded_digest():
+    # recorded when the types were filtered out of ordered_set_partitions
+    types = list(dict.fromkeys(pi.partition_type() for n in range(1, 7) for pi in set_partitions(n)))
+    assert len(types) == 196
+    digest = hashlib.sha256()
+    count = 0
+    for lam in types:
+        for pi in partitions_of_type(lam):
+            digest.update(f"{lam} | {pi}\n".encode())
+            count += 1
+    assert count == 5316
+    assert digest.hexdigest() == "1e2d6b80c3712e1c9bbd24e62886457c2a3a24c8f2e3341b4c82dc91c053e314"
+
+
 def test_words_multiset_permutations():
     got = list(words((2, 1)))
     assert got == [(1, 1, 2), (1, 2, 1), (2, 1, 1)]
@@ -287,6 +302,19 @@ def test_beta_refuses_in_the_reference_order(pi0, c, message):
         with pytest.raises(ValueError) as excinfo:
             rearrange(pi0, c)
         assert str(excinfo.value) == message
+
+
+def test_beta_matches_recorded_digest():
+    # recorded when beta replayed the trace one element at a time
+    lines = [
+        f"{pi0} | {c} | {beta(pi0, c)}"
+        for n in range(8)
+        for pi0 in set_partitions(n)
+        for c in subdiagonal_vectors(pi0.k)
+    ]
+    assert len(lines) == 52610
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "5b8a86e7896ce63073f2362dac785c485037db7aca4a07de328d5f7315dba1b0"
 
 
 @cache

@@ -103,6 +103,13 @@ def test_parse_reads_ascii_decimal_labels():
             MotzkinDiagram.parse(text)
 
 
+@pytest.mark.parametrize("text", ["", "   ", " : "])
+def test_parse_refuses_blank_text(text):
+    with pytest.raises(ValueError) as excinfo:
+        MotzkinDiagram.parse(text)
+    assert str(excinfo.value) == f"no steps in diagram text: {text!r}"
+
+
 def test_maps_match_recorded_digest():
     # recorded when the maps still had their own decoder and label transport
     lines = []

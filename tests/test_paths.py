@@ -162,6 +162,13 @@ def test_diagram_text_roundtrip():
     assert PathDiagram.parse("NNNOOEDDED:0,0,2,1,2,3,2,0,1,0") == RUN
 
 
+@pytest.mark.parametrize("text", ["", "   ", " : "])
+def test_diagram_parse_refuses_blank_text(text):
+    with pytest.raises(ValueError) as excinfo:
+        PathDiagram.parse(text)
+    assert str(excinfo.value) == f"no steps in diagram text: {text!r}"
+
+
 @pytest.mark.parametrize("labels", ["0,\uff10", "0_0,0"])
 def test_diagram_parse_takes_only_ascii_decimal_labels(labels):
     with pytest.raises(ValueError, match="not a decimal number"):
