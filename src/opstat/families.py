@@ -14,7 +14,9 @@ whole, in opener order, each at the gap its entry of c names.
 Ordered-partition families refuse n above a desk-scale limit (default 12,
 overridable through the environment variable ``OPSTAT_MAX_N`` or an
 explicit flag): the family sizes grow like k! times the Stirling numbers
-and nothing past desk scale is exhaustively checkable.
+and nothing past desk scale is exhaustively checkable.  A check on one
+class, whose ground set can be small while its k! orders are not, is also
+refused above ``DESK_COUNT_DEFAULT`` objects.
 """
 from __future__ import annotations
 
@@ -47,6 +49,11 @@ __all__ = [
 ]
 
 DESK_SCALE_DEFAULT = 12
+# The most objects that a check on one class (thm3.5 on a partition, eq1.1
+# and doubleton on a composition) enumerates without allow_large.  A class
+# of k blocks has k! orders: thm3.5 takes about 3 s at k = 8 and 25 s at
+# k = 9, within the limit; k = 10 has 3,628,800 orders, past it.
+DESK_COUNT_DEFAULT = 10**6
 
 
 class DeskScaleError(ValueError):
@@ -69,6 +76,14 @@ def _check_scale(n: int, allow_large: bool) -> None:
         raise DeskScaleError(
             f"n={n} exceeds the desk-scale limit {limit}; "
             "set OPSTAT_MAX_N or pass allow_large=True to override"
+        )
+
+
+def _check_count(count: int, allow_large: bool) -> None:
+    if count > DESK_COUNT_DEFAULT and not allow_large:
+        raise DeskScaleError(
+            f"{count} objects exceed the desk-scale count limit {DESK_COUNT_DEFAULT}; "
+            "pass allow_large=True to override"
         )
 
 

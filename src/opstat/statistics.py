@@ -36,10 +36,24 @@ Three counters compare elements with the other blocks' openers and closers:
   same one of the two on the left, so one table per set of blocks holds,
   for each block, the prefix sums of those terms over every subset of the
   other blocks.  Each block order then costs one table lookup and one
-  addition per block.  It reads all of ``transport_side``, and every sweep
-  whose objects are block orders of one set of blocks reads it: ordered
-  partitions in generator order and rearrangement classes.  The tests
-  compare it with ``transport_side``.
+  addition per block.  It reads all of ``transport_side``, one object at a
+  time: thm3.3's ordered partitions, rearrangement classes and beta's
+  images read it.  The tests compare it with ``transport_side``.
+* ``block_order_rows`` sums the same tables over every block order of a
+  standard form at once, for the sums over all of OP(n,k).  The rows of
+  one standard form go into one flat list, after them the adjacent pairs
+  of blocks weighted by their position (bMaj and maj sigma), and each
+  order's total is ``sum`` over a tuple of cell indices into it, so the
+  k! totals are summed in C and counted by a ``Counter`` with no Python
+  frame per order.  A caller names the fields its keys read, and only
+  those are packed, so orders that agree on them share one total.  The
+  cell tuples depend on k alone and are kept in a ``functools.cache`` for
+  at most the last six blocks; a loop over the first k - 6 blocks writes
+  each prefix into a sub-table of the blocks left.  The benchmark
+  (``bench/run.py``) empties that cache before every pass, as a fresh
+  process starts without it, so building the cells counts in the measured
+  time.  ``order_row`` reads one order's fields off ``table_side``; it is
+  the reference the tests compare the kernel with.
 
 ``binv``, ``bdes_set`` and ``bmaj`` compare blocks by definition; they are
 the reference for the kernel's block statistics and also accept traces,
@@ -47,11 +61,14 @@ whose active blocks close at infinity.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from bisect import bisect
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Union
+from functools import cache
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 from .core import OrderedSetPartition, Trace
 
@@ -76,6 +93,9 @@ __all__ = [
     "aggregate_profile",
     "rcb_lsb",
     "resolve_stat",
+    "ORDER_FIELDS",
+    "block_order_rows",
+    "order_row",
 ]
 
 COORD_NAMES = ("los", "ros", "lob", "rob", "lcs", "rcs", "lcb", "rcb", "lsb", "rsb")
@@ -416,6 +436,11 @@ def _side(mak: int, makp: int, lsb: int, b_inv: int, b_maj: int, rsb: int, inv: 
 # The pair-table kernel: one table per set of blocks, O(k) per block order
 # ---------------------------------------------------------------------------
 
+# the fields of ``_pair_terms``: mak = ros + lcs, los + rcs, lsb = los - lcs,
+# bInv, rsb = ros - rcs and INV = ros over the openers
+PAIR_FIELDS = ("mak", "los+rcs", "lsb", "binv", "rsb", "inv")
+
+
 def _pair_terms(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
     """What ``_pair_counts`` adds to ros+lcs, los+rcs, los-lcs, bInv (rcs
     over the openers), ros-rcs and ros over the openers for the pair with
@@ -428,30 +453,40 @@ def _pair_terms(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...
     return ros + lcs, los + rcs, los - lcs, int(left[0] > right[-1]), ros - rcs, int(left[0] > right[0])
 
 
-def _pair_table(blocks: tuple[tuple[int, ...], ...]) -> tuple[dict, int]:
-    """Map each block B_j to (W_j, 2^j), where W_j[mask] is the sum of
-    ``_pair_terms(B_i, B_j)`` over the blocks B_i with bit i set in
-    ``mask``, and return it with the field width.
+def _pair_rows(blocks: tuple[tuple[int, ...], ...], slots: list[tuple[int, int]]) -> list[list[int]]:
+    """W_j for each block B_j, where W_j[mask] is the sum of the packed
+    terms of B_i left of B_j over the blocks B_i with bit i set in ``mask``;
+    ``slots`` pairs each packed field of ``_pair_terms`` with its shift.
 
-    The terms are packed into one integer, ``width`` bits each, the first
-    lowest.  No field can carry into the next: over any block order, each
-    sums to less than 2nk.  W_j doubles once per block: the masks with bit
-    i set are those without it plus B_i's term, so the table takes
-    O(k 2^k) additions.
+    W_j doubles once per block: the masks with bit i set are those without
+    it plus B_i's term, so the rows take O(k 2^k) additions.
     """
-    k = len(blocks)
-    width = (2 * k * sum(map(len, blocks))).bit_length()
-    index = {}
+    rows = []
     for j, right in enumerate(blocks):
         row = [0]
         for i, left in enumerate(blocks):
             term = 0
             if i != j:
-                for value in reversed(_pair_terms(left, right)):
-                    term = term << width | value
+                terms = _pair_terms(left, right)
+                term = sum(terms[field] << shift for field, shift in slots)
             row += [w + term for w in row]
-        index[right] = (row, 1 << j)
-    return index, width
+        rows.append(row)
+    return rows
+
+
+def _field_width(n: int, k: int) -> int:
+    """The bits of one packed field.  No field can carry into the next:
+    over any block order of k blocks of [n], each sums to less than 2nk."""
+    return (2 * k * n).bit_length()
+
+
+def _pair_table(blocks: tuple[tuple[int, ...], ...]) -> tuple[dict, int]:
+    """Map each block B_j to (W_j, 2^j), with W_j from ``_pair_rows`` over
+    all six fields of ``_pair_terms``, the first lowest, and return it with
+    the field width."""
+    width = _field_width(sum(map(len, blocks)), len(blocks))
+    rows = _pair_rows(blocks, [(field, field * width) for field in range(len(PAIR_FIELDS))])
+    return {block: (row, 1 << j) for j, (block, row) in enumerate(zip(blocks, rows))}, width
 
 
 # The table of the last partition read.  Block orders of one set of blocks
@@ -497,3 +532,141 @@ def table_side(pi: OrderedSetPartition) -> tuple[int, ...]:
         total >> 5 * width,
         pos,
     )
+
+
+# ---------------------------------------------------------------------------
+# Every block order of one standard form at once
+# ---------------------------------------------------------------------------
+
+# The fields that ``block_order_rows`` reads off adjacent blocks, each the
+# sum of the positions j at which block j dominates block j + 1 (bMaj) or
+# has the larger opener (maj sigma, the major index of the class
+# permutation), beside the fields of ``_pair_terms``.
+_ADJACENT_TESTS = {
+    "bmaj": lambda left, right: left[0] > right[-1],
+    "majsigma": lambda left, right: left[0] > right[0],
+}
+ORDER_FIELDS = PAIR_FIELDS + tuple(_ADJACENT_TESTS)
+
+# The orders of at most this many trailing blocks have cached cells, so the
+# cache holds at most 6! = 720 tuples per layout whatever k is; a longer
+# order runs one sub-table per prefix of its first k - 6 blocks.
+_SUFFIX_BLOCKS = 6
+
+
+@cache
+def _suffix_cells(m: int, adjacent: bool) -> tuple[tuple[int, ...], ...]:
+    """For each order of m blocks, in ``itertools.permutations`` order, the
+    indices of the sub-table cells that its total sums.
+
+    A sub-table of m blocks holds W_j[mask] at j 2^m + mask, then m head
+    slots, one per first block, then, when ``adjacent``, the cell of block i
+    left of block j at position q (1 <= q < m) at ((q - 1) m + i) m + j past
+    the heads.  An order reads its head slot, the W-cell of each block on
+    the mask of those before it, and, when ``adjacent``, its m - 1 adjacent
+    pairs.
+    """
+    heads = m << m
+    pairs = heads + m
+    # one int object per index, shared by every tuple
+    index = list(range(pairs + (m - 1) * m * m if adjacent else pairs))
+    out = []
+    for order in itertools.permutations(range(m)):
+        cells = [heads + order[0]]
+        mask = 0
+        for j in order:
+            cells.append(j << m | mask)
+            mask |= 1 << j
+        if adjacent:
+            cells += [pairs + ((q - 1) * m + order[q - 1]) * m + order[q] for q in range(1, m)]
+        out.append(tuple(map(index.__getitem__, cells)))
+    return tuple(out)
+
+
+def _order_totals(blocks: tuple[tuple[int, ...], ...], fields: Sequence[str], width: int) -> Iterator[Iterator[int]]:
+    """The packed ``fields`` of every block order of ``blocks``, in
+    ``itertools.permutations`` order, as one run of totals per ordered
+    prefix of the first k - m blocks, m = min(k, ``_SUFFIX_BLOCKS``).
+
+    Each run is a ``map`` that sums the cached suffix cells over one
+    sub-table, so no Python frame runs per order.  The sub-table of the
+    blocks left after a prefix holds their W-cells on the prefix mask and
+    their position-weighted adjacent pairs; it is built once per set of
+    remaining blocks, and each prefix writes its own total, plus its last
+    block's adjacent pair, into the head slots.  Consume each run before
+    asking for the next: the next prefix rewrites the head slots.
+    """
+    k = len(blocks)
+    m = min(k, _SUFFIX_BLOCKS)
+    start = k - m
+    rows = _pair_rows(blocks, [(PAIR_FIELDS.index(f), s * width) for s, f in enumerate(fields) if f in PAIR_FIELDS])
+    tests = [(_ADJACENT_TESTS[f], s * width) for s, f in enumerate(fields) if f in _ADJACENT_TESTS]
+    adjacent = [[sum(test(left, right) << shift for test, shift in tests) for right in blocks] for left in blocks]
+    cells = _suffix_cells(m, bool(tests))
+    heads = m << m
+    tables: dict[int, list[int]] = {}
+    for prefix in itertools.permutations(range(k), start):
+        mask = total = 0
+        for q, j in enumerate(prefix):
+            total += rows[j][mask] + (q * adjacent[prefix[q - 1]][j] if q else 0)
+            mask |= 1 << j
+        rest = [j for j in range(k) if not mask >> j & 1]
+        table = tables.get(mask)
+        if table is None:
+            masks = [mask]
+            for j in rest:
+                masks += [e | 1 << j for e in masks]
+            table = [rows[j][e] for j in rest for e in masks] + [0] * m
+            if tests:
+                table += [q * adjacent[i][j] for q in range(start + 1, k) for i in rest for j in rest]
+            tables[mask] = table
+        for slot, j in enumerate(rest, start=heads):
+            table[slot] = total + (start * adjacent[prefix[-1]][j] if prefix else 0)
+        yield map(sum, map(map, itertools.repeat(table.__getitem__), cells))
+
+
+def block_order_rows(forms: Iterable[OrderedSetPartition], fields: Sequence[str]) -> Counter:
+    """Count the block orders of the standard forms ``forms`` (partitions
+    of one [n] into k blocks) by their values of ``fields``, which are
+    names in ``ORDER_FIELDS``: the fields of ``_pair_terms``, summed over
+    the pairs of blocks, and bmaj and majsigma, read off adjacent blocks.
+
+    Each order is counted under its own total; only the totals are
+    decoded, once each.  ``order_row`` is the per-object reference.
+    """
+    unknown = [f for f in fields if f not in ORDER_FIELDS]
+    if unknown:
+        raise ValueError(f"unknown block order field {unknown[0]!r}; known: {', '.join(ORDER_FIELDS)}")
+    totals: Counter = Counter()
+    width = None
+    for std in forms:
+        if width is None:
+            width = _field_width(std.n, std.k)
+        elif _field_width(std.n, std.k) != width:
+            raise ValueError("block_order_rows takes standard forms of one n and k")
+        for run in _order_totals(std.blocks, fields, width):
+            totals.update(run)
+    field = (1 << (width or 0)) - 1
+    return Counter({
+        tuple(total >> slot * width & field for slot in range(len(fields))): count
+        for total, count in totals.items()
+    })
+
+
+def order_row(pi: OrderedSetPartition, fields: Sequence[str]) -> tuple[int, ...]:
+    """The values of ``fields`` on one block order, from its ``table_side``
+    and its blocks: the reference for ``block_order_rows``."""
+    a, _, _, c, d, cm, rsb_tc, inv, _ = table_side(pi)
+    k, b_maj = pi.k, bmaj(pi)
+    b_inv = a - c + b_maj
+    values = {
+        "mak": c - b_maj,
+        "los+rcs": (k - 1) * pi.n - d + b_maj,
+        "lsb": cm - k * (k - 1) + b_maj,
+        "binv": b_inv,
+        "rsb": rsb_tc + inv - b_inv,
+        "inv": inv,
+        "bmaj": b_maj,
+        "majsigma": sum(j for j in range(1, k) if pi.blocks[j - 1][0] > pi.blocks[j][0]),
+    }
+    return tuple(values[f] for f in fields)

@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from math import comb
+from math import comb, factorial
 from typing import Callable, Iterable, Sequence, Union
 
 from .core import (
@@ -50,6 +50,7 @@ from .core import (
     major_index,
 )
 from .families import (
+    _check_count,
     _check_scale,
     beta,
     beta_inv,
@@ -74,6 +75,7 @@ from .qpoly import (
 # here calls them
 from .statistics import (
     aggregate_profile,
+    block_order_rows,
     rcb_lsb,
     six_composites,
     stat,
@@ -146,11 +148,16 @@ def _fold(family: Iterable, row: Callable, keys: Callable, slots: int, check: Ca
             rows[values] = rows.get(values, 0) + 1
             if first is None:
                 first = check(obj, values)
+    return _key_counts(rows, keys, slots), first
+
+
+def _key_counts(rows: Counter, keys: Callable, slots: int) -> list[dict]:
+    """Each distinct row keyed once, weighted by its number of objects."""
     counts: list[dict] = [{} for _ in range(slots)]
     for values, objects in rows.items():
         for counter, key in zip(counts, keys(values)):
             counter[key] = counter.get(key, 0) + objects
-    return counts, first
+    return counts
 
 
 def _sum_sweep(family: Iterable, row: Callable, keys: Callable, slots: int, rhs: LaurentPolynomial) -> tuple:
@@ -168,13 +175,18 @@ def _q_keys(row: Sequence[int]) -> list[tuple[int, int, int, int]]:
 # Sums over all ordered partitions: thm3.2, thm3.4, eq5.8 and eq9.2
 # ---------------------------------------------------------------------------
 
-# Each weight that these ids sum is read off pi's ``table_side`` tuple
-# (a, b, ci, c, d, cm, rsb_TC, INV, MAJ), except eq5.8's maj sigma, which
-# its rows append.  thm3.2 takes (a, ci) and (b, ci), thm3.4 (c, cm) and
-# (d, cm), and eq5.8 and eq9.2 take
-#   cls + rsb_TC = a - INV,  opb + rsb_TC = b - INV,
-#   sb - rsb_TC = ci - k(k-1) + INV,  inv sigma = INV  and  MAJ.
-_INV, _MAJ, _MAJ_SIGMA = 7, 8, 9
+# Each id names the block order fields that its keys read
+# (``statistics.block_order_rows``), so its rows carry only those.  With
+# makp = (k-1)n - (los+rcs), thm3.2 takes (mak+bInv, cinvLSB) and
+# (makp+bInv, cinvLSB), cinvLSB = lsb + k(k-1) - bInv, and thm3.4 the same
+# with bMaj.  eq5.8 and eq9.2 take cls + rsb_TC = mak + bInv - INV,
+# opb + rsb_TC = makp + bInv - INV and sb - rsb_TC = lsb - bInv + INV,
+# against t^INV and t^(maj sigma) (inv sigma = INV), or t^MAJ,
+# MAJ = INV - bInv + bMaj.
+_INV = 7  # the entry of transport_side and table_side
+
+_EM_FIELDS = ("mak", "los+rcs", "lsb")
+_T_FIELDS = (*_EM_FIELDS, "binv", "inv")
 
 
 def _em_pair(offset: int, composites: Sequence[int]) -> tuple[tuple[int, int, int, int], ...]:
@@ -184,29 +196,31 @@ def _em_pair(offset: int, composites: Sequence[int]) -> tuple[tuple[int, int, in
     return (a, c, 0, 0), (b, c, 0, 0)
 
 
-def _maj_sigma(pi: OrderedSetPartition) -> int:
-    """maj of pi's class permutation: the sum of the positions j at which
-    the opener of block j exceeds that of block j + 1."""
-    blocks = pi.blocks
-    return sum(j for j in range(1, len(blocks)) if blocks[j - 1][0] > blocks[j][0])
+def _em_keys(n: int, k: int, row: Sequence[int]) -> tuple[tuple[int, int, int, int], ...]:
+    """thm3.2/thm3.4 from the row (mak, los+rcs, lsb, bStat)."""
+    mak, los_rcs, lsb, b_stat = row
+    c_stat_lsb = lsb + k * (k - 1) - b_stat
+    return (mak + b_stat, c_stat_lsb, 0, 0), ((k - 1) * n - los_rcs + b_stat, c_stat_lsb, 0, 0)
 
 
-def _side_and_maj_sigma(pi: OrderedSetPartition) -> tuple[int, ...]:
-    return (*table_side(pi), _maj_sigma(pi))
-
-
-def _t_keys(t_slots: tuple[int, ...], k: int, row: Sequence[int]) -> list[tuple[int, int, int, int]]:
+def _t_keys(n: int, k: int, row: Sequence[int], t_weights: tuple[int, ...]) -> list[tuple[int, int, int, int]]:
     """eq5.8/eq9.2: p^(cls+rsb_TC) q^(sb-rsb_TC), then the same with opb in
-    place of cls, each against t^row[j] for j in ``t_slots``."""
-    a, b, ci = row[:3]
-    inv = row[_INV]
-    q_weight = ci - k * (k - 1) + inv
-    return [(p_weight - inv, q_weight, row[j], 0) for p_weight in (a, b) for j in t_slots]
+    place of cls, each against t to each of ``t_weights``, from a row that
+    starts (mak, los+rcs, lsb, bInv, INV)."""
+    mak, los_rcs, lsb, b_inv, inv = row[:5]
+    q_weight = lsb - b_inv + inv
+    p_weights = (mak + b_inv - inv, (k - 1) * n - los_rcs + b_inv - inv)
+    return [(p_weight, q_weight, t, 0) for p_weight in p_weights for t in t_weights]
 
 
-def _op_sweep(n: int, k: int, row: Callable, keys: Callable, slots: int, rhs: Callable) -> tuple[list, None]:
-    """The sums over OP(n,k) against ``rhs(n, k)``."""
-    return _sum_sweep(ordered_set_partitions(n, k, allow_large=True), row, keys, slots, rhs(n, k))
+def _eq58_keys(n: int, k: int, row: Sequence[int]) -> list[tuple[int, int, int, int]]:
+    """t^(inv sigma) and t^(maj sigma), from the row ending (INV, maj sigma)."""
+    return _t_keys(n, k, row, row[4:6])
+
+
+def _eq92_keys(n: int, k: int, row: Sequence[int]) -> list[tuple[int, int, int, int]]:
+    """t^MAJ, MAJ = INV - bInv + bMaj, from the row ending (bInv, INV, bMaj)."""
+    return _t_keys(n, k, row, (row[4] - row[3] + row[5],))
 
 
 def _em_rhs(n: int, k: int) -> LaurentPolynomial:
@@ -215,6 +229,23 @@ def _em_rhs(n: int, k: int) -> LaurentPolynomial:
 
 def _t_rhs(n: int, k: int) -> LaurentPolynomial:
     return q_factorial(k, "t") * stirling_pq(n, k)
+
+
+# per id: the fields its rows carry, its keys, its number of slots, its RHS
+_OP_SUMS = {
+    "thm3.2": ((*_EM_FIELDS, "binv"), _em_keys, 2, _em_rhs),
+    "thm3.4": ((*_EM_FIELDS, "bmaj"), _em_keys, 2, _em_rhs),
+    "eq5.8": ((*_T_FIELDS, "majsigma"), _eq58_keys, 4, _t_rhs),
+    "eq9.2": ((*_T_FIELDS, "bmaj"), _eq92_keys, 2, _t_rhs),
+}
+
+
+def _op_sweep(theorem: str, n: int, k: int) -> tuple[list, None]:
+    """The sums of ``theorem`` over OP(n,k): every block order of every
+    standard form, counted by its fields, then keyed once per distinct row."""
+    fields, keys, slots, rhs = _OP_SUMS[theorem]
+    counts = _key_counts(block_order_rows(set_partitions(n, k), fields), partial(keys, n, k), slots)
+    return [(LaurentPolynomial(c), rhs(n, k)) for c in counts], None
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +397,15 @@ def _q_multinomial(parts: Sequence[int]) -> LaurentPolynomial:
     return result
 
 
+def _word_count(parts: Sequence[int]) -> int:
+    """The words of ``parts``: the multinomial coefficient."""
+    total, count = 0, 1
+    for p in parts:
+        total += p
+        count *= comb(total, p)
+    return count
+
+
 def _word_inv_maj(w: tuple[int, ...]) -> tuple[int, int]:
     return inversion_number(w), major_index(w)
 
@@ -406,42 +446,47 @@ def _doubleton_sweep(parts: tuple[int, ...]) -> tuple[list, str | None]:
 class _Check:
     """``sweep(**params)`` returns the (LHS, RHS) pairs that must be equal
     (the report shows the first) and the first counterexample or None.  It
-    runs after the guard has read ``size(params)``, so passes allow_large."""
+    runs after the guards have read ``size(params)``, the ground set, and
+    ``count(params)``, so passes allow_large."""
 
     names: tuple[str, ...]
     sweep: Callable[..., tuple[list, str | None]]
     detail: str
     size: Callable[[dict], int] = lambda params: params["n"]
+    # the objects a class check enumerates, for the count guard
+    count: Callable[[dict], int] | None = None
 
 
 _CHECKS = {
     "thm3.1": _Check(("n", "k", "sigma"), _thm31_sweep, "identity or transport failure"),
-    # the lambdas look their families and statistics up when they run, so a
+    # the sweeps look their families and statistics up when they run, so a
     # replaced one is the one they read
-    "thm3.2": _Check(("n", "k"), lambda n, k: _op_sweep(
-        n, k, table_side, partial(_em_pair, 0), 2, _em_rhs), "distribution mismatch"),
+    "thm3.2": _Check(("n", "k"), partial(_op_sweep, "thm3.2"), "distribution mismatch"),
     "thm3.3": _Check(("n", "k"), _thm33_sweep, "per-type mismatch or transport failure"),
-    "thm3.4": _Check(("n", "k"), lambda n, k: _op_sweep(
-        n, k, table_side, partial(_em_pair, 3), 2, _em_rhs), "distribution mismatch"),
-    "thm3.5": _Check(("pi",), _thm35_sweep, "distribution or bijection failure", lambda p: p["pi"].n),
+    "thm3.4": _Check(("n", "k"), partial(_op_sweep, "thm3.4"), "distribution mismatch"),
+    "thm3.5": _Check(
+        ("pi",), _thm35_sweep, "distribution or bijection failure", lambda p: p["pi"].n,
+        lambda p: factorial(p["pi"].k),
+    ),
     # words have sum(parts) letters, doubleton partitions 2 * sum(parts) elements
     "eq1.1": _Check(("parts",), lambda parts: _sum_sweep(
         words(parts), _word_inv_maj, _q_keys, 2, _q_multinomial(parts)),
-        "word distribution mismatch", lambda p: sum(p["parts"])),
+        "word distribution mismatch", lambda p: sum(p["parts"]), lambda p: _word_count(p["parts"])),
     "eq2.3": _Check(("n", "k"), lambda n, k: _sum_sweep(
         set_partitions(n, k), rcb_lsb, lambda row: ((*row, 0, 0),), 1, stirling_pq(n, k)),
         "distribution mismatch"),
-    "eq5.8": _Check(("n", "k"), lambda n, k: _op_sweep(
-        n, k, _side_and_maj_sigma, partial(_t_keys, (_INV, _MAJ_SIGMA), k), 4, _t_rhs),
-        "t-refined distribution mismatch"),
-    "eq9.2": _Check(("n", "k"), lambda n, k: _op_sweep(
-        n, k, table_side, partial(_t_keys, (_MAJ,), k), 2, _t_rhs), "t-refined distribution mismatch"),
+    "eq5.8": _Check(("n", "k"), partial(_op_sweep, "eq5.8"), "t-refined distribution mismatch"),
+    "eq9.2": _Check(("n", "k"), partial(_op_sweep, "eq9.2"), "t-refined distribution mismatch"),
     # both sides are closed forms: nothing is enumerated
     "zezh": _Check(
         ("n", "k"), lambda n, k: ([verify_zezh(n, k)[1:]], None),
         "q-Stirling/Eulerian identity mismatch", lambda p: 0,
     ),
-    "doubleton": _Check(("parts",), _doubleton_sweep, "factorization failure", lambda p: 2 * sum(p["parts"])),
+    # one doubleton block per letter, so sum(parts)! block orders
+    "doubleton": _Check(
+        ("parts",), _doubleton_sweep, "factorization failure", lambda p: 2 * sum(p["parts"]),
+        lambda p: factorial(sum(p["parts"])),
+    ),
 }
 
 THEOREM_IDS = tuple(_CHECKS)
@@ -481,6 +526,8 @@ def verify(theorem: str, allow_large: bool = False, **params) -> VerificationRep
         if sum(params["parts"]) < 1:
             raise ValueError(f"parts must have a positive sum, got {params['parts']}")
     _check_scale(check.size(params), allow_large)
+    if check.count is not None:
+        _check_count(check.count(params), allow_large)
     pairs, counterexample = check.sweep(**params)
     passed = all(lhs == rhs for lhs, rhs in pairs) and counterexample is None
     # the report shows sigma and pi as text

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 
 import pytest
@@ -245,6 +246,63 @@ def test_verify_refuses_a_composition_with_sum_zero(capsys, argv):
 def test_verify_refuses_negative_parts(capsys, argv):
     assert main(["verify", *argv]) == 1
     assert "composition parts must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["thm3.5", "--pi", ""], "error: no blocks in partition text: ''"),
+        (["eq1.1", "--parts", ""], "error: parts must have a positive sum, got ()"),
+        (["doubleton", "--parts", ""], "error: parts must have a positive sum, got ()"),
+    ],
+)
+def test_verify_passes_an_empty_pi_or_parts_to_its_parser(capsys, argv, message):
+    # an empty value is given, so it is parsed and refused, not taken as missing
+    assert main(["verify", *argv]) == 1
+    assert capsys.readouterr().err == message + "\n"
+
+
+def _no_enumeration(monkeypatch):
+    """Make every family a refused request could start fail the test."""
+    verify_module = importlib.import_module("opstat.verify")
+    cli_module = importlib.import_module("opstat.cli")
+
+    def started(*args, **kwargs):
+        raise AssertionError("the enumeration started")
+
+    for name in ("rearrangements", "words", "set_partitions"):
+        monkeypatch.setattr(verify_module, name, started)
+    monkeypatch.setattr(cli_module, "set_partitions", started)
+
+
+def test_count_guard_refuses_large_classes_before_enumerating(capsys, monkeypatch):
+    # twelve singletons have 12! orders and twelve letters 12! words, though
+    # their ground sets pass the desk-scale limit; thm3.5 --n sizes each k
+    _no_enumeration(monkeypatch)
+    singletons = "/".join(map(str, range(1, 13)))
+    for argv in (["--pi", singletons], ["--n", "12", "--k", "12"]):
+        assert main(["verify", "thm3.5", *argv]) == 1
+        assert "error: 479001600 objects exceed the desk-scale count limit 1000000" in capsys.readouterr().err
+    assert main(["verify", "eq1.1", "--parts", ",".join("1" * 12)]) == 1
+    assert "479001600 objects" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["stirling-pq", "gauss"])
+def test_table_guard_refuses_a_large_size(capsys, kind):
+    from opstat.cli import TABLE_MAX_N
+
+    assert TABLE_MAX_N >= 20  # the benchmark's S_pq table
+    assert main(["table", kind, "--n", str(TABLE_MAX_N + 1)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --n {TABLE_MAX_N + 1} exceeds the table limit {TABLE_MAX_N}; pass --allow-large to override\n"
+
+
+def test_table_allow_large_overrides_the_guard(capsys):
+    from opstat.cli import TABLE_MAX_N
+
+    assert main(["table", "gauss", "--n", str(TABLE_MAX_N + 1), "--allow-large"]) == 0
+    assert f"C_q({TABLE_MAX_N + 1},1) = " in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [["decode", ""], ["decode", "--psi", "   "]])

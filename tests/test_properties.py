@@ -162,15 +162,18 @@ def test_table_side_random(pi):
 @settings(max_examples=80)
 @given(partitions(max_n=10))
 def test_trefinement_keys_random(pi):
-    # the eq5.8/eq9.2 keys read off table_side against the profile and the
-    # standard form's permutation
-    from opstat.verify import _INV, _MAJ, _MAJ_SIGMA, _side_and_maj_sigma, _t_keys
+    # the eq5.8/eq9.2 keys of the rows that their sweeps count against the
+    # profile and the standard form's permutation
+    from opstat.statistics import order_row
+    from opstat.verify import _OP_SUMS
 
     prof = aggregate_profile(pi)
     p_weights = [prof[name] + prof["rsb_tc"] for name in ("cls", "opb")]
     q_weight = prof["sb"] - prof["rsb_tc"]
     t_weights = (stat(pi, "invsigma"), stat(pi, "majsigma"))
-    assert _t_keys((_INV, _MAJ_SIGMA), pi.k, _side_and_maj_sigma(pi)) == [
-        (p, q_weight, t, 0) for p in p_weights for t in t_weights
-    ]
-    assert _t_keys((_MAJ,), pi.k, table_side(pi)) == [(p, q_weight, prof["maj"], 0) for p in p_weights]
+    keys = {}
+    for theorem in ("eq5.8", "eq9.2"):
+        fields, key, *_ = _OP_SUMS[theorem]
+        keys[theorem] = key(pi.n, pi.k, order_row(pi, fields))
+    assert keys["eq5.8"] == [(p, q_weight, t, 0) for p in p_weights for t in t_weights]
+    assert keys["eq9.2"] == [(p, q_weight, prof["maj"], 0) for p in p_weights]

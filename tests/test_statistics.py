@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import pytest
 
@@ -6,14 +8,17 @@ from opstat.core import OrderedSetPartition, Trace
 from opstat.families import ordered_set_partitions, set_partitions
 from opstat.statistics import (
     COORD_NAMES,
+    ORDER_FIELDS,
     aggregate_profile,
     bdes_set,
     binv,
+    block_order_rows,
     block_relation,
     bmaj,
     composite,
     coord_stats,
     coordinate_table,
+    order_row,
     rcb_lsb,
     resolve_stat,
     six_composites,
@@ -380,6 +385,70 @@ def test_table_side_matches_transport_side_at_the_packing_extremes(order):
     elements = range(1, 13) if order == "increasing" else range(12, 0, -1)
     pi = OrderedSetPartition.parse("/".join(map(str, elements)))
     assert table_side(pi) == transport_side(pi)
+
+
+def test_order_row_matches_the_profile_exhaustive():
+    # the per-object reference of block_order_rows, field by field
+    names = {"los+rcs": None, "binv": "binv", "rsb": "rsb", "inv": "ros_os", "bmaj": "bmaj"}
+    for n in range(1, 6):
+        for pi in ordered_set_partitions(n):
+            prof = aggregate_profile(pi)
+            expected = [
+                prof["los"] + prof["rcs"] if name == "los+rcs"
+                else stat(pi, "majsigma") if name == "majsigma"
+                else prof[names.get(name, name)]
+                for name in ORDER_FIELDS
+            ]
+            assert list(order_row(pi, ORDER_FIELDS)) == expected
+
+
+@pytest.mark.parametrize("suffix", [6, 2, 1])
+def test_block_order_rows_match_the_per_object_reference(monkeypatch, suffix):
+    # every field at once, and a projection that leaves gaps between the
+    # fields it reads; suffix < k runs the loop over prefixes
+    from opstat import statistics
+
+    monkeypatch.setattr(statistics, "_SUFFIX_BLOCKS", suffix)
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for fields in (ORDER_FIELDS, ("majsigma", "lsb", "bmaj")):
+                expected = Counter(order_row(pi, fields) for pi in ordered_set_partitions(n, k))
+                assert block_order_rows(set_partitions(n, k), fields) == expected
+
+
+def test_order_totals_come_in_permutations_order():
+    # one standard form with k = 8 > 6: two-block prefixes, each with its
+    # own head slots, in the order of itertools.permutations
+    from opstat import statistics
+
+    std = OrderedSetPartition.parse("1 9/2/3 10/4/5/6/7/8")
+    width = statistics._field_width(std.n, std.k)
+    runs = statistics._order_totals(std.blocks, ORDER_FIELDS, width)
+    totals = [total for run in runs for total in run]
+    orders = list(itertools.permutations(std.blocks))
+    assert len(totals) == len(orders) == math.factorial(8)
+    field = (1 << width) - 1
+    for index in range(0, len(orders), 101):
+        pi = OrderedSetPartition._trusted(std.n, orders[index])
+        row = tuple(totals[index] >> slot * width & field for slot in range(len(ORDER_FIELDS)))
+        assert row == order_row(pi, ORDER_FIELDS)
+
+
+def test_the_cell_cache_holds_only_suffix_orders():
+    # an 8-block form reads the cells of 6-block suffixes, whatever k is
+    from opstat import statistics
+
+    statistics._suffix_cells.cache_clear()
+    block_order_rows([OrderedSetPartition.parse("1/2/3/4/5/6/7/8")], ("mak", "bmaj"))
+    assert statistics._suffix_cells.cache_info().currsize == 1
+    assert len(statistics._suffix_cells(statistics._SUFFIX_BLOCKS, True)) == math.factorial(6)
+
+
+def test_block_order_rows_refuse_unknown_fields_and_mixed_forms():
+    with pytest.raises(ValueError, match="unknown block order field 'maj'"):
+        block_order_rows(set_partitions(3, 2), ("mak", "maj"))
+    with pytest.raises(ValueError, match="one n and k"):
+        block_order_rows([*set_partitions(3, 2), *set_partitions(3, 3)], ("mak",))
 
 
 def test_aggregate_profile_matches_definitions():

@@ -1,6 +1,8 @@
 import importlib
+import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -91,11 +93,16 @@ def test_trefinements_build_sigma_once_per_object(monkeypatch):
 
 
 def _trefinement_keys(pi):
-    """The eq5.8 and eq9.2 keys of pi as their sweeps read them."""
+    """The eq5.8 and eq9.2 keys of pi as their sweeps read them, from pi's
+    row of each id's fields."""
+    from opstat.statistics import order_row
+
     module = importlib.import_module(_VERIFY)
-    eq58 = module._t_keys((module._INV, module._MAJ_SIGMA), pi.k, module._side_and_maj_sigma(pi))
-    eq92 = module._t_keys((module._MAJ,), pi.k, module.table_side(pi))
-    return eq58, eq92
+    keys = []
+    for theorem in ("eq5.8", "eq9.2"):
+        fields, key, *_ = module._OP_SUMS[theorem]
+        keys.append(key(pi.n, pi.k, order_row(pi, fields)))
+    return keys
 
 
 def _reference_trefinement_keys(pi, *t_stats):
@@ -112,9 +119,9 @@ def _reference_trefinement_keys(pi, *t_stats):
 
 
 def test_trefinement_keys_match_profile_and_class_permutation_exhaustive():
-    # every ordered partition with n <= 6: the eq5.8/eq9.2 keys read off
-    # table_side (and the opener descents) against the profile and the
-    # standard form's permutation
+    # every ordered partition with n <= 6: the eq5.8/eq9.2 keys of the rows
+    # that their sweeps count against the profile and the standard form's
+    # permutation
     from opstat.families import ordered_set_partitions
 
     for n in range(1, 7):
@@ -340,16 +347,40 @@ def _bump(index):
     return lambda values: _add(values, index, 1)
 
 
+def _plant_order(monkeypatch, target, field, delta):
+    """Add ``delta`` to ``field`` of the block order ``target`` where the
+    pair-table kernel packs it, in the totals of its standard form's
+    block orders that ``statistics._order_totals`` gives."""
+    statistics = importlib.import_module("opstat.statistics")
+    original = statistics._order_totals
+    std = target.standard_form()[0]
+    index = list(itertools.permutations(std.blocks)).index(target.blocks)
+
+    def planted(blocks, fields, width):
+        runs = original(blocks, fields, width)
+        if blocks != std.blocks or field not in fields:
+            return runs
+        totals = [total for run in runs for total in run]
+        shift = width * fields.index(field)
+        assert (totals[index] >> shift & (1 << width) - 1) + delta >= 0  # no borrow
+        totals[index] += delta << shift
+        return [totals]
+
+    monkeypatch.setattr(statistics, "_order_totals", planted)
+
+
 def _swap(monkeypatch, index, x, y):
-    """Exchange ``side[index] - side[INV]`` of the ``table_side`` of
-    partitions ``x`` and ``y``: for index 0 (1) that is cls+rsb_TC
-    (opb+rsb_TC), eq5.8's p weight.  Each keeps its own INV."""
+    """Exchange ``side[index] - side[INV]`` of the ``transport_side`` of
+    partitions ``x`` and ``y`` in the kernel's totals: for index 0 (1) that
+    is cls+rsb_TC = mak + bInv - INV (opb+rsb_TC, which falls as los+rcs
+    rises), eq5.8's p weight.  Each keeps its own INV."""
     from opstat.statistics import transport_side
 
     side_x, side_y = transport_side(_parsed(x)), transport_side(_parsed(y))
     shift = side_y[index] - side_y[_INV] - side_x[index] + side_x[_INV]
-    _plant(monkeypatch, "table_side", _parsed(x), lambda side: _add(side, index, shift))
-    _plant(monkeypatch, "table_side", _parsed(y), lambda side: _add(side, index, -shift))
+    field, sign = ("mak", 1) if index == 0 else ("los+rcs", -1)
+    _plant_order(monkeypatch, _parsed(x), field, sign * shift)
+    _plant_order(monkeypatch, _parsed(y), field, -sign * shift)
 
 
 def _add(values, index, delta):
@@ -363,16 +394,17 @@ def _parsed(text):
 _DOUBLETON = _parsed("5 6/1 3/2 4")  # a rearrangement of doubleton_partition((2, 1))
 _INV, _MAJ = 7, 8  # entries of transport_side and table_side
 _SLOT_PLANTS = [
-    # id, parameters, plant, whether the plant reaches the displayed LHS
-    ("thm3.2", dict(n=4, k=3), lambda mp: _plant(mp, "table_side", _TARGET, _bump(0)), True),
-    ("thm3.2", dict(n=4, k=3), lambda mp: _plant(mp, "table_side", _TARGET, _bump(1)), False),
-    ("thm3.4", dict(n=4, k=3), lambda mp: _plant(mp, "table_side", _TARGET, _bump(3)), True),
-    ("thm3.4", dict(n=4, k=3), lambda mp: _plant(mp, "table_side", _TARGET, _bump(4)), False),
+    # id, parameters, plant, whether the plant reaches the displayed LHS;
+    # mak raises mak+bStat, and los+rcs lowers mak'+bStat by as much
+    ("thm3.2", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "mak", 1), True),
+    ("thm3.2", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "los+rcs", -1), False),
+    ("thm3.4", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "mak", 1), True),
+    ("thm3.4", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "los+rcs", -1), False),
     # rcb_lsb returns (rcb, lsb)
     ("eq2.3", dict(n=4, k=3), lambda mp: _plant(mp, "rcb_lsb", _parsed("1 3/2/4"), _bump(0)), True),
-    # side entries 0 and 1 are cls+rsb_TC+INV and opb+rsb_TC+INV
-    ("eq9.2", dict(n=4, k=3), lambda mp: _plant(mp, "table_side", _TARGET, _bump(0)), True),
-    ("eq9.2", dict(n=4, k=3), lambda mp: _plant(mp, "table_side", _TARGET, _bump(1)), False),
+    # likewise for cls+rsb_TC = mak + bInv - INV and opb+rsb_TC
+    ("eq9.2", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "mak", 1), True),
+    ("eq9.2", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "los+rcs", -1), False),
     # the two partitions share rsb_TC, sb and inv (maj) of the class
     # permutation, so only the slot pairing the swapped cls (opb) with maj
     # (inv) sees the swap
@@ -396,9 +428,9 @@ _SLOT_PLANTS = [
      lambda mp: _stand_in(mp, "rearrangements", _parsed("2/1 3/4"), _parsed("1 3/4/2")), True),
     ("thm3.5", dict(pi="1 3/2/4"),
      lambda mp: _stand_in(mp, "rearrangements", _parsed("4/2/1 3"), _parsed("1 3/4/2")), False),
-    # maj sigma is read off the blocks for eq5.8 alone, and only its two
+    # maj sigma is a field of eq5.8's rows alone, and only its two
     # (., maj sigma) slots pair with it
-    ("eq5.8", dict(n=4, k=3), lambda mp: _plant(mp, "_maj_sigma", _TARGET, lambda v: v + 1), False),
+    ("eq5.8", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "majsigma", 1), False),
 ]
 
 
@@ -488,11 +520,38 @@ def test_em_sweep_counts_match_the_reference_kernel():
                 assert [lhs for lhs, _ in pairs] == [LaurentPolynomial(c) for c in expected]
 
 
-def test_em_reports_do_not_depend_on_the_family_order(monkeypatch):
-    # each object is read from the table of its own blocks, whether or not
-    # the block orders of one standard form come together
+def _op_rows_match_the_per_object_reference(max_n):
+    from opstat.families import ordered_set_partitions, set_partitions
+    from opstat.statistics import block_order_rows, order_row
+
     module = importlib.import_module(_VERIFY)
-    original = module.ordered_set_partitions
+    for n in range(1, max_n + 1):
+        for k in range(1, n + 1):
+            for fields, *_ in module._OP_SUMS.values():
+                expected = Counter(order_row(pi, fields) for pi in ordered_set_partitions(n, k))
+                assert block_order_rows(set_partitions(n, k), fields) == expected
+
+
+def test_op_sums_count_the_rows_of_the_per_object_reference():
+    # every n <= 7 and every k: the rows that thm3.2, thm3.4, eq5.8 and
+    # eq9.2 fold are those of table_side (plus maj sigma), one per object
+    assert set(importlib.import_module(_VERIFY)._OP_SUMS) == {"thm3.2", "thm3.4", "eq5.8", "eq9.2"}
+    _op_rows_match_the_per_object_reference(7)
+
+
+def test_op_sums_match_the_reference_through_the_prefix_loop(monkeypatch):
+    # cached cells for the last two blocks only, so every k > 2 runs the
+    # loop over prefixes and its sub-tables
+    statistics = importlib.import_module("opstat.statistics")
+    monkeypatch.setattr(statistics, "_SUFFIX_BLOCKS", 2)
+    _op_rows_match_the_per_object_reference(6)
+
+
+def test_em_reports_do_not_depend_on_the_family_order(monkeypatch):
+    # the block orders of each standard form are counted from its own
+    # table, in whatever order the standard forms come
+    module = importlib.import_module(_VERIFY)
+    original = module.set_partitions
     cases = [(theorem, k) for theorem in ("thm3.2", "thm3.4") for k in range(1, 7)]
     expected = [verify(theorem, n=6, k=k).to_json() for theorem, k in cases]
 
@@ -501,7 +560,7 @@ def test_em_reports_do_not_depend_on_the_family_order(monkeypatch):
         random.Random(0).shuffle(family)
         return iter(family)
 
-    monkeypatch.setattr(module, "ordered_set_partitions", shuffled)
+    monkeypatch.setattr(module, "set_partitions", shuffled)
     assert [verify(theorem, n=6, k=k).to_json() for theorem, k in cases] == expected
 
 
@@ -623,6 +682,39 @@ def test_desk_scale_guard_sizes_partition_and_composition_checks():
     with pytest.raises(DeskScaleError):
         verify("doubleton", parts=(7,))
     assert verify("doubleton", parts=(7,), allow_large=True).passed
+
+
+def test_count_guard_sizes_class_checks_by_their_objects(monkeypatch):
+    # arithmetic only: each family is replaced by one that fails the test
+    # if it is ever started
+    import dataclasses
+    import math
+
+    module = importlib.import_module(_VERIFY)
+
+    def started(*args, **kwargs):
+        raise AssertionError("the enumeration started")
+
+    for name in ("rearrangements", "words", "doubleton_partition"):
+        monkeypatch.setattr(module, name, started)
+    singletons = OrderedSetPartition.parse("/".join(map(str, range(1, 13))))
+    assert module._CHECKS["thm3.5"].count({"pi": singletons}) == math.factorial(12)
+    assert module._CHECKS["eq1.1"].count({"parts": (3, 2, 0, 4)}) == math.factorial(9) // (6 * 2 * 24)
+    assert module._CHECKS["doubleton"].count({"parts": (3, 2)}) == math.factorial(5)
+    with pytest.raises(DeskScaleError, match="^479001600 objects exceed the desk-scale count limit 1000000;"):
+        verify("thm3.5", pi=singletons)
+    words = math.factorial(11) // 2**5  # 11 letters pass the ground-set guard
+    with pytest.raises(DeskScaleError, match=f"^{words} objects exceed"):
+        verify("eq1.1", parts=(2, 2, 2, 2, 2, 1))
+    # 2 * 10 elements pass a raised ground-set limit, and 10! orders do not
+    monkeypatch.setenv("OPSTAT_MAX_N", "20")
+    with pytest.raises(DeskScaleError, match="^3628800 objects exceed"):
+        verify("doubleton", parts=(10,))
+    # allow_large passes both guards, and the stand-in sweep runs
+    one = LaurentPolynomial.constant(1)
+    stub = dataclasses.replace(module._CHECKS["thm3.5"], sweep=lambda pi: ([(one, one)], None))
+    monkeypatch.setitem(module._CHECKS, "thm3.5", stub)
+    assert verify("thm3.5", pi=singletons, allow_large=True).passed
 
 
 @pytest.mark.parametrize("raw", ["x", "1_0", "-5", ""])
