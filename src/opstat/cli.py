@@ -14,7 +14,6 @@ import json
 import os
 import re
 import sys
-from math import factorial
 from multiprocessing import Pool
 
 from .core import OrderedSetPartition, Permutation
@@ -221,7 +220,9 @@ def _verify_tasks(args) -> list[tuple[str, dict]]:
             if not 1 <= k <= n:
                 continue
             if "pi" in names:
-                _check_count(factorial(k), args.allow_large)  # each standard form has k! orders
+                # the record's count, read off one class of k blocks
+                singletons = OrderedSetPartition.parse("/".join(map(str, range(1, k + 1))))
+                _check_count(_CHECKS[theorem].count({"pi": singletons}), args.allow_large)
                 for pi0 in set_partitions(n, k):
                     tasks.append((theorem, {"pi": pi0.to_text(), **extra}))
             elif "sigma" in names:

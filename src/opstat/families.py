@@ -10,6 +10,9 @@ order, and ``ordered_set_partitions``, ``sigma_partitions`` and
 ``rearrangements`` reorder the blocks of a partition that is already valid.
 ``beta`` reorders the blocks of its standard form too: it inserts them
 whole, in opener order, each at the gap its entry of c names.
+``ordered_set_partitions`` can also give each block order as an int that
+packs its statistics (``statistics.block_order_totals``), so a sum over
+OP(n,k) is still drawn from its family without building a partition.
 
 Ordered-partition families refuse n above a desk-scale limit (default 12,
 overridable through the environment variable ``OPSTAT_MAX_N`` or an
@@ -28,6 +31,7 @@ from typing import Iterator, Sequence
 
 from .core import OrderedSetPartition, PartitionType, Permutation, _decimal
 from .paths import LatticePath, PathDiagram, _insertion_positions, psi_inv
+from .statistics import block_order_totals
 
 __all__ = [
     "DeskScaleError",
@@ -158,11 +162,25 @@ def permutations(k: int) -> Iterator[Permutation]:
 
 
 def ordered_set_partitions(
-    n: int, k: int | None = None, allow_large: bool = False
-) -> Iterator[OrderedSetPartition]:
+    n: int, k: int | None = None, allow_large: bool = False, fields: Sequence[str] | None = None
+) -> Iterator[OrderedSetPartition] | Iterator[int]:
     """All ordered set partitions of [n] (with k blocks when k is given):
-    standard forms in generator order, block orders lexicographic."""
+    standard forms in generator order, block orders lexicographic.
+
+    With ``fields``, names in ``statistics.ORDER_FIELDS`` (k is then
+    required), each block order comes as its values of those fields packed
+    into one int by ``statistics.block_order_totals``, and no partition is
+    built; ``statistics.unpack_totals`` reads the counted totals.
+    """
     _check_scale(n, allow_large)
+    if fields is None:
+        return _block_orders(n, k)
+    if k is None:
+        raise ValueError("packed block orders need k")
+    return block_order_totals(set_partitions(n, k), n, k, fields)
+
+
+def _block_orders(n: int, k: int | None) -> Iterator[OrderedSetPartition]:
     for std in set_partitions(n, k):
         # itertools.permutations orders block tuples as permutations(k)
         # orders images, so this is std.rearranged(sigma) for each sigma

@@ -39,21 +39,22 @@ Three counters compare elements with the other blocks' openers and closers:
   addition per block.  It reads all of ``transport_side``, one object at a
   time: thm3.3's ordered partitions, rearrangement classes and beta's
   images read it.  The tests compare it with ``transport_side``.
-* ``block_order_rows`` sums the same tables over every block order of a
-  standard form at once, for the sums over all of OP(n,k).  The rows of
+* ``block_order_totals`` sums the same tables over every block order of a
+  standard form at once, for the sums over all of OP(n,k)
+  (``families.ordered_set_partitions`` with ``fields``).  The rows of
   one standard form go into one flat list, after them the adjacent pairs
   of blocks weighted by their position (bMaj and maj sigma), and each
   order's total is ``sum`` over a tuple of cell indices into it, so the
-  k! totals are summed in C and counted by a ``Counter`` with no Python
-  frame per order.  A caller names the fields its keys read, and only
-  those are packed, so orders that agree on them share one total.  The
-  cell tuples depend on k alone and are kept in a ``functools.cache`` for
-  at most the last six blocks; a loop over the first k - 6 blocks writes
-  each prefix into a sub-table of the blocks left.  The benchmark
-  (``bench/run.py``) empties that cache before every pass, as a fresh
-  process starts without it, so building the cells counts in the measured
-  time.  ``order_row`` reads one order's fields off ``table_side``; it is
-  the reference the tests compare the kernel with.
+  k! totals are summed in C and a ``Counter`` counts them with no Python
+  frame per order; ``unpack_totals`` reads each distinct total once.  A
+  caller names the fields its keys read, and only those are packed, so
+  orders that agree on them share one total.  The cell tuples depend on k
+  alone and are kept in a ``functools.cache`` for at most the last six
+  blocks; a loop over the first k - 6 blocks writes each prefix into a
+  sub-table of the blocks left.  The benchmark (``bench/run.py``) empties
+  that cache before every pass, as a fresh process starts without it, so
+  building the cells counts in the measured time.  The tests compare the
+  kernel with ``table_side``, one object at a time.
 
 ``binv``, ``bdes_set`` and ``bmaj`` compare blocks by definition; they are
 the reference for the kernel's block statistics and also accept traces,
@@ -94,8 +95,8 @@ __all__ = [
     "rcb_lsb",
     "resolve_stat",
     "ORDER_FIELDS",
-    "block_order_rows",
-    "order_row",
+    "block_order_totals",
+    "unpack_totals",
 ]
 
 COORD_NAMES = ("los", "ros", "lob", "rob", "lcs", "rcs", "lcb", "rcb", "lsb", "rsb")
@@ -538,7 +539,7 @@ def table_side(pi: OrderedSetPartition) -> tuple[int, ...]:
 # Every block order of one standard form at once
 # ---------------------------------------------------------------------------
 
-# The fields that ``block_order_rows`` reads off adjacent blocks, each the
+# The fields that ``block_order_totals`` reads off adjacent blocks, each the
 # sum of the positions j at which block j dominates block j + 1 (bMaj) or
 # has the larger opener (maj sigma, the major index of the class
 # permutation), beside the fields of ``_pair_terms``.
@@ -625,48 +626,39 @@ def _order_totals(blocks: tuple[tuple[int, ...], ...], fields: Sequence[str], wi
         yield map(sum, map(map, itertools.repeat(table.__getitem__), cells))
 
 
-def block_order_rows(forms: Iterable[OrderedSetPartition], fields: Sequence[str]) -> Counter:
-    """Count the block orders of the standard forms ``forms`` (partitions
-    of one [n] into k blocks) by their values of ``fields``, which are
-    names in ``ORDER_FIELDS``: the fields of ``_pair_terms``, summed over
-    the pairs of blocks, and bmaj and majsigma, read off adjacent blocks.
+def block_order_totals(
+    forms: Iterable[OrderedSetPartition], n: int, k: int, fields: Sequence[str]
+) -> Iterator[int]:
+    """One packed total per block order of the standard forms ``forms``
+    (partitions of [n] into k blocks), each form's orders in
+    ``itertools.permutations`` order.  ``fields`` are names in
+    ``ORDER_FIELDS``: the fields of ``_pair_terms``, summed over the pairs
+    of blocks, and bmaj and majsigma, read off adjacent blocks.
 
-    Each order is counted under its own total; only the totals are
-    decoded, once each.  ``order_row`` is the per-object reference.
+    The totals are summed in C and built no partition; count them, then
+    read each distinct total once with ``unpack_totals``.
     """
     unknown = [f for f in fields if f not in ORDER_FIELDS]
     if unknown:
         raise ValueError(f"unknown block order field {unknown[0]!r}; known: {', '.join(ORDER_FIELDS)}")
-    totals: Counter = Counter()
-    width = None
+    return itertools.chain.from_iterable(_form_totals(forms, n, k, fields, _field_width(n, k)))
+
+
+def _form_totals(
+    forms: Iterable[OrderedSetPartition], n: int, k: int, fields: Sequence[str], width: int
+) -> Iterator[Iterator[int]]:
     for std in forms:
-        if width is None:
-            width = _field_width(std.n, std.k)
-        elif _field_width(std.n, std.k) != width:
-            raise ValueError("block_order_rows takes standard forms of one n and k")
-        for run in _order_totals(std.blocks, fields, width):
-            totals.update(run)
-    field = (1 << (width or 0)) - 1
+        if (std.n, std.k) != (n, k):
+            raise ValueError(f"block orders of [{n}] into {k} blocks cannot take {std.to_text()!r}")
+        yield from _order_totals(std.blocks, fields, width)
+
+
+def unpack_totals(totals: Counter, n: int, k: int, fields: Sequence[str]) -> Counter:
+    """The counts of ``block_order_totals`` keyed by the values of
+    ``fields``, each distinct total read once."""
+    width = _field_width(n, k)
+    field = (1 << width) - 1
     return Counter({
         tuple(total >> slot * width & field for slot in range(len(fields))): count
         for total, count in totals.items()
     })
-
-
-def order_row(pi: OrderedSetPartition, fields: Sequence[str]) -> tuple[int, ...]:
-    """The values of ``fields`` on one block order, from its ``table_side``
-    and its blocks: the reference for ``block_order_rows``."""
-    a, _, _, c, d, cm, rsb_tc, inv, _ = table_side(pi)
-    k, b_maj = pi.k, bmaj(pi)
-    b_inv = a - c + b_maj
-    values = {
-        "mak": c - b_maj,
-        "los+rcs": (k - 1) * pi.n - d + b_maj,
-        "lsb": cm - k * (k - 1) + b_maj,
-        "binv": b_inv,
-        "rsb": rsb_tc + inv - b_inv,
-        "inv": inv,
-        "bmaj": b_maj,
-        "majsigma": sum(j for j in range(1, k) if pi.blocks[j - 1][0] > pi.blocks[j][0]),
-    }
-    return tuple(values[f] for f in fields)

@@ -75,13 +75,13 @@ from .qpoly import (
 # here calls them
 from .statistics import (
     aggregate_profile,
-    block_order_rows,
     rcb_lsb,
     six_composites,
     stat,
     stat_restricted,
     table_side,
     transport_side,
+    unpack_totals,
 )
 
 __all__ = ["VerificationReport", "verify", "THEOREM_IDS", "run_task"]
@@ -176,7 +176,7 @@ def _q_keys(row: Sequence[int]) -> list[tuple[int, int, int, int]]:
 # ---------------------------------------------------------------------------
 
 # Each id names the block order fields that its keys read
-# (``statistics.block_order_rows``), so its rows carry only those.  With
+# (``statistics.block_order_totals``), so its rows carry only those.  With
 # makp = (k-1)n - (los+rcs), thm3.2 takes (mak+bInv, cinvLSB) and
 # (makp+bInv, cinvLSB), cinvLSB = lsb + k(k-1) - bInv, and thm3.4 the same
 # with bMaj.  eq5.8 and eq9.2 take cls + rsb_TC = mak + bInv - INV,
@@ -241,10 +241,11 @@ _OP_SUMS = {
 
 
 def _op_sweep(theorem: str, n: int, k: int) -> tuple[list, None]:
-    """The sums of ``theorem`` over OP(n,k): every block order of every
-    standard form, counted by its fields, then keyed once per distinct row."""
+    """The sums of ``theorem`` over OP(n,k): every block order, drawn as its
+    packed fields, counted, then keyed once per distinct row."""
     fields, keys, slots, rhs = _OP_SUMS[theorem]
-    counts = _key_counts(block_order_rows(set_partitions(n, k), fields), partial(keys, n, k), slots)
+    totals = Counter(ordered_set_partitions(n, k, allow_large=True, fields=fields))
+    counts = _key_counts(unpack_totals(totals, n, k, fields), partial(keys, n, k), slots)
     return [(LaurentPolynomial(c), rhs(n, k)) for c in counts], None
 
 

@@ -2,6 +2,7 @@
 mirroring the exhaustive small-n checks."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from order_reference import order_row
 
 from opstat.core import OrderedSetPartition
 from opstat.families import beta, beta_inv
@@ -164,7 +165,6 @@ def test_table_side_random(pi):
 def test_trefinement_keys_random(pi):
     # the eq5.8/eq9.2 keys of the rows that their sweeps count against the
     # profile and the standard form's permutation
-    from opstat.statistics import order_row
     from opstat.verify import _OP_SUMS
 
     prof = aggregate_profile(pi)

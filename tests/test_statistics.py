@@ -3,6 +3,7 @@ import math
 from collections import Counter
 
 import pytest
+from order_reference import order_row
 
 from opstat.core import OrderedSetPartition, Trace
 from opstat.families import ordered_set_partitions, set_partitions
@@ -12,13 +13,12 @@ from opstat.statistics import (
     aggregate_profile,
     bdes_set,
     binv,
-    block_order_rows,
+    block_order_totals,
     block_relation,
     bmaj,
     composite,
     coord_stats,
     coordinate_table,
-    order_row,
     rcb_lsb,
     resolve_stat,
     six_composites,
@@ -28,6 +28,7 @@ from opstat.statistics import (
     transport_side,
     trace_ros,
     trace_rsb,
+    unpack_totals,
 )
 
 PI = OrderedSetPartition.parse("6 8/5/1 4 7/3 9/2")
@@ -388,7 +389,7 @@ def test_table_side_matches_transport_side_at_the_packing_extremes(order):
 
 
 def test_order_row_matches_the_profile_exhaustive():
-    # the per-object reference of block_order_rows, field by field
+    # the per-object reference of block_order_totals, field by field
     names = {"los+rcs": None, "binv": "binv", "rsb": "rsb", "inv": "ros_os", "bmaj": "bmaj"}
     for n in range(1, 6):
         for pi in ordered_set_partitions(n):
@@ -402,8 +403,12 @@ def test_order_row_matches_the_profile_exhaustive():
             assert list(order_row(pi, ORDER_FIELDS)) == expected
 
 
+def _order_rows(forms, n, k, fields):
+    return unpack_totals(Counter(block_order_totals(forms, n, k, fields)), n, k, fields)
+
+
 @pytest.mark.parametrize("suffix", [6, 2, 1])
-def test_block_order_rows_match_the_per_object_reference(monkeypatch, suffix):
+def test_block_order_totals_match_the_per_object_reference(monkeypatch, suffix):
     # every field at once, and a projection that leaves gaps between the
     # fields it reads; suffix < k runs the loop over prefixes
     from opstat import statistics
@@ -413,7 +418,23 @@ def test_block_order_rows_match_the_per_object_reference(monkeypatch, suffix):
         for k in range(1, n + 1):
             for fields in (ORDER_FIELDS, ("majsigma", "lsb", "bmaj")):
                 expected = Counter(order_row(pi, fields) for pi in ordered_set_partitions(n, k))
-                assert block_order_rows(set_partitions(n, k), fields) == expected
+                assert _order_rows(set_partitions(n, k), n, k, fields) == expected
+
+
+def test_packed_block_orders_come_one_per_order_in_family_order():
+    # ordered_set_partitions with fields gives each block order's packed
+    # row where it gives the order itself
+    from opstat import statistics
+
+    fields = ("mak", "bmaj", "majsigma")
+    for n, k in ((5, 3), (7, 7)):
+        width = statistics._field_width(n, k)
+        totals = list(ordered_set_partitions(n, k, fields=fields))
+        orders = list(ordered_set_partitions(n, k))
+        assert len(totals) == len(orders)
+        for total, pi in zip(totals, orders):
+            row = tuple(total >> slot * width & (1 << width) - 1 for slot in range(len(fields)))
+            assert row == order_row(pi, fields)
 
 
 def test_order_totals_come_in_permutations_order():
@@ -439,16 +460,28 @@ def test_the_cell_cache_holds_only_suffix_orders():
     from opstat import statistics
 
     statistics._suffix_cells.cache_clear()
-    block_order_rows([OrderedSetPartition.parse("1/2/3/4/5/6/7/8")], ("mak", "bmaj"))
+    _order_rows([OrderedSetPartition.parse("1/2/3/4/5/6/7/8")], 8, 8, ("mak", "bmaj"))
     assert statistics._suffix_cells.cache_info().currsize == 1
     assert len(statistics._suffix_cells(statistics._SUFFIX_BLOCKS, True)) == math.factorial(6)
 
 
-def test_block_order_rows_refuse_unknown_fields_and_mixed_forms():
+def test_block_order_totals_refuse_unknown_fields_and_other_forms():
     with pytest.raises(ValueError, match="unknown block order field 'maj'"):
-        block_order_rows(set_partitions(3, 2), ("mak", "maj"))
-    with pytest.raises(ValueError, match="one n and k"):
-        block_order_rows([*set_partitions(3, 2), *set_partitions(3, 3)], ("mak",))
+        block_order_totals(set_partitions(3, 2), 3, 2, ("mak", "maj"))
+    # another k, and another n of the same field width: (4, 3) and (5, 3)
+    # both pack 5-bit fields
+    from opstat import statistics
+
+    assert statistics._field_width(4, 3) == statistics._field_width(5, 3)
+    for forms, other in (
+        ([*set_partitions(3, 2), *set_partitions(3, 3)], "1/2/3"),
+        ([*set_partitions(4, 3), *set_partitions(5, 3)], "1 2 3/4/5"),
+    ):
+        n, k = forms[0].n, forms[0].k
+        with pytest.raises(ValueError, match=rf"block orders of \[{n}\] into {k} blocks cannot take '{other}'"):
+            list(block_order_totals(forms, n, k, ("mak",)))
+    with pytest.raises(ValueError, match="packed block orders need k"):
+        ordered_set_partitions(3, fields=("mak",))
 
 
 def test_aggregate_profile_matches_definitions():

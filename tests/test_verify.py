@@ -5,6 +5,7 @@ import random
 from collections import Counter
 
 import pytest
+from order_reference import order_row
 
 from opstat.core import OrderedSetPartition
 from opstat.families import DeskScaleError, beta
@@ -95,8 +96,6 @@ def test_trefinements_build_sigma_once_per_object(monkeypatch):
 def _trefinement_keys(pi):
     """The eq5.8 and eq9.2 keys of pi as their sweeps read them, from pi's
     row of each id's fields."""
-    from opstat.statistics import order_row
-
     module = importlib.import_module(_VERIFY)
     keys = []
     for theorem in ("eq5.8", "eq9.2"):
@@ -521,15 +520,16 @@ def test_em_sweep_counts_match_the_reference_kernel():
 
 
 def _op_rows_match_the_per_object_reference(max_n):
-    from opstat.families import ordered_set_partitions, set_partitions
-    from opstat.statistics import block_order_rows, order_row
+    from opstat.families import ordered_set_partitions
+    from opstat.statistics import unpack_totals
 
     module = importlib.import_module(_VERIFY)
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
             for fields, *_ in module._OP_SUMS.values():
                 expected = Counter(order_row(pi, fields) for pi in ordered_set_partitions(n, k))
-                assert block_order_rows(set_partitions(n, k), fields) == expected
+                totals = Counter(ordered_set_partitions(n, k, fields=fields))
+                assert unpack_totals(totals, n, k, fields) == expected
 
 
 def test_op_sums_count_the_rows_of_the_per_object_reference():
@@ -547,21 +547,52 @@ def test_op_sums_match_the_reference_through_the_prefix_loop(monkeypatch):
     _op_rows_match_the_per_object_reference(6)
 
 
+def test_op_sums_draw_one_item_per_block_order(monkeypatch):
+    # the OP(n,k) ids draw every block order, and nothing else, from the
+    # family generator, so counting its items counts the family
+    from math import factorial
+
+    from opstat.families import stirling2
+
+    module = importlib.import_module(_VERIFY)
+    original = module.ordered_set_partitions
+    drawn = []
+
+    def counted(*args, **kwargs):
+        for item in original(*args, **kwargs):
+            drawn.append(item)
+            yield item
+
+    def refused(*args, **kwargs):
+        raise AssertionError("standard forms drawn outside the family")
+
+    monkeypatch.setattr(module, "ordered_set_partitions", counted)
+    monkeypatch.setattr(module, "set_partitions", refused)
+    for theorem in module._OP_SUMS:
+        for n, k in ((5, 3), (7, 7)):
+            drawn.clear()
+            assert verify(theorem, n=n, k=k).passed
+            assert len(drawn) == factorial(k) * stirling2(n, k)
+
+
 def test_em_reports_do_not_depend_on_the_family_order(monkeypatch):
     # the block orders of each standard form are counted from its own
-    # table, in whatever order the standard forms come
-    module = importlib.import_module(_VERIFY)
-    original = module.set_partitions
+    # table, in whatever order ordered_set_partitions draws the forms
+    families = importlib.import_module("opstat.families")
+    original = families.set_partitions
     cases = [(theorem, k) for theorem in ("thm3.2", "thm3.4") for k in range(1, 7)]
     expected = [verify(theorem, n=6, k=k).to_json() for theorem, k in cases]
+    calls = []
 
     def shuffled(*args, **kwargs):
         family = list(original(*args, **kwargs))
         random.Random(0).shuffle(family)
+        calls.append(args)
         return iter(family)
 
-    monkeypatch.setattr(module, "set_partitions", shuffled)
+    monkeypatch.setattr(families, "set_partitions", shuffled)
     assert [verify(theorem, n=6, k=k).to_json() for theorem, k in cases] == expected
+    assert len(calls) == len(cases)
 
 
 @pytest.mark.parametrize("theorem,params,name", _RHS_TIMES_Q)
