@@ -271,8 +271,9 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 # ``table`` refuses a larger --n without --allow-large: the S_pq table
-# grows fastest, taking about 2 s and 110 MiB at n = 22, and 16 s and
-# 660 MiB at n = 30
+# grows fastest, taking about 1 s and 110 MiB at n = 22 and 2 s and
+# 220 MiB at n = 25 with --json (2 cores, Python 3.11), most of the memory
+# in the cached cells and the JSON text
 TABLE_MAX_N = 22
 
 _TABLES = {
@@ -291,6 +292,7 @@ def _cmd_table(args) -> int:
     if size > TABLE_MAX_N and not args.allow_large:
         raise ValueError(f"--n {size} exceeds the table limit {TABLE_MAX_N}; pass --allow-large to override")
     label, fn = _TABLES[args.kind]
+    fn.fill([(size, k) for k in range(size + 1)])  # every row below in one pass
     rows = []
     for n in range(size + 1):
         for k in range(n + 1):

@@ -19,19 +19,32 @@ A product takes one of three routes:
   ``_schoolbook_mul`` is also the reference the tests hold the other routes
   to.
 
-The recursions are ``functools.cache`` functions that fill lower rows first
-when called at a large n, so they never recurse more than a few dozen rows
-deep.
+The seven closed-form recursions (``q_factorial``, ``pq_factorial``,
+``gauss_binomial``, ``stirling_pq``, ``stirling_q``, ``s_hat_pq``,
+``carlitz_aq``) run on the same packed layout, ``_Layout``: there a monomial
+factor is a shift, [k]_q and [k]_{p,q} are k shifts and a sum is an integer
+addition.  A missing cell is filled without recursion (``_fill``): every
+missing cell it reaches is computed a row at a time, keeping as integers
+only the cells of the row below still to be read, and unpacked once into
+the recursion's ``functools.cache``; ``fill`` does the same for a whole
+table in one pass.
+The slot width is set once per fill from the largest value at p = q = 1,
+which bounds every coefficient since none is negative.  ``verify_zezh``
+builds both of its sides as integers on one layout, decides equality on the
+integers, and unpacks them for the report.  ``tests/qpoly_reference.py``
+keeps the recursions in polynomial arithmetic, as the reference.
 """
 from __future__ import annotations
 
+import inspect
 import sys
 from array import array
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
-from functools import cache, wraps
-from itertools import compress, product
+from functools import cache, partial, wraps
+from itertools import compress, product, repeat
 from math import comb, prod
+from operator import add, eq, lshift, mul, or_, sub
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 __all__ = [
@@ -76,7 +89,7 @@ class LaurentPolynomial:
     """Integer-coefficient polynomial in p, q, t, x with integer (possibly
     negative) exponents, stored sparsely as {exponent vector: coefficient}."""
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_hash", "_span")
 
     def __init__(self, terms: Mapping[Exponents, int] | None = None):
         data: dict[Exponents, int] = {}
@@ -89,6 +102,7 @@ class LaurentPolynomial:
                     data[exps] = data.get(exps, 0) + coeff
         object.__setattr__(self, "_terms", {e: c for e, c in data.items() if c})
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_span", None)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("LaurentPolynomial is immutable")
@@ -157,18 +171,12 @@ class LaurentPolynomial:
                 terms[exps] = new
             else:
                 terms.pop(exps, None)
-        out = LaurentPolynomial.__new__(LaurentPolynomial)
-        object.__setattr__(out, "_terms", terms)
-        object.__setattr__(out, "_hash", None)
-        return out
+        return _poly(terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPolynomial:
-        out = LaurentPolynomial.__new__(LaurentPolynomial)
-        object.__setattr__(out, "_terms", {e: -c for e, c in self._terms.items()})
-        object.__setattr__(out, "_hash", None)
-        return out
+        return _poly({e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> LaurentPolynomial:
         return self + (-self._coerce(other))
@@ -185,10 +193,7 @@ class LaurentPolynomial:
         else:
             box = _dense_box(a, b)
             terms = _schoolbook_mul(a, b) if box is None else _kronecker_mul(a, b, box)
-        out = LaurentPolynomial.__new__(LaurentPolynomial)
-        object.__setattr__(out, "_terms", terms)
-        object.__setattr__(out, "_hash", None)
-        return out
+        return _poly(terms)
 
     __rmul__ = __mul__
 
@@ -272,13 +277,22 @@ class LaurentPolynomial:
         return [[coeff, *exps] for exps, coeff in self.sorted_terms()]
 
 
+def _poly(terms: dict[Exponents, int], span: tuple | None = None) -> LaurentPolynomial:
+    """A polynomial on ``terms`` as they are: well-formed exponent vectors
+    and no zero coefficient.  ``span`` is what :func:`_span` would find, when
+    it is known."""
+    out = LaurentPolynomial.__new__(LaurentPolynomial)
+    object.__setattr__(out, "_terms", terms)
+    object.__setattr__(out, "_hash", None)
+    object.__setattr__(out, "_span", span)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Multiplication routes
 # ---------------------------------------------------------------------------
 
 Terms = dict[Exponents, int]
-# signed machine integers by size in bytes
-_SIGNED_CODES = {array(code).itemsize: code for code in "bhiq"}
 
 
 def _monomial_mul(mono: Terms, other: Terms) -> Terms:
@@ -313,24 +327,35 @@ def _dense_box(a_terms: Terms, b_terms: Terms) -> list[range] | None:
     return box if prod(map(len, box)) <= len(a_terms) * len(b_terms) else None
 
 
-def _slot_width(bound: int) -> int:
-    """Bytes per slot for coefficients up to ``bound`` in absolute value:
-    enough for the bound and a sign bit, rounded up to a machine integer's
-    size where one is that wide, so that slots convert at C speed."""
-    need = bound.bit_length() // 8 + 1
-    return next((size for size in sorted(_SIGNED_CODES) if size >= need), need)
+def _kronecker_mul(a_terms: Terms, b_terms: Terms, box: list[range]) -> Terms:
+    """The product as one big-integer multiplication on a layout over
+    ``box``, each factor written from its own least exponents.  No
+    coefficient exceeds max|a| * sum|b|."""
+    layout = _Layout(box, max(map(abs, a_terms.values())) * sum(map(abs, b_terms.values())))
+    packed = 1
+    for terms in (a_terms, b_terms):
+        columns = list(zip(*terms))
+        packed *= layout.write(terms, list(map(min, columns)), columns)
+    return layout.read(packed)[0]
 
 
-def _slot_list(terms: Terms, strides: tuple[int, ...], count: int) -> list[int]:
-    """``count`` slots holding each coefficient at the mixed-radix index of
-    its exponent vector minus the least one, under ``strides``."""
-    s0, s1, s2, _ = strides
-    l0, l1, l2, l3 = (min(e) for e in zip(*terms))
-    base = l0 * s0 + l1 * s1 + l2 * s2 + l3
-    values = [0] * count
-    for (e0, e1, e2, e3), c in terms.items():
-        values[e0 * s0 + e1 * s1 + e2 * s2 + e3 - base] = c
-    return values
+# ---------------------------------------------------------------------------
+# Packed layout (Kronecker substitution)
+# ---------------------------------------------------------------------------
+
+# machine integers by signedness, then size in bytes
+_CODES = {signed: {array(code).itemsize: code for code in codes} for signed, codes in ((False, "BHIQ"), (True, "bhiq"))}
+_WORD = 8  # bytes per word of a slot wider than a machine integer, read as "Q"
+assert array("Q").itemsize == _WORD
+
+
+def _slot_width(bound: int, signed: bool = True) -> int:
+    """Bytes per slot for coefficients up to ``bound`` in absolute value
+    (and a sign bit if ``signed``): a machine integer's size where one is
+    that wide, else whole 8-byte words, so that every slot converts at C
+    speed."""
+    need = (bound.bit_length() + signed + 7) // 8
+    return next((size for size in sorted(_CODES[signed]) if size >= need), -(-need // _WORD) * _WORD)
 
 
 def _little_endian(slots: array) -> array:
@@ -341,44 +366,156 @@ def _little_endian(slots: array) -> array:
     return slots
 
 
-def _pack(values: list[int], width: int, top: int) -> int:
-    """sum_i values[i] * 256^(width * i); ``top`` has the top bit of every
-    slot set."""
-    if width in _SIGNED_CODES:
-        data = _little_endian(array(_SIGNED_CODES[width], values)).tobytes()
-    else:
-        data = b"".join(v.to_bytes(width, "little", signed=True) for v in values)
-    packed = int.from_bytes(data, "little")
-    # read unsigned, a slot's top bit counts 2^(bits-1) instead of -2^(bits-1)
-    return packed - ((packed & top) << 1)
+class _Layout:
+    """Polynomials over an exponent box as integers (Kronecker
+    substitution; Harvey 2009): the coefficient of the exponent vector e
+    sits in a ``width``-byte slot at the mixed-radix index, under the box's
+    sizes, of e minus an origin (the box's least vector unless another is
+    given), the last variable varying fastest.  A product of polynomials is
+    then a product of integers, a monomial factor a shift by
+    :meth:`offset` and a sum an addition, while every coefficient met stays
+    within ``bound`` and no exponent strays from its origin by as much as
+    the box's size.  The width is checked against the bound here, once.
+    Unsigned slots refuse a negative coefficient when it is written."""
+
+    __slots__ = ("box", "strides", "width", "signed", "top")
+
+    def __init__(self, box: Sequence[range], bound: int, signed: bool = True, width: int | None = None):
+        self.box = tuple(box)
+        sizes = list(map(len, self.box))
+        if len(sizes) != len(VARS) or not all(sizes):
+            raise ValueError(f"an exponent box needs one nonempty range per variable, got {box!r}")
+        self.strides = (sizes[1] * sizes[2] * sizes[3], sizes[2] * sizes[3], sizes[3], 1)
+        self.signed = signed
+        self.width = _slot_width(bound, signed) if width is None else width
+        if bound.bit_length() + signed > 8 * self.width or not (self.width in _CODES[signed] or self.width % _WORD == 0):
+            raise ValueError(f"a {self.width}-byte slot cannot hold coefficients up to {bound}" + " and a sign bit" * signed)
+        # the top bit of every slot
+        self.top = int.from_bytes((bytes(self.width - 1) + b"\x80") * prod(sizes), "little") if signed else 0
+
+    def offset(self, exps: Sequence[int]) -> int:
+        """The shift, in bits, that multiplies by the monomial ``exps``."""
+        return 8 * self.width * sum(map(mul, exps, self.strides))
+
+    def write(self, terms: Terms, origin: Sequence[int], columns: Sequence[Sequence[int]] | None) -> int:
+        """``terms`` packed with exponent vector ``origin`` in slot 0.
+        ``columns`` are the exponents by variable, as ``zip(*terms)`` gives
+        them, or None when the terms fill the box from ``origin`` to their
+        last exponent vector in order (see :func:`_span`)."""
+        values = terms.values()
+        if columns is None:  # the terms fill the box from origin to their last vector, in order
+            spread = [v for v, (a, b) in enumerate(zip(origin, next(reversed(terms)))) if a != b]
+            if len(spread) > 1 or spread and self.strides[spread[0]] != 1:
+                columns = list(zip(*terms))
+        if columns is not None:
+            index, base = None, 0
+            for column, o, stride, r in zip(columns, origin, self.strides, self.box):
+                if len(r) > 1:  # a variable the box does not span adds nothing
+                    term = column if stride == 1 else map(mul, column, repeat(stride))
+                    index, base = term if index is None else map(add, index, term), base + o * stride
+            index = [0] * len(terms) if index is None else list(map(sub, index, repeat(base)))
+            values = [0] * (max(index) + 1)
+            deque(map(values.__setitem__, index, terms.values()), 0)
+        code = _CODES[self.signed].get(self.width)
+        if code:
+            data = _little_endian(array(code, values)).tobytes()
+        else:  # whole words; an unsigned slot refuses a negative coefficient
+            data = b"".join(map(partial(int.to_bytes, length=self.width, byteorder="little", signed=self.signed), values))
+        packed = int.from_bytes(data, "little")
+        # read unsigned, a signed slot's top bit counts 2^(bits-1), not -2^(bits-1)
+        return packed - ((packed & self.top) << 1) if self.signed else packed
+
+    def read(self, packed: int, origin: Sequence[int] | None = None) -> tuple[Terms, list[range]]:
+        """The nonzero coefficients of ``packed``, whose slot 0 holds the
+        exponent vector ``origin`` (the box's least by default), by exponent
+        vector, and the box they were read from: the layout's sizes from
+        ``origin``, cut, when the slots are unsigned, after the last value
+        of the first variable that has a nonzero coefficient."""
+        sizes = list(map(len, self.box))
+        if self.signed:
+            # Adding 2^(bits-1) to every slot makes each one nonnegative, so no
+            # slot borrows from the next; flipping each top bit then takes the
+            # bias off again and leaves each slot in two's complement.
+            packed = (packed + self.top) ^ self.top
+        else:
+            slots = -(-packed.bit_length() // (8 * self.width))
+            sizes[0] = min(sizes[0], -(-slots // self.strides[0]))
+        box = [range(o, o + size) for o, size in zip(origin or [r.start for r in self.box], sizes)]
+        data = packed.to_bytes(sizes[0] * self.strides[0] * self.width, "little")
+        code = _CODES[self.signed].get(self.width)
+        if code:
+            coeffs = _little_endian(array(code, data))
+        else:
+            words = self.width // _WORD
+            low = _little_endian(array("Q", data))
+            coeffs = low[words - 1::words]
+            if self.signed:
+                coeffs = array("q", coeffs.tobytes())
+            for i in range(words - 2, -1, -1):
+                coeffs = list(map(or_, map(lshift, coeffs, repeat(8 * _WORD)), low[i::words]))
+        return dict(zip(compress(product(*box), coeffs), filter(None, coeffs))), box
+
+    def poly(self, packed: int, origin: Sequence[int] | None = None, last: Sequence[int] | None = None,
+             total: int | None = None) -> LaurentPolynomial:
+        """:meth:`read` as a polynomial that keeps its span (see
+        :func:`_span`): ``origin`` to ``last`` if the latter is given,
+        else the box read, and ``total``, its value at 1, if known."""
+        terms, box = self.read(packed, origin)
+        if not terms:
+            return ZERO
+        origin, last = [r.start for r in box], last or [r[-1] for r in box]
+        full = len(terms) == prod(b - a + 1 for a, b in zip(origin, last))
+        return _poly(terms, (origin, last, full, total))
 
 
-def _unpack(packed: int, width: int, top: int) -> Sequence[int]:
-    """The inverse of :func:`_pack`, slot by slot."""
-    # Adding 2^(bits-1) to every slot makes each one nonnegative, so no slot
-    # borrows from the next; flipping each top bit then takes the bias off
-    # again and leaves each slot in two's complement.
-    data = ((packed + top) ^ top).to_bytes((top.bit_length() + 7) // 8, "little")
-    if width in _SIGNED_CODES:
-        return _little_endian(array(_SIGNED_CODES[width], data))
-    return [int.from_bytes(data[i:i + width], "little", signed=True) for i in range(0, len(data), width)]
+def _span(poly: LaurentPolynomial) -> tuple[Sequence[int], Sequence[int], list | None, int]:
+    """For a nonzero ``poly`` with no negative coefficient: least and
+    greatest exponent vectors bounding its terms; the terms' exponents by
+    variable, or None when the terms are every vector of the box between
+    the two, in order; and its value at 1.  A polynomial read off a layout
+    knows these; any other is scanned."""
+    terms = poly._terms
+    if poly._span:
+        origin, last, full, total = poly._span
+        return origin, last, None if full else list(zip(*terms)), sum(terms.values()) if total is None else total
+    first, last = next(iter(terms)), next(reversed(terms))
+    box = [range(a, b + 1) for a, b in zip(first, last)]
+    if prod(map(len, box)) == len(terms) and all(map(eq, terms, product(*box))):
+        return first, last, None, sum(terms.values())
+    columns = list(zip(*terms))
+    return list(map(min, columns)), list(map(max, columns)), columns, sum(terms.values())
 
 
-def _kronecker_mul(a_terms: Terms, b_terms: Terms, box: list[range]) -> Terms:
-    """The product as one big-integer multiplication (Kronecker
-    substitution): each factor becomes an integer with one ``width``-byte
-    slot per exponent vector of ``box``, the last variable varying fastest,
-    and the product's slots are its coefficients.  No coefficient exceeds
-    max|a| * sum|b|, so ``width`` bytes hold it with a sign bit and no slot
-    spills into the next."""
-    sizes = [len(r) for r in box]
-    strides = (sizes[1] * sizes[2] * sizes[3], sizes[2] * sizes[3], sizes[3], 1)
-    count = sizes[0] * strides[0]
-    width = _slot_width(max(map(abs, a_terms.values())) * sum(map(abs, b_terms.values())))
-    top = int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-    a, b = (_pack(_slot_list(terms, strides, count), width, top) for terms in (a_terms, b_terms))
-    coeffs = _unpack(a * b, width, top)
-    return dict(zip(compress(product(*box), coeffs), filter(None, coeffs)))
+# A sum of parts, each a monomial times a product of polynomials with no
+# negative coefficient.
+Part = tuple[Exponents, Sequence[LaurentPolynomial]]
+
+
+def _packed_sums(*sides: Sequence[Part]) -> tuple[_Layout, list[int]]:
+    """Each side, a sum of parts, as an integer on one unsigned layout,
+    with the least exponent vector of any part in slot 0.  The box is the
+    union of the parts' boxes, and the bound the largest side's sum of the
+    products of its factors' values at 1, which no coefficient of a product
+    or of a partial sum exceeds, since none is negative."""
+    spans = []  # per nonzero part: side, factors with their spans, least and greatest exponents
+    for s, side in enumerate(sides):
+        for monomial, factors in side:
+            if all(factors):
+                written = [(factor._terms, *_span(factor)) for factor in factors]
+                lo = list(map(sum, zip(monomial, *(w[1] for w in written))))
+                hi = list(map(sum, zip(monomial, *(w[2] for w in written))))
+                spans.append((s, written, lo, hi, prod(w[4] for w in written)))
+    if not spans:
+        return _Layout([range(1)] * len(VARS), 0, signed=False), [0] * len(sides)
+    start = list(map(min, zip(*(span[2] for span in spans))))
+    stop = map(max, zip(*(span[3] for span in spans)))
+    bound = max(sum(span[4] for span in spans if span[0] == s) for s in range(len(sides)))
+    layout = _Layout([range(a, b + 1) for a, b in zip(start, stop)], bound, signed=False)
+    totals = [0] * len(sides)
+    for s, written, lo, _, _ in spans:
+        packed = prod(layout.write(terms, origin, columns) for terms, origin, _, columns, _ in written)
+        totals[s] += packed << layout.offset(list(map(sub, lo, start)))
+    return layout, totals
 
 
 ZERO = LaurentPolynomial()
@@ -398,84 +535,187 @@ def subs_q_to_q_over_p(poly: LaurentPolynomial) -> LaurentPolynomial:
 # Cached recursions
 # ---------------------------------------------------------------------------
 
-_FILL_STRIDE = 32
+# The body of a recursion in n, its first argument, returns the value of a
+# base case or the parts of the cell: pairs (monomials, args), each the sum
+# over the monomials of the monomial times the cell ``args`` of row n - 1.
+Cell = tuple
+Parts = list[tuple[Sequence[Exponents], Cell]]
 
 
-def _row_cache(row_cells: Callable[..., list[tuple]]):
-    """``functools.cache`` for a recursion in n (the first argument) that
-    reads only row n - 1.  A call made from outside the recursion first
-    evaluates, in increasing n, the cells of every ``_FILL_STRIDE``-th row
-    below it that it depends on (``row_cells(m, *args)`` lists those of row
-    m), so the recursion never runs more than ``_FILL_STRIDE`` rows deep,
-    however large n is.  Below ``_FILL_STRIDE`` rows it is plain ``cache``."""
-
-    def decorate(fn):
-        filling = False
-
-        @cache
-        @wraps(fn)
-        def cached(n, *rest):
-            nonlocal filling
-            if not filling and n > _FILL_STRIDE:
-                filling = True
-                try:
-                    for m in range(_FILL_STRIDE, n, _FILL_STRIDE):
-                        for cell in row_cells(m, n, *rest):
-                            cached(*cell)
-                finally:
-                    filling = False
-            return fn(n, *rest)
-
-        return cached
-
-    return decorate
+class _Miss(Exception):
+    """A probe of a recursion's cache found the cell missing."""
 
 
-def _pascal_cells(m: int, n: int, k: int) -> list[tuple[int, int]]:
-    """The cells (m, j) that (n, k) reaches through (n-1, k-1) and (n-1, k)."""
-    return [(m, j) for j in range(max(0, k - n + m), min(m, k) + 1)]
+def _recursion(body: Callable[..., LaurentPolynomial | Parts]):
+    """The ``functools.cache`` of a recursion whose ``body`` gives base
+    values and parts (see ``Parts``).  A miss is filled by :func:`_fill`,
+    without recursion, so any n is in reach; ``fill(cells)`` on the result
+    caches the given cells and those they reach in one pass."""
+    pending: dict[Cell, LaurentPolynomial] = {}  # a value being stored; empty between calls
+    probing = False
+    signature = inspect.signature(body)
+
+    @cache
+    @wraps(body)
+    def cached(*args, **kwargs):
+        if kwargs:  # the cell under its positional arguments, which fills use
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            return cached(*bound.args)
+        if args in pending:
+            return pending.pop(args)
+        if probing:
+            raise _Miss
+        value = body(*args)
+        return value if isinstance(value, LaurentPolynomial) else _fill(body, probe, store, [args])[args]
+
+    def probe(args: Cell) -> LaurentPolynomial | None:
+        nonlocal probing
+        probing = True
+        try:
+            return cached(*args)
+        except _Miss:
+            return None
+        finally:
+            probing = False
+
+    def store(args: Cell, value: LaurentPolynomial) -> None:
+        pending[args] = value
+        try:
+            cached(*args)
+        finally:
+            pending.clear()
+
+    def fill(cells: Iterable[Cell]) -> None:
+        for args, value in _fill(body, probe, store, list(cells)).items():
+            store(args, value)
+
+    cached.fill = fill
+    return cached
+
+
+def _fill(body, probe, store, targets: list[Cell]) -> dict[Cell, LaurentPolynomial]:
+    """The values of the cells ``targets`` of one row.  Walking down, every
+    cell they reach is looked up, and those missing are expanded into their
+    parts until a cached cell or a base case is met.  Then the missing
+    cells are filled upwards, a row at a time, as integers on one unsigned
+    layout, keeping only the cells of the row below still to be read: a
+    monomial factor is a shift and a sum an addition.  Each is unpacked once and stored; the targets are
+    returned.  The layout's sizes are the largest extent of any cell and
+    its width holds the largest value at 1, which bounds every coefficient
+    since none is negative; each cell is packed from its least exponents."""
+    targets = dict.fromkeys(targets)
+    rows = []  # from the targets down: (cells to fill with their parts, known cells)
+    level = targets
+    while level:
+        parts, known = {}, {}
+        for args in level:
+            value = probe(args)
+            if value is None:
+                value = body(*args)
+                if not isinstance(value, LaurentPolynomial):
+                    parts[args] = value
+                    continue
+                if args not in targets:
+                    store(args, value)
+            known[args] = value
+        rows.append((parts, known))
+        level = dict.fromkeys(below for cell in parts.values() for _, below in cell)
+    # least and greatest exponents and value at 1 of each nonzero cell, upwards
+    spans = {}
+    for parts, known in reversed(rows):
+        for args, value in known.items():
+            if value:
+                spans[args] = _span(value)
+        for args, cell in parts.items():
+            live = [(monomials, below) for monomials, below in cell if below in spans]
+            if live:
+                lo = map(min, zip(*(map(add, spans[b][0], map(min, zip(*m))) for m, b in live)))
+                hi = map(max, zip(*(map(add, spans[b][1], map(max, zip(*m))) for m, b in live)))
+                spans[args] = (tuple(lo), tuple(hi), None, sum(len(m) * spans[b][3] for m, b in live))
+            parts[args] = live
+    if not spans:
+        return {args: ZERO for args in targets}
+    extent = [max(hi[v] - lo[v] + 1 for lo, hi, _, _ in spans.values()) for v in range(len(VARS))]
+    layout = _Layout([range(size) for size in extent], max(span[3] for span in spans.values()), signed=False)
+    readers = Counter(below for parts, _ in rows for cell in parts.values() for _, below in cell)
+    values, packed = {}, {}
+    for parts, known in reversed(rows):
+        below, packed = packed, {}
+        for args, value in known.items():
+            if args in targets:
+                values[args] = value
+            elif args in spans:
+                origin, _, columns, _ = spans[args]
+                packed[args] = layout.write(value._terms, origin, columns)
+        for args, cell in parts.items():
+            if not cell:
+                value = ZERO
+            else:
+                origin, last, _, total = spans[args]
+                packed[args] = sum(
+                    below[b] << layout.offset(list(map(sub, map(add, spans[b][0], m), origin)))
+                    for monomials, b in cell for m in monomials
+                )
+                value = layout.poly(packed[args], origin, last, total)
+                for _, b in cell:  # a cell below is dropped once its last reader has it
+                    readers[b] -= 1
+                    if not readers[b]:
+                        del below[b]
+            if args in targets:
+                values[args] = value
+            else:
+                store(args, value)
+    return values
 
 
 # ---------------------------------------------------------------------------
 # q-analogues
 # ---------------------------------------------------------------------------
 
+def _powers(var: str, start: int, stop: int) -> list[Exponents]:
+    """The exponent vectors of var^start, ..., var^(stop-1)."""
+    idx = _var_index(var)
+    return [(0,) * idx + (e,) + (0,) * (len(VARS) - 1 - idx) for e in range(start, stop)]
+
+
+def _pq_powers(k: int) -> list[Exponents]:
+    """The exponent vectors of the terms of [k]_{p,q}."""
+    return [(k - 1 - i, i, 0, 0) for i in range(k)]
+
+
 def q_int(k: int, var: str = "q") -> LaurentPolynomial:
     """[k] = 1 + v + ... + v^(k-1) in the chosen variable."""
     if k < 0:
         raise ValueError("q-integer of a negative argument")
-    idx = _var_index(var)
-    terms = {}
-    for i in range(k):
-        exps = [0, 0, 0, 0]
-        exps[idx] = i
-        terms[tuple(exps)] = 1
-    return LaurentPolynomial(terms)
+    return LaurentPolynomial(dict.fromkeys(_powers(var, 0, k), 1))
 
 
 def pq_int(k: int) -> LaurentPolynomial:
     """[k]_{p,q} = p^(k-1) + p^(k-2) q + ... + q^(k-1); symmetric in p, q."""
     if k < 0:
         raise ValueError("pq-integer of a negative argument")
-    return LaurentPolynomial({(k - 1 - i, i, 0, 0): 1 for i in range(k)})
+    return LaurentPolynomial(dict.fromkeys(_pq_powers(k), 1))
 
 
-@_row_cache(lambda m, k, var="q": [(m, var)])
+@_recursion
 def q_factorial(k: int, var: str = "q") -> LaurentPolynomial:
+    """[k]_v! = [k]_v [k-1]_v!."""
     if k < 0:
         raise ValueError("factorial of a negative argument")
     if k == 0:
         return ONE
-    return q_factorial(k - 1, var) * q_int(k, var)
+    return [(_powers(var, 0, k), (k - 1, var))]
 
 
-@_row_cache(lambda m, k: [(m,)])
+@_recursion
 def pq_factorial(k: int) -> LaurentPolynomial:
+    """[k]_{p,q}! = [k]_{p,q} [k-1]_{p,q}!."""
     if k < 0:
         raise ValueError("factorial of a negative argument")
     if k == 0:
         return ONE
-    return pq_factorial(k - 1) * pq_int(k)
+    return [(_pq_powers(k), (k - 1,))]
 
 
 def pochhammer(n: int, x: LaurentPolynomial = X, q: LaurentPolynomial = Q) -> LaurentPolynomial:
@@ -490,34 +730,31 @@ def pochhammer(n: int, x: LaurentPolynomial = X, q: LaurentPolynomial = Q) -> La
     return result
 
 
-@_row_cache(_pascal_cells)
+@_recursion
 def gauss_binomial(n: int, k: int) -> LaurentPolynomial:
     """The q-binomial coefficient, via the Pascal-type recursion."""
     if k < 0 or k > n:
         return ZERO
     if k == 0 or k == n:
         return ONE
-    return gauss_binomial(n - 1, k - 1) + LaurentPolynomial.variable("q", k) * gauss_binomial(n - 1, k)
+    return [(_powers("q", 0, 1), (n - 1, k - 1)), (_powers("q", k, k + 1), (n - 1, k))]
 
 
 # ---------------------------------------------------------------------------
 # Stirling and Eulerian recursions
 # ---------------------------------------------------------------------------
 
-@_row_cache(_pascal_cells)
+@_recursion
 def stirling_pq(n: int, k: int) -> LaurentPolynomial:
     """S_{p,q}(n,k) = p^(k-1) S(n-1,k-1) + [k]_{p,q} S(n-1,k)."""
     if n == 0 and k == 0:
         return ONE
     if k <= 0 or k > n:
         return ZERO
-    return (
-        LaurentPolynomial.variable("p", k - 1) * stirling_pq(n - 1, k - 1)
-        + pq_int(k) * stirling_pq(n - 1, k)
-    )
+    return [(_powers("p", k - 1, k), (n - 1, k - 1)), (_pq_powers(k), (n - 1, k))]
 
 
-@_row_cache(_pascal_cells)
+@_recursion
 def stirling_q(n: int, k: int) -> LaurentPolynomial:
     """S_q(n,k): the p = q, q = 1 specialisation of S_{p,q}, computed by its
     own recursion S_q(n,k) = q^(k-1) S_q(n-1,k-1) + [k]_q S_q(n-1,k)."""
@@ -525,10 +762,7 @@ def stirling_q(n: int, k: int) -> LaurentPolynomial:
         return ONE
     if k <= 0 or k > n:
         return ZERO
-    return (
-        LaurentPolynomial.variable("q", k - 1) * stirling_q(n - 1, k - 1)
-        + q_int(k) * stirling_q(n - 1, k)
-    )
+    return [(_powers("q", k - 1, k), (n - 1, k - 1)), (_powers("q", 0, k), (n - 1, k))]
 
 
 def stirling_tilde(n: int, k: int) -> LaurentPolynomial:
@@ -538,7 +772,7 @@ def stirling_tilde(n: int, k: int) -> LaurentPolynomial:
     )
 
 
-@_row_cache(_pascal_cells)
+@_recursion
 def s_hat_pq(n: int, k: int) -> LaurentPolynomial:
     """The Laurent variant with recursion
     q^(k-1) S(n-1,k-1) + p^(-n) [k]_{p,q} S(n-1,k)."""
@@ -546,10 +780,10 @@ def s_hat_pq(n: int, k: int) -> LaurentPolynomial:
         return ONE
     if k <= 0 or k > n:
         return ZERO
-    return (
-        LaurentPolynomial.variable("q", k - 1) * s_hat_pq(n - 1, k - 1)
-        + LaurentPolynomial.variable("p", -n) * pq_int(k) * s_hat_pq(n - 1, k)
-    )
+    return [
+        (_powers("q", k - 1, k), (n - 1, k - 1)),
+        ([(i - n, j, 0, 0) for i, j, _, _ in _pq_powers(k)], (n - 1, k)),
+    ]
 
 
 def s_hat_closed_form(n: int, k: int) -> LaurentPolynomial:
@@ -558,7 +792,7 @@ def s_hat_closed_form(n: int, k: int) -> LaurentPolynomial:
     return LaurentPolynomial.variable("p", shift) * subs_q_to_q_over_p(stirling_q(n, k))
 
 
-@_row_cache(_pascal_cells)
+@_recursion
 def carlitz_aq(n: int, k: int) -> LaurentPolynomial:
     """Carlitz q-Eulerian numbers: the maj generating function of the
     permutations of [n] with exactly k descents.
@@ -569,10 +803,7 @@ def carlitz_aq(n: int, k: int) -> LaurentPolynomial:
         return ONE if k == 0 else ZERO
     if k < 0 or k >= n:
         return ZERO
-    return (
-        LaurentPolynomial.variable("q", k) * q_int(n - k) * carlitz_aq(n - 1, k - 1)
-        + q_int(k + 1) * carlitz_aq(n - 1, k)
-    )
+    return [(_powers("q", k, n), (n - 1, k - 1)), (_powers("q", 0, k + 1), (n - 1, k))]
 
 
 # ---------------------------------------------------------------------------
@@ -635,18 +866,15 @@ class TruncatedSeries:
 
 def verify_zezh(n: int, k: int) -> tuple[bool, LaurentPolynomial, LaurentPolynomial]:
     """Check [k]_q! S_q(n,k) = sum_m q^(k(k-m)) C_q(n-m, n-k) A_q(n, m-1)
-    exactly; returns (equal, lhs, rhs)."""
+    exactly; returns (equal, lhs, rhs).  Both sides are integers on one
+    packed layout, compared as integers and unpacked for the report."""
     if not n >= k >= 1:
         raise ValueError("need n >= k >= 1")
-    lhs = q_factorial(k) * stirling_q(n, k)
-    rhs = ZERO
-    for m in range(1, k + 1):
-        rhs = rhs + (
-            LaurentPolynomial.variable("q", k * (k - m))
-            * gauss_binomial(n - m, n - k)
-            * carlitz_aq(n, m - 1)
-        )
-    return lhs == rhs, lhs, rhs
+    layout, (lhs, rhs) = _packed_sums(
+        [((0, 0, 0, 0), [q_factorial(k), stirling_q(n, k)])],
+        [((0, k * (k - m), 0, 0), [gauss_binomial(n - m, n - k), carlitz_aq(n, m - 1)]) for m in range(1, k + 1)],
+    )
+    return lhs == rhs, layout.poly(lhs), layout.poly(rhs)
 
 
 def verify_q_frobenius(n: int, order: int) -> bool:

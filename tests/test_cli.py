@@ -599,3 +599,34 @@ def test_table_outputs_match_recorded_digests(capsys, kind):
     assert main(["table", kind, "--n", "14", "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DIGESTS[kind]
+
+
+# SHA-256 of the stdout of `opstat table <kind> --n 12`, as text and with
+# --json, and of `opstat verify zezh --n 14 --k all --json`, recorded before
+# the recursions and zezh's two sides were computed on one packed layout
+TABLE_12_DIGESTS = {
+    ("eulerian", False): "1a4c822d56c800c48fd4ce0a1bf618246b380491c4ca36b22efd2198048284c4",
+    ("eulerian", True): "58fe98b8f3f2c6e6409522d4baf060e47bc6356612cecead18c1411fa0ea52bd",
+    ("gauss", False): "496d23f4d2f86bf67bb7377199665f8688266349e21c3d6b8d44874893a8ee7d",
+    ("gauss", True): "345f117c38f1556ff735805bce0514ce2a76a0422401797fa0cfba3a6b3e3577",
+    ("stirling", False): "4e929dfb8272941adbfea4870c131860172ddbc50e7fa53b0a89eb069923d62d",
+    ("stirling", True): "f1ac58cd6912d97116a2eefd1356b90922f982e67f26f77cb24530a04fa98f02",
+    ("stirling-hat", False): "2d2a1326f0a208b796258349c28431ea60a36fcb3e34cea5398cb32d2f59863f",
+    ("stirling-hat", True): "cd16c9ae414ff6beab06d7754fdd6d49b0ef94a13cddd2c12c41082cfbfe0fd3",
+    ("stirling-pq", False): "88a9ff6afc42751ab00968b41417ed2dde3689b994a99675a76d0a0de1d6cddb",
+    ("stirling-pq", True): "f13c2f7606ff280d3a5cb248c458d3fbc63781643ff7f807cb70607cf1c58869",
+}
+ZEZH_14_DIGEST = "db2f6184e90dc248e1d4f9c22a6daa852905bef8b9ee4469be8a3fb4f9a01749"
+
+
+@pytest.mark.parametrize("kind,as_json", sorted(TABLE_12_DIGESTS))
+def test_table_outputs_at_12_match_recorded_digests(capsys, kind, as_json):
+    assert main(["table", kind, "--n", "12"] + ["--json"] * as_json) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_12_DIGESTS[kind, as_json]
+
+
+def test_zezh_report_at_14_matches_recorded_digest(capsys):
+    assert main(["verify", "zezh", "--n", "14", "--k", "all", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == ZEZH_14_DIGEST

@@ -1,6 +1,6 @@
 import sys
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +34,8 @@ from opstat.qpoly import (
     verify_zezh,
 )
 from opstat.qpoly import _schoolbook_mul
+
+import qpoly_reference
 
 exponents = st.tuples(
     st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 2), st.integers(0, 2)
@@ -219,35 +221,77 @@ def test_s_hat_products_match_schoolbook():
 
 
 def test_slot_width_holds_the_bound_and_a_sign_bit():
-    for bound in (1, 127, 128, 255, 2**15 - 1, 2**15, 2**31, 2**63 - 1, 2**63, 2**200):
-        width = qpoly._slot_width(bound)
-        assert bound < 2 ** (8 * width - 1)
-        assert width in (1, 2, 4, 8) or width == bound.bit_length() // 8 + 1
+    for bound in (1, 127, 128, 255, 2**15 - 1, 2**15, 2**31, 2**63 - 1, 2**63, 2**64, 2**200):
+        for signed in (True, False):
+            width = qpoly._slot_width(bound, signed)
+            assert bound < 2 ** (8 * width - signed)
+            # a machine integer's size, else the fewest whole 8-byte words
+            need = (bound.bit_length() + signed + 7) // 8
+            assert width == min((size for size in (1, 2, 4, 8) if size >= need), default=8 * -(-need // 8))
 
 
 def test_pack_unpack_roundtrip():
-    for width in (1, 2, 3, 4, 8, 9, 26):
-        values = [0, 1, -1, 2 ** (8 * width - 1) - 1, -(2 ** (8 * width - 1)), 0, 5, -5]
-        top = int.from_bytes((bytes(width - 1) + b"\x80") * len(values), "little")
-        packed = qpoly._pack(values, width, top)
-        assert packed == sum(v * 256 ** (width * i) for i, v in enumerate(values))
-        assert list(qpoly._unpack(packed, width, top)) == values
+    # the one writer and reader, for every slot width the layouts use
+    for width in (1, 2, 4, 8, 16, 24, 32):
+        for signed in (True, False):
+            top = 2 ** (8 * width - signed) - 1
+            values = [0, 1, top, 0, 5, 2] + ([-1, -top - 1, -5] if signed else [7, top - 1, 3])
+            box = [range(1), range(-3, -3 + len(values)), range(1), range(1)]
+            layout = qpoly._Layout(box, top, signed, width)
+            terms = {(0, e, 0, 0): v for e, v in zip(box[1], values) if v}
+            columns = list(zip(*terms))
+            packed = layout.write(terms, (0, -3, 0, 0), columns)
+            assert packed == sum(v * 256 ** (width * i) for i, v in enumerate(values))
+            assert layout.read(packed)[0] == terms
+            # coefficients in slot order, with no gap: the slots are the values
+            dense = {(0, e, 0, 0): v or 9 for e, v in zip(box[1], values)}
+            assert layout.read(layout.write(dense, (0, -3, 0, 0), None))[0] == dense
+    # a gap-free box whose rows are not consecutive slots of the layout
+    layout = qpoly._Layout([range(3), range(4), range(1), range(2)], 100, False)
+    for box in ([range(2), range(1, 3), range(1), range(2)], [range(3), range(1), range(1), range(1)]):
+        dense = {e: i + 1 for i, e in enumerate(product(*box))}
+        origin = [r.start for r in box]
+        assert layout.read(layout.write(dense, origin, None), origin)[0] == dense
+
+
+def test_a_layout_one_bit_short_of_its_bound_is_refused():
+    box = [range(2)] * 4
+    for signed in (True, False):
+        for width in (1, 2, 4, 8, 16, 24):
+            bound = 2 ** (8 * width - signed) - 1
+            assert qpoly._Layout(box, bound, signed, width).width == width
+            with pytest.raises(ValueError, match="cannot hold coefficients"):
+                qpoly._Layout(box, bound + 1, signed, width)
+    with pytest.raises(ValueError, match="cannot hold coefficients"):
+        qpoly._Layout(box, 1, True, 3)  # no machine integer and not whole words
+    with pytest.raises(ValueError, match="nonempty range per variable"):
+        qpoly._Layout([range(2), range(0), range(1), range(1)], 1)
+
+
+def test_an_unsigned_layout_refuses_a_negative_coefficient():
+    box = [range(1), range(3), range(1), range(1)]
+    for width in (1, 8, 16):
+        layout = qpoly._Layout(box, 2 ** (8 * width - 1), False, width)
+        for terms in ({(0, 0, 0, 0): 1, (0, 2, 0, 0): -1}, {(0, 0, 0, 0): 1, (0, 1, 0, 0): -1, (0, 2, 0, 0): 1}):
+            with pytest.raises(OverflowError):
+                layout.write(terms, (0, 0, 0, 0), list(zip(*terms)))
 
 
 def test_row_cache_runs_past_the_recursion_limit():
+    # the filler walks down and fills up without recursing, so any n is in reach
     n = sys.getrecursionlimit() * 3
 
-    @qpoly._row_cache(lambda m, n: [(m,)])
+    @qpoly._recursion
     def chain(n):
-        return 0 if n == 0 else chain(n - 1) + 1
+        return ONE if n == 0 else [(qpoly._powers("q", 1, 2), (n - 1,))]
 
-    @qpoly._row_cache(qpoly._pascal_cells)
+    @qpoly._recursion
     def binomial(n, k):
         if k < 0 or k > n:
-            return 0
-        return 1 if k in (0, n) else binomial(n - 1, k - 1) + binomial(n - 1, k)
+            return ZERO
+        return ONE if k in (0, n) else [(qpoly._powers("q", 0, 1), (n - 1, k - 1)), (qpoly._powers("q", 0, 1), (n - 1, k))]
 
-    assert chain(n) == n
+    assert chain(n) == Q**n
     assert binomial(n, 3) == comb(n, 3)
     assert binomial(n, n - 2) == comb(n, 2)
     assert chain.__name__ == "chain" and binomial.cache_info().currsize > 0
@@ -277,6 +321,88 @@ def test_recursions_keep_their_names_and_caches():
         assert fn.__module__ == "opstat.qpoly"
         fn.cache_clear()
         assert fn.cache_info().currsize == 0
+
+
+RECURSIONS = (gauss_binomial, stirling_pq, stirling_q, s_hat_pq, carlitz_aq)
+
+
+def clear_recursions():
+    for fn in RECURSIONS + (q_factorial, pq_factorial):
+        fn.cache_clear()
+
+
+@pytest.mark.parametrize("fn", RECURSIONS, ids=lambda fn: fn.__name__)
+def test_recursions_match_the_reference(fn):
+    # every cell at n <= 14, past both ends of each row, filled cold in
+    # three orders: row by row, top row first, and one pass for the table
+    reference = getattr(qpoly_reference, fn.__name__)
+    cells = [(n, k) for n in range(15) for k in range(-1, n + 2)]
+    for order in (cells, cells[::-1], None):
+        clear_recursions()
+        if order is None:
+            fn.fill([(14, k) for k in range(-1, 16)])
+            order = cells
+        for n, k in order:
+            assert fn(n, k) == reference(n, k), (n, k)
+
+
+@pytest.mark.parametrize("fn,var", [(q_factorial, "q"), (q_factorial, "t"), (pq_factorial, None)])
+def test_factorials_match_the_reference(fn, var):
+    reference = getattr(qpoly_reference, fn.__name__)
+    args = () if var is None else (var,)
+    for order in (range(15), range(14, -1, -1)):
+        clear_recursions()
+        for k in order:
+            assert fn(k, *args) == reference(k, *args), k
+
+
+def test_stirling_pq_matches_the_reference_at_22():
+    clear_recursions()
+    for k in range(23):
+        assert stirling_pq(22, k) == qpoly_reference.stirling_pq(22, k), k
+
+
+def test_s_hat_pq_matches_the_reference_with_negative_p_exponents():
+    clear_recursions()
+    for n in range(13):
+        for k in range(n + 1):
+            poly = s_hat_pq(n, k)
+            assert poly == qpoly_reference.s_hat_pq(n, k), (n, k)
+            assert k in (0, n) or min(e[0] for e in poly.terms) < 0
+
+
+def test_fill_caches_the_cells_its_targets_reach():
+    clear_recursions()
+    stirling_q.fill([(12, k) for k in range(13)])
+    # and the zero cells (n, n + 1) that the diagonal reads
+    assert stirling_q.cache_info().currsize == sum(n + 1 for n in range(13)) + 12
+    before = stirling_q.cache_info().misses
+    assert [stirling_q(n, k) for n in range(13) for k in range(n + 1)] == [
+        qpoly_reference.stirling_q(n, k) for n in range(13) for k in range(n + 1)
+    ]
+    assert stirling_q.cache_info().misses == before
+
+
+def test_a_cell_keeps_the_span_it_was_filled_with():
+    # a cell read off a layout carries its exact least and greatest exponents,
+    # so writing it again needs no scan
+    clear_recursions()
+    stirling_pq.fill([(12, k) for k in range(13)])
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            poly = stirling_pq(n, k)
+            origin, last, full, total = poly._span
+            columns = list(zip(*poly.terms))
+            assert (list(origin), list(last)) == ([min(c) for c in columns], [max(c) for c in columns])
+            assert total == stirling2(n, k)
+            assert full == (len(poly.terms) == prod(b - a + 1 for a, b in zip(origin, last)))
+
+
+def test_recursions_take_their_arguments_by_keyword():
+    assert q_factorial(5, var="t") == q_factorial(5, "t") == qpoly_reference.q_factorial(5, "t")
+    assert stirling_pq(n=6, k=3) == qpoly_reference.stirling_pq(6, 3)
+    with pytest.raises(TypeError):
+        stirling_q(4, k=2, m=1)
 
 
 def test_text_rendering():

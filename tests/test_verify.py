@@ -627,14 +627,16 @@ def test_doubleton_names_the_first_split_failure(monkeypatch):
 
 @pytest.mark.parametrize("side,name", [("lhs", "stirling_q"), ("rhs", "carlitz_aq")])
 def test_zezh_fails_when_one_side_is_multiplied_by_q(monkeypatch, side, name):
-    # the plant reaches the recursion's own calls, so its cache holds
-    # planted values until it is cleared
+    # the plant is on the name verify_zezh reads its packed side from; the
+    # recursion fills its own cells through its cache, so the cache is
+    # cleared only as a guard
     qpoly = importlib.import_module("opstat.qpoly")
     original = getattr(qpoly, name)
     try:
         with monkeypatch.context() as m:
             m.setattr(qpoly, name, lambda n, k: _Q * original(n, k))
             report = verify("zezh", n=4, k=2)
+            assert not qpoly.verify_zezh(4, 2)[0]  # the packed sides differ
     finally:
         original.cache_clear()
     assert not report.passed and report.counterexample is None
