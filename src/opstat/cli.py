@@ -271,9 +271,9 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 # ``table`` refuses a larger --n without --allow-large: the S_pq table
-# grows fastest, taking about 1 s and 110 MiB at n = 22 and 2 s and
-# 220 MiB at n = 25 with --json (2 cores, Python 3.11), most of the memory
-# in the cached cells and the JSON text
+# grows fastest, taking about 0.7 s and 61 MiB at n = 22 and 1.4 s and
+# 110 MiB at n = 25 with --json (2 cores, Python 3.11), most of the memory
+# in the cached cells
 TABLE_MAX_N = 22
 
 _TABLES = {
@@ -293,16 +293,15 @@ def _cmd_table(args) -> int:
         raise ValueError(f"--n {size} exceeds the table limit {TABLE_MAX_N}; pass --allow-large to override")
     label, fn = _TABLES[args.kind]
     fn.fill([(size, k) for k in range(size + 1)])  # every row below in one pass
-    rows = []
-    for n in range(size + 1):
-        for k in range(n + 1):
-            poly = fn(n, k)
-            if not poly.is_zero():
-                rows.append((n, k, poly))
+    cells = ((n, k, fn(n, k)) for n in range(size + 1) for k in range(n + 1))
+    rows = ((n, k, poly) for n, k, poly in cells if poly)
     if args.json:
-        print(json.dumps([
-            {"n": n, "k": k, "poly": poly.to_json()} for n, k, poly in rows
-        ]))
+        # a row at a time, the text of json.dumps of the list of row objects
+        write = sys.stdout.write
+        write("[")
+        for i, (n, k, poly) in enumerate(rows):
+            write(f'{", " if i else ""}{{"n": {n}, "k": {k}, "poly": {poly.to_json_text()}}}')
+        write("]\n")
     else:
         for n, k, poly in rows:
             print(f"{label}({n},{k}) = {poly.to_text()}")
@@ -384,11 +383,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_attach_negative_parts(sys.argv[1:] if argv is None else argv))
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe is met here, not at exit
+        return code
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader left early, as `head` does; what is still buffered goes
+        # to devnull, so that the interpreter's last flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

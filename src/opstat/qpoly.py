@@ -33,6 +33,13 @@ which bounds every coefficient since none is negative.  ``verify_zezh``
 builds both of its sides as integers on one layout, decides equality on the
 integers, and unpacks them for the report.  ``tests/qpoly_reference.py``
 keeps the recursions in polynomial arithmetic, as the reference.
+
+A polynomial is written from its terms in descending order of exponent
+vectors; one read off a layout holds them in ascending order, so they are
+reversed, not sorted.  ``to_text`` writes each term with factor strings made
+once per variable and exponent, and ``to_json_text`` writes
+``json.dumps(to_json())`` a term at a time.  The reference writers,
+term by term from sorted terms, are in ``tests/qpoly_reference.py``.
 """
 from __future__ import annotations
 
@@ -143,7 +150,7 @@ class LaurentPolynomial:
             other = LaurentPolynomial.constant(other)
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
-        return self._terms == other._terms
+        return self is other or self._terms == other._terms
 
     def __hash__(self):
         h = self._hash
@@ -241,31 +248,22 @@ class LaurentPolynomial:
 
     def sorted_terms(self) -> list[tuple[Exponents, int]]:
         """Terms in descending lexicographic order of exponent vectors."""
+        if self._span is not None:  # read off a layout, so in ascending order
+            return list(reversed(self._terms.items()))
         return sorted(self._terms.items(), reverse=True)  # exponent vectors are unique
 
     def to_text(self) -> str:
+        """The terms in :meth:`sorted_terms` order, as in ``3*p^2*q - q + 1``:
+        a coefficient other than 1 and -1, or a constant, written before the
+        monomial's factors, and a term's sign as its separator, the first
+        term's only when negative."""
         if not self._terms:
             return "0"
-        chunks = []
-        for exps, coeff in self.sorted_terms():
-            factors = [
-                name if exp == 1 else f"{name}^{exp}"
-                for name, exp in zip(VARS, exps)
-                if exp != 0
-            ]
-            if not factors:
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(abs(coeff))] + factors)
-            sign = "-" if coeff < 0 else "+"
-            chunks.append((sign, body))
-        first_sign, first_body = chunks[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in chunks[1:]:
-            text += f" {sign} {body}"
-        return text
+        fp, fq, ft, fx = _FACTORS
+        text = " + ".join([f"{coeff}{fp[a]}{fq[b]}{ft[c]}{fx[d]}" for (a, b, c, d), coeff in self.sorted_terms()])
+        # " 1*p^2 + -1*q + 3" -> " p^2 - q + 3": a negative coefficient's sign
+        # moves into its separator, and a unit coefficient before a factor goes
+        return (" " + text).replace("+ -", "- ").replace(" 1*", " ").replace(" -1*", " -")[1:]
 
     def __str__(self) -> str:
         return self.to_text()
@@ -276,11 +274,36 @@ class LaurentPolynomial:
     def to_json(self) -> list[list[int]]:
         return [[coeff, *exps] for exps, coeff in self.sorted_terms()]
 
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json())``, written term by term."""
+        terms = [f"[{coeff}, {a}, {b}, {c}, {d}]" for (a, b, c, d), coeff in self.sorted_terms()]
+        return f"[{', '.join(terms)}]"
+
+
+class _Factors(dict):
+    """The factor ``*v^e`` of one variable v by exponent e, made on first
+    use: empty at e = 0 and ``*v`` at e = 1."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        super().__init__()
+        self.name = name
+
+    def __missing__(self, exp: int) -> str:
+        text = self[exp] = "" if exp == 0 else f"*{self.name}" if exp == 1 else f"*{self.name}^{exp}"
+        return text
+
+
+_FACTORS = tuple(map(_Factors, VARS))
+
 
 def _poly(terms: dict[Exponents, int], span: tuple | None = None) -> LaurentPolynomial:
     """A polynomial on ``terms`` as they are: well-formed exponent vectors
     and no zero coefficient.  ``span`` is what :func:`_span` would find, when
-    it is known."""
+    it is known; only a polynomial read off a layout knows it, and its terms
+    are in ascending order of exponent vectors, which :meth:`sorted_terms`
+    relies on."""
     out = LaurentPolynomial.__new__(LaurentPolynomial)
     object.__setattr__(out, "_terms", terms)
     object.__setattr__(out, "_hash", None)
@@ -867,14 +890,17 @@ class TruncatedSeries:
 def verify_zezh(n: int, k: int) -> tuple[bool, LaurentPolynomial, LaurentPolynomial]:
     """Check [k]_q! S_q(n,k) = sum_m q^(k(k-m)) C_q(n-m, n-k) A_q(n, m-1)
     exactly; returns (equal, lhs, rhs).  Both sides are integers on one
-    packed layout, compared as integers and unpacked for the report."""
+    packed layout, compared as integers and unpacked for the report, once
+    if they are equal."""
     if not n >= k >= 1:
         raise ValueError("need n >= k >= 1")
     layout, (lhs, rhs) = _packed_sums(
         [((0, 0, 0, 0), [q_factorial(k), stirling_q(n, k)])],
         [((0, k * (k - m), 0, 0), [gauss_binomial(n - m, n - k), carlitz_aq(n, m - 1)]) for m in range(1, k + 1)],
     )
-    return lhs == rhs, layout.poly(lhs), layout.poly(rhs)
+    equal = lhs == rhs
+    side = layout.poly(lhs)
+    return equal, side, side if equal else layout.poly(rhs)
 
 
 def verify_q_frobenius(n: int, order: int) -> bool:

@@ -98,12 +98,17 @@ class VerificationReport:
     detail: str = ""
 
     def to_json(self) -> dict:
+        lhs = self.lhs.to_text() if self.lhs is not None else None
+        if self.rhs is None:
+            rhs = None
+        else:  # equal sides, as on every pass, are rendered once
+            rhs = lhs if self.rhs == self.lhs else self.rhs.to_text()
         out = {
             "theorem": self.theorem,
             "params": {key: str(value) for key, value in self.params.items()},
             "pass": self.passed,
-            "lhs": self.lhs.to_text() if self.lhs is not None else None,
-            "rhs": self.rhs.to_text() if self.rhs is not None else None,
+            "lhs": lhs,
+            "rhs": rhs,
         }
         if self.counterexample is not None:
             out["counterexample"] = self.counterexample

@@ -1,9 +1,41 @@
 """The reference for the packed recursions of ``opstat.qpoly``: each
 recursion written with ``LaurentPolynomial`` arithmetic, one cell from the
-two below it, as the package computed them before they were packed."""
+two below it, as the package computed them before they were packed.  Also
+the reference for rendering: a polynomial's text and JSON text, written term
+by term from its sorted terms, as the package wrote them before its writers
+read the terms in order."""
+import json
 from functools import cache
 
-from opstat.qpoly import ONE, ZERO, LaurentPolynomial, pq_int, q_int
+from opstat.qpoly import ONE, VARS, ZERO, LaurentPolynomial, pq_int, q_int
+
+
+def sorted_terms(poly: LaurentPolynomial) -> list:
+    return sorted(poly.terms.items(), reverse=True)
+
+
+def to_text(poly: LaurentPolynomial) -> str:
+    if poly.is_zero():
+        return "0"
+    chunks = []
+    for exps, coeff in sorted_terms(poly):
+        factors = [name if exp == 1 else f"{name}^{exp}" for name, exp in zip(VARS, exps) if exp != 0]
+        if not factors:
+            body = str(abs(coeff))
+        elif abs(coeff) == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([str(abs(coeff))] + factors)
+        chunks.append(("-" if coeff < 0 else "+", body))
+    first_sign, first_body = chunks[0]
+    text = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in chunks[1:]:
+        text += f" {sign} {body}"
+    return text
+
+
+def to_json_text(poly: LaurentPolynomial) -> str:
+    return json.dumps([[coeff, *exps] for exps, coeff in sorted_terms(poly)])
 
 
 def _power(var: str, exp: int) -> LaurentPolynomial:

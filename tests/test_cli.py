@@ -1,10 +1,15 @@
 import hashlib
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from opstat.cli import main, render_stats_table
+import opstat
+from opstat.cli import _TABLES, main, render_stats_table
 from opstat.core import OrderedSetPartition
 
 GOLDEN_TABLE = """\
@@ -630,3 +635,45 @@ def test_zezh_report_at_14_matches_recorded_digest(capsys):
     assert main(["verify", "zezh", "--n", "14", "--k", "all", "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == ZEZH_14_DIGEST
+
+
+# SHA-256 of the stdout of the S_pq table the benchmark writes and of the
+# largest zezh report it reads, recorded before table rows were streamed and
+# polynomials written from their ordered terms
+LARGE_OUTPUT_DIGESTS = {
+    ("table", "stirling-pq", "--n", "20", "--json"): "b18be81cfaac2e1772e7edbb38be025c0b5c33642316715966b31afc05e447f3",
+    ("verify", "zezh", "--n", "22", "--k", "all", "--json"): "ae3e5b8d37e2f6e0bccf1ac9bda341733f5f1b2a832d276c8a0633876b3faf47",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LARGE_OUTPUT_DIGESTS), ids=" ".join)
+def test_large_outputs_match_recorded_digests(capsys, argv):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_OUTPUT_DIGESTS[argv]
+
+
+@pytest.mark.parametrize("kind", sorted(_TABLES))
+@pytest.mark.parametrize("size", [0, 1, 6])
+def test_streamed_table_json_is_the_dump_of_its_rows(capsys, kind, size):
+    assert main(["table", kind, "--n", str(size), "--json"]) == 0
+    fn = _TABLES[kind][1]
+    rows = [
+        {"n": n, "k": k, "poly": fn(n, k).to_json()}
+        for n in range(size + 1) for k in range(n + 1) if fn(n, k)
+    ]
+    assert capsys.readouterr().out == json.dumps(rows) + "\n"
+
+
+def test_a_reader_that_leaves_early_gets_no_traceback():
+    # as `opstat table stirling-pq --n 14 | head -n 1`: far more text than a
+    # pipe holds, so the writer meets the closed pipe
+    src = Path(opstat.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "opstat.cli", "table", "stirling-pq", "--n", "14"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline() == b"S_pq(0,0) = 1\n"
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert err.decode() == ""
+    assert proc.returncode == 1

@@ -1,9 +1,10 @@
+import json
 import sys
 from itertools import product
 from math import comb, factorial, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opstat import qpoly
@@ -414,6 +415,47 @@ def test_text_rendering():
 
 def test_json_rendering():
     assert (2 * P + Q).to_json() == [[2, 1, 0, 0, 0], [1, 0, 1, 0, 0]]
+    assert (2 * P + Q).to_json_text() == "[[2, 1, 0, 0, 0], [1, 0, 1, 0, 0]]"
+    assert ZERO.to_json_text() == "[]"
+
+
+def assert_rendered_as_the_reference(poly: LaurentPolynomial) -> None:
+    assert poly.sorted_terms() == qpoly_reference.sorted_terms(poly)
+    assert poly.to_text() == qpoly_reference.to_text(poly)
+    assert poly.to_json_text() == qpoly_reference.to_json_text(poly)
+    assert json.loads(poly.to_json_text()) == poly.to_json()
+
+
+# every variable with negative, one-digit and two-digit exponents, and
+# coefficients of every size and sign, 1 and -1 among them
+rendered_polynomials = st.dictionaries(
+    st.tuples(*[st.integers(-12, 12)] * 4),
+    st.sampled_from([1, -1, 10, -10, 11, -11]) | coefficients,
+    max_size=8,
+).map(LaurentPolynomial)
+
+
+@settings(max_examples=300)
+@given(rendered_polynomials | polynomials | box_polynomials)
+@example(ZERO)
+@example(ONE)
+@example(-ONE)
+@example(LaurentPolynomial.constant(-12))
+@example(-P - 1)
+@example(LaurentPolynomial({(-1, 1, -11, 1): -1, (0, 0, 0, 0): 1, (0, -1, 0, 0): 21}))
+def test_writers_match_the_reference(poly):
+    assert_rendered_as_the_reference(poly)
+
+
+def test_writers_match_the_reference_on_every_recursion_cell():
+    # cells read off the packed layout, whose terms are already in order
+    clear_recursions()
+    cells = [fn(n, k) for fn in RECURSIONS for n in range(15) for k in range(n + 1)]
+    cells += [q_factorial(k, var) for var in ("q", "t") for k in range(15)]
+    cells += [pq_factorial(k) for k in range(15)]
+    assert sum(cell._span is not None for cell in cells) > len(cells) // 2
+    for cell in cells:
+        assert_rendered_as_the_reference(cell)
 
 
 def test_evaluate():

@@ -10,7 +10,7 @@ from order_reference import order_row
 from opstat.core import OrderedSetPartition
 from opstat.families import DeskScaleError, beta
 from opstat.qpoly import LaurentPolynomial, q_factorial
-from opstat.verify import THEOREM_IDS, run_task, verify
+from opstat.verify import THEOREM_IDS, VerificationReport, run_task, verify
 
 
 def test_unknown_id():
@@ -642,6 +642,8 @@ def test_zezh_fails_when_one_side_is_multiplied_by_q(monkeypatch, side, name):
     assert not report.passed and report.counterexample is None
     assert report.lhs != report.rhs
     assert report.to_json()[side] != verify("zezh", n=4, k=2).to_json()[side]
+    # a failing report renders each of its sides
+    assert [report.to_json()[s] for s in ("lhs", "rhs")] == [report.lhs.to_text(), report.rhs.to_text()]
     assert verify("zezh", n=4, k=2).passed
 
 
@@ -679,6 +681,16 @@ def test_report_json_schema():
     assert payload["pass"] is True
     assert isinstance(payload["lhs"], str) and isinstance(payload["rhs"], str)
     json.dumps(payload)  # serialisable
+
+
+def test_report_json_renders_both_sides():
+    p = LaurentPolynomial.variable("p")
+    sides = lambda report: [report.to_json()[side] for side in ("lhs", "rhs")]
+    assert sides(VerificationReport("zezh", {}, True, p + 1, 1 + p)) == ["p + 1", "p + 1"]
+    assert sides(VerificationReport("zezh", {}, False, p + 1, p - 1)) == ["p + 1", "p - 1"]
+    assert sides(VerificationReport("zezh", {}, False, p + 1)) == ["p + 1", None]
+    assert sides(VerificationReport("zezh", {}, False, None, p)) == [None, "p"]
+    assert sides(VerificationReport("zezh", {}, False)) == [None, None]
 
 
 def test_run_task_entry_point():
