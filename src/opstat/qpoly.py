@@ -3,21 +3,11 @@ classical q-analogues, and the Stirling/Eulerian recursions needed by the
 distribution identities.
 
 Coefficients are arbitrary-precision integers and exponents may be negative;
-all arithmetic is exact.  Polynomials are immutable and hashable.
+all arithmetic is exact.  Polynomials are immutable and hashable; a
+constant equals, and hashes as, its coefficient.
 
-A product takes one of three routes:
-
-- monomial: if either factor has one term, shift the other's exponents and
-  scale its coefficients;
-- dense (Kronecker substitution; Schoenhage 1982, Harvey 2009): if the
-  product's exponent box has at most len(a) * len(b) slots, pack each factor
-  into one integer with a fixed-width slot per exponent vector of the box,
-  multiply the two integers, and read the product's coefficients off the
-  slots.  The rule keeps the dense route from touching more slots than the
-  schoolbook touches pairs;
-- schoolbook: otherwise, one dict update per pair of terms.
-  ``_schoolbook_mul`` is also the reference the tests hold the other routes
-  to.
+A product of two polynomials is one dict update per pair of terms
+(``_schoolbook_mul``).
 
 The seven closed-form recursions (``q_factorial``, ``pq_factorial``,
 ``gauss_binomial``, ``stirling_pq``, ``stirling_q``, ``s_hat_pq``,
@@ -103,8 +93,10 @@ class LaurentPolynomial:
         if terms:
             for exps, coeff in terms.items():
                 exps = tuple(exps)
-                if len(exps) != 4 or not all(isinstance(e, int) for e in exps):
+                if len(exps) != 4 or not all(type(e) is int for e in exps):
                     raise ValueError(f"exponent vector must be 4 integers (p, q, t, x), got {exps!r}")
+                if type(coeff) is not int:
+                    raise ValueError(f"a coefficient must be an integer, got {coeff!r}")
                 if coeff:
                     data[exps] = data.get(exps, 0) + coeff
         object.__setattr__(self, "_terms", {e: c for e, c in data.items() if c})
@@ -147,7 +139,7 @@ class LaurentPolynomial:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
-            other = LaurentPolynomial.constant(other)
+            other = LaurentPolynomial.constant(int(other))  # a bool as its int, as 1 == True
         if not isinstance(other, LaurentPolynomial):
             return NotImplemented
         return self is other or self._terms == other._terms
@@ -155,7 +147,9 @@ class LaurentPolynomial:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(frozenset(self._terms.items()))
+            terms = self._terms
+            # a constant equals its coefficient, so hashes as it (zero as 0)
+            h = hash(terms.get((0, 0, 0, 0), 0)) if terms.keys() <= {(0, 0, 0, 0)} else hash(frozenset(terms.items()))
             object.__setattr__(self, "_hash", h)
         return h
 
@@ -164,7 +158,7 @@ class LaurentPolynomial:
         if isinstance(value, LaurentPolynomial):
             return value
         if isinstance(value, int):
-            return LaurentPolynomial.constant(value)
+            return LaurentPolynomial.constant(int(value))
         raise TypeError(f"cannot treat {type(value).__name__} as a polynomial")
 
     # -- arithmetic ---------------------------------------------------------
@@ -192,15 +186,7 @@ class LaurentPolynomial:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> LaurentPolynomial:
-        a, b = self._terms, self._coerce(other)._terms
-        if not (a and b):
-            terms = {}
-        elif len(a) == 1 or len(b) == 1:
-            terms = _monomial_mul(a, b) if len(a) == 1 else _monomial_mul(b, a)
-        else:
-            box = _dense_box(a, b)
-            terms = _schoolbook_mul(a, b) if box is None else _kronecker_mul(a, b, box)
-        return _poly(terms)
+        return _poly(_schoolbook_mul(self._terms, self._coerce(other)._terms))
 
     __rmul__ = __mul__
 
@@ -312,22 +298,14 @@ def _poly(terms: dict[Exponents, int], span: tuple | None = None) -> LaurentPoly
 
 
 # ---------------------------------------------------------------------------
-# Multiplication routes
+# Multiplication
 # ---------------------------------------------------------------------------
 
 Terms = dict[Exponents, int]
 
 
-def _monomial_mul(mono: Terms, other: Terms) -> Terms:
-    """Shift every exponent of ``other`` by the one term of ``mono`` and
-    scale its coefficients; nothing can cancel."""
-    ((e, c),) = mono.items()
-    return {(e[0] + f[0], e[1] + f[1], e[2] + f[2], e[3] + f[3]): c * d for f, d in other.items()}
-
-
 def _schoolbook_mul(a_terms: Terms, b_terms: Terms) -> Terms:
-    """The product by one dict update per pair of terms: the reference for
-    the other routes and the route for sparse products."""
+    """The product, by one dict update per pair of terms."""
     terms: Terms = {}
     for e1, c1 in a_terms.items():
         for e2, c2 in b_terms.items():
@@ -340,45 +318,22 @@ def _schoolbook_mul(a_terms: Terms, b_terms: Terms) -> Terms:
     return terms
 
 
-def _dense_box(a_terms: Terms, b_terms: Terms) -> list[range] | None:
-    """The product's exponent box, one range per variable, or None when the
-    box has more slots than the schoolbook has pairs of terms."""
-    box = [
-        range(min(ea) + min(eb), max(ea) + max(eb) + 1)
-        for ea, eb in zip(zip(*a_terms), zip(*b_terms))
-    ]
-    return box if prod(map(len, box)) <= len(a_terms) * len(b_terms) else None
-
-
-def _kronecker_mul(a_terms: Terms, b_terms: Terms, box: list[range]) -> Terms:
-    """The product as one big-integer multiplication on a layout over
-    ``box``, each factor written from its own least exponents.  No
-    coefficient exceeds max|a| * sum|b|."""
-    layout = _Layout(box, max(map(abs, a_terms.values())) * sum(map(abs, b_terms.values())))
-    packed = 1
-    for terms in (a_terms, b_terms):
-        columns = list(zip(*terms))
-        packed *= layout.write(terms, list(map(min, columns)), columns)
-    return layout.read(packed)[0]
-
-
 # ---------------------------------------------------------------------------
 # Packed layout (Kronecker substitution)
 # ---------------------------------------------------------------------------
 
-# machine integers by signedness, then size in bytes
-_CODES = {signed: {array(code).itemsize: code for code in codes} for signed, codes in ((False, "BHIQ"), (True, "bhiq"))}
+# unsigned machine integers by size in bytes
+_CODES = {array(code).itemsize: code for code in "BHIQ"}
 _WORD = 8  # bytes per word of a slot wider than a machine integer, read as "Q"
 assert array("Q").itemsize == _WORD
 
 
-def _slot_width(bound: int, signed: bool = True) -> int:
-    """Bytes per slot for coefficients up to ``bound`` in absolute value
-    (and a sign bit if ``signed``): a machine integer's size where one is
-    that wide, else whole 8-byte words, so that every slot converts at C
-    speed."""
-    need = (bound.bit_length() + signed + 7) // 8
-    return next((size for size in sorted(_CODES[signed]) if size >= need), -(-need // _WORD) * _WORD)
+def _slot_width(bound: int) -> int:
+    """Bytes per slot for coefficients from 0 to ``bound``: a machine
+    integer's size where one is that wide, else whole 8-byte words, so that
+    every slot converts at C speed."""
+    need = (bound.bit_length() + 7) // 8
+    return next((size for size in sorted(_CODES) if size >= need), -(-need // _WORD) * _WORD)
 
 
 def _little_endian(slots: array) -> array:
@@ -390,31 +345,28 @@ def _little_endian(slots: array) -> array:
 
 
 class _Layout:
-    """Polynomials over an exponent box as integers (Kronecker
-    substitution; Harvey 2009): the coefficient of the exponent vector e
-    sits in a ``width``-byte slot at the mixed-radix index, under the box's
-    sizes, of e minus an origin (the box's least vector unless another is
-    given), the last variable varying fastest.  A product of polynomials is
+    """Polynomials with no negative coefficient over an exponent box as
+    integers (Kronecker substitution; Harvey 2009): the coefficient of the
+    exponent vector e sits in a ``width``-byte slot at the mixed-radix
+    index, under the box's sizes, of e minus an origin (the box's least
+    vector unless another is given), the last variable varying fastest.  A product of polynomials is
     then a product of integers, a monomial factor a shift by
     :meth:`offset` and a sum an addition, while every coefficient met stays
     within ``bound`` and no exponent strays from its origin by as much as
     the box's size.  The width is checked against the bound here, once.
-    Unsigned slots refuse a negative coefficient when it is written."""
+    A slot refuses a negative coefficient when it is written."""
 
-    __slots__ = ("box", "strides", "width", "signed", "top")
+    __slots__ = ("box", "strides", "width")
 
-    def __init__(self, box: Sequence[range], bound: int, signed: bool = True, width: int | None = None):
+    def __init__(self, box: Sequence[range], bound: int, width: int | None = None):
         self.box = tuple(box)
         sizes = list(map(len, self.box))
         if len(sizes) != len(VARS) or not all(sizes):
             raise ValueError(f"an exponent box needs one nonempty range per variable, got {box!r}")
         self.strides = (sizes[1] * sizes[2] * sizes[3], sizes[2] * sizes[3], sizes[3], 1)
-        self.signed = signed
-        self.width = _slot_width(bound, signed) if width is None else width
-        if bound.bit_length() + signed > 8 * self.width or not (self.width in _CODES[signed] or self.width % _WORD == 0):
-            raise ValueError(f"a {self.width}-byte slot cannot hold coefficients up to {bound}" + " and a sign bit" * signed)
-        # the top bit of every slot
-        self.top = int.from_bytes((bytes(self.width - 1) + b"\x80") * prod(sizes), "little") if signed else 0
+        self.width = _slot_width(bound) if width is None else width
+        if bound.bit_length() > 8 * self.width or not (self.width in _CODES or self.width % _WORD == 0):
+            raise ValueError(f"a {self.width}-byte slot cannot hold coefficients up to {bound}")
 
     def offset(self, exps: Sequence[int]) -> int:
         """The shift, in bits, that multiplies by the monomial ``exps``."""
@@ -439,41 +391,31 @@ class _Layout:
             index = [0] * len(terms) if index is None else list(map(sub, index, repeat(base)))
             values = [0] * (max(index) + 1)
             deque(map(values.__setitem__, index, terms.values()), 0)
-        code = _CODES[self.signed].get(self.width)
+        code = _CODES.get(self.width)
         if code:
             data = _little_endian(array(code, values)).tobytes()
-        else:  # whole words; an unsigned slot refuses a negative coefficient
-            data = b"".join(map(partial(int.to_bytes, length=self.width, byteorder="little", signed=self.signed), values))
-        packed = int.from_bytes(data, "little")
-        # read unsigned, a signed slot's top bit counts 2^(bits-1), not -2^(bits-1)
-        return packed - ((packed & self.top) << 1) if self.signed else packed
+        else:  # whole words; either way a negative coefficient is refused
+            data = b"".join(map(partial(int.to_bytes, length=self.width, byteorder="little"), values))
+        return int.from_bytes(data, "little")
 
     def read(self, packed: int, origin: Sequence[int] | None = None) -> tuple[Terms, list[range]]:
         """The nonzero coefficients of ``packed``, whose slot 0 holds the
         exponent vector ``origin`` (the box's least by default), by exponent
         vector, and the box they were read from: the layout's sizes from
-        ``origin``, cut, when the slots are unsigned, after the last value
-        of the first variable that has a nonzero coefficient."""
+        ``origin``, cut after the last value of the first variable that has
+        a nonzero coefficient."""
         sizes = list(map(len, self.box))
-        if self.signed:
-            # Adding 2^(bits-1) to every slot makes each one nonnegative, so no
-            # slot borrows from the next; flipping each top bit then takes the
-            # bias off again and leaves each slot in two's complement.
-            packed = (packed + self.top) ^ self.top
-        else:
-            slots = -(-packed.bit_length() // (8 * self.width))
-            sizes[0] = min(sizes[0], -(-slots // self.strides[0]))
+        slots = -(-packed.bit_length() // (8 * self.width))
+        sizes[0] = min(sizes[0], -(-slots // self.strides[0]))
         box = [range(o, o + size) for o, size in zip(origin or [r.start for r in self.box], sizes)]
         data = packed.to_bytes(sizes[0] * self.strides[0] * self.width, "little")
-        code = _CODES[self.signed].get(self.width)
+        code = _CODES.get(self.width)
         if code:
             coeffs = _little_endian(array(code, data))
         else:
             words = self.width // _WORD
             low = _little_endian(array("Q", data))
             coeffs = low[words - 1::words]
-            if self.signed:
-                coeffs = array("q", coeffs.tobytes())
             for i in range(words - 2, -1, -1):
                 coeffs = list(map(or_, map(lshift, coeffs, repeat(8 * _WORD)), low[i::words]))
         return dict(zip(compress(product(*box), coeffs), filter(None, coeffs))), box
@@ -515,7 +457,7 @@ Part = tuple[Exponents, Sequence[LaurentPolynomial]]
 
 
 def _packed_sums(*sides: Sequence[Part]) -> tuple[_Layout, list[int]]:
-    """Each side, a sum of parts, as an integer on one unsigned layout,
+    """Each side, a sum of parts, as an integer on one layout,
     with the least exponent vector of any part in slot 0.  The box is the
     union of the parts' boxes, and the bound the largest side's sum of the
     products of its factors' values at 1, which no coefficient of a product
@@ -529,11 +471,11 @@ def _packed_sums(*sides: Sequence[Part]) -> tuple[_Layout, list[int]]:
                 hi = list(map(sum, zip(monomial, *(w[2] for w in written))))
                 spans.append((s, written, lo, hi, prod(w[4] for w in written)))
     if not spans:
-        return _Layout([range(1)] * len(VARS), 0, signed=False), [0] * len(sides)
+        return _Layout([range(1)] * len(VARS), 0), [0] * len(sides)
     start = list(map(min, zip(*(span[2] for span in spans))))
     stop = map(max, zip(*(span[3] for span in spans)))
     bound = max(sum(span[4] for span in spans if span[0] == s) for s in range(len(sides)))
-    layout = _Layout([range(a, b + 1) for a, b in zip(start, stop)], bound, signed=False)
+    layout = _Layout([range(a, b + 1) for a, b in zip(start, stop)], bound)
     totals = [0] * len(sides)
     for s, written, lo, _, _ in spans:
         packed = prod(layout.write(terms, origin, columns) for terms, origin, _, columns, _ in written)
@@ -621,10 +563,10 @@ def _fill(body, probe, store, targets: list[Cell]) -> dict[Cell, LaurentPolynomi
     """The values of the cells ``targets`` of one row.  Walking down, every
     cell they reach is looked up, and those missing are expanded into their
     parts until a cached cell or a base case is met.  Then the missing
-    cells are filled upwards, a row at a time, as integers on one unsigned
-    layout, keeping only the cells of the row below still to be read: a
-    monomial factor is a shift and a sum an addition.  Each is unpacked once and stored; the targets are
-    returned.  The layout's sizes are the largest extent of any cell and
+    cells are filled upwards, a row at a time, as integers on one layout,
+    keeping only the cells of the row below still to be read: a monomial
+    factor is a shift and a sum an addition.  Each is unpacked once and
+    stored; the targets are returned.  The layout's sizes are the largest extent of any cell and
     its width holds the largest value at 1, which bounds every coefficient
     since none is negative; each cell is packed from its least exponents."""
     targets = dict.fromkeys(targets)
@@ -660,7 +602,7 @@ def _fill(body, probe, store, targets: list[Cell]) -> dict[Cell, LaurentPolynomi
     if not spans:
         return {args: ZERO for args in targets}
     extent = [max(hi[v] - lo[v] + 1 for lo, hi, _, _ in spans.values()) for v in range(len(VARS))]
-    layout = _Layout([range(size) for size in extent], max(span[3] for span in spans.values()), signed=False)
+    layout = _Layout([range(size) for size in extent], max(span[3] for span in spans.values()))
     readers = Counter(below for parts, _ in rows for cell in parts.values() for _, below in cell)
     values, packed = {}, {}
     for parts, known in reversed(rows):

@@ -500,7 +500,7 @@ THEOREM_IDS = tuple(_CHECKS)
 _NORMALISE = {
     "sigma": _as_permutation,
     "pi": lambda pi: (OrderedSetPartition.parse(pi) if isinstance(pi, str) else pi).standard_form()[0],
-    "parts": lambda parts: tuple(int(p) for p in parts),
+    "parts": tuple,
 }
 
 
@@ -520,6 +520,13 @@ def verify(theorem: str, allow_large: bool = False, **params) -> VerificationRep
     unknown = sorted(set(params) - set(check.names))
     if unknown:
         raise ValueError(f"{takes}; unknown parameter {', '.join(unknown)}")
+    # a float or a bool must not be read as an int nobody asked for (1.7 as 1)
+    for name in ("n", "k"):
+        if name in params and type(params[name]) is not int:
+            raise ValueError(f"{name} must be an integer, got {params[name]!r}")
+    parts = params.get("parts", ())
+    if not (isinstance(parts, (tuple, list)) and all(type(part) is int for part in parts)):
+        raise ValueError(f"parts must be a sequence of integers, got {parts!r}")
     if "k" in params and not params["n"] >= params["k"] >= 1:
         raise ValueError("need n >= k >= 1")
     params = {name: _NORMALISE.get(name, lambda value: value)(params[name]) for name in check.names}

@@ -779,6 +779,21 @@ def test_composition_checks_refuse_an_empty_sum(theorem, parts):
         verify(theorem, parts=parts)
 
 
+@pytest.mark.parametrize("theorem,params,name", [
+    ("eq1.1", {"parts": (1.7, 1)}, "parts"),  # int() made it (1, 1), and a pass
+    ("eq1.1", {"parts": (True, 1)}, "parts"),
+    ("eq1.1", {"parts": "21"}, "parts"),
+    ("thm3.2", {"n": True, "k": True}, "n"),  # passed as n = k = 1
+    ("thm3.2", {"n": 3, "k": True}, "k"),
+    ("thm3.2", {"n": 3.0, "k": 2}, "n"),  # a raw AttributeError
+    ("thm3.2", {"n": "3", "k": 2}, "n"),  # a raw TypeError
+    ("zezh", {"n": 3, "k": 2.0}, "k"),
+], ids=lambda value: value if isinstance(value, str) else "-".join(f"{k}={v!r}" for k, v in value.items()))
+def test_a_parameter_that_is_not_an_int_is_refused_by_name(theorem, params, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        verify(theorem, **params)
+
+
 def test_zero_parts_inside_a_composition_are_allowed():
     assert verify("eq1.1", parts=(2, 0, 1)).passed
     assert verify("doubleton", parts=(1, 0, 1)).passed
