@@ -16,8 +16,8 @@ factor is a shift, [k]_q and [k]_{p,q} are k shifts and a sum is an integer
 addition.  A missing cell is filled without recursion (``_fill``): every
 missing cell it reaches is computed a row at a time, keeping as integers
 only the cells of the row below still to be read, and unpacked once into
-the recursion's ``functools.cache``; ``fill`` does the same for a whole
-table in one pass.
+the dict of cells that the recursion owns; ``fill`` does the same for a
+whole table in one pass.
 The slot width is set once per fill from the largest value at p = q = 1,
 which bounds every coefficient since none is negative.  ``verify_zezh``
 builds both of its sides as integers on one layout, decides equality on the
@@ -38,7 +38,7 @@ import sys
 from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import cache, partial, wraps
+from functools import partial, wraps
 from itertools import compress, product, repeat
 from math import comb, prod
 from operator import add, eq, lshift, mul, or_, sub
@@ -353,20 +353,19 @@ class _Layout:
     then a product of integers, a monomial factor a shift by
     :meth:`offset` and a sum an addition, while every coefficient met stays
     within ``bound`` and no exponent strays from its origin by as much as
-    the box's size.  The width is checked against the bound here, once.
-    A slot refuses a negative coefficient when it is written."""
+    the box's size.  The width is the least that holds the bound (see
+    :func:`_slot_width`).  A slot refuses a negative coefficient when it is
+    written."""
 
     __slots__ = ("box", "strides", "width")
 
-    def __init__(self, box: Sequence[range], bound: int, width: int | None = None):
+    def __init__(self, box: Sequence[range], bound: int):
         self.box = tuple(box)
         sizes = list(map(len, self.box))
         if len(sizes) != len(VARS) or not all(sizes):
             raise ValueError(f"an exponent box needs one nonempty range per variable, got {box!r}")
         self.strides = (sizes[1] * sizes[2] * sizes[3], sizes[2] * sizes[3], sizes[3], 1)
-        self.width = _slot_width(bound) if width is None else width
-        if bound.bit_length() > 8 * self.width or not (self.width in _CODES or self.width % _WORD == 0):
-            raise ValueError(f"a {self.width}-byte slot cannot hold coefficients up to {bound}")
+        self.width = _slot_width(bound)
 
     def offset(self, exps: Sequence[int]) -> int:
         """The shift, in bits, that multiplies by the monomial ``exps``."""
@@ -507,82 +506,54 @@ Cell = tuple
 Parts = list[tuple[Sequence[Exponents], Cell]]
 
 
-class _Miss(Exception):
-    """A probe of a recursion's cache found the cell missing."""
-
-
 def _recursion(body: Callable[..., LaurentPolynomial | Parts]):
-    """The ``functools.cache`` of a recursion whose ``body`` gives base
-    values and parts (see ``Parts``).  A miss is filled by :func:`_fill`,
-    without recursion, so any n is in reach; ``fill(cells)`` on the result
-    caches the given cells and those they reach in one pass."""
-    pending: dict[Cell, LaurentPolynomial] = {}  # a value being stored; empty between calls
-    probing = False
+    """A recursion whose ``body`` gives base values and parts (see
+    ``Parts``), with a dict of the cells it has computed.  A missing cell is
+    filled by :func:`_fill`, without recursion, so any n is in reach;
+    ``fill(cells)`` on the result fills the given cells and those they reach
+    in one pass, and ``cache_clear()`` empties the dict, ``cells``."""
+    cells: dict[Cell, LaurentPolynomial] = {}
     signature = inspect.signature(body)
 
-    @cache
     @wraps(body)
     def cached(*args, **kwargs):
         if kwargs:  # the cell under its positional arguments, which fills use
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
-            return cached(*bound.args)
-        if args in pending:
-            return pending.pop(args)
-        if probing:
-            raise _Miss
-        value = body(*args)
-        return value if isinstance(value, LaurentPolynomial) else _fill(body, probe, store, [args])[args]
+            args = bound.args
+        if args not in cells:
+            _fill(body, cells, [args])
+        return cells[args]
 
-    def probe(args: Cell) -> LaurentPolynomial | None:
-        nonlocal probing
-        probing = True
-        try:
-            return cached(*args)
-        except _Miss:
-            return None
-        finally:
-            probing = False
-
-    def store(args: Cell, value: LaurentPolynomial) -> None:
-        pending[args] = value
-        try:
-            cached(*args)
-        finally:
-            pending.clear()
-
-    def fill(cells: Iterable[Cell]) -> None:
-        for args, value in _fill(body, probe, store, list(cells)).items():
-            store(args, value)
-
-    cached.fill = fill
+    cached.cells = cells
+    cached.cache_clear = cells.clear
+    cached.fill = partial(_fill, body, cells)
     return cached
 
 
-def _fill(body, probe, store, targets: list[Cell]) -> dict[Cell, LaurentPolynomial]:
-    """The values of the cells ``targets`` of one row.  Walking down, every
-    cell they reach is looked up, and those missing are expanded into their
-    parts until a cached cell or a base case is met.  Then the missing
-    cells are filled upwards, a row at a time, as integers on one layout,
-    keeping only the cells of the row below still to be read: a monomial
-    factor is a shift and a sum an addition.  Each is unpacked once and
-    stored; the targets are returned.  The layout's sizes are the largest extent of any cell and
-    its width holds the largest value at 1, which bounds every coefficient
-    since none is negative; each cell is packed from its least exponents."""
-    targets = dict.fromkeys(targets)
+def _fill(body, cells: dict[Cell, LaurentPolynomial], targets: Iterable[Cell]) -> None:
+    """Store in ``cells`` the cells ``targets`` of one row and every cell
+    they reach.  Walking down, every cell they reach is looked up, and those
+    missing are expanded into their parts until a stored cell or a base case
+    is met.  Then the missing cells are filled upwards, a row at a time, as
+    integers on one layout, keeping only the cells of the row below still to
+    be read: a monomial factor is a shift and a sum an addition.  Each is
+    unpacked once and stored.  The layout's sizes are the largest extent of
+    any cell and its width holds the largest value at 1, which bounds every
+    coefficient since none is negative; each cell is packed from its least
+    exponents."""
     rows = []  # from the targets down: (cells to fill with their parts, known cells)
-    level = targets
+    level = dict.fromkeys(targets)
     while level:
         parts, known = {}, {}
         for args in level:
-            value = probe(args)
+            value = cells.get(args)
             if value is None:
                 value = body(*args)
                 if not isinstance(value, LaurentPolynomial):
                     parts[args] = value
                     continue
-                if args not in targets:
-                    store(args, value)
+                cells[args] = value
             known[args] = value
         rows.append((parts, known))
         level = dict.fromkeys(below for cell in parts.values() for _, below in cell)
@@ -600,38 +571,33 @@ def _fill(body, probe, store, targets: list[Cell]) -> dict[Cell, LaurentPolynomi
                 spans[args] = (tuple(lo), tuple(hi), None, sum(len(m) * spans[b][3] for m, b in live))
             parts[args] = live
     if not spans:
-        return {args: ZERO for args in targets}
+        for parts, _ in rows:
+            cells.update(dict.fromkeys(parts, ZERO))
+        return
     extent = [max(hi[v] - lo[v] + 1 for lo, hi, _, _ in spans.values()) for v in range(len(VARS))]
     layout = _Layout([range(size) for size in extent], max(span[3] for span in spans.values()))
     readers = Counter(below for parts, _ in rows for cell in parts.values() for _, below in cell)
-    values, packed = {}, {}
+    packed = {}
     for parts, known in reversed(rows):
         below, packed = packed, {}
         for args, value in known.items():
-            if args in targets:
-                values[args] = value
-            elif args in spans:
+            if args in readers:  # a nonzero cell that a cell above reads
                 origin, _, columns, _ = spans[args]
                 packed[args] = layout.write(value._terms, origin, columns)
         for args, cell in parts.items():
             if not cell:
-                value = ZERO
-            else:
-                origin, last, _, total = spans[args]
-                packed[args] = sum(
-                    below[b] << layout.offset(list(map(sub, map(add, spans[b][0], m), origin)))
-                    for monomials, b in cell for m in monomials
-                )
-                value = layout.poly(packed[args], origin, last, total)
-                for _, b in cell:  # a cell below is dropped once its last reader has it
-                    readers[b] -= 1
-                    if not readers[b]:
-                        del below[b]
-            if args in targets:
-                values[args] = value
-            else:
-                store(args, value)
-    return values
+                cells[args] = ZERO
+                continue
+            origin, last, _, total = spans[args]
+            packed[args] = sum(
+                below[b] << layout.offset(list(map(sub, map(add, spans[b][0], m), origin)))
+                for monomials, b in cell for m in monomials
+            )
+            cells[args] = layout.poly(packed[args], origin, last, total)
+            for _, b in cell:  # a cell below is dropped once its last reader has it
+                readers[b] -= 1
+                if not readers[b]:
+                    del below[b]
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,18 @@ def _as_permutation(sigma: Union[Permutation, str, Sequence[int]]) -> Permutatio
         return sigma
     if isinstance(sigma, str):
         return Permutation.parse(sigma)
-    return Permutation(tuple(sigma))
+    # a float or a bool must not be read as an int nobody asked for (True as 1)
+    if isinstance(sigma, (tuple, list)) and all(type(image) is int for image in sigma):
+        return Permutation(tuple(sigma))
+    raise ValueError(f"sigma must be a permutation, its text or a sequence of integers, got {sigma!r}")
+
+
+def _as_standard_partition(pi: Union[OrderedSetPartition, str]) -> OrderedSetPartition:
+    if isinstance(pi, str):
+        pi = OrderedSetPartition.parse(pi)
+    elif not isinstance(pi, OrderedSetPartition):
+        raise ValueError(f"pi must be an ordered set partition or its text, got {pi!r}")
+    return pi.standard_form()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +462,10 @@ def _doubleton_sweep(parts: tuple[int, ...]) -> tuple[list, str | None]:
 @dataclass(frozen=True)
 class _Check:
     """``sweep(**params)`` returns the (LHS, RHS) pairs that must be equal
-    (the report shows the first) and the first counterexample or None.  It
-    runs after the guards have read ``size(params)``, the ground set, and
-    ``count(params)``, so passes allow_large."""
+    (the report shows the first that differ, else the first) and the first
+    counterexample or None.  It runs after the guards have read
+    ``size(params)``, the ground set, and ``count(params)``, so passes
+    allow_large."""
 
     names: tuple[str, ...]
     sweep: Callable[..., tuple[list, str | None]]
@@ -499,7 +511,7 @@ THEOREM_IDS = tuple(_CHECKS)
 
 _NORMALISE = {
     "sigma": _as_permutation,
-    "pi": lambda pi: (OrderedSetPartition.parse(pi) if isinstance(pi, str) else pi).standard_form()[0],
+    "pi": _as_standard_partition,
     "parts": tuple,
 }
 
@@ -542,12 +554,15 @@ def verify(theorem: str, allow_large: bool = False, **params) -> VerificationRep
     if check.count is not None:
         _check_count(check.count(params), allow_large)
     pairs, counterexample = check.sweep(**params)
-    passed = all(lhs == rhs for lhs, rhs in pairs) and counterexample is None
+    unequal = [slot for slot, (lhs, rhs) in enumerate(pairs) if lhs != rhs]
+    passed = not unequal and counterexample is None
+    # the report shows the first pair whose sides differ, and names its slot
+    # when it is not the first
+    slot = unequal[0] if unequal else 0
+    detail = "" if passed else f"{check.detail} in slot {slot + 1} of {len(pairs)}" if slot else check.detail
     # the report shows sigma and pi as text
     shown = {name: value if name in ("n", "k", "parts") else str(value) for name, value in params.items()}
-    return VerificationReport(
-        theorem, shown, passed, *pairs[0], counterexample, "" if passed else check.detail
-    )
+    return VerificationReport(theorem, shown, passed, *pairs[slot], counterexample, detail)
 
 
 def run_task(task: tuple[str, dict]) -> VerificationReport:

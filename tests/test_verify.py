@@ -393,58 +393,64 @@ def _parsed(text):
 _DOUBLETON = _parsed("5 6/1 3/2 4")  # a rearrangement of doubleton_partition((2, 1))
 _INV, _MAJ = 7, 8  # entries of transport_side and table_side
 _SLOT_PLANTS = [
-    # id, parameters, plant, whether the plant reaches the displayed LHS;
+    # id, parameters, plant, the first slot the plant reaches, which the
+    # report shows and names when it is not the first;
     # mak raises mak+bStat, and los+rcs lowers mak'+bStat by as much
-    ("thm3.2", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "mak", 1), True),
-    ("thm3.2", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "los+rcs", -1), False),
-    ("thm3.4", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "mak", 1), True),
-    ("thm3.4", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "los+rcs", -1), False),
+    ("thm3.2", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "mak", 1), 1),
+    ("thm3.2", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "los+rcs", -1), 2),
+    ("thm3.4", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "mak", 1), 1),
+    ("thm3.4", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "los+rcs", -1), 2),
     # rcb_lsb returns (rcb, lsb)
-    ("eq2.3", dict(n=4, k=3), lambda mp: _plant(mp, "rcb_lsb", _parsed("1 3/2/4"), _bump(0)), True),
+    ("eq2.3", dict(n=4, k=3), lambda mp: _plant(mp, "rcb_lsb", _parsed("1 3/2/4"), _bump(0)), 1),
     # likewise for cls+rsb_TC = mak + bInv - INV and opb+rsb_TC
-    ("eq9.2", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "mak", 1), True),
-    ("eq9.2", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "los+rcs", -1), False),
+    ("eq9.2", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "mak", 1), 1),
+    ("eq9.2", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "los+rcs", -1), 2),
     # the two partitions share rsb_TC, sb and inv (maj) of the class
     # permutation, so only the slot pairing the swapped cls (opb) with maj
     # (inv) sees the swap
-    ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, 0, "1 2/4/3", "2 3/4/1"), True),
-    ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, 0, "1 2/4/3", "2 3/1/4"), False),
-    ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, 1, "1 2/4/3", "2 3/4/1"), False),
-    ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, 1, "1 2/4/3", "2 3/1/4"), False),
-    ("eq1.1", dict(parts=(2, 1)), lambda mp: _plant(mp, "inversion_number", (2, 1, 1), lambda v: v + 1), True),
-    ("eq1.1", dict(parts=(2, 1)), lambda mp: _plant(mp, "major_index", (2, 1, 1), lambda v: v + 1), False),
-    ("doubleton", dict(parts=(2, 1)), lambda mp: _plant(mp, "table_side", _DOUBLETON, _bump(_MAJ)), True),
-    ("doubleton", dict(parts=(2, 1)), lambda mp: _plant(mp, "table_side", _DOUBLETON, _bump(_INV)), False),
+    ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, 0, "1 2/4/3", "2 3/4/1"), 1),
+    ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, 0, "1 2/4/3", "2 3/1/4"), 2),
+    ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, 1, "1 2/4/3", "2 3/4/1"), 3),
+    ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, 1, "1 2/4/3", "2 3/1/4"), 4),
+    ("eq1.1", dict(parts=(2, 1)), lambda mp: _plant(mp, "inversion_number", (2, 1, 1), lambda v: v + 1), 1),
+    ("eq1.1", dict(parts=(2, 1)), lambda mp: _plant(mp, "major_index", (2, 1, 1), lambda v: v + 1), 2),
+    ("doubleton", dict(parts=(2, 1)), lambda mp: _plant(mp, "table_side", _DOUBLETON, _bump(_MAJ)), 1),
+    ("doubleton", dict(parts=(2, 1)), lambda mp: _plant(mp, "table_side", _DOUBLETON, _bump(_INV)), 2),
     # a duplicate stands in for a sigma-class member that differs from it
     # only in mak+bInv (mak'+bInv); the xi transport holds on both
     ("thm3.1", dict(n=4, k=2, sigma="21"),
-     lambda mp: _stand_in(mp, "sigma_partitions", _parsed("2 3/1 4"), _parsed("3/1 2 4")), True),
+     lambda mp: _stand_in(mp, "sigma_partitions", _parsed("2 3/1 4"), _parsed("3/1 2 4")), 1),
     ("thm3.1", dict(n=4, k=2, sigma="21"),
-     lambda mp: _stand_in(mp, "sigma_partitions", _parsed("2 3/1 4"), _parsed("2/1 3 4")), False),
+     lambda mp: _stand_in(mp, "sigma_partitions", _parsed("2 3/1 4"), _parsed("2/1 3 4")), 2),
     # a duplicate stands in for a class member with the same INV (MAJ);
     # beta still covers the class
     ("thm3.5", dict(pi="1 3/2/4"),
-     lambda mp: _stand_in(mp, "rearrangements", _parsed("2/1 3/4"), _parsed("1 3/4/2")), True),
+     lambda mp: _stand_in(mp, "rearrangements", _parsed("2/1 3/4"), _parsed("1 3/4/2")), 1),
     ("thm3.5", dict(pi="1 3/2/4"),
-     lambda mp: _stand_in(mp, "rearrangements", _parsed("4/2/1 3"), _parsed("1 3/4/2")), False),
+     lambda mp: _stand_in(mp, "rearrangements", _parsed("4/2/1 3"), _parsed("1 3/4/2")), 2),
     # maj sigma is a field of eq5.8's rows alone, and only its two
     # (., maj sigma) slots pair with it
-    ("eq5.8", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "majsigma", 1), False),
+    ("eq5.8", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "majsigma", 1), 2),
 ]
 
 
 @pytest.mark.parametrize(
-    "theorem,params,plant,shown",
+    "theorem,params,plant,slot",
     _SLOT_PLANTS,
     ids=[f"{theorem}-{i}" for i, (theorem, *_) in enumerate(_SLOT_PLANTS)],
 )
-def test_distribution_checks_fail_when_one_slot_is_off(monkeypatch, theorem, params, plant, shown):
+def test_distribution_checks_fail_when_one_slot_is_off(monkeypatch, theorem, params, plant, slot):
     assert verify(theorem, **params).passed
     plant(monkeypatch)
     report = verify(theorem, **params)
     assert not report.passed and report.to_json()["pass"] is False
     assert report.counterexample is None
-    assert (report.lhs != report.rhs) is shown
+    assert report.lhs != report.rhs
+    first = importlib.import_module(_VERIFY)._CHECKS[theorem].detail
+    if slot == 1:
+        assert report.detail == first
+    else:
+        assert report.detail.startswith(f"{first} in slot {slot} of ")
 
 
 _RHS_TIMES_Q = [
@@ -788,6 +794,11 @@ def test_composition_checks_refuse_an_empty_sum(theorem, parts):
     ("thm3.2", {"n": 3.0, "k": 2}, "n"),  # a raw AttributeError
     ("thm3.2", {"n": "3", "k": 2}, "n"),  # a raw TypeError
     ("zezh", {"n": 3, "k": 2.0}, "k"),
+    ("thm3.1", {"n": 3, "k": 2, "sigma": [True, 2]}, "sigma"),  # passed as the identity
+    ("thm3.1", {"n": 3, "k": 2, "sigma": [2.0, 1]}, "sigma"),  # a raw TypeError
+    ("thm3.1", {"n": 3, "k": 2, "sigma": 5}, "sigma"),  # a raw TypeError
+    ("thm3.5", {"pi": 5}, "pi"),  # a raw AttributeError
+    ("thm3.5", {"pi": ["1 2"]}, "pi"),  # a raw AttributeError
 ], ids=lambda value: value if isinstance(value, str) else "-".join(f"{k}={v!r}" for k, v in value.items()))
 def test_a_parameter_that_is_not_an_int_is_refused_by_name(theorem, params, name):
     with pytest.raises(ValueError, match=f"^{name} must be"):
