@@ -185,7 +185,8 @@ def _reject_unused_flags(theorem: str, names: tuple[str, ...], args) -> None:
 
 def _verify_tasks(args) -> list[tuple[str, dict]]:
     theorem = args.theorem.lower()
-    names = _CHECKS[theorem].names
+    check = _CHECKS[theorem]
+    names = check.names
     _reject_unused_flags(theorem, names, args)
     extra = {"allow_large": True} if args.allow_large else {}
     if "parts" in names:
@@ -222,7 +223,7 @@ def _verify_tasks(args) -> list[tuple[str, dict]]:
             if "pi" in names:
                 # the record's count, read off one class of k blocks
                 singletons = OrderedSetPartition.parse("/".join(map(str, range(1, k + 1))))
-                _check_count(_CHECKS[theorem].count({"pi": singletons}), args.allow_large)
+                _check_count(check.count({"pi": singletons}), args.allow_large, check.limit)
                 for pi0 in set_partitions(n, k):
                     tasks.append((theorem, {"pi": pi0.to_text(), **extra}))
             elif "sigma" in names:
@@ -234,6 +235,8 @@ def _verify_tasks(args) -> list[tuple[str, dict]]:
                 for sigma in sigmas:
                     tasks.append((theorem, {"n": n, "k": k, "sigma": sigma, **extra}))
             else:
+                if check.count is not None:  # before any worker starts
+                    _check_count(check.count({"n": n, "k": k}), args.allow_large, check.limit)
                 tasks.append((theorem, {"n": n, "k": k, **extra}))
     return tasks
 

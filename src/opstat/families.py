@@ -13,13 +13,16 @@ whole, in opener order, each at the gap its entry of c names.
 ``ordered_set_partitions`` can also give each block order as an int that
 packs its statistics (``statistics.block_order_totals``), so a sum over
 OP(n,k) is still drawn from its family without building a partition.
+Likewise ``set_partitions`` can give each standard form as its (rcb, lsb)
+(``statistics.rcb_lsb_rows``), grown element by element as the forms are.
 
 Ordered-partition families refuse n above a desk-scale limit (default 12,
 overridable through the environment variable ``OPSTAT_MAX_N`` or an
 explicit flag): the family sizes grow like k! times the Stirling numbers
 and nothing past desk scale is exhaustively checkable.  A check on one
 class, whose ground set can be small while its k! orders are not, is also
-refused above ``DESK_COUNT_DEFAULT`` objects.
+refused above ``DESK_COUNT_DEFAULT`` objects, and a sum over OP(n,k) above
+``DESK_ORDERS_DEFAULT`` block orders.
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ from typing import Iterator, Sequence
 
 from .core import OrderedSetPartition, PartitionType, Permutation, _decimal
 from .paths import LatticePath, PathDiagram, _insertion_positions, psi_inv
-from .statistics import block_order_totals
+from .statistics import block_order_totals, rcb_lsb_rows
 
 __all__ = [
     "DeskScaleError",
@@ -58,6 +61,12 @@ DESK_SCALE_DEFAULT = 12
 # of k blocks has k! orders: thm3.5 takes about 3 s at k = 8 and 25 s at
 # k = 9, within the limit; k = 10 has 3,628,800 orders, past it.
 DESK_COUNT_DEFAULT = 10**6
+# The most block orders that a sum over OP(n,k) (thm3.2, thm3.4, eq5.8,
+# eq9.2) draws without allow_large.  thm3.2 runs 1.1 to 1.3 * 10**6 orders
+# a second at n = 9 and 10 (2 cores, Python 3.11), so this is 75 to 90 s:
+# every k at n <= 10 fits, the largest being 8! S(10, 8) ~ 3.0 * 10**7,
+# and k = 6 at n = 12, 6! S(12, 6) ~ 9.5 * 10**8, does not.
+DESK_ORDERS_DEFAULT = 10**8
 
 
 class DeskScaleError(ValueError):
@@ -83,10 +92,10 @@ def _check_scale(n: int, allow_large: bool) -> None:
         )
 
 
-def _check_count(count: int, allow_large: bool) -> None:
-    if count > DESK_COUNT_DEFAULT and not allow_large:
+def _check_count(count: int, allow_large: bool, limit: int) -> None:
+    if count > limit and not allow_large:
         raise DeskScaleError(
-            f"{count} objects exceed the desk-scale count limit {DESK_COUNT_DEFAULT}; "
+            f"{count} objects exceed the desk-scale count limit {limit}; "
             "pass allow_large=True to override"
         )
 
@@ -125,11 +134,28 @@ def fubini(n: int) -> int:
 # Generators
 # ---------------------------------------------------------------------------
 
-def set_partitions(n: int, k: int | None = None) -> Iterator[OrderedSetPartition]:
+def set_partitions(
+    n: int, k: int | None = None, fields: Sequence[str] | None = None
+) -> Iterator[OrderedSetPartition] | Iterator[tuple[int, int]]:
     """Standard-form partitions of [n] (into k blocks when k is given), in
-    lexicographic order of their block-index words."""
+    lexicographic order of their block-index words.
+
+    With ``fields=("rcb", "lsb")`` (k is then required), each standard form
+    comes as its (rcb, lsb) from ``statistics.rcb_lsb_rows``, in the same
+    order, and no partition is built.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if fields is None:
+        return _standard_forms(n, k)
+    if k is None:
+        raise ValueError("rcb and lsb rows need k")
+    if tuple(fields) != ("rcb", "lsb"):
+        raise ValueError(f"set partitions give the fields ('rcb', 'lsb') only, got {tuple(fields)}")
+    return rcb_lsb_rows(n, k)
+
+
+def _standard_forms(n: int, k: int | None) -> Iterator[OrderedSetPartition]:
     if n == 0:
         if k in (None, 0):
             yield OrderedSetPartition(0, ())

@@ -28,9 +28,12 @@ Three counters compare elements with the other blocks' openers and closers:
   ``composite`` read from the profile; ``transport_side`` maps it straight
   to what one side of a transport check compares (the six Euler-Mahonian
   composites, rsb_TC, INV and MAJ), and ``six_composites`` is the first six
-  of those.  ``rcb_lsb`` counts only rcb and lsb, which is all eq2.3 reads,
-  by one or two ``bisect`` calls per pair of blocks; the profile is its
-  reference.
+  of those.
+* ``rcb_lsb_rows`` gives rcb and lsb, which is all eq2.3 reads, for every
+  standard form of [n] into k blocks without building one: it keeps
+  running totals while the forms grow one element at a time
+  (``families.set_partitions`` with ``fields``).  The tests compare it with
+  the profile.
 * ``table_side`` is the pair-table kernel for sums over whole families.  A
   pair of blocks adds the same terms to every block order that puts the
   same one of the two on the left, so one table per set of blocks holds,
@@ -92,7 +95,7 @@ __all__ = [
     "table_side",
     "transport_side",
     "aggregate_profile",
-    "rcb_lsb",
+    "rcb_lsb_rows",
     "resolve_stat",
     "ORDER_FIELDS",
     "block_order_totals",
@@ -333,23 +336,89 @@ def aggregate_profile(pi: OrderedSetPartition) -> dict[str, int]:
     return out
 
 
-def rcb_lsb(pi: OrderedSetPartition) -> tuple[int, int]:
-    """rcb and lsb summed over all elements, which is all that eq2.3 reads;
+# The last _TAIL elements of each standard form are placed by plain
+# recursion that appends every row to one list, so a row costs no generator
+# frame; a list holds the at most k**_TAIL completions of one state.
+_TAIL = 4
+
+
+def rcb_lsb_rows(n: int, k: int) -> Iterator[tuple[int, int]]:
+    """(rcb, lsb), summed over all elements, of each standard form of [n]
+    into k blocks, in ``families.set_partitions`` order, from totals kept
+    while the forms grow one element at a time; no partition is built.
     ``aggregate_profile`` is the reference.
 
-    For each pair of blocks, L left of R, the elements of L below R's closer
-    add to rcb, and the elements of R strictly between L's opener and closer
-    add to lsb.  Blocks are sorted, so each count is one or two ``bisect``
-    calls, whatever the order of the blocks.
+    rcb counts the pairs (x, B) with B right of x's block and x below B's
+    closer, lsb those with B left of x's block and x between B's opener and
+    closer.  Such a pair is counted when B's last element first passes x:
+    when element i joins block B, whose last element so far is l, the
+    elements strictly between l and i lie in other blocks, and those left
+    of B add to rcb, those right of B to lsb.  A new block is the rightmost
+    and passes every earlier element: it adds i - 1 to rcb.
     """
-    rcb = lsb = 0
-    blocks = pi.blocks
-    for a, left in enumerate(blocks, start=1):
-        lo, lc = left[0], left[-1]
-        for right in blocks[a:]:
-            rcb += bisect(left, right[-1])
-            lsb += bisect(right, lc) - bisect(right, lo)
-    return rcb, lsb
+    if n == 0 or not 0 < k <= n:
+        return iter([(0, 0)] if n == k == 0 else [])
+    sizes: list[int] = []
+    last: list[int] = []
+    ante: list[int] = []
+    rows: list[tuple[int, int]] = []
+    append = rows.append
+
+    def fill(i: int, rcb: int, lsb: int) -> None:
+        if i < n:
+            for rcb_i, lsb_i in _rcb_lsb_choices(sizes, last, ante, i, rcb, lsb, n, k):
+                fill(i + 1, rcb_i, lsb_i)
+        elif len(sizes) == k:  # element n joins a block, as in _rcb_lsb_choices
+            left = 0
+            lsb += n - 1
+            for size, before, ell in zip(sizes, ante, last):
+                between = left - before
+                append((rcb + between, lsb - ell - between))
+                left += size
+        else:  # or opens the k-th
+            append((rcb + n - 1, lsb))
+
+    def chunks(i: int, rcb: int, lsb: int) -> Iterator[list[tuple[int, int]]]:
+        if i + _TAIL > n:
+            fill(i, rcb, lsb)
+            yield rows
+            # chain asks for the next list only once this one is drained
+            rows.clear()
+        else:
+            for rcb_i, lsb_i in _rcb_lsb_choices(sizes, last, ante, i, rcb, lsb, n, k):
+                yield from chunks(i + 1, rcb_i, lsb_i)
+
+    return itertools.chain.from_iterable(chunks(1, 0, 0))
+
+
+def _rcb_lsb_choices(
+    sizes: list[int], last: list[int], ante: list[int], i: int, rcb: int, lsb: int, n: int, k: int
+) -> Iterator[tuple[int, int]]:
+    """The rcb and lsb after each block that element i can take, joins in
+    block order, then a new block, with the blocks updated in place while
+    the totals are out.  Block j has ``sizes[j]`` elements, the last of
+    them ``last[j]``, and ``ante[j]`` elements lay in blocks left of it when
+    that one arrived.  A choice is skipped when the elements after i could
+    not open the blocks that are still missing."""
+    m = len(sizes)
+    if m + n - i >= k:
+        left = 0  # the elements in blocks left of block j
+        for j in range(m):
+            size, ell, before = sizes[j], last[j], ante[j]
+            # the elements between ell and i that lie left of block j
+            between = left - before
+            sizes[j], last[j], ante[j] = size + 1, i, left
+            yield rcb + between, lsb + i - 1 - ell - between
+            sizes[j], last[j], ante[j] = size, ell, before
+            left += size
+    if m < k:
+        sizes.append(1)
+        last.append(i)
+        ante.append(i - 1)
+        yield rcb + i - 1, lsb
+        sizes.pop()
+        last.pop()
+        ante.pop()
 
 
 def stat_restricted(pi: OrderedSetPartition, name: str, cls: str) -> int:

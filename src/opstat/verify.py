@@ -50,6 +50,8 @@ from .core import (
     major_index,
 )
 from .families import (
+    DESK_COUNT_DEFAULT,
+    DESK_ORDERS_DEFAULT,
     _check_count,
     _check_scale,
     beta,
@@ -58,6 +60,7 @@ from .families import (
     rearrangements,
     set_partitions,
     sigma_partitions,
+    stirling2,
     subdiagonal_vectors,
     words,
 )
@@ -75,7 +78,6 @@ from .qpoly import (
 # here calls them
 from .statistics import (
     aggregate_profile,
-    rcb_lsb,
     six_composites,
     stat,
     stat_restricted,
@@ -185,6 +187,13 @@ def _sum_sweep(family: Iterable, row: Callable, keys: Callable, slots: int, rhs:
 def _q_keys(row: Sequence[int]) -> list[tuple[int, int, int, int]]:
     """Each entry of the row, such as (inv, maj), as a q exponent."""
     return [(0, e, 0, 0) for e in row]
+
+
+def _eq23_sweep(n: int, k: int) -> tuple[list, None]:
+    """p^rcb q^lsb over the standard forms, each drawn as its (rcb, lsb)."""
+    rows = Counter(set_partitions(n, k, fields=("rcb", "lsb")))
+    lhs = LaurentPolynomial({(rcb, lsb, 0, 0): count for (rcb, lsb), count in rows.items()})
+    return [(lhs, stirling_pq(n, k))], None
 
 
 # ---------------------------------------------------------------------------
@@ -471,17 +480,33 @@ class _Check:
     sweep: Callable[..., tuple[list, str | None]]
     detail: str
     size: Callable[[dict], int] = lambda params: params["n"]
-    # the objects a class check enumerates, for the count guard
+    # the objects the check enumerates, and the most it may without
+    # allow_large, for the count guard
     count: Callable[[dict], int] | None = None
+    limit: int = DESK_COUNT_DEFAULT
+
+
+def _op_size(params: dict) -> int:
+    """|OP(n,k)| = k! S(n,k)."""
+    return factorial(params["k"]) * stirling2(params["n"], params["k"])
+
+
+def _op_check(theorem: str, detail: str) -> _Check:
+    """A sum over OP(n,k), drawn by the packed kernel and sized in block
+    orders."""
+    return _Check(
+        ("n", "k"), partial(_op_sweep, theorem), detail, count=_op_size, limit=DESK_ORDERS_DEFAULT
+    )
 
 
 _CHECKS = {
     "thm3.1": _Check(("n", "k", "sigma"), _thm31_sweep, "identity or transport failure"),
     # the sweeps look their families and statistics up when they run, so a
     # replaced one is the one they read
-    "thm3.2": _Check(("n", "k"), partial(_op_sweep, "thm3.2"), "distribution mismatch"),
-    "thm3.3": _Check(("n", "k"), _thm33_sweep, "per-type mismatch or transport failure"),
-    "thm3.4": _Check(("n", "k"), partial(_op_sweep, "thm3.4"), "distribution mismatch"),
+    "thm3.2": _op_check("thm3.2", "distribution mismatch"),
+    # upsilon runs on every object, so the class checks' limit applies
+    "thm3.3": _Check(("n", "k"), _thm33_sweep, "per-type mismatch or transport failure", count=_op_size),
+    "thm3.4": _op_check("thm3.4", "distribution mismatch"),
     "thm3.5": _Check(
         ("pi",), _thm35_sweep, "distribution or bijection failure", lambda p: p["pi"].n,
         lambda p: factorial(p["pi"].k),
@@ -490,11 +515,9 @@ _CHECKS = {
     "eq1.1": _Check(("parts",), lambda parts: _sum_sweep(
         words(parts), _word_inv_maj, _q_keys, 2, _q_multinomial(parts)),
         "word distribution mismatch", lambda p: sum(p["parts"]), lambda p: _word_count(p["parts"])),
-    "eq2.3": _Check(("n", "k"), lambda n, k: _sum_sweep(
-        set_partitions(n, k), rcb_lsb, lambda row: ((*row, 0, 0),), 1, stirling_pq(n, k)),
-        "distribution mismatch"),
-    "eq5.8": _Check(("n", "k"), partial(_op_sweep, "eq5.8"), "t-refined distribution mismatch"),
-    "eq9.2": _Check(("n", "k"), partial(_op_sweep, "eq9.2"), "t-refined distribution mismatch"),
+    "eq2.3": _Check(("n", "k"), _eq23_sweep, "distribution mismatch"),
+    "eq5.8": _op_check("eq5.8", "t-refined distribution mismatch"),
+    "eq9.2": _op_check("eq9.2", "t-refined distribution mismatch"),
     # both sides are closed forms: nothing is enumerated
     "zezh": _Check(
         ("n", "k"), lambda n, k: ([verify_zezh(n, k)[1:]], None),
@@ -552,7 +575,7 @@ def verify(theorem: str, allow_large: bool = False, **params) -> VerificationRep
             raise ValueError(f"parts must have a positive sum, got {params['parts']}")
     _check_scale(check.size(params), allow_large)
     if check.count is not None:
-        _check_count(check.count(params), allow_large)
+        _check_count(check.count(params), allow_large, check.limit)
     pairs, counterexample = check.sweep(**params)
     unequal = [slot for slot, (lhs, rhs) in enumerate(pairs) if lhs != rhs]
     passed = not unequal and counterexample is None

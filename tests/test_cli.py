@@ -275,9 +275,10 @@ def _no_enumeration(monkeypatch):
     def started(*args, **kwargs):
         raise AssertionError("the enumeration started")
 
-    for name in ("rearrangements", "words", "set_partitions"):
+    for name in ("rearrangements", "words", "set_partitions", "ordered_set_partitions"):
         monkeypatch.setattr(verify_module, name, started)
     monkeypatch.setattr(cli_module, "set_partitions", started)
+    monkeypatch.setattr(cli_module, "Pool", started)
 
 
 def test_count_guard_refuses_large_classes_before_enumerating(capsys, monkeypatch):
@@ -290,6 +291,19 @@ def test_count_guard_refuses_large_classes_before_enumerating(capsys, monkeypatc
         assert "error: 479001600 objects exceed the desk-scale count limit 1000000" in capsys.readouterr().err
     assert main(["verify", "eq1.1", "--parts", ",".join("1" * 12)]) == 1
     assert "479001600 objects" in capsys.readouterr().err
+
+
+def test_count_guard_refuses_large_op_sums_before_any_worker_starts(capsys, monkeypatch):
+    # 6! S(12, 6) block orders pass the ground-set guard; one refused k
+    # refuses its whole range, and thm3.3 takes the class checks' limit
+    _no_enumeration(monkeypatch)
+    for argv, count, limit in (
+        (["thm3.2", "--n", "12", "--k", "6"], 953029440, 100000000),
+        (["eq5.8", "--n", "11", "--k", "all", "--jobs", "2"], 129230640, 100000000),
+        (["thm3.3", "--n", "9", "--k", "6"], 1905120, 1000000),
+    ):
+        assert main(["verify", *argv]) == 1
+        assert f"error: {count} objects exceed the desk-scale count limit {limit}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["stirling-pq", "gauss"])

@@ -6,7 +6,7 @@ import pytest
 from order_reference import order_row
 
 from opstat.core import OrderedSetPartition, Trace
-from opstat.families import ordered_set_partitions, set_partitions
+from opstat.families import ordered_set_partitions, set_partitions, stirling2
 from opstat.statistics import (
     COORD_NAMES,
     ORDER_FIELDS,
@@ -19,7 +19,6 @@ from opstat.statistics import (
     composite,
     coord_stats,
     coordinate_table,
-    rcb_lsb,
     resolve_stat,
     six_composites,
     stat,
@@ -336,13 +335,23 @@ def test_transport_side_matches_profile_and_reference_exhaustive():
 
 
 def test_rcb_lsb_matches_the_profile_exhaustive():
-    # every block order for n <= 6, and the standard forms eq2.3 sums over
-    # for n <= 8
-    family = [pi for n in range(1, 7) for pi in ordered_set_partitions(n)]
-    family += [pi for n in range(7, 9) for pi in set_partitions(n)]
-    for pi in family:
-        prof = aggregate_profile(pi)
-        assert rcb_lsb(pi) == (prof["rcb"], prof["lsb"])
+    # every standard form for n <= 8 and every k, in set_partitions order:
+    # one row per form, so S(n, k) rows, and none for k > n
+    assert list(set_partitions(0, 0, fields=("rcb", "lsb"))) == [(0, 0)]
+    for n in range(1, 9):
+        for k in range(n + 2):
+            rows = list(set_partitions(n, k, fields=("rcb", "lsb")))
+            profiles = map(aggregate_profile, set_partitions(n, k))
+            assert rows == [(prof["rcb"], prof["lsb"]) for prof in profiles]
+            assert len(rows) == stirling2(n, k)
+
+
+def test_rcb_lsb_rows_need_k_and_only_those_fields():
+    with pytest.raises(ValueError, match="rcb and lsb rows need k"):
+        set_partitions(3, fields=("rcb", "lsb"))
+    for fields in (("rcb",), ("lsb", "rcb"), ("rcb", "lsb", "mak"), ("mak", "lsb")):
+        with pytest.raises(ValueError, match=r"set partitions give the fields \('rcb', 'lsb'\) only"):
+            set_partitions(3, 2, fields=fields)
 
 
 def test_table_composites_match_six_composites_exhaustive():

@@ -341,6 +341,23 @@ def _stand_in(monkeypatch, generator, member, stand_in):
     )
 
 
+def _plant_row(monkeypatch, target, change):
+    """Make the (rcb, lsb) rows of ``opstat.verify.set_partitions`` give
+    ``change(row)`` in place of the row of the standard form ``target``, at
+    its index in ``set_partitions`` order."""
+    module = importlib.import_module(_VERIFY)
+    original = module.set_partitions
+    index = list(original(target.n, target.k)).index(target)
+
+    def planted(n, k=None, fields=None):
+        rows = original(n, k, fields=fields)
+        if fields is None or (n, k) != (target.n, target.k):
+            return rows
+        return (change(row) if at == index else row for at, row in enumerate(rows))
+
+    monkeypatch.setattr(module, "set_partitions", planted)
+
+
 def _bump(index):
     """Raise entry ``index`` of a tuple by one."""
     return lambda values: _add(values, index, 1)
@@ -400,8 +417,8 @@ _SLOT_PLANTS = [
     ("thm3.2", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "los+rcs", -1), 2),
     ("thm3.4", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "mak", 1), 1),
     ("thm3.4", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "los+rcs", -1), 2),
-    # rcb_lsb returns (rcb, lsb)
-    ("eq2.3", dict(n=4, k=3), lambda mp: _plant(mp, "rcb_lsb", _parsed("1 3/2/4"), _bump(0)), 1),
+    # eq2.3's rows are (rcb, lsb)
+    ("eq2.3", dict(n=4, k=3), lambda mp: _plant_row(mp, _parsed("1 3/2/4"), _bump(0)), 1),
     # likewise for cls+rsb_TC = mak + bInv - INV and opb+rsb_TC
     ("eq9.2", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "mak", 1), 1),
     ("eq9.2", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "los+rcs", -1), 2),
@@ -667,6 +684,31 @@ def test_eq23_and_refinements():
             assert verify("eq9.2", n=n, k=k).passed
 
 
+def test_eq23_passes_at_every_k_of_n_11():
+    for k in range(1, 12):
+        assert verify("eq2.3", n=11, k=k).passed
+
+
+def test_eq23_fails_when_a_join_splits_its_elements_one_off(monkeypatch):
+    # a join in a state of at least three blocks counts one element between
+    # the block's last element and the new one left of the block, not right
+    statistics = importlib.import_module("opstat.statistics")
+    choices = statistics._rcb_lsb_choices
+
+    def planted(sizes, last, ante, i, rcb, lsb, n, k):
+        blocks = len(sizes)
+        for rcb_i, lsb_i in choices(sizes, last, ante, i, rcb, lsb, n, k):
+            joined = len(sizes) == blocks
+            yield (rcb_i + 1, lsb_i - 1) if joined and blocks >= 3 else (rcb_i, lsb_i)
+
+    sizes = [(n, k) for n in range(1, 7) for k in range(1, n + 1)]
+    assert all(verify("eq2.3", n=n, k=k).passed for n, k in sizes)
+    monkeypatch.setattr(statistics, "_rcb_lsb_choices", planted)
+    failed = [(n, k) for n, k in sizes if not verify("eq2.3", n=n, k=k).passed]
+    # element 4 is the first that can join one of three blocks before the last
+    assert failed and min(failed) == (5, 3)
+
+
 def test_zezh_diagonal_reduces_to_factorial():
     report = verify("zezh", n=4, k=4)
     assert report.passed
@@ -766,6 +808,39 @@ def test_count_guard_sizes_class_checks_by_their_objects(monkeypatch):
     stub = dataclasses.replace(module._CHECKS["thm3.5"], sweep=lambda pi: ([(one, one)], None))
     monkeypatch.setitem(module._CHECKS, "thm3.5", stub)
     assert verify("thm3.5", pi=singletons, allow_large=True).passed
+
+
+def test_count_guard_sizes_op_sums_by_their_block_orders(monkeypatch):
+    # arithmetic only: the family fails the test if it is ever started
+    import dataclasses
+
+    from opstat.families import DESK_COUNT_DEFAULT, DESK_ORDERS_DEFAULT
+
+    module = importlib.import_module(_VERIFY)
+
+    def started(*args, **kwargs):
+        raise AssertionError("the enumeration started")
+
+    monkeypatch.setattr(module, "ordered_set_partitions", started)
+    one = LaurentPolynomial.constant(1)
+    for theorem in ("thm3.2", "thm3.4", "eq5.8", "eq9.2"):
+        check = module._CHECKS[theorem]
+        assert check.limit == DESK_ORDERS_DEFAULT == 10**8
+        assert check.count({"n": 12, "k": 6}) == 720 * 1323652
+        # every k at n <= 10 is admitted, the largest 8! S(10, 8)
+        assert max(check.count({"n": n, "k": k}) for n in range(1, 11) for k in range(1, n + 1)) == 40320 * 750
+        with pytest.raises(DeskScaleError, match="^953029440 objects exceed the desk-scale count limit 100000000;"):
+            verify(theorem, n=12, k=6)
+        # 6! S(9, 6) = 1,905,120 orders pass, and the stand-in sweep runs
+        monkeypatch.setitem(module._CHECKS, theorem, dataclasses.replace(check, sweep=lambda n, k: ([(one, one)], None)))
+        assert verify(theorem, n=9, k=6).passed
+        assert verify(theorem, n=12, k=6, allow_large=True).passed
+    # thm3.3 runs upsilon on every object, so it takes the class checks' limit
+    check = module._CHECKS["thm3.3"]
+    assert check.limit == DESK_COUNT_DEFAULT
+    assert check.count({"n": 8, "k": 6}) == 720 * 266
+    with pytest.raises(DeskScaleError, match="^1905120 objects exceed the desk-scale count limit 1000000;"):
+        verify("thm3.3", n=9, k=6)
 
 
 @pytest.mark.parametrize("raw", ["x", "1_0", "-5", ""])
