@@ -17,12 +17,12 @@ import sys
 from multiprocessing import Pool
 
 from .core import OrderedSetPartition, Permutation
-from .families import _check_count, _check_scale, compositions, permutations, set_partitions
+from .families import compositions, permutations, set_partitions
 from .motzkin import lambda_map
 from .paths import PathDiagram, gamma_sigma, phi, phi_inv, psi, psi_inv, theta_map, upsilon, xi_map
 from .qpoly import carlitz_aq, gauss_binomial, s_hat_pq, stirling_pq, stirling_q
 from .statistics import COORD_NAMES, aggregate_profile, coordinate_table, resolve_stat, stat
-from .verify import _CHECKS, THEOREM_IDS, run_task
+from .verify import _CHECKS, THEOREM_IDS, _prepare, run_task
 
 AGGREGATE_ORDER = (
     "binv", "bmaj", "cbinv", "cbmaj",
@@ -184,11 +184,17 @@ def _reject_unused_flags(theorem: str, names: tuple[str, ...], args) -> None:
 
 
 def _verify_tasks(args) -> list[tuple[str, dict]]:
+    """Every task, refused as ``verify`` refuses it, before any worker starts."""
     theorem = args.theorem.lower()
-    check = _CHECKS[theorem]
-    names = check.names
+    names = _CHECKS[theorem].names
     _reject_unused_flags(theorem, names, args)
     extra = {"allow_large": True} if args.allow_large else {}
+    tasks = []
+
+    def add(**params) -> None:
+        _prepare(theorem, args.allow_large, **params)
+        tasks.append((theorem, {**params, **extra}))
+
     if "parts" in names:
         if args.parts is not None:
             tokens = args.parts.replace(",", " ").split()
@@ -199,45 +205,38 @@ def _verify_tasks(args) -> list[tuple[str, dict]]:
                 bad.insert(0, "")
             if bad:
                 raise ValueError(f"--parts takes integers separated by commas, got {bad[0]!r}")
-            return [(theorem, {"parts": tuple(map(int, tokens)), **extra})]
-        if args.max_sum is None:
+            add(parts=tuple(map(int, tokens)))
+        elif args.max_sum is None:
             raise ValueError(f"{theorem} needs --parts or --max-sum")
-        tasks = []
-        for total in range(1, _parse_int("max-sum", args.max_sum) + 1):
-            for parts in compositions(total):
-                tasks.append((theorem, {"parts": parts, **extra}))
+        else:
+            for total in range(1, _parse_int("max-sum", args.max_sum) + 1):
+                for parts in compositions(total):
+                    add(parts=parts)
         return tasks
     if "pi" in names and args.pi is not None:
-        return [(theorem, {"pi": args.pi, **extra})]
+        add(pi=args.pi)
+        return tasks
     if args.n is None:
-        hint = "--pi or --n (and optionally --k)" if "pi" in names else "--n (and optionally --k)"
-        raise ValueError(f"{theorem} needs {hint}")
-    tasks = []
+        raise ValueError(f"{theorem} needs {'--pi or ' if 'pi' in names else ''}--n (and optionally --k)")
     for n in _parse_range("n", args.n):
-        if "pi" in names or "sigma" in names:
-            _check_scale(n, args.allow_large)  # the expansion below enumerates by n
-        ks = range(1, n + 1) if args.k in (None, "all") else _parse_range("k", args.k)
-        for k in ks:
+        for k in range(1, n + 1) if args.k in (None, "all") else _parse_range("k", args.k):
             if not 1 <= k <= n:
                 continue
             if "pi" in names:
-                # the record's count, read off one class of k blocks
-                singletons = OrderedSetPartition.parse("/".join(map(str, range(1, k + 1))))
-                _check_count(check.count({"pi": singletons}), args.allow_large, check.limit)
-                for pi0 in set_partitions(n, k):
-                    tasks.append((theorem, {"pi": pi0.to_text(), **extra}))
+                # thm3.5 sizes a class by n and k alone, so one form of k
+                # blocks stands for the S(n,k) listed below
+                blocks = [range(1, n - k + 2), *([i] for i in range(n - k + 2, n + 1))]
+                _prepare(theorem, args.allow_large, pi=OrderedSetPartition.from_blocks(blocks))
+                tasks += [(theorem, {"pi": pi0.to_text(), **extra}) for pi0 in set_partitions(n, k)]
+            elif "sigma" in names and args.sigma in (None, "all"):
+                # the k! sigma-classes partition OP(n,k), each member
+                # transported once, so thm3.3 at (n, k) sizes them all
+                _prepare("thm3.3", args.allow_large, n=n, k=k)
+                tasks += [(theorem, {"n": n, "k": k, "sigma": s.one_line(), **extra}) for s in permutations(k)]
             elif "sigma" in names:
-                sigmas = (
-                    [args.sigma]
-                    if args.sigma not in (None, "all")
-                    else [sig.one_line() for sig in permutations(k)]
-                )
-                for sigma in sigmas:
-                    tasks.append((theorem, {"n": n, "k": k, "sigma": sigma, **extra}))
+                add(n=n, k=k, sigma=args.sigma)
             else:
-                if check.count is not None:  # before any worker starts
-                    _check_count(check.count({"n": n, "k": k}), args.allow_large, check.limit)
-                tasks.append((theorem, {"n": n, "k": k, **extra}))
+                add(n=n, k=k)
     return tasks
 
 

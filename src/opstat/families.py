@@ -88,7 +88,7 @@ def _check_scale(n: int, allow_large: bool) -> None:
     if n > limit and not allow_large:
         raise DeskScaleError(
             f"n={n} exceeds the desk-scale limit {limit}; "
-            "set OPSTAT_MAX_N or pass allow_large=True to override"
+            "set OPSTAT_MAX_N or pass --allow-large (allow_large=True) to override"
         )
 
 
@@ -96,7 +96,7 @@ def _check_count(count: int, allow_large: bool, limit: int) -> None:
     if count > limit and not allow_large:
         raise DeskScaleError(
             f"{count} objects exceed the desk-scale count limit {limit}; "
-            "pass allow_large=True to override"
+            "pass --allow-large (allow_large=True) to override"
         )
 
 
@@ -263,8 +263,8 @@ def words(parts: Sequence[int]) -> Iterator[tuple[int, ...]]:
     return rec()
 
 
-def compositions(total: int, min_part: int = 1) -> Iterator[tuple[int, ...]]:
-    """Compositions of ``total`` into parts >= min_part."""
+def compositions(total: int) -> Iterator[tuple[int, ...]]:
+    """Compositions of ``total`` into positive parts."""
     if total == 0:
         yield ()
         return
@@ -273,7 +273,7 @@ def compositions(total: int, min_part: int = 1) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
             yield tuple(acc)
             return
-        for part in range(min_part, remaining + 1):
+        for part in range(1, remaining + 1):
             acc.append(part)
             yield from rec(remaining - part, acc)
             acc.pop()

@@ -539,12 +539,10 @@ _NORMALISE = {
 }
 
 
-def verify(theorem: str, allow_large: bool = False, **params) -> VerificationReport:
-    """Run one verification; see the module docstring for the id table and
-    ``_CHECKS`` for each id's parameters.  A missing, unknown or malformed
-    parameter raises ValueError.
-    """
-    theorem = theorem.lower()
+def _prepare(theorem: str, allow_large: bool, **params) -> tuple[_Check, dict]:
+    """The record of ``theorem``, a lower-case id, and its parameters,
+    validated, normalised and sized by the guards, which refuse a task past
+    desk scale before anything is enumerated."""
     if theorem not in _CHECKS:
         raise ValueError(f"unknown theorem id {theorem!r}; known: {', '.join(THEOREM_IDS)}")
     check = _CHECKS[theorem]
@@ -576,6 +574,16 @@ def verify(theorem: str, allow_large: bool = False, **params) -> VerificationRep
     _check_scale(check.size(params), allow_large)
     if check.count is not None:
         _check_count(check.count(params), allow_large, check.limit)
+    return check, params
+
+
+def verify(theorem: str, allow_large: bool = False, **params) -> VerificationReport:
+    """Run one verification; see the module docstring for the id table and
+    ``_CHECKS`` for each id's parameters.  A missing, unknown or malformed
+    parameter raises ValueError.
+    """
+    theorem = theorem.lower()
+    check, params = _prepare(theorem, allow_large, **params)
     pairs, counterexample = check.sweep(**params)
     unequal = [slot for slot, (lhs, rhs) in enumerate(pairs) if lhs != rhs]
     passed = not unequal and counterexample is None

@@ -186,8 +186,9 @@ def test_verify_empty_range_exits_one(capsys):
     assert "--n 3 --k 9 is an empty range" in capsys.readouterr().err
 
 
-def test_desk_scale_guard_covers_every_enumeration(capsys):
+def test_desk_scale_guard_covers_every_enumeration(capsys, monkeypatch):
     # each would enumerate for hours if the guard did not refuse it first
+    _no_enumeration(monkeypatch)
     assert main(["verify", "eq2.3", "--n", "40", "--k", "20"]) == 1
     assert main(["verify", "thm3.1", "--n", "40", "--k", "20", "--sigma", "all"]) == 1
     assert main(["verify", "thm3.5", "--n", "40", "--k", "20"]) == 1
@@ -277,20 +278,52 @@ def _no_enumeration(monkeypatch):
 
     for name in ("rearrangements", "words", "set_partitions", "ordered_set_partitions"):
         monkeypatch.setattr(verify_module, name, started)
-    monkeypatch.setattr(cli_module, "set_partitions", started)
-    monkeypatch.setattr(cli_module, "Pool", started)
+    for name in ("set_partitions", "permutations", "run_task", "Pool"):
+        monkeypatch.setattr(cli_module, name, started)
 
 
 def test_count_guard_refuses_large_classes_before_enumerating(capsys, monkeypatch):
     # twelve singletons have 12! orders and twelve letters 12! words, though
     # their ground sets pass the desk-scale limit; thm3.5 --n sizes each k
+    # by a form of n elements, --max-sum each composition as it is listed
+    # ((1,)*10 has 10! words, a doubleton of 7 letters a ground set of 14),
+    # and --sigma all the 8! S(10, 8) members of its classes, as thm3.3
+    # sizes OP(10, 8)
     _no_enumeration(monkeypatch)
     singletons = "/".join(map(str, range(1, 13)))
-    for argv in (["--pi", singletons], ["--n", "12", "--k", "12"]):
-        assert main(["verify", "thm3.5", *argv]) == 1
-        assert "error: 479001600 objects exceed the desk-scale count limit 1000000" in capsys.readouterr().err
-    assert main(["verify", "eq1.1", "--parts", ",".join("1" * 12)]) == 1
-    assert "479001600 objects" in capsys.readouterr().err
+    over_count = "objects exceed the desk-scale count limit 1000000; pass"
+    for argv, message in (
+        (["thm3.5", "--pi", singletons], f"479001600 {over_count}"),
+        (["thm3.5", "--n", "12", "--k", "12"], f"479001600 {over_count}"),
+        (["eq1.1", "--parts", ",".join("1" * 12)], f"479001600 {over_count}"),
+        (["thm3.5", "--n", "13", "--k", "2"], "n=13 exceeds the desk-scale limit 12; set OPSTAT_MAX_N or pass"),
+        (["eq1.1", "--max-sum", "10"], f"3628800 {over_count}"),
+        (["doubleton", "--max-sum", "7"], "n=14 exceeds the desk-scale limit 12; set OPSTAT_MAX_N or pass"),
+        (["thm3.1", "--n", "10", "--k", "8", "--sigma", "all"], f"30240000 {over_count}"),
+    ):
+        assert main(["verify", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message} --allow-large (allow_large=True) to override\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["thm3.1", "--n", "13", "--k", "1", "--sigma", "all"],
+        ["thm3.1", "--n", "13", "--k", "1", "--sigma", "1"],
+        ["thm3.5", "--n", "13", "--k", "1"],
+        ["eq2.3", "--n", "13", "--k", "13"],
+        ["eq1.1", "--parts", "13"],
+    ],
+)
+def test_allow_large_passes_every_guard_the_cli_runs(capsys, argv):
+    # a ground set of 13 is past the desk-scale limit, though each family
+    # here has one object
+    assert main(["verify", *argv]) == 1
+    assert "n=13 exceeds the desk-scale limit 12" in capsys.readouterr().err
+    assert main(["verify", *argv, "--allow-large"]) == 0
+    assert "1/1 checks passed" in capsys.readouterr().out
 
 
 def test_count_guard_refuses_large_op_sums_before_any_worker_starts(capsys, monkeypatch):
