@@ -223,10 +223,9 @@ def _verify_tasks(args) -> list[tuple[str, dict]]:
             if not 1 <= k <= n:
                 continue
             if "pi" in names:
-                # thm3.5 sizes a class by n and k alone, so one form of k
-                # blocks stands for the S(n,k) listed below
-                blocks = [range(1, n - k + 2), *([i] for i in range(n - k + 2, n + 1))]
-                _prepare(theorem, args.allow_large, pi=OrderedSetPartition.from_blocks(blocks))
+                # the S(n,k) rearrangement classes of k! members each
+                # partition OP(n,k), so thm3.3 at (n, k) sizes them all
+                _prepare("thm3.3", args.allow_large, n=n, k=k)
                 tasks += [(theorem, {"pi": pi0.to_text(), **extra}) for pi0 in set_partitions(n, k)]
             elif "sigma" in names and args.sigma in (None, "all"):
                 # the k! sigma-classes partition OP(n,k), each member

@@ -39,25 +39,36 @@ Three counters compare elements with the other blocks' openers and closers:
   same one of the two on the left, so one table per set of blocks holds,
   for each block, the prefix sums of those terms over every subset of the
   other blocks.  Each block order then costs one table lookup and one
-  addition per block.  It reads all of ``transport_side``, one object at a
-  time: thm3.3's ordered partitions, rearrangement classes and beta's
-  images read it.  The tests compare it with ``transport_side``.
+  addition per block.  The terms come from one matrix per set of blocks
+  (``_pair_matrix``) that reads each unordered pair once for both of its
+  orders: four bisects and two comparisons with one block on the left,
+  and with the other on the left the same four counts in another order
+  and the other block's two comparisons.  Each field is a signed sum of
+  those reads, so the terms are packed straight from them by one
+  coefficient per read.  ``table_side`` reads all of ``transport_side``,
+  one object at a time: thm3.3's ordered partitions, rearrangement classes
+  and beta's images read it.  The tests compare it with
+  ``transport_side``, and the matrix with a reference that reads one
+  ordered pair at a time.
 * ``block_order_totals`` sums the same tables over every block order of a
   standard form at once, for the sums over all of OP(n,k)
   (``families.ordered_set_partitions`` with ``fields``).  The rows of
   one standard form go into one flat list, after them the adjacent pairs
-  of blocks weighted by their position (bMaj and maj sigma), and each
-  order's total is ``sum`` over a tuple of cell indices into it, so the
-  k! totals are summed in C and a ``Counter`` counts them with no Python
-  frame per order; ``unpack_totals`` reads each distinct total once.  A
-  caller names the fields its keys read, and only those are packed, so
-  orders that agree on them share one total.  The cell tuples depend on k
-  alone and are kept in a ``functools.cache`` for at most the last six
-  blocks; a loop over the first k - 6 blocks writes each prefix into a
-  sub-table of the blocks left.  The benchmark (``bench/run.py``) empties
-  that cache before every pass, as a fresh process starts without it, so
-  building the cells counts in the measured time.  The tests compare the
-  kernel with ``table_side``, one object at a time.
+  of blocks weighted by their position (bMaj and maj sigma), built only
+  when the fields read one, and each order's total is ``sum`` over a
+  tuple of cell indices into it, so the k! totals are summed in C and a
+  ``Counter`` counts them with no Python frame per order;
+  ``unpack_totals`` reads each distinct total once.  A caller names the
+  fields its keys read, and only those are packed, so orders that agree
+  on them share one total.  The packing coefficients depend on the fields
+  and the field width alone, and the cell tuples on the number m of
+  trailing blocks they cover, at most six; both are kept in a
+  ``functools.cache``, so one sweep builds them once.  A loop over the
+  first k - m blocks writes each prefix into a sub-table of the blocks
+  left.  The benchmark (``bench/run.py``) empties those caches before
+  every pass, as a fresh process starts without them, so building them
+  counts in the measured time.  The tests compare the kernel with
+  ``table_side``, one object at a time.
 
 ``binv``, ``bdes_set`` and ``bmaj`` compare blocks by definition; they are
 the reference for the kernel's block statistics and also accept traces,
@@ -506,39 +517,90 @@ def _side(mak: int, makp: int, lsb: int, b_inv: int, b_maj: int, rsb: int, inv: 
 # The pair-table kernel: one table per set of blocks, O(k) per block order
 # ---------------------------------------------------------------------------
 
-# the fields of ``_pair_terms``: mak = ros + lcs, los + rcs, lsb = los - lcs,
-# bInv, rsb = ros - rcs and INV = ros over the openers
-PAIR_FIELDS = ("mak", "los+rcs", "lsb", "binv", "rsb", "inv")
+# A pair of blocks, A left of B, is read as six numbers: ros and rcs, the
+# elements of A above B's opener and above B's closer; los and lcs, those of
+# B above A's opener and above A's closer; and whether A's opener lies above
+# B's closer and above B's opener.  With B left of A the same pair reads
+# (los, lcs, ros, rcs) and the two comparisons of B's opener.  Each pair
+# field is a signed sum of the reads: mak = ros + lcs, los + rcs,
+# lsb = los - lcs, bInv, rsb = ros - rcs and INV = ros over the openers.
+_PAIR_READS = {
+    "mak": (1, 0, 0, 1, 0, 0),
+    "los+rcs": (0, 1, 1, 0, 0, 0),
+    "lsb": (0, 0, 1, -1, 0, 0),
+    "binv": (0, 0, 0, 0, 1, 0),
+    "rsb": (1, -1, 0, 0, 0, 0),
+    "inv": (0, 0, 0, 0, 0, 1),
+}
+PAIR_FIELDS = tuple(_PAIR_READS)
+
+# The fields that ``block_order_totals`` reads off adjacent blocks, each the
+# sum of the positions j at which block j dominates block j + 1 (bMaj) or
+# has the larger opener (maj sigma, the major index of the class
+# permutation): the two comparisons of the pair reads.
+_ADJACENT_READS = {
+    "bmaj": (1, 0),
+    "majsigma": (0, 1),
+}
+ORDER_FIELDS = PAIR_FIELDS + tuple(_ADJACENT_READS)
 
 
-def _pair_terms(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
-    """What ``_pair_counts`` adds to ros+lcs, los+rcs, los-lcs, bInv (rcs
-    over the openers), ros-rcs and ros over the openers for the pair with
-    ``left`` left of ``right``."""
-    size = len(left)
-    ros = size - bisect(left, right[0])
-    rcs = size - bisect(left, right[-1])
-    los = len(right) - bisect(right, left[0])
-    lcs = len(right) - bisect(right, left[-1])
-    return ros + lcs, los + rcs, los - lcs, int(left[0] > right[-1]), ros - rcs, int(left[0] > right[0])
+@cache
+def _packing(fields: tuple[str, ...], width: int) -> tuple[tuple[int, ...], tuple[int, int] | None]:
+    """The coefficient of each of the six pair reads in the packed
+    ``fields``, field s at shift s * width, then those of the two
+    comparisons in the adjacent fields, or None when ``fields`` reads no
+    adjacent pair."""
+
+    def coefficients(reads: dict, count: int) -> tuple[int, ...]:
+        return tuple(
+            sum(reads[f][r] << s * width for s, f in enumerate(fields) if f in reads) for r in range(count)
+        )
+
+    adjacent = coefficients(_ADJACENT_READS, 2)
+    return coefficients(_PAIR_READS, 6), adjacent if any(adjacent) else None
 
 
-def _pair_rows(blocks: tuple[tuple[int, ...], ...], slots: list[tuple[int, int]]) -> list[list[int]]:
+def _pair_matrix(blocks: tuple[tuple[int, ...], ...], fields: tuple[str, ...], width: int) -> list[list[int]]:
+    """The pair terms of ``fields``, packed as ``_packing`` packs them:
+    entry [i][j] is what B_i left of B_j adds, and the diagonal is 0.
+
+    Each pair of blocks is read once, for both of its orders.  Blocks are
+    sorted, so each count is one ``bisect``.
+    """
+    c_ros, c_rcs, c_los, c_lcs, c_dominates, c_above = _packing(fields, width)[0]
+    terms = [[0] * len(blocks) for _ in blocks]
+    for a, left in enumerate(blocks):
+        lo, lc, size = left[0], left[-1], len(left)
+        row = terms[a]
+        for b in range(a + 1, len(blocks)):
+            right = blocks[b]
+            ro, rc = right[0], right[-1]
+            ros = size - bisect(left, ro)
+            rcs = size - bisect(left, rc)
+            los = len(right) - bisect(right, lo)
+            lcs = len(right) - bisect(right, lc)
+            row[b] = (
+                ros * c_ros + rcs * c_rcs + los * c_los + lcs * c_lcs + (lo > rc) * c_dominates + (lo > ro) * c_above
+            )
+            terms[b][a] = (
+                los * c_ros + lcs * c_rcs + ros * c_los + rcs * c_lcs + (ro > lc) * c_dominates + (ro > lo) * c_above
+            )
+    return terms
+
+
+def _pair_rows(terms: list[list[int]]) -> list[list[int]]:
     """W_j for each block B_j, where W_j[mask] is the sum of the packed
-    terms of B_i left of B_j over the blocks B_i with bit i set in ``mask``;
-    ``slots`` pairs each packed field of ``_pair_terms`` with its shift.
+    terms of B_i left of B_j (``_pair_matrix``) over the blocks B_i with bit
+    i set in ``mask``.
 
     W_j doubles once per block: the masks with bit i set are those without
     it plus B_i's term, so the rows take O(k 2^k) additions.
     """
     rows = []
-    for j, right in enumerate(blocks):
+    for column in zip(*terms):
         row = [0]
-        for i, left in enumerate(blocks):
-            term = 0
-            if i != j:
-                terms = _pair_terms(left, right)
-                term = sum(terms[field] << shift for field, shift in slots)
+        for term in column:
             row += [w + term for w in row]
         rows.append(row)
     return rows
@@ -552,10 +614,10 @@ def _field_width(n: int, k: int) -> int:
 
 def _pair_table(blocks: tuple[tuple[int, ...], ...]) -> tuple[dict, int]:
     """Map each block B_j to (W_j, 2^j), with W_j from ``_pair_rows`` over
-    all six fields of ``_pair_terms``, the first lowest, and return it with
-    the field width."""
+    all six ``PAIR_FIELDS``, the first lowest, and return it with the field
+    width."""
     width = _field_width(sum(map(len, blocks)), len(blocks))
-    rows = _pair_rows(blocks, [(field, field * width) for field in range(len(PAIR_FIELDS))])
+    rows = _pair_rows(_pair_matrix(blocks, PAIR_FIELDS, width))
     return {block: (row, 1 << j) for j, (block, row) in enumerate(zip(blocks, rows))}, width
 
 
@@ -608,16 +670,6 @@ def table_side(pi: OrderedSetPartition) -> tuple[int, ...]:
 # Every block order of one standard form at once
 # ---------------------------------------------------------------------------
 
-# The fields that ``block_order_totals`` reads off adjacent blocks, each the
-# sum of the positions j at which block j dominates block j + 1 (bMaj) or
-# has the larger opener (maj sigma, the major index of the class
-# permutation), beside the fields of ``_pair_terms``.
-_ADJACENT_TESTS = {
-    "bmaj": lambda left, right: left[0] > right[-1],
-    "majsigma": lambda left, right: left[0] > right[0],
-}
-ORDER_FIELDS = PAIR_FIELDS + tuple(_ADJACENT_TESTS)
-
 # The orders of at most this many trailing blocks have cached cells, so the
 # cache holds at most 6! = 720 tuples per layout whatever k is; a longer
 # order runs one sub-table per prefix of its first k - 6 blocks.
@@ -669,16 +721,18 @@ def _order_totals(blocks: tuple[tuple[int, ...], ...], fields: Sequence[str], wi
     k = len(blocks)
     m = min(k, _SUFFIX_BLOCKS)
     start = k - m
-    rows = _pair_rows(blocks, [(PAIR_FIELDS.index(f), s * width) for s, f in enumerate(fields) if f in PAIR_FIELDS])
-    tests = [(_ADJACENT_TESTS[f], s * width) for s, f in enumerate(fields) if f in _ADJACENT_TESTS]
-    adjacent = [[sum(test(left, right) << shift for test, shift in tests) for right in blocks] for left in blocks]
-    cells = _suffix_cells(m, bool(tests))
+    rows = _pair_rows(_pair_matrix(blocks, fields, width))
+    weights = _packing(fields, width)[1]
+    adjacent = weights and [
+        [(left[0] > right[-1]) * weights[0] + (left[0] > right[0]) * weights[1] for right in blocks] for left in blocks
+    ]
+    cells = _suffix_cells(m, bool(adjacent))
     heads = m << m
     tables: dict[int, list[int]] = {}
     for prefix in itertools.permutations(range(k), start):
         mask = total = 0
         for q, j in enumerate(prefix):
-            total += rows[j][mask] + (q * adjacent[prefix[q - 1]][j] if q else 0)
+            total += rows[j][mask] + (q * adjacent[prefix[q - 1]][j] if q and adjacent else 0)
             mask |= 1 << j
         rest = [j for j in range(k) if not mask >> j & 1]
         table = tables.get(mask)
@@ -687,11 +741,11 @@ def _order_totals(blocks: tuple[tuple[int, ...], ...], fields: Sequence[str], wi
             for j in rest:
                 masks += [e | 1 << j for e in masks]
             table = [rows[j][e] for j in rest for e in masks] + [0] * m
-            if tests:
+            if adjacent:
                 table += [q * adjacent[i][j] for q in range(start + 1, k) for i in rest for j in rest]
             tables[mask] = table
         for slot, j in enumerate(rest, start=heads):
-            table[slot] = total + (start * adjacent[prefix[-1]][j] if prefix else 0)
+            table[slot] = total + (start * adjacent[prefix[-1]][j] if prefix and adjacent else 0)
         yield map(sum, map(map, itertools.repeat(table.__getitem__), cells))
 
 
@@ -701,8 +755,8 @@ def block_order_totals(
     """One packed total per block order of the standard forms ``forms``
     (partitions of [n] into k blocks), each form's orders in
     ``itertools.permutations`` order.  ``fields`` are names in
-    ``ORDER_FIELDS``: the fields of ``_pair_terms``, summed over the pairs
-    of blocks, and bmaj and majsigma, read off adjacent blocks.
+    ``ORDER_FIELDS``: the ``PAIR_FIELDS``, summed over the pairs of blocks,
+    and bmaj and majsigma, read off adjacent blocks.
 
     The totals are summed in C and built no partition; count them, then
     read each distinct total once with ``unpack_totals``.
@@ -710,7 +764,7 @@ def block_order_totals(
     unknown = [f for f in fields if f not in ORDER_FIELDS]
     if unknown:
         raise ValueError(f"unknown block order field {unknown[0]!r}; known: {', '.join(ORDER_FIELDS)}")
-    return itertools.chain.from_iterable(_form_totals(forms, n, k, fields, _field_width(n, k)))
+    return itertools.chain.from_iterable(_form_totals(forms, n, k, tuple(fields), _field_width(n, k)))
 
 
 def _form_totals(

@@ -284,17 +284,19 @@ def _no_enumeration(monkeypatch):
 
 def test_count_guard_refuses_large_classes_before_enumerating(capsys, monkeypatch):
     # twelve singletons have 12! orders and twelve letters 12! words, though
-    # their ground sets pass the desk-scale limit; thm3.5 --n sizes each k
-    # by a form of n elements, --max-sum each composition as it is listed
-    # ((1,)*10 has 10! words, a doubleton of 7 letters a ground set of 14),
-    # and --sigma all the 8! S(10, 8) members of its classes, as thm3.3
-    # sizes OP(10, 8)
+    # their ground sets pass the desk-scale limit; --max-sum sizes each
+    # composition as it is listed ((1,)*10 has 10! words, a doubleton of 7
+    # letters a ground set of 14), and thm3.5 --n and --sigma all size the
+    # members of all their classes, as thm3.3 sizes OP(n, k): the 9! S(12, 9)
+    # block orders of the rearrangement classes, and the 8! S(10, 8) members
+    # of the sigma-classes
     _no_enumeration(monkeypatch)
     singletons = "/".join(map(str, range(1, 13)))
     over_count = "objects exceed the desk-scale count limit 1000000; pass"
     for argv, message in (
         (["thm3.5", "--pi", singletons], f"479001600 {over_count}"),
         (["thm3.5", "--n", "12", "--k", "12"], f"479001600 {over_count}"),
+        (["thm3.5", "--n", "12", "--k", "9"], f"8083152000 {over_count}"),
         (["eq1.1", "--parts", ",".join("1" * 12)], f"479001600 {over_count}"),
         (["thm3.5", "--n", "13", "--k", "2"], "n=13 exceeds the desk-scale limit 12; set OPSTAT_MAX_N or pass"),
         (["eq1.1", "--max-sum", "10"], f"3628800 {over_count}"),

@@ -3,7 +3,7 @@ import math
 from collections import Counter
 
 import pytest
-from order_reference import order_row
+from order_reference import order_row, packed_pair_term, pair_rows
 
 from opstat.core import OrderedSetPartition, Trace
 from opstat.families import ordered_set_partitions, set_partitions, stirling2
@@ -472,6 +472,55 @@ def test_the_cell_cache_holds_only_suffix_orders():
     _order_rows([OrderedSetPartition.parse("1/2/3/4/5/6/7/8")], 8, 8, ("mak", "bmaj"))
     assert statistics._suffix_cells.cache_info().currsize == 1
     assert len(statistics._suffix_cells(statistics._SUFFIX_BLOCKS, True)) == math.factorial(6)
+
+
+def test_the_layout_follows_the_suffix_size(monkeypatch):
+    # one 7-block form under m = 6, then 2, then 6 again, with no cache
+    # emptied between: each run reads the cells of its own m, and the
+    # packing of the fields is built once
+    from opstat import statistics
+
+    std = OrderedSetPartition.parse("1 8/2/3 9/4/5/6/7")
+    fields = ("mak", "lsb", "bmaj")
+    width = statistics._field_width(std.n, std.k)
+    field = (1 << width) - 1
+    expected = [
+        order_row(OrderedSetPartition._trusted(std.n, blocks), fields)
+        for blocks in itertools.permutations(std.blocks)
+    ]
+    statistics._suffix_cells.cache_clear()
+    statistics._packing.cache_clear()
+    for suffix in (6, 2, 6):
+        monkeypatch.setattr(statistics, "_SUFFIX_BLOCKS", suffix)
+        totals = [total for run in statistics._order_totals(std.blocks, fields, width) for total in run]
+        assert [tuple(t >> s * width & field for s in range(len(fields))) for t in totals] == expected
+    assert statistics._suffix_cells.cache_info().currsize == 2
+    assert statistics._packing.cache_info().currsize == 1
+
+
+def test_pair_rows_read_both_orders_of_a_pair_as_the_ordered_reference():
+    # each pair of blocks is read once for both of its orders; the reference
+    # reads one ordered pair at a time, under the fields of every OP(n,k)
+    # sum and the six of table_side's table, in standard and reversed order
+    import importlib
+
+    from opstat import statistics
+
+    field_sets = [fields for fields, *_ in importlib.import_module("opstat.verify")._OP_SUMS.values()]
+    field_sets.append(statistics.PAIR_FIELDS)
+    for n in range(1, 8):
+        for std in set_partitions(n):
+            width = statistics._field_width(n, std.k)
+            for blocks in (std.blocks, std.blocks[::-1]):
+                for fields in field_sets:
+                    terms = statistics._pair_matrix(blocks, fields, width)
+                    for i, left in enumerate(blocks):
+                        for j, right in enumerate(blocks):
+                            assert terms[i][j] == (packed_pair_term(left, right, fields, width) if i != j else 0)
+                    assert statistics._pair_rows(terms) == pair_rows(blocks, fields, width)
+                table, table_width = statistics._pair_table(blocks)
+                assert table_width == width
+                assert [table[block][0] for block in blocks] == pair_rows(blocks, statistics.PAIR_FIELDS, width)
 
 
 def test_block_order_totals_refuse_unknown_fields_and_other_forms():

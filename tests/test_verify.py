@@ -481,19 +481,28 @@ _RHS_TIMES_Q = [
 ]
 
 
+def _plant_pair(monkeypatch, field):
+    """Raise ``field`` by one in the packed term of 4 left of 1 3 only,
+    where ``statistics._pair_matrix`` packs it, in every matrix that reads
+    that field of that pair."""
+    statistics = importlib.import_module("opstat.statistics")
+    original = statistics._pair_matrix
+
+    def planted(blocks, fields, width):
+        terms = original(blocks, fields, width)
+        if field in fields and (4,) in blocks and (1, 3) in blocks:
+            terms[blocks.index((4,))][blocks.index((1, 3))] += 1 << fields.index(field) * width
+        return terms
+
+    monkeypatch.setattr(statistics, "_pair_matrix", planted)
+    monkeypatch.setattr(statistics, "_side_table", ({}, 0))  # no table built before the plant
+
+
 @pytest.mark.parametrize("theorem,offset", [("thm3.2", 0), ("thm3.4", 3)])
 def test_em_sweeps_see_one_raised_pair_table_entry_in_slot_0_only(monkeypatch, theorem, offset):
     # mak, for 4 left of 1 3 only: the table of 4/1 3/2 adds it to the three
     # block orders that put 4 left of 1 3, and mak' does not read it
-    statistics = importlib.import_module("opstat.statistics")
-    terms = statistics._pair_terms
-
-    def planted(left, right):
-        mak, *rest = terms(left, right)
-        return (mak + 1, *rest) if (left, right) == ((4,), (1, 3)) else (mak, *rest)
-
-    monkeypatch.setattr(statistics, "_pair_terms", planted)
-    monkeypatch.setattr(statistics, "_side_table", ({}, 0))  # no table built before the plant
+    _plant_pair(monkeypatch, "mak")
     (mak_slot, makp_slot), _ = importlib.import_module(_VERIFY)._CHECKS[theorem].sweep(n=4, k=3)
     assert mak_slot[0] != mak_slot[1]
     assert makp_slot[0] == makp_slot[1]
@@ -507,16 +516,7 @@ def test_thm35_sees_one_raised_ros_os_field_of_the_pair_table(monkeypatch):
     # INV = ros over the openers, for 4 left of 1 3 only: the table of
     # 4/1 3/2 adds it to the three block orders that put 4 left of 1 3, so
     # INV, MAJ and the MAJ of beta's images there are one too high
-    statistics = importlib.import_module("opstat.statistics")
-    terms = statistics._pair_terms
-    ros_os = 5  # field of _pair_terms
-
-    def planted(left, right):
-        values = terms(left, right)
-        return _bump(ros_os)(values) if (left, right) == ((4,), (1, 3)) else values
-
-    monkeypatch.setattr(statistics, "_pair_terms", planted)
-    monkeypatch.setattr(statistics, "_side_table", ({}, 0))  # no table built before the plant
+    _plant_pair(monkeypatch, "inv")
     pairs, counterexample = importlib.import_module(_VERIFY)._thm35_sweep(_TARGET.standard_form()[0])
     assert all(lhs != rhs for lhs, rhs in pairs)
     _assert_fails_at(verify("thm3.5", pi=_TARGET), "MAJ(beta((0, 0, 1))) != 1 at 4/1 3/2")
