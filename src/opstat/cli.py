@@ -17,7 +17,7 @@ import sys
 from multiprocessing import Pool
 
 from .core import OrderedSetPartition, Permutation
-from .families import compositions, permutations, set_partitions
+from .families import TABLE_MAX_N, compositions, permutations, set_partitions
 from .motzkin import lambda_map
 from .paths import PathDiagram, gamma_sigma, phi, phi_inv, psi, psi_inv, theta_map, upsilon, xi_map
 from .qpoly import carlitz_aq, gauss_binomial, s_hat_pq, stirling_pq, stirling_q
@@ -270,12 +270,6 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 # table
 # ---------------------------------------------------------------------------
-
-# ``table`` refuses a larger --n without --allow-large: the S_pq table
-# grows fastest, taking about 0.7 s and 61 MiB at n = 22 and 1.4 s and
-# 110 MiB at n = 25 with --json (2 cores, Python 3.11), most of the memory
-# in the cached cells
-TABLE_MAX_N = 22
 
 _TABLES = {
     "stirling": ("S_q", stirling_q),

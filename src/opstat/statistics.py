@@ -46,8 +46,8 @@ Three counters compare elements with the other blocks' openers and closers:
   and the other block's two comparisons.  Each field is a signed sum of
   those reads, so the terms are packed straight from them by one
   coefficient per read.  ``table_side`` reads all of ``transport_side``,
-  one object at a time: thm3.3's ordered partitions, rearrangement classes
-  and beta's images read it.  The tests compare it with
+  one object at a time: thm3.3's ordered partitions and rearrangement
+  classes read it, and thm3.5 checks beta's MAJ on each member's side.  The tests compare it with
   ``transport_side``, and the matrix with a reference that reads one
   ordered pair at a time.
 * ``block_order_totals`` sums the same tables over every block order of a

@@ -52,6 +52,8 @@ from .core import (
 from .families import (
     DESK_COUNT_DEFAULT,
     DESK_ORDERS_DEFAULT,
+    TABLE_MAX_N,
+    DeskScaleError,
     _check_count,
     _check_scale,
     beta,
@@ -61,7 +63,6 @@ from .families import (
     set_partitions,
     sigma_partitions,
     stirling2,
-    subdiagonal_vectors,
     words,
 )
 from .paths import LatticePath, step_word, upsilon, xi_map
@@ -282,28 +283,23 @@ def _op_sweep(theorem: str, n: int, k: int) -> tuple[list, None]:
 # (mak+bInv, mak'+bInv, cinvLSB, mak+bMaj, mak'+bMaj, cmajLSB, rsb_TC, INV,
 # MAJ).  pi's side is in its row, which the fold hands to the pointwise check.
 # Where every object is a block order of one set of blocks (thm3.3's ordered
-# partitions, as in the OP(n,k) sums above, a rearrangement class and its
-# beta images), it is read from the pair table, ``table_side``; images under
-# xi and upsilon have other blocks and are read by ``transport_side``.
+# partitions, as in the OP(n,k) sums above, and a rearrangement class), it is
+# read from the pair table, ``table_side``; images under xi and upsilon have
+# other blocks and are read by ``transport_side``.
 
-def _xi_violation(
-    pi: OrderedSetPartition, sigma: Permutation, side: tuple[int, ...] | None = None,
-    partners: dict | None = None,
-) -> str | None:
+def _xi_violation(pi: OrderedSetPartition, sigma: Permutation, side: tuple[int, ...], partners: dict) -> str | None:
     """The conjugated involution must swap mak+bInv with mak'+bInv, fix
     cinvLSB and rsb_TC, and stay inside the sigma-class.  ``side`` is pi's
-    ``transport_side`` when the caller has already computed it.
+    ``transport_side``, its row in the fold.
 
     A sweep passes one ``partners`` dict to every check.  When pi passes
     with xi(pi) = rho != pi, xi(rho) = pi holds, and rho's checks are pi's
     with the two exchanged, which are symmetric, except the class of rho's
     image pi.  So pi records rho -> pi, and at rho only that class is tested.
     """
-    image = partners.pop(pi, None) if partners else None
+    image = partners.pop(pi, None)
     if image is not None:
         return None if image.standard_form()[1] == sigma else f"image leaves the sigma-class: {pi} -> {image}"
-    if side is None:
-        side = transport_side(pi)
     image = xi_map(pi)
     a, b, ci, _, _, _, rsb_tc, *_ = side
     a2, b2, ci2, _, _, _, rsb_tc2, *_ = transport_side(image)
@@ -313,9 +309,9 @@ def _xi_violation(
         return f"rsb_TC changes: {pi} -> {image}"
     if image.standard_form()[1] != sigma:
         return f"image leaves the sigma-class: {pi} -> {image}"
-    if image != pi and xi_map(image) != pi:
-        return f"not an involution at {pi}"
-    if image != pi and partners is not None:
+    if image != pi:
+        if xi_map(image) != pi:
+            return f"not an involution at {pi}"
         partners[image] = pi
     return None
 
@@ -388,24 +384,23 @@ def _inv_maj(rho: OrderedSetPartition) -> tuple[int, int]:
 
 
 def _thm35_sweep(pi: OrderedSetPartition) -> tuple[list, str | None]:
-    """``pi`` is in standard form."""
-    (acc_inv, acc_maj), _ = _fold(rearrangements(pi), _inv_maj, _q_keys, 2)
+    """``pi`` is in standard form.  beta(beta_inv(rho)) = rho on the k!
+    members makes beta_inv injective, hence onto the k! subdiagonal vectors,
+    so beta is a bijection onto the class, with MAJ(beta(c)) = sum(c)."""
 
-    # The round trip makes beta injective on the k! subdiagonal vectors, and
-    # the class has k! members, so an image inside the class is the class.
-    def beta_violation(c: tuple[int, ...]) -> str | None:
-        rho = beta(pi, c)
-        *_, maj = table_side(rho)
-        if maj != sum(c):
+    def beta_violation(rho: OrderedSetPartition, inv_maj: tuple[int, int]) -> str | None:
+        c = beta_inv(rho)
+        try:
+            image = beta(pi, c)
+        except ValueError as exc:  # c is not a subdiagonal vector of length k
+            return f"beta refuses beta_inv({rho}) = {c}: {exc}"
+        if image != rho:
+            return f"beta_inv round-trip fails at {rho}: beta gives {image}"
+        if inv_maj[1] != sum(c):
             return f"MAJ(beta({c})) != {sum(c)} at {rho}"
-        # disjoint blocks sort by their minima, so this is rho's standard form
-        if tuple(sorted(rho.blocks)) != pi.blocks:
-            return f"beta({c}) leaves the rearrangement class at {rho}"
-        if beta_inv(rho) != c:
-            return f"beta_inv round-trip fails at c={c}"
         return None
 
-    counterexample = next(filter(None, map(beta_violation, subdiagonal_vectors(pi.k))), None)
+    (acc_inv, acc_maj), counterexample = _fold(rearrangements(pi), _inv_maj, _q_keys, 2, beta_violation)
     rhs = q_factorial(pi.k)
     return [(LaurentPolynomial(acc_maj), rhs), (LaurentPolynomial(acc_inv), rhs)], counterexample
 
@@ -473,8 +468,8 @@ class _Check:
     """``sweep(**params)`` returns the (LHS, RHS) pairs that must be equal
     (the report shows the first that differ, else the first) and the first
     counterexample or None.  It runs after the guards have read
-    ``size(params)``, the ground set, and ``count(params)``, so passes
-    allow_large."""
+    ``size(params)``, the ground set, n against ``max_n`` where both sides
+    are closed forms, and ``count(params)``, so passes allow_large."""
 
     names: tuple[str, ...]
     sweep: Callable[..., tuple[list, str | None]]
@@ -484,6 +479,7 @@ class _Check:
     # allow_large, for the count guard
     count: Callable[[dict], int] | None = None
     limit: int = DESK_COUNT_DEFAULT
+    max_n: int | None = None
 
 
 def _op_size(params: dict) -> int:
@@ -521,7 +517,7 @@ _CHECKS = {
     # both sides are closed forms: nothing is enumerated
     "zezh": _Check(
         ("n", "k"), lambda n, k: ([verify_zezh(n, k)[1:]], None),
-        "q-Stirling/Eulerian identity mismatch", lambda p: 0,
+        "q-Stirling/Eulerian identity mismatch", lambda p: 0, max_n=TABLE_MAX_N,
     ),
     # one doubleton block per letter, so sum(parts)! block orders
     "doubleton": _Check(
@@ -572,6 +568,11 @@ def _prepare(theorem: str, allow_large: bool, **params) -> tuple[_Check, dict]:
         if sum(params["parts"]) < 1:
             raise ValueError(f"parts must have a positive sum, got {params['parts']}")
     _check_scale(check.size(params), allow_large)
+    if check.max_n is not None and params["n"] > check.max_n and not allow_large:
+        raise DeskScaleError(
+            f"n={params['n']} exceeds the closed-form limit {check.max_n}; "
+            "pass --allow-large (allow_large=True) to override"
+        )
     if check.count is not None:
         _check_count(check.count(params), allow_large, check.limit)
     return check, params

@@ -39,7 +39,7 @@ from opstat.qpoly import (
     verify_q_frobenius,
     verify_zezh,
 )
-from opstat.statistics import bmaj, coordinate_table, stat, stat_restricted, trace_rsb
+from opstat.statistics import bmaj, coordinate_table, stat, stat_restricted, trace_rsb, transport_side
 from opstat.verify import _xi_violation, verify
 
 
@@ -179,7 +179,7 @@ def test_criterion_07_sigma_class_identity_and_xi_transport():
                 assert report.passed, str(report)
     for k in range(1, 8):
         for pi in ordered_set_partitions(7, k):
-            violation = _xi_violation(pi, pi.standard_form()[1])
+            violation = _xi_violation(pi, pi.standard_form()[1], transport_side(pi), {})
             assert violation is None, violation
     _report(7, "sigma-class identity (k<=4, n<=7) + xi transport on n=7",
             time.perf_counter() - start)

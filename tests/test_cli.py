@@ -359,6 +359,24 @@ def test_table_allow_large_overrides_the_guard(capsys):
     assert f"C_q({TABLE_MAX_N + 1},1) = " in capsys.readouterr().out
 
 
+def test_zezh_shares_the_table_limit(capsys):
+    # zezh fills the same recursions as ``table``: refused past the same n
+    # before any task starts, with nothing on stdout
+    from opstat.cli import TABLE_MAX_N
+
+    assert main(["verify", "zezh", "--n", "200", "--k", "100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: n=200 exceeds the closed-form limit {TABLE_MAX_N}; "
+        "pass --allow-large (allow_large=True) to override\n"
+    )
+    assert main(["verify", "zezh", "--n", str(TABLE_MAX_N), "--k", "all"]) == 0
+    assert f"{TABLE_MAX_N}/{TABLE_MAX_N} checks passed" in capsys.readouterr().out
+    assert main(["verify", "zezh", "--n", str(TABLE_MAX_N + 1), "--k", "1", "--allow-large"]) == 0
+    assert "1/1 checks passed" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv", [["decode", ""], ["decode", "--psi", "   "]])
 def test_decode_refuses_blank_diagram_text(capsys, argv):
     assert main(argv) == 1
@@ -423,7 +441,7 @@ def test_table_refuses_a_negative_size(capsys):
 def test_closed_forms_run_past_the_recursion_limit(capsys):
     # S_q(n,1), A_q(n,0) and C_q(n-1,n-1) are 1; each recursion still runs
     # n rows deep, past the interpreter's recursion limit
-    assert main(["verify", "zezh", "--n", "1200", "--k", "1"]) == 0
+    assert main(["verify", "zezh", "--n", "1200", "--k", "1", "--allow-large"]) == 0
     assert "1/1 checks passed" in capsys.readouterr().out
 
 

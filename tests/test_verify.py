@@ -68,14 +68,48 @@ def test_thm35_fails_when_beta_maps_to_one_rearrangement(monkeypatch):
 
 def test_thm35_fails_when_beta_leaves_the_class(monkeypatch):
     # beta of another standard form with the same type realises the same MAJ
-    # and round-trips through beta_inv; only class membership tells them apart
+    # from each c, but never a member of pi0's class, so the round trip
+    # fails at the class's first member
     pi0 = OrderedSetPartition.parse("1 3/2 4")
     other = OrderedSetPartition.parse("1 4/2 3")
     assert other.partition_type() == pi0.partition_type()
     monkeypatch.setattr(importlib.import_module("opstat.verify"), "beta", lambda pi, c: beta(other, c))
     report = verify("thm3.5", pi=pi0)
     assert not report.passed
-    assert report.counterexample == "beta((0, 0)) leaves the rearrangement class at 1 4/2 3"
+    assert report.counterexample == "beta_inv round-trip fails at 1 3/2 4: beta gives 1 4/2 3"
+
+
+def test_thm35_runs_table_side_beta_and_beta_inv_once_per_member(monkeypatch):
+    # the round trip and the MAJ check run inside the fold, on the row that
+    # it reads, so no member is built or read a second time
+    module = importlib.import_module("opstat.verify")
+    calls = Counter()
+    for name in ("table_side", "beta", "beta_inv"):
+        original = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda *args, _name=name, _fn=original: calls.update([_name]) or _fn(*args)
+        )
+    assert verify("thm3.5", pi="1 4/2 3/5/6").passed
+    assert calls == {"table_side": 24, "beta": 24, "beta_inv": 24}  # 4!
+
+
+@pytest.mark.parametrize(
+    "c,reason", [((0, 0, 5), "entry c_3=5 outside 0..2"), ((0, 0), "need one entry per block: 3")]
+)
+def test_thm35_names_the_member_whose_beta_inv_beta_refuses(monkeypatch, capsys, c, reason):
+    # beta's own argument check refuses the vector: that member is the
+    # counterexample, and the CLI reports a failed check, not invalid input
+    from opstat.cli import main
+
+    module = importlib.import_module("opstat.verify")
+    rho = _parsed("2 3/1 4/5")  # the third member in rearrangement order
+    beta_inv = module.beta_inv
+    monkeypatch.setattr(module, "beta_inv", lambda pi: c if pi == rho else beta_inv(pi))
+    _assert_fails_at(verify("thm3.5", pi="1 4/2 3/5"), f"beta refuses beta_inv(2 3/1 4/5) = {c}: {reason}")
+    assert main(["verify", "thm3.5", "--pi", "1 4/2 3/5"]) == 2
+    captured = capsys.readouterr()
+    assert "counterexample: beta refuses beta_inv(2 3/1 4/5)" in captured.out
+    assert captured.err == ""
 
 
 def test_trefinements_build_sigma_once_per_object(monkeypatch):
@@ -515,11 +549,12 @@ def test_em_sweeps_see_one_raised_pair_table_entry_in_slot_0_only(monkeypatch, t
 def test_thm35_sees_one_raised_ros_os_field_of_the_pair_table(monkeypatch):
     # INV = ros over the openers, for 4 left of 1 3 only: the table of
     # 4/1 3/2 adds it to the three block orders that put 4 left of 1 3, so
-    # INV, MAJ and the MAJ of beta's images there are one too high
+    # INV and MAJ are one too high there, and the first of them in
+    # rearrangement order, 2/4/1 3, is the counterexample
     _plant_pair(monkeypatch, "inv")
     pairs, counterexample = importlib.import_module(_VERIFY)._thm35_sweep(_TARGET.standard_form()[0])
     assert all(lhs != rhs for lhs, rhs in pairs)
-    _assert_fails_at(verify("thm3.5", pi=_TARGET), "MAJ(beta((0, 0, 1))) != 1 at 4/1 3/2")
+    _assert_fails_at(verify("thm3.5", pi=_TARGET), "MAJ(beta((0, 1, 2))) != 3 at 2/4/1 3")
 
 
 def test_em_sweep_counts_match_the_reference_kernel():
