@@ -224,9 +224,10 @@ def _verify_tasks(args) -> list[tuple[str, dict]]:
                 continue
             if "pi" in names:
                 # the S(n,k) rearrangement classes of k! members each
-                # partition OP(n,k), so thm3.3 at (n, k) sizes them all
+                # partition OP(n,k), so thm3.3 at (n, k) sizes them all;
+                # each task carries its form, so no worker parses it again
                 _prepare("thm3.3", args.allow_large, n=n, k=k)
-                tasks += [(theorem, {"pi": pi0.to_text(), **extra}) for pi0 in set_partitions(n, k)]
+                tasks += [(theorem, {"pi": pi0, **extra}) for pi0 in set_partitions(n, k)]
             elif "sigma" in names and args.sigma in (None, "all"):
                 # the k! sigma-classes partition OP(n,k), each member
                 # transported once, so thm3.3 at (n, k) sizes them all

@@ -34,7 +34,7 @@ from math import factorial
 from typing import Iterator, Sequence
 
 from .core import OrderedSetPartition, PartitionType, Permutation, _decimal
-from .paths import LatticePath, PathDiagram, _insertion_positions, psi_inv
+from .paths import LatticePath, PathDiagram, _close, _gap, _insert, psi_inv
 from .statistics import block_order_totals, rcb_lsb_rows
 
 __all__ = [
@@ -346,10 +346,11 @@ def beta(pi0: OrderedSetPartition, c: Sequence[int]) -> OrderedSetPartition:
     block order realises MAJ = c_1 + ... + c_k.
 
     Transients and closers never leave their block, so whole blocks stand in
-    for the trace: when a block opens, an earlier block is active exactly
-    when its closer exceeds the new opener, and an inactive block is
-    already complete, so the block descents read off whole blocks are the
-    trace's.
+    for the trace, held on ``paths``' masks: when a block opens, an earlier
+    block is active exactly when its closer exceeds the new opener, and
+    those that are no longer active close by the close rule.  A block placed
+    directly left of a complete block sets that block's special bit, by the
+    insert rule, and the bit stays: no block descent is read off the blocks.
     """
     if not pi0.is_standard():
         raise ValueError("beta expects a standard-form partition")
@@ -360,8 +361,21 @@ def beta(pi0: OrderedSetPartition, c: Sequence[int]) -> OrderedSetPartition:
         if not 0 <= c_j <= j - 1:
             raise ValueError(f"entry c_{j}={c_j} outside 0..{j - 1}")
     order: list[tuple[int, ...]] = []
-    for block, c_j in zip(pi0.blocks, c):
-        order.insert(_insertion_positions(order, [b[-1] > block[0] for b in order])[c_j], block)
+    active = special = 0  # over the positions of order
+    for r, (block, c_j) in enumerate(zip(pi0.blocks, c)):
+        opener = block[0]
+        closed = 0  # the active blocks whose closer lies below this opener
+        rest = active
+        while rest:
+            bit = rest & -rest
+            if order[bit.bit_length() - 1][-1] < opener:
+                closed |= bit
+            rest ^= bit
+        if closed:
+            active, special = _close(active, special, closed)
+        pos = _gap(special, r, c_j)
+        order.insert(pos, block)
+        active, special = _insert(active, special, r, pos, len(block) > 1)
     return OrderedSetPartition._trusted(pi0.n, tuple(order))
 
 

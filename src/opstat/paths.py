@@ -21,9 +21,10 @@ Both are bijections; composing them and the label-transport involution
 The encoders and their inverses build objects that are valid by
 construction, so they skip validation through the private ``_trusted``
 constructors; the validating constructors are the tests' oracle.  The
-inverses count labels off a state list (each of pi's blocks unseen, active
-or complete), and the decoders take an O/D step's block from a
-left-to-right list of the active blocks, replaying no trace.
+encoders, their inverses and ``families.beta`` hold their state as int
+bitmasks: an active flag per block and a special flag per gap, kept by two
+local rules (see "Shared trace-growing machinery"), so no block's contents
+are read to place a block.  ``_gap`` is the one ordering of psi's gaps.
 
 The diagram ``varphi`` returns is validated.  ``varphi`` collects the labels
 and the North/South-East pairing in one pass over the diagram and writes
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 from .core import (
     OrderedSetPartition,
@@ -67,7 +69,6 @@ __all__ = [
 
 NORTH, EAST, SOUTH_EAST, NULL = "N", "E", "D", "O"
 _STEP_CHARS = {NORTH, EAST, SOUTH_EAST, NULL}
-_UNSEEN, _ACTIVE, _COMPLETE = 0, 1, 2  # the states of a block while a partition is read
 
 
 @dataclass(frozen=True)
@@ -293,30 +294,78 @@ class PathDiagram:
 # ---------------------------------------------------------------------------
 # Shared trace-growing machinery
 # ---------------------------------------------------------------------------
+#
+# The encoders hold a trace as two int masks: bit p of ``active`` is set
+# when block p is active, and bit p of ``special`` when the gap left of
+# block p is special, that is when block p is active or blocks p-1 and p form
+# a block descent.  Two local rules keep the masks, so no block's contents
+# are read to place a block:
+#
+# * insert at gap pos: the bits at pos and above move up by one; the block
+#   right of the new one, if any, becomes special (it is active, or complete
+#   with a closer below the new opener); the new block is active and special
+#   exactly when it opens (an N step);
+# * close a block (a D step): it loses its active and special bits, because
+#   its closer exceeds its left neighbour's opener.
+#
+# A descent bit never changes once its pair forms: inserting between the two
+# blocks removes the pair, and the contents of a complete block are final.
+# ``_gap`` reads a new block's gap off the special mask.  The decoders and
+# ``families.beta`` index the masks by trace position.  ``_read_labels``
+# indexes them by pi's blocks, whose created ones are the trace in pi's
+# order, so there an insertion moves no bit.
 
-def _insertion_positions(blocks: list[list[int]] | list[tuple[int, ...]], active: list[bool]) -> tuple[int, ...]:
-    """Gap relabelling (a_0, ..., a_r) of the r+1 insertion positions.
+def _gap(special: int, r: int, label: int) -> int:
+    """The gap position a_label of a trace with r blocks and the special
+    gaps ``special``: a_0 = r is the right end, a_1 > ... > a_t are the t
+    special gaps and the rest follow in increasing order.  Inserting a new
+    block at a_l raises rsb + bMaj by exactly l."""
+    if not label:
+        return r
+    t = special.bit_count()
+    if label <= t:
+        skip = t - label  # the special gaps left of a_label
+    else:
+        special ^= (1 << r) - 1  # the non-special gaps
+        skip = label - 1 - t
+    for _ in range(skip):
+        special &= special - 1
+    return (special & -special).bit_length() - 1
 
-    Position j sits left of block j+1 (position r is the right end); it is
-    special when block j+1 is active or when blocks j and j+1 form a block
-    descent.  a_0 is the right end, a_1 > ... > a_t the special positions,
-    and the rest follow in increasing order.  Inserting a new block at
-    position a_l raises rsb + bMaj by exactly l.
-    """
+
+def _insert(active: int, special: int, r: int, pos: int, opens: bool) -> tuple[int, int]:
+    """The masks after a new block enters a trace of r blocks at gap pos."""
+    low = (1 << pos) - 1
+    active = active & low | (active & ~low) << 1
+    special = special & low | (special & ~low) << 1
+    if pos < r:
+        special |= 2 << pos
+    if opens:
+        return active | 1 << pos, special | 1 << pos
+    return active, special
+
+
+def _close(active: int, special: int, closed: int) -> tuple[int, int]:
+    """The masks after the blocks of the mask ``closed`` close."""
+    return active & ~closed, special & ~closed
+
+
+def _insertion_positions(blocks: Sequence[Sequence[int]], active: Sequence[bool]) -> tuple[int, ...]:
+    """Gap relabelling (a_0, ..., a_r) of the r+1 insertion positions of an
+    explicit trace, position j sitting left of block j (position r is the
+    right end).  The reference behind ``insertion_labels``: it reads the
+    special mask off the blocks, then orders the gaps by ``_gap``."""
+    special = 0
+    for j, block in enumerate(blocks):
+        if active[j] or (j and blocks[j - 1][0] > block[-1]):
+            special |= 1 << j
     r = len(blocks)
-    special = [r]  # the right end, then the special positions, decreasing
-    rest = []
-    for j in range(r):
-        if active[j] or (j and blocks[j - 1][0] > blocks[j][-1]):
-            special.insert(1, j)
-        else:
-            rest.append(j)
-    return (*special, *rest)
+    return tuple(_gap(special, r, label) for label in range(r + 1))
 
 
 def insertion_labels(t: Trace) -> tuple[int, ...]:
     """Public form of the gap relabelling, for an explicit trace."""
-    return _insertion_positions(list(t.blocks), list(t.active))
+    return _insertion_positions(t.blocks, t.active)
 
 
 def trace_with_block(t: Trace, position: int, element: int, active: bool = False) -> Trace:
@@ -333,69 +382,86 @@ def trace_with_block(t: Trace, position: int, element: int, active: bool = False
 
 def _run_encoding(h: PathDiagram, by_gap_rank: bool) -> OrderedSetPartition:
     """Decode h.  An N/E label names the gap of the new block: it counts the
-    gaps right of it (phi) or indexes ``_insertion_positions`` (psi).  An O/D
-    label l names ``open_blocks[-1 - l]``, the active block with l active
-    blocks right of it."""
+    gaps right of it (phi) or is read by ``_gap`` (psi).  An O/D label l
+    names the active block with l active blocks right of it."""
     blocks: list[list[int]] = []  # the trace, left to right
-    active: list[bool] = []
-    open_blocks: list[list[int]] = []  # the active blocks, left to right
+    active = special = 0  # over the trace's positions
     for i, (step, label) in enumerate(zip(h.path.steps, h.labels), start=1):
         if step == NORTH or step == EAST:
-            pos = len(blocks) - label if by_gap_rank else _insertion_positions(blocks, active)[label]
-            block = [i]
-            if step == NORTH:
-                open_blocks.insert(active[:pos].count(True), block)
-            blocks.insert(pos, block)
-            active.insert(pos, step == NORTH)
+            r = len(blocks)
+            if by_gap_rank:  # phi reads no special gaps
+                pos = r - label
+                low = (1 << pos) - 1
+                active = active & low | (active & ~low) << 1 | (step == NORTH) << pos
+            else:
+                pos = _gap(special, r, label)
+                active, special = _insert(active, special, r, pos, step == NORTH)
+            blocks.insert(pos, [i])
         else:
-            block = open_blocks[-1 - label]
-            block.append(i)
+            mask = active
+            if label:  # label 0, the usual one, needs no range
+                for _ in range(label):
+                    mask &= (1 << mask.bit_length() - 1) - 1  # drop the rightmost active block
+            pos = mask.bit_length() - 1
+            blocks[pos].append(i)
             if step == SOUTH_EAST:
-                del open_blocks[-1 - label]
-                active[blocks.index(block)] = False  # the blocks are disjoint
-    assert not open_blocks
+                if by_gap_rank:
+                    active ^= 1 << pos  # phi keeps the active mask only
+                else:
+                    active, special = _close(active, special, 1 << pos)
+    assert not active
     # each block grew in increasing order and every element of [n] went
     # into one block, so the blocks are a sorted partition of [n]
     return OrderedSetPartition._trusted(h.n, tuple(map(tuple, blocks)))
 
 
 def _read_labels(pi: OrderedSetPartition, by_gap_rank: bool) -> PathDiagram:
-    """Inverse of ``_run_encoding``, on the steps ``step_word(pi)``.  With
-    ``state`` holding each of pi's blocks unseen, active or complete, a label
-    counts the blocks right of the element's block in pi that are created
-    (phi, at an opener or singleton) or active (elsewhere).  psi's opener
-    labels index ``_insertion_positions`` of the trace, held as pi's whole
-    blocks: it reads each block's first element and the last of complete
-    blocks only.  The labels lie within their steps' bounds, so the diagram
-    is built unchecked.
+    """Inverse of ``_run_encoding``.  The masks run over pi's block
+    indices: the trace's blocks are the ``created`` ones, in pi's order.  At
+    an opener or singleton of block b the label counts the created blocks
+    right of b (phi), or is the rank of the gap left of c, the next created
+    block right of b, in ``_gap``'s order (psi): 0 when there is no c, 1 +
+    the special gaps right of c when c's gap is special, and 1 + t + the
+    non-special gaps left of c otherwise.  Elsewhere it counts the active
+    blocks right of b.  The labels lie within their steps' bounds, so the
+    diagram is built unchecked.
     """
-    word = step_word(pi)
-    owner = [0] * pi.n  # pi's block index of each element
+    steps = [NULL] * pi.n  # step_word(pi), read in the pass that fills owner
+    owner = [0] * pi.n  # 1 << b for each element of pi's block b
     for b, block in enumerate(pi.blocks):
+        bit = 1 << b
         for el in block:
-            owner[el - 1] = b
-    state = [_UNSEEN] * pi.k
-    trace: list[tuple[int, ...]] = []  # psi only
-    active: list[bool] = []
-    labels = []
-    for step, b in zip(word, owner):
-        if step == NORTH or step == EAST:
-            if by_gap_rank:
-                right = state[b + 1:]
-                labels.append(len(right) - right.count(_UNSEEN))
-            else:
-                pos = b - state[:b].count(_UNSEEN)  # block b's position in the trace
-                labels.append(_insertion_positions(trace, active).index(pos))
-                trace.insert(pos, pi.blocks[b])
-                active.insert(pos, step == NORTH)
-            state[b] = _ACTIVE if step == NORTH else _COMPLETE
+            owner[el - 1] = bit
+        if len(block) == 1:
+            steps[block[0] - 1] = EAST
         else:
-            labels.append(state[b + 1:].count(_ACTIVE))
+            steps[block[0] - 1] = NORTH
+            steps[block[-1] - 1] = SOUTH_EAST
+    created = active = special = 0
+    labels = []
+    for step, bit in zip(steps, owner):
+        if step == NORTH or step == EAST:
+            right = created & -bit  # b itself is not created yet
+            if by_gap_rank:
+                labels.append(right.bit_count())
+            elif right:
+                c = right & -right
+                if special & c:
+                    labels.append(1 + (special & -(c << 1)).bit_count())
+                else:
+                    labels.append(1 + special.bit_count() + (created & ~special & c - 1).bit_count())
+                special |= c
+            else:
+                labels.append(0)
+            created |= bit
+            if step == NORTH:
+                active |= bit
+                special |= bit
+        else:
+            labels.append((active & -bit).bit_count() - 1)
             if step == SOUTH_EAST:
-                if not by_gap_rank:
-                    active[b - state[:b].count(_UNSEEN)] = False
-                state[b] = _COMPLETE
-    return PathDiagram._trusted(LatticePath._trusted(tuple(word)), tuple(labels))
+                active, special = _close(active, special, bit)
+    return PathDiagram._trusted(LatticePath._trusted(tuple(steps)), tuple(labels))
 
 
 # ---------------------------------------------------------------------------

@@ -737,10 +737,15 @@ def _order_totals(blocks: tuple[tuple[int, ...], ...], fields: Sequence[str], wi
         rest = [j for j in range(k) if not mask >> j & 1]
         table = tables.get(mask)
         if table is None:
-            masks = [mask]
-            for j in rest:
-                masks += [e | 1 << j for e in masks]
-            table = [rows[j][e] for j in rest for e in masks] + [0] * m
+            if mask:
+                masks = [mask]
+                for j in rest:
+                    masks += [e | 1 << j for e in masks]
+                table = [rows[j][e] for j in rest for e in masks]
+            else:
+                # no prefix: the masks run over range(2**k), so the rows lie end to end
+                table = list(itertools.chain.from_iterable(rows))
+            table += [0] * m
             if adjacent:
                 table += [q * adjacent[i][j] for q in range(start + 1, k) for i in rest for j in rest]
             tables[mask] = table

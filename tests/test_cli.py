@@ -112,6 +112,23 @@ def test_verify_parallel_jobs(capsys):
     assert "15/15 checks passed" in capsys.readouterr().out
 
 
+def test_thm35_tasks_carry_standard_forms_through_a_pool(capsys):
+    # each --n/--k task holds its standard form, not the form's text; the
+    # forms pickle into the workers, and the reports still show the text
+    from opstat.cli import _verify_tasks, build_parser
+
+    tasks = _verify_tasks(build_parser().parse_args(["verify", "thm3.5", "--n", "4", "--k", "all"]))
+    assert len(tasks) == 15  # the set partitions of [4]
+    assert all(type(params["pi"]) is OrderedSetPartition and params["pi"].is_standard() for _, params in tasks)
+    for extra in ([], ["--json"]):
+        outs = []
+        for jobs in ("1", "2"):
+            assert main(["verify", "thm3.5", "--n", "4", "--k", "all", "--jobs", jobs, *extra]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+    assert '"pi": "1 3/2 4"' in outs[0]
+
+
 def test_invalid_input_exits_one(capsys):
     assert main(["stats", "1 2/2"]) == 1
     assert main(["verify", "nonsense", "--n", "3"]) == 1

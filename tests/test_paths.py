@@ -7,10 +7,13 @@ import pytest
 from opstat.core import OrderedSetPartition, PartitionType, Permutation, Trace
 from opstat.families import (
     _paths,
+    beta,
+    fubini,
     ordered_set_partitions,
     path_diagrams,
     permutations,
     set_partitions,
+    subdiagonal_vectors,
 )
 from opstat.paths import (
     EAST,
@@ -18,6 +21,9 @@ from opstat.paths import (
     SOUTH_EAST,
     LatticePath,
     PathDiagram,
+    _close,
+    _gap,
+    _insert,
     _insertion_positions,
     diagram_permutation,
     g_map,
@@ -664,6 +670,115 @@ def test_encoders_match_the_trace_replaying_reference():
                 assert psi(h) == _run_encoding_by_replay(h, by_gap_rank=False)
                 count += 1
     assert count == 5316  # as many path diagrams: phi is a bijection
+
+
+# ---------------------------------------------------------------------------
+# The mask step (``_gap``, the insert rule and the close rule), against the
+# masks of traces grown from real blocks by ``_insertion_positions``
+# ---------------------------------------------------------------------------
+
+def _masks_by_sets(blocks, active):
+    """The active and special masks of an explicit trace, from the sets of
+    ``_insertion_positions_by_sets``: bit j for block j and the gap left of
+    it."""
+    r = len(blocks)
+    act = {j for j in range(r) if active[j]}
+    desc = {j for j in range(1, r) if not active[j] and blocks[j - 1][0] > blocks[j][-1]}
+    return sum(1 << j for j in act), sum(1 << j for j in act | desc)
+
+
+def _step_masks(masks, r, step, pos):
+    """The masks after one step of a trace of r blocks: a new block at gap
+    pos (N/E), or the block at position pos joined (O) or closed (D)."""
+    if step in (NORTH, EAST):
+        return _insert(*masks, r, pos, step == NORTH)
+    if step == SOUTH_EAST:
+        return _close(*masks, 1 << pos)
+    return masks
+
+
+def test_gap_matches_the_set_and_sort_reference():
+    for n in range(1, 7):
+        for pi in ordered_set_partitions(n):
+            for i in range(n + 1):
+                t = pi.trace(i)
+                blocks, active = [list(b) for b in t.blocks], list(t.active)
+                r, special = len(blocks), _masks_by_sets(blocks, active)[1]
+                gaps = tuple(_gap(special, r, label) for label in range(r + 1))
+                assert gaps == _insertion_positions_by_sets(blocks, active)
+
+
+def test_mask_step_follows_the_traces_that_psi_grows():
+    count = 0
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for h in path_diagrams(n, k):
+                blocks, active, masks = [], [], (0, 0)
+                for i, (step, label) in enumerate(zip(h.path.steps, h.labels), start=1):
+                    r = len(blocks)
+                    if step in (NORTH, EAST):
+                        pos = _insertion_positions(blocks, active)[label]
+                        assert _gap(masks[1], r, label) == pos
+                    else:
+                        pos = _active_index_from_right(active, label)
+                    _grow(blocks, active, step, label, i, by_gap_rank=False)
+                    masks = _step_masks(masks, r, step, pos)
+                    assert masks == _masks_by_sets(blocks, active)
+                assert tuple(map(tuple, blocks)) == psi(h).blocks
+                count += 1
+    assert count == 5316
+
+
+def test_mask_step_follows_the_traces_that_psi_inv_reads():
+    count = 0
+    for n in range(1, 7):
+        for pi in ordered_set_partitions(n):
+            owner = {el: b for b, block in enumerate(pi.blocks) for el in block}
+            blocks, active, masks = [], [], (0, 0)
+            order = []  # pi's block index of each trace block, increasing
+            h = psi_inv(pi)
+            for i, (step, label) in enumerate(zip(h.path.steps, h.labels), start=1):
+                r, pos = len(blocks), bisect_left(order, owner[i])
+                if step in (NORTH, EAST):
+                    assert _insertion_positions(blocks, active)[label] == pos
+                    assert _gap(masks[1], r, label) == pos
+                    order.insert(pos, owner[i])
+                else:
+                    assert _active_index_from_right(active, label) == pos
+                _grow(blocks, active, step, label, i, by_gap_rank=False)
+                masks = _step_masks(masks, r, step, pos)
+                assert masks == _masks_by_sets(blocks, active)
+            assert tuple(map(tuple, blocks)) == pi.blocks
+            count += 1
+    assert count == 5316
+
+
+def test_mask_step_follows_the_traces_that_beta_grows():
+    count = 0
+    for n in range(1, 7):
+        for pi0 in set_partitions(n):
+            word = step_word(pi0)
+            opener_of = {el: block[0] for block in pi0.blocks for el in block}
+            for c in subdiagonal_vectors(pi0.k):
+                entries = iter(c)
+                blocks, active, masks = [], [], (0, 0)
+                for i, step in enumerate(word, start=1):
+                    r = len(blocks)
+                    if step in (NORTH, EAST):
+                        c_j = next(entries)
+                        pos = _insertion_positions(blocks, active)[c_j]
+                        assert _gap(masks[1], r, c_j) == pos
+                        blocks.insert(pos, [i])
+                        active.insert(pos, step == NORTH)
+                    else:
+                        pos = next(j for j, b in enumerate(blocks) if b[0] == opener_of[i])
+                        blocks[pos].append(i)
+                        active[pos] = step != SOUTH_EAST
+                    masks = _step_masks(masks, r, step, pos)
+                    assert masks == _masks_by_sets(blocks, active)
+                assert tuple(map(tuple, blocks)) == beta(pi0, c).blocks
+                count += 1
+    assert count == sum(fubini(n) for n in range(1, 7))
 
 
 # ---------------------------------------------------------------------------

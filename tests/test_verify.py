@@ -292,18 +292,35 @@ def test_thm33_sees_two_special_gaps_swapped_in_psi(monkeypatch):
     # psi's relabelling with a_1 and a_2 exchanged wherever the trace has at
     # least two special gaps: at n = 5, k = 2 does not see it and k = 3 does
     paths = importlib.import_module("opstat.paths")
-    positions = paths._insertion_positions
+    gap = paths._gap
 
-    def planted(blocks, active):
-        labels = positions(blocks, active)
-        special = sum(
-            1 for j in range(len(blocks)) if active[j] or (j and blocks[j - 1][0] > blocks[j][-1])
-        )
-        return (labels[0], labels[2], labels[1], *labels[3:]) if special >= 2 else labels
+    def planted(special, r, label):
+        if special.bit_count() >= 2 and label in (1, 2):
+            label = 3 - label
+        return gap(special, r, label)
 
-    monkeypatch.setattr(paths, "_insertion_positions", planted)
+    monkeypatch.setattr(paths, "_gap", planted)
     assert verify("thm3.3", n=5, k=2).passed
     _assert_fails_at(verify("thm3.3", n=5, k=3), "triple transport fails: 3 5/4/1 2 -> 4/3 5/1 2")
+
+
+@pytest.mark.parametrize(
+    "theorem,params,counterexample",
+    [
+        ("thm3.3", dict(n=4, k=3), "triple transport fails: 2/4/1 3 -> 2/4/1 3"),
+        ("thm3.3", dict(n=5, k=4), "triple transport fails: 2/1 3/5/4 -> 2/5/1 3/4"),
+        ("thm3.3", dict(n=6, k=5), "triple transport fails: 2/1 3/4/6/5 -> 2/6/1 3/4/5"),
+        ("thm3.5", dict(pi="1 3/2/4"), "beta_inv round-trip fails at 2/4/1 3: beta gives 4/2/1 3"),
+        ("thm3.5", dict(pi="1 2 4/3/5"), "beta_inv round-trip fails at 3/5/1 2 4: beta gives 5/3/1 2 4"),
+        ("thm3.5", dict(pi="1 2 3 5/4/6"), "beta_inv round-trip fails at 4/6/1 2 3 5: beta gives 6/4/1 2 3 5"),
+    ],
+)
+def test_transport_checks_see_a_closing_block_keep_its_special_gap(monkeypatch, theorem, params, counterexample):
+    # the close rule planted to clear the active bit only: the closed block's
+    # gap stays special, though its closer exceeds its left neighbour's opener
+    paths = importlib.import_module("opstat.paths")
+    monkeypatch.setattr(paths, "_close", lambda active, special, closed: (active & ~closed, special))
+    _assert_fails_at(verify(theorem, **params), counterexample)
 
 
 @pytest.mark.parametrize(
