@@ -9,6 +9,18 @@ different bijections with very different statistics behind the labels.
 """
 from opstat import LatticePath, PathDiagram, phi, phi_inv, psi, psi_inv
 
+
+def restricted(pi, i):
+    """pi's blocks cut to their elements up to i, the empty ones dropped; a
+    block that goes on past i is still active and ends in ∞."""
+    parts = []
+    for block in pi.blocks:
+        kept = " ".join(str(el) for el in block if el <= i)
+        if kept:
+            parts.append(kept + " ∞" if block[-1] > i else kept)
+    return "/".join(parts)
+
+
 h = PathDiagram(LatticePath.parse("NNNOOEDDED"), (0, 0, 2, 1, 2, 3, 2, 0, 1, 0))
 print(f"diagram: steps {h.path}, labels {h.labels}\n")
 
@@ -17,11 +29,9 @@ print(f"{'i':>2} {'step':>4} {'label':>5}   {'gap-rank decode':<28} descent-awar
 pi_a = phi(h)
 pi_b = psi(h)
 for i in range(0, h.n + 1):
-    ta = pi_a.trace(i)
-    tb = pi_b.trace(i)
     step = h.path.steps[i - 1] if i else " "
     label = h.labels[i - 1] if i else " "
-    print(f"{i:>2} {step:>4} {label!s:>5}   {ta.to_text():<28} {tb.to_text()}")
+    print(f"{i:>2} {step:>4} {label!s:>5}   {restricted(pi_a, i):<28} {restricted(pi_b, i)}")
 
 print(f"\nphi(h) = {pi_a}")
 print(f"psi(h) = {pi_b}")

@@ -6,7 +6,6 @@ from .core import (
     OrderedSetPartition,
     PartitionType,
     Permutation,
-    Trace,
     WordStats,
     decompose_doubleton,
     doubleton_partition,
@@ -35,7 +34,6 @@ from .paths import (
     PathDiagram,
     gamma_sigma,
     g_map,
-    insertion_labels,
     phi,
     phi_inv,
     psi,
@@ -75,8 +73,6 @@ from .statistics import (
     coordinate_table,
     stat,
     stat_restricted,
-    trace_ros,
-    trace_rsb,
 )
 from .verify import VerificationReport, verify
 

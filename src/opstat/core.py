@@ -1,5 +1,5 @@
-"""Fundamental combinatorial objects: ordered set partitions, traces,
-partition types, permutations with their two codes, and words.
+"""Fundamental combinatorial objects: ordered set partitions, partition
+types, permutations with their two codes, and words.
 
 Elements are 1-based throughout: the ground set of size n is {1, ..., n}.
 Block positions inside a partition are 1-based as well.  All values are
@@ -7,7 +7,8 @@ immutable after construction and every operation is a pure function.
 
 The public constructors validate: ``Permutation(...)``,
 ``OrderedSetPartition(...)``, ``from_blocks`` and ``parse`` reject anything
-that is not a permutation or a partition of [n] into sorted blocks.  The
+that is not a permutation or a partition of [n] into sorted blocks, and
+any size, image or element whose type is not exactly ``int``.  The
 private ``_trusted`` constructors skip that check and are only called on
 values that are valid by construction: ``rearranged`` and ``standard_form``
 reorder the blocks of a validated partition (and ``standard_form`` ranks
@@ -27,7 +28,6 @@ __all__ = [
     "Permutation",
     "OrderedSetPartition",
     "PartitionType",
-    "Trace",
     "WordStats",
     "from_lehmer",
     "from_d_code",
@@ -39,9 +39,6 @@ __all__ = [
     "decompose_doubleton",
     "recombine_doubleton",
 ]
-
-INFINITY = "∞"  # the marker appended to active trace blocks
-
 
 def _decimal(token: str) -> int:
     """The value of a token of ASCII digits.  ``int`` alone would also take
@@ -67,6 +64,9 @@ class Permutation:
 
     def __post_init__(self):
         object.__setattr__(self, "images", tuple(self.images))
+        for image in self.images:
+            if type(image) is not int:  # a float or a bool is not an image
+                raise ValueError(f"an image must be an integer, got {image!r}")
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
 
@@ -273,6 +273,8 @@ class OrderedSetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        if type(self.n) is not int:  # a float or a bool is not a size
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         seen: set[int] = set()
         for block in self.blocks:
             if not block:
@@ -280,6 +282,8 @@ class OrderedSetPartition:
             if list(block) != sorted(block):
                 raise ValueError(f"block not sorted: {block}")
             for el in block:
+                if type(el) is not int:
+                    raise ValueError(f"an element must be an integer, got {el!r}")
                 if not 1 <= el <= self.n:
                     raise ValueError(f"element {el} outside 1..{self.n}")
                 if el in seen:
@@ -390,98 +394,6 @@ class OrderedSetPartition:
             raise ValueError(f"permutation size {sigma.size} != block count {self.k}")
         blocks = self.blocks
         return OrderedSetPartition._trusted(self.n, tuple(blocks[m - 1] for m in sigma.images))
-
-    def trace(self, i: int) -> Trace:
-        """Restrict every block to {1..i}, drop empty blocks, and flag the
-        blocks that still have elements above i as active."""
-        if not 0 <= i <= self.n:
-            raise ValueError(f"trace index {i} outside 0..{self.n}")
-        blocks: list[tuple[int, ...]] = []
-        active: list[bool] = []
-        for block in self.blocks:
-            kept = tuple(el for el in block if el <= i)
-            if kept:
-                blocks.append(kept)
-                active.append(block[-1] > i)
-        return Trace(tuple(blocks), tuple(active))
-
-
-# ---------------------------------------------------------------------------
-# Traces
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Trace:
-    """A restriction of an ordered partition: an ordered sequence of disjoint
-    blocks, each either complete or active.  An active block behaves as if it
-    ended in a value larger than every integer."""
-
-    blocks: tuple[tuple[int, ...], ...]
-    active: tuple[bool, ...]
-
-    def __post_init__(self):
-        if len(self.blocks) != len(self.active):
-            raise ValueError("one activity flag per block required")
-        seen: set[int] = set()
-        for block in self.blocks:
-            if not block:
-                raise ValueError("empty block in trace")
-            if list(block) != sorted(block):
-                raise ValueError(f"block not sorted: {block}")
-            for el in block:
-                if el < 1 or el in seen:
-                    raise ValueError(f"bad or duplicate element {el}")
-                seen.add(el)
-
-    @classmethod
-    def parse(cls, text: str) -> Trace:
-        """Parse "3 5 7/1 4 ∞/6/2 ∞"; "inf" is accepted for the marker."""
-        text = text.strip()
-        if not text:
-            return cls((), ())
-        blocks: list[tuple[int, ...]] = []
-        active: list[bool] = []
-        for part in text.split("/"):
-            toks = [t for t in _BLOCK_SPLIT.split(part.strip()) if t]
-            if not toks:
-                raise ValueError("empty block in trace text")
-            flag = toks[-1] in (INFINITY, "inf")
-            if flag:
-                toks = toks[:-1]
-            if not toks:
-                raise ValueError("active marker on empty block")
-            blocks.append(tuple(sorted(_decimal(t) for t in toks)))
-            active.append(flag)
-        return cls(tuple(blocks), tuple(active))
-
-    @property
-    def k(self) -> int:
-        return len(self.blocks)
-
-    def to_text(self, marker: str = INFINITY) -> str:
-        parts = []
-        for block, flag in zip(self.blocks, self.active):
-            body = " ".join(str(el) for el in block)
-            parts.append(body + f" {marker}" if flag else body)
-        return "/".join(parts)
-
-    def __str__(self) -> str:
-        return self.to_text()
-
-    def to_json(self) -> dict:
-        return {"blocks": [list(b) for b in self.blocks], "active": list(self.active)}
-
-    def block_index(self, i: int) -> int:
-        """1-based position of the block containing i."""
-        for j, block in enumerate(self.blocks, start=1):
-            if i in block:
-                return j
-        raise ValueError(f"element {i} not in trace")
-
-    def to_partition(self) -> OrderedSetPartition:
-        if any(self.active):
-            raise ValueError("trace still has active blocks")
-        return OrderedSetPartition.from_blocks(self.blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -358,6 +358,8 @@ def beta(pi0: OrderedSetPartition, c: Sequence[int]) -> OrderedSetPartition:
         raise ValueError(f"need one entry per block: {pi0.k}")
     # standard form: the j-th block's opener is the j-th opener/singleton
     for j, c_j in enumerate(c, start=1):
+        if type(c_j) is not int:  # a float or a bool is not an entry
+            raise ValueError(f"entry c_{j} must be an integer, got {c_j!r}")
         if not 0 <= c_j <= j - 1:
             raise ValueError(f"entry c_{j}={c_j} outside 0..{j - 1}")
     order: list[tuple[int, ...]] = []

@@ -36,13 +36,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
 
 from .core import (
     OrderedSetPartition,
     PartitionType,
     Permutation,
-    Trace,
     _decimal,
     from_d_code,
 )
@@ -55,8 +53,6 @@ __all__ = [
     "phi_inv",
     "psi",
     "psi_inv",
-    "insertion_labels",
-    "trace_with_block",
     "varphi",
     "g_map",
     "diagram_permutation",
@@ -237,6 +233,8 @@ class PathDiagram:
             raise ValueError("one label per step required")
         x = y = 0  # the starting point of step i
         for i, (step, label) in enumerate(zip(self.path.steps, self.labels), start=1):
+            if type(label) is not int:  # a float or a bool is not a label
+                raise ValueError(f"a label must be an integer, got {label!r} at step {i}")
             if step in (NULL, SOUTH_EAST):
                 bound = y - 1
             else:
@@ -295,11 +293,12 @@ class PathDiagram:
 # Shared trace-growing machinery
 # ---------------------------------------------------------------------------
 #
-# The encoders hold a trace as two int masks: bit p of ``active`` is set
-# when block p is active, and bit p of ``special`` when the gap left of
-# block p is special, that is when block p is active or blocks p-1 and p form
-# a block descent.  Two local rules keep the masks, so no block's contents
-# are read to place a block:
+# A trace is a partition cut to the elements placed so far; a block is
+# active while elements of it are still to come.  The encoders hold a trace
+# as two int masks: bit p of ``active`` is set when block p is active, and
+# bit p of ``special`` when the gap left of block p is special, that is when
+# block p is active or blocks p-1 and p form a block descent.  Two local
+# rules keep the masks, so no block's contents are read to place a block:
 #
 # * insert at gap pos: the bits at pos and above move up by one; the block
 #   right of the new one, if any, becomes special (it is active, or complete
@@ -310,10 +309,11 @@ class PathDiagram:
 #
 # A descent bit never changes once its pair forms: inserting between the two
 # blocks removes the pair, and the contents of a complete block are final.
-# ``_gap`` reads a new block's gap off the special mask.  The decoders and
-# ``families.beta`` index the masks by trace position.  ``_read_labels``
-# indexes them by pi's blocks, whose created ones are the trace in pi's
-# order, so there an insertion moves no bit.
+# ``_gap`` reads psi's gap off the special mask; phi's gap is counted from
+# the right end, so phi never reads that mask, but both decoders and
+# ``families.beta`` keep the masks by the two rules, indexed by trace
+# position.  ``_read_labels`` indexes them by pi's blocks, whose created
+# ones are the trace in pi's order, so there an insertion moves no bit.
 
 def _gap(special: int, r: int, label: int) -> int:
     """The gap position a_label of a trace with r blocks and the special
@@ -350,36 +350,6 @@ def _close(active: int, special: int, closed: int) -> tuple[int, int]:
     return active & ~closed, special & ~closed
 
 
-def _insertion_positions(blocks: Sequence[Sequence[int]], active: Sequence[bool]) -> tuple[int, ...]:
-    """Gap relabelling (a_0, ..., a_r) of the r+1 insertion positions of an
-    explicit trace, position j sitting left of block j (position r is the
-    right end).  The reference behind ``insertion_labels``: it reads the
-    special mask off the blocks, then orders the gaps by ``_gap``."""
-    special = 0
-    for j, block in enumerate(blocks):
-        if active[j] or (j and blocks[j - 1][0] > block[-1]):
-            special |= 1 << j
-    r = len(blocks)
-    return tuple(_gap(special, r, label) for label in range(r + 1))
-
-
-def insertion_labels(t: Trace) -> tuple[int, ...]:
-    """Public form of the gap relabelling, for an explicit trace."""
-    return _insertion_positions(t.blocks, t.active)
-
-
-def trace_with_block(t: Trace, position: int, element: int, active: bool = False) -> Trace:
-    """Insert a new block {element} (optionally active) at a gap position,
-    0 = leftmost, k = rightmost."""
-    if not 0 <= position <= t.k:
-        raise ValueError(f"position {position} outside 0..{t.k}")
-    blocks = list(t.blocks)
-    flags = list(t.active)
-    blocks.insert(position, (element,))
-    flags.insert(position, active)
-    return Trace(tuple(blocks), tuple(flags))
-
-
 def _run_encoding(h: PathDiagram, by_gap_rank: bool) -> OrderedSetPartition:
     """Decode h.  An N/E label names the gap of the new block: it counts the
     gaps right of it (phi) or is read by ``_gap`` (psi).  An O/D label l
@@ -389,13 +359,8 @@ def _run_encoding(h: PathDiagram, by_gap_rank: bool) -> OrderedSetPartition:
     for i, (step, label) in enumerate(zip(h.path.steps, h.labels), start=1):
         if step == NORTH or step == EAST:
             r = len(blocks)
-            if by_gap_rank:  # phi reads no special gaps
-                pos = r - label
-                low = (1 << pos) - 1
-                active = active & low | (active & ~low) << 1 | (step == NORTH) << pos
-            else:
-                pos = _gap(special, r, label)
-                active, special = _insert(active, special, r, pos, step == NORTH)
+            pos = r - label if by_gap_rank else _gap(special, r, label)
+            active, special = _insert(active, special, r, pos, step == NORTH)
             blocks.insert(pos, [i])
         else:
             mask = active
@@ -405,10 +370,7 @@ def _run_encoding(h: PathDiagram, by_gap_rank: bool) -> OrderedSetPartition:
             pos = mask.bit_length() - 1
             blocks[pos].append(i)
             if step == SOUTH_EAST:
-                if by_gap_rank:
-                    active ^= 1 << pos  # phi keeps the active mask only
-                else:
-                    active, special = _close(active, special, 1 << pos)
+                active, special = _close(active, special, 1 << pos)
     assert not active
     # each block grew in increasing order and every element of [n] went
     # into one block, so the blocks are a sorted partition of [n]
@@ -490,7 +452,7 @@ def phi_inv(pi: OrderedSetPartition) -> PathDiagram:
 
 def psi(h: PathDiagram) -> OrderedSetPartition:
     """Decode a path diagram inserting new blocks at the gap whose relabelled
-    number equals the step label (see ``insertion_labels``)."""
+    number equals the step label (see ``_gap``)."""
     return _run_encoding(h, by_gap_rank=False)
 
 

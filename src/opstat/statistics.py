@@ -71,21 +71,19 @@ Three counters compare elements with the other blocks' openers and closers:
   ``table_side``, one object at a time.
 
 ``binv``, ``bdes_set`` and ``bmaj`` compare blocks by definition; they are
-the reference for the kernel's block statistics and also accept traces,
-whose active blocks close at infinity.
+the reference for the kernel's block statistics.
 """
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import OrderedSetPartition, Trace
+from .core import OrderedSetPartition
 
 __all__ = [
     "CoordStats",
@@ -99,8 +97,6 @@ __all__ = [
     "binv",
     "bdes_set",
     "bmaj",
-    "trace_rsb",
-    "trace_ros",
     "composite",
     "six_composites",
     "table_side",
@@ -189,65 +185,36 @@ def coordinate_table(pi: OrderedSetPartition) -> dict[str, list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Block statistics (shared by partitions and traces)
+# Block statistics
 # ---------------------------------------------------------------------------
 
-PartitionLike = Union[OrderedSetPartition, Trace]
-
-
-def _block_bounds(obj: PartitionLike) -> list[tuple[int, float]]:
-    """(opener, effective closer) per block; an active trace block closes at
-    +infinity."""
-    if isinstance(obj, Trace):
-        return [
-            (block[0], math.inf if flag else block[-1])
-            for block, flag in zip(obj.blocks, obj.active)
-        ]
-    return [(block[0], block[-1]) for block in obj.blocks]
-
-
-def block_relation(pi: PartitionLike, i: int, j: int) -> bool:
+def block_relation(pi: OrderedSetPartition, i: int, j: int) -> bool:
     """Whether block i dominates block j: min(B_i) > max(B_j)."""
-    bounds = _block_bounds(pi)
-    if not (1 <= i <= len(bounds) and 1 <= j <= len(bounds)):
+    blocks = pi.blocks
+    if not (1 <= i <= len(blocks) and 1 <= j <= len(blocks)):
         raise ValueError("block index out of range")
-    return bounds[i - 1][0] > bounds[j - 1][1]
+    return blocks[i - 1][0] > blocks[j - 1][-1]
 
 
-def binv(pi: PartitionLike) -> int:
+def binv(pi: OrderedSetPartition) -> int:
     """Number of pairs i < j with block i dominating block j."""
-    bounds = _block_bounds(pi)
+    blocks = pi.blocks
     return sum(
         1
-        for a in range(len(bounds))
-        for b in range(a + 1, len(bounds))
-        if bounds[a][0] > bounds[b][1]
+        for a in range(len(blocks))
+        for b in range(a + 1, len(blocks))
+        if blocks[a][0] > blocks[b][-1]
     )
 
 
-def bdes_set(pi: PartitionLike) -> set[int]:
+def bdes_set(pi: OrderedSetPartition) -> set[int]:
     """Positions i with block i dominating block i+1."""
-    bounds = _block_bounds(pi)
-    return {a + 1 for a in range(len(bounds) - 1) if bounds[a][0] > bounds[a + 1][1]}
+    blocks = pi.blocks
+    return {a + 1 for a in range(len(blocks) - 1) if blocks[a][0] > blocks[a + 1][-1]}
 
 
-def bmaj(pi: PartitionLike) -> int:
+def bmaj(pi: OrderedSetPartition) -> int:
     return sum(bdes_set(pi))
-
-
-def trace_rsb(t: Trace, i: int) -> int:
-    """Active blocks strictly right of i's block whose opener is below i."""
-    pos = t.block_index(i)
-    return sum(
-        1
-        for j in range(pos, t.k)
-        if t.active[j] and t.blocks[j][0] < i
-    )
-
-
-def trace_ros(t: Trace, i: int) -> int:
-    """Blocks strictly right of the block containing i."""
-    return t.k - t.block_index(i)
 
 
 # ---------------------------------------------------------------------------

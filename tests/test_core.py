@@ -1,10 +1,10 @@
 import pytest
+from trace_reference import restrict, trace_text
 
 from opstat.core import (
     OrderedSetPartition,
     PartitionType,
     Permutation,
-    Trace,
     decompose_doubleton,
     doubleton_partition,
     from_d_code,
@@ -66,6 +66,21 @@ def test_element_above_declared_n_rejected():
 def test_missing_elements_rejected():
     with pytest.raises(ValueError, match="missing"):
         OrderedSetPartition.parse("1 3", n=3)
+
+
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        (lambda: OrderedSetPartition.from_blocks([[1], [2.0]]), "2.0"),
+        (lambda: OrderedSetPartition(2, ((1,), (2.0,))), "2.0"),
+        (lambda: OrderedSetPartition(2, ((True,), (2,))), "True"),
+        (lambda: OrderedSetPartition(True, ((1,),)), "True"),
+    ],
+    ids=["from_blocks-float", "float-element", "bool-element", "bool-n"],
+)
+def test_partition_takes_only_int_sizes_and_elements(build, named):
+    with pytest.raises(ValueError, match=f"must be an integer, got {named}"):
+        build()
 
 
 def test_json_shape():
@@ -193,47 +208,29 @@ def test_complement_involution():
 
 
 # ---------------------------------------------------------------------------
-# Traces
+# Traces: the restrictions of the tests' reference
 # ---------------------------------------------------------------------------
 
 def test_trace_worked_example():
     pi = OrderedSetPartition.parse("3 5 7/1 4 10/9/6/2 8")
-    assert pi.trace(7).to_text() == "3 5 7/1 4 ∞/6/2 ∞"
+    assert trace_text(*restrict(pi, 7)) == "3 5 7/1 4 ∞/6/2 ∞"
 
 
 def test_trace_zero_is_empty():
     pi = OrderedSetPartition.parse("3 5 7/1 4 10/9/6/2 8")
-    assert pi.trace(0) == Trace((), ())
+    assert restrict(pi, 0) == ((), ())
 
 
 def test_trace_restriction_drops_empty_blocks():
     pi = OrderedSetPartition.parse("6 8/5/1 4 7/3 9/2")
-    assert pi.trace(5).to_text() == "5/1 4 ∞/3 ∞/2"
+    assert trace_text(*restrict(pi, 5)) == "5/1 4 ∞/3 ∞/2"
 
 
 def test_trace_full_is_partition():
     for pi in set_partitions(5):
-        t = pi.trace(pi.n)
-        assert not any(t.active)
-        assert t.to_partition() == pi
-
-
-def test_trace_parse_accepts_inf():
-    t = Trace.parse("3 5 7/1 4 inf/6/2 inf")
-    assert t.active == (False, True, False, True)
-    assert t.to_text() == "3 5 7/1 4 ∞/6/2 ∞"
-
-
-@pytest.mark.parametrize("text", ["1_0/2 \u221e", "\uff12 \u221e/1"])
-def test_trace_parse_takes_only_ascii_decimal_tokens(text):
-    with pytest.raises(ValueError, match="not a decimal number"):
-        Trace.parse(text)
-
-
-def test_trace_index_bounds():
-    pi = OrderedSetPartition.parse("1 2")
-    with pytest.raises(ValueError):
-        pi.trace(3)
+        blocks, active = restrict(pi, pi.n)
+        assert not any(active)
+        assert blocks == pi.blocks
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +277,12 @@ def test_code_range_validation():
 def test_permutation_validation():
     with pytest.raises(ValueError):
         Permutation((1, 1, 2))
+
+
+@pytest.mark.parametrize("images, named", [((1.0, 2), "1.0"), ((2, True), "True")])
+def test_permutation_takes_only_int_images(images, named):
+    with pytest.raises(ValueError, match=f"must be an integer, got {named}"):
+        Permutation(images)
 
 
 @pytest.mark.parametrize("text", ["\uff12\uff11", "2 \uff11", "1_0 1 2 3 4 5 6 7 8 9"])

@@ -4,6 +4,7 @@ from functools import cache
 from math import factorial
 
 import pytest
+from trace_reference import insertion_positions_by_sets
 
 from opstat.core import OrderedSetPartition, Permutation
 from opstat.families import (
@@ -23,7 +24,6 @@ from opstat.families import (
     subdiagonal_vectors,
     words,
 )
-from opstat.paths import _insertion_positions
 from opstat.statistics import stat
 
 
@@ -233,6 +233,13 @@ def test_beta_validation():
         beta(OrderedSetPartition.parse("3/1 2"), (0, 0))
 
 
+@pytest.mark.parametrize("c, named", [((0, True), "c_2 must be an integer, got True"),
+                                      ((0.0, 0), "c_1 must be an integer, got 0.0")])
+def test_beta_takes_only_int_entries(c, named):
+    with pytest.raises(ValueError, match=named):
+        beta(OrderedSetPartition.parse("1 2/3"), c)
+
+
 def _beta_per_call(pi0, c):
     """beta with the class's type, opener ranks and openers rebuilt on every
     call and each block found by a scan: the reference for ``beta``."""
@@ -249,7 +256,7 @@ def _beta_per_call(pi0, c):
             c_j = c[rank[i] - 1]
             if not 0 <= c_j <= rank[i] - 1:
                 raise ValueError(f"entry c_{rank[i]}={c_j} outside 0..{rank[i] - 1}")
-            pos = _insertion_positions(blocks, active)[c_j]
+            pos = insertion_positions_by_sets(blocks, active)[c_j]
             blocks.insert(pos, [i])
             active.insert(pos, i in lam.openers)
         else:

@@ -3,8 +3,19 @@ import itertools
 from bisect import bisect_left
 
 import pytest
+from trace_reference import (
+    gap_order,
+    insertion_positions_by_sets,
+    masks_by_sets,
+    parse_trace,
+    restrict,
+    trace_bmaj,
+    trace_rsb,
+    trace_text,
+    with_block,
+)
 
-from opstat.core import OrderedSetPartition, PartitionType, Permutation, Trace
+from opstat.core import OrderedSetPartition, PartitionType, Permutation
 from opstat.families import (
     _paths,
     beta,
@@ -24,24 +35,21 @@ from opstat.paths import (
     _close,
     _gap,
     _insert,
-    _insertion_positions,
     diagram_permutation,
     g_map,
     gamma_sigma,
-    insertion_labels,
     phi,
     phi_inv,
     psi,
     psi_inv,
     step_word,
     theta_map,
-    trace_with_block,
     upsilon,
     upsilon_inv,
     varphi,
     xi_map,
 )
-from opstat.statistics import bmaj, coord_stats, stat_restricted, trace_rsb
+from opstat.statistics import bmaj, coord_stats, stat_restricted
 
 # the running example: a depth-5 path of length 10 with its label sequence
 RUN_PATH = LatticePath.parse("NNNOOEDDED")
@@ -163,6 +171,12 @@ def test_diagram_label_bounds():
         PathDiagram(LatticePath.parse("ND"), (0,))
 
 
+@pytest.mark.parametrize("labels, named", [((False,), "False at step 1"), ((0.0,), "0.0 at step 1")])
+def test_diagram_takes_only_int_labels(labels, named):
+    with pytest.raises(ValueError, match=f"must be an integer, got {named}"):
+        PathDiagram(LatticePath.parse("E"), labels)
+
+
 def test_diagram_text_roundtrip():
     assert PathDiagram.parse(RUN.to_text()) == RUN
     assert PathDiagram.parse("NNNOOEDDED:0,0,2,1,2,3,2,0,1,0") == RUN
@@ -237,12 +251,12 @@ def test_psi_all_east_appends_rightwards():
 
 
 def test_insertion_labels_worked_example():
-    t = Trace.parse("6 11 ∞/3 5 7/1 4 10 ∞/9/2 8")
-    assert insertion_labels(t) == (5, 4, 2, 0, 1, 3)
+    t = parse_trace("6 11 ∞/3 5 7/1 4 10 ∞/9/2 8")
+    assert gap_order(*t) == (5, 4, 2, 0, 1, 3)
 
 
 def test_insertion_labels_empty_trace():
-    assert insertion_labels(Trace((), ())) == (0,)
+    assert gap_order((), ()) == (0,)
 
 
 INSERTED = {
@@ -256,14 +270,14 @@ INSERTED = {
 
 
 def test_insertion_golden_table():
-    t = Trace.parse("6 11 ∞/3 5 7/1 4 10 ∞/9/2 8")
-    labels = insertion_labels(t)
-    base = bmaj(t)
+    t = parse_trace("6 11 ∞/3 5 7/1 4 10 ∞/9/2 8")
+    labels = gap_order(*t)
+    base = trace_bmaj(*t)
     assert base == 4
     for level, expected in INSERTED.items():
-        t2 = trace_with_block(t, labels[level], 12)
-        assert t2.to_text() == expected
-        assert trace_rsb(t2, 12) + bmaj(t2) - base == level
+        t2 = with_block(*t, labels[level], 12)
+        assert trace_text(*t2) == expected
+        assert trace_rsb(*t2, 12) + trace_bmaj(*t2) - base == level
 
 
 def test_insertion_law_everywhere():
@@ -271,13 +285,13 @@ def test_insertion_law_everywhere():
     # every trace of every small ordered partition, active or plain blocks
     for pi in ordered_set_partitions(5):
         for i in range(pi.n):
-            t = pi.trace(i)
-            labels = insertion_labels(t)
-            base = bmaj(t)
+            t = restrict(pi, i)
+            labels = gap_order(*t)
+            base = trace_bmaj(*t)
             for level in range(len(labels)):
                 for active in (False, True):
-                    t2 = trace_with_block(t, labels[level], i + 1, active)
-                    assert trace_rsb(t2, i + 1) + bmaj(t2) - base == level
+                    t2 = with_block(*t, labels[level], i + 1, active)
+                    assert trace_rsb(*t2, i + 1) + trace_bmaj(*t2) - base == level
 
 
 def test_psi_label_law():
@@ -306,7 +320,7 @@ def test_psi_inv_labels_match_trace_formula():
             for i in range(1, n + 1):
                 rsb = coord_stats(pi, i).rsb
                 if i in os:
-                    cur = bmaj(pi.trace(i))
+                    cur = trace_bmaj(*restrict(pi, i))
                     expected.append(rsb + cur - prev)
                     prev = cur
                 else:
@@ -535,31 +549,6 @@ def test_encoders_build_what_the_validating_constructors_accept():
                     assert out == OrderedSetPartition.from_blocks(out.blocks, n=out.n)
 
 
-def _insertion_positions_by_sets(blocks, active):
-    """The gap relabelling built from two sets and two sorts: the reference
-    for ``_insertion_positions``."""
-    r = len(blocks)
-    act = {j for j in range(r) if active[j]}
-    desc = {
-        j
-        for j in range(1, r)
-        if not active[j] and blocks[j - 1][0] > blocks[j][-1]
-    }
-    special = sorted(act | desc, reverse=True)
-    rest = sorted(set(range(r)) - act - desc)
-    return (r, *special, *rest)
-
-
-def test_insertion_positions_match_the_set_and_sort_reference():
-    for n in range(1, 7):
-        for pi in ordered_set_partitions(n):
-            for i in range(n + 1):
-                t = pi.trace(i)
-                blocks, active = [list(b) for b in t.blocks], list(t.active)
-                assert _insertion_positions(blocks, active) == _insertion_positions_by_sets(blocks, active)
-
-
-
 # ---------------------------------------------------------------------------
 # The state-count label reading and the open-block decoder, against the
 # trace-replaying encoders
@@ -588,7 +577,7 @@ def _grow(builder_blocks, builder_active, step, label, i, by_gap_rank):
         if by_gap_rank:
             pos = len(builder_blocks) - label
         else:
-            pos = _insertion_positions(builder_blocks, builder_active)[label]
+            pos = insertion_positions_by_sets(builder_blocks, builder_active)[label]
         builder_blocks.insert(pos, [i])
         builder_active.insert(pos, step == NORTH)
     else:
@@ -618,7 +607,7 @@ def _read_labels_by_replay(pi: OrderedSetPartition, by_gap_rank: bool) -> PathDi
 
     The steps are ``step_word(pi)``.  A new block goes to the gap left of
     the trace blocks that follow it in pi; its label is that gap's rank from
-    the right (phi) or its index in ``_insertion_positions`` (psi).  Any
+    the right (phi) or its index in the set reference's gap order (psi).  Any
     other element's label is the number of active blocks right of its block.
     Every label lies within its step's bounds, so the diagram is built
     unchecked.
@@ -639,7 +628,7 @@ def _read_labels_by_replay(pi: OrderedSetPartition, by_gap_rank: bool) -> PathDi
             if by_gap_rank:
                 labels.append(len(blocks) - pos)
             else:
-                labels.append(_insertion_positions(blocks, active).index(pos))
+                labels.append(insertion_positions_by_sets(blocks, active).index(pos))
             order.insert(pos, b)
             blocks.insert(pos, [i])
             active.insert(pos, step == NORTH)
@@ -674,18 +663,8 @@ def test_encoders_match_the_trace_replaying_reference():
 
 # ---------------------------------------------------------------------------
 # The mask step (``_gap``, the insert rule and the close rule), against the
-# masks of traces grown from real blocks by ``_insertion_positions``
+# masks of traces grown from real blocks by the set reference
 # ---------------------------------------------------------------------------
-
-def _masks_by_sets(blocks, active):
-    """The active and special masks of an explicit trace, from the sets of
-    ``_insertion_positions_by_sets``: bit j for block j and the gap left of
-    it."""
-    r = len(blocks)
-    act = {j for j in range(r) if active[j]}
-    desc = {j for j in range(1, r) if not active[j] and blocks[j - 1][0] > blocks[j][-1]}
-    return sum(1 << j for j in act), sum(1 << j for j in act | desc)
-
 
 def _step_masks(masks, r, step, pos):
     """The masks after one step of a trace of r blocks: a new block at gap
@@ -701,14 +680,14 @@ def test_gap_matches_the_set_and_sort_reference():
     for n in range(1, 7):
         for pi in ordered_set_partitions(n):
             for i in range(n + 1):
-                t = pi.trace(i)
-                blocks, active = [list(b) for b in t.blocks], list(t.active)
-                r, special = len(blocks), _masks_by_sets(blocks, active)[1]
-                gaps = tuple(_gap(special, r, label) for label in range(r + 1))
-                assert gaps == _insertion_positions_by_sets(blocks, active)
+                t = restrict(pi, i)
+                assert gap_order(*t) == insertion_positions_by_sets(*t)
 
 
-def test_mask_step_follows_the_traces_that_psi_grows():
+def _replay_the_mask_step(by_gap_rank):
+    """Grow the traces of every path diagram with n <= 6 under phi
+    (``by_gap_rank``) or psi, keep the masks by the insert and close rules,
+    and compare them with the set reference at every step."""
     count = 0
     for n in range(1, 7):
         for k in range(1, n + 1):
@@ -716,17 +695,30 @@ def test_mask_step_follows_the_traces_that_psi_grows():
                 blocks, active, masks = [], [], (0, 0)
                 for i, (step, label) in enumerate(zip(h.path.steps, h.labels), start=1):
                     r = len(blocks)
-                    if step in (NORTH, EAST):
-                        pos = _insertion_positions(blocks, active)[label]
-                        assert _gap(masks[1], r, label) == pos
-                    else:
+                    if step not in (NORTH, EAST):
                         pos = _active_index_from_right(active, label)
-                    _grow(blocks, active, step, label, i, by_gap_rank=False)
+                    elif by_gap_rank:
+                        pos = r - label
+                    else:
+                        pos = insertion_positions_by_sets(blocks, active)[label]
+                        assert _gap(masks[1], r, label) == pos
+                    _grow(blocks, active, step, label, i, by_gap_rank)
                     masks = _step_masks(masks, r, step, pos)
-                    assert masks == _masks_by_sets(blocks, active)
-                assert tuple(map(tuple, blocks)) == psi(h).blocks
+                    assert masks == masks_by_sets(blocks, active)
+                decode = phi if by_gap_rank else psi
+                assert tuple(map(tuple, blocks)) == decode(h).blocks
                 count += 1
-    assert count == 5316
+    return count
+
+
+def test_mask_step_follows_the_traces_that_psi_grows():
+    assert _replay_the_mask_step(by_gap_rank=False) == 5316
+
+
+def test_mask_step_follows_the_traces_that_phi_grows():
+    # the special gaps belong to the trace, not to the encoding: on the
+    # traces that phi grows by gap rank the rules keep them just as well
+    assert _replay_the_mask_step(by_gap_rank=True) == 5316
 
 
 def test_mask_step_follows_the_traces_that_psi_inv_reads():
@@ -740,14 +732,14 @@ def test_mask_step_follows_the_traces_that_psi_inv_reads():
             for i, (step, label) in enumerate(zip(h.path.steps, h.labels), start=1):
                 r, pos = len(blocks), bisect_left(order, owner[i])
                 if step in (NORTH, EAST):
-                    assert _insertion_positions(blocks, active)[label] == pos
+                    assert insertion_positions_by_sets(blocks, active)[label] == pos
                     assert _gap(masks[1], r, label) == pos
                     order.insert(pos, owner[i])
                 else:
                     assert _active_index_from_right(active, label) == pos
                 _grow(blocks, active, step, label, i, by_gap_rank=False)
                 masks = _step_masks(masks, r, step, pos)
-                assert masks == _masks_by_sets(blocks, active)
+                assert masks == masks_by_sets(blocks, active)
             assert tuple(map(tuple, blocks)) == pi.blocks
             count += 1
     assert count == 5316
@@ -766,7 +758,7 @@ def test_mask_step_follows_the_traces_that_beta_grows():
                     r = len(blocks)
                     if step in (NORTH, EAST):
                         c_j = next(entries)
-                        pos = _insertion_positions(blocks, active)[c_j]
+                        pos = insertion_positions_by_sets(blocks, active)[c_j]
                         assert _gap(masks[1], r, c_j) == pos
                         blocks.insert(pos, [i])
                         active.insert(pos, step == NORTH)
@@ -775,7 +767,7 @@ def test_mask_step_follows_the_traces_that_beta_grows():
                         blocks[pos].append(i)
                         active[pos] = step != SOUTH_EAST
                     masks = _step_masks(masks, r, step, pos)
-                    assert masks == _masks_by_sets(blocks, active)
+                    assert masks == masks_by_sets(blocks, active)
                 assert tuple(map(tuple, blocks)) == beta(pi0, c).blocks
                 count += 1
     assert count == sum(fubini(n) for n in range(1, 7))

@@ -3,18 +3,17 @@ mirroring the exhaustive small-n checks."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from order_reference import order_row
+from trace_reference import gap_order, restrict, trace_bmaj, trace_rsb, with_block
 
 from opstat.core import OrderedSetPartition
 from opstat.families import beta, beta_inv
 from opstat.motzkin import lambda_map
 from opstat.paths import (
-    insertion_labels,
     phi,
     phi_inv,
     psi,
     psi_inv,
     theta_map,
-    trace_with_block,
     upsilon,
     varphi,
     xi_map,
@@ -28,7 +27,6 @@ from opstat.statistics import (
     stat,
     stat_restricted,
     table_side,
-    trace_rsb,
     transport_side,
 )
 
@@ -121,13 +119,13 @@ def test_beta_roundtrip_random(pi, data):
 @given(partitions(), st.data())
 def test_insertion_law_random(pi, data):
     i = data.draw(st.integers(0, pi.n - 1))
-    t = pi.trace(i)
-    labels = insertion_labels(t)
+    t = restrict(pi, i)
+    labels = gap_order(*t)
     level = data.draw(st.integers(0, len(labels) - 1))
     active = data.draw(st.booleans())
-    base = bmaj(t)
-    t2 = trace_with_block(t, labels[level], i + 1, active)
-    assert trace_rsb(t2, i + 1) + bmaj(t2) - base == level
+    base = trace_bmaj(*t)
+    t2 = with_block(*t, labels[level], i + 1, active)
+    assert trace_rsb(*t2, i + 1) + trace_bmaj(*t2) - base == level
 
 
 @settings(max_examples=60)

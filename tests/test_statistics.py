@@ -4,8 +4,9 @@ from collections import Counter
 
 import pytest
 from order_reference import order_row, packed_pair_term, pair_rows
+from trace_reference import parse_trace, trace_bdes_set, trace_bmaj, trace_ros, trace_rsb
 
-from opstat.core import OrderedSetPartition, Trace
+from opstat.core import OrderedSetPartition
 from opstat.families import ordered_set_partitions, set_partitions, stirling2
 from opstat.statistics import (
     COORD_NAMES,
@@ -25,8 +26,6 @@ from opstat.statistics import (
     stat_restricted,
     table_side,
     transport_side,
-    trace_ros,
-    trace_rsb,
     unpack_totals,
 )
 
@@ -152,9 +151,9 @@ def test_binv_zero_when_no_domination():
 
 
 def test_bmaj_on_trace_with_active_blocks():
-    t = Trace.parse("6 11 ∞/3 5 7/1 4 10 ∞/9/2 8")
-    assert bdes_set(t) == {4}
-    assert bmaj(t) == 4
+    t = parse_trace("6 11 ∞/3 5 7/1 4 10 ∞/9/2 8")
+    assert trace_bdes_set(*t) == {4}
+    assert trace_bmaj(*t) == 4
 
 
 def test_block_statistic_bounds():
@@ -167,14 +166,14 @@ def test_block_statistic_bounds():
 
 
 def test_trace_rsb_worked_example():
-    t = Trace.parse("3 5 7/1 4 ∞/6/2 ∞")
-    assert trace_rsb(t, 7) == 2
-    assert trace_ros(t, 7) == 3
+    t = parse_trace("3 5 7/1 4 ∞/6/2 ∞")
+    assert trace_rsb(*t, 7) == 2
+    assert trace_ros(*t, 7) == 3
 
 
 def test_trace_rsb_no_active():
-    t = Trace.parse("1 2/3")
-    assert all(trace_rsb(t, i) == 0 for i in (1, 2, 3))
+    t = parse_trace("1 2/3")
+    assert all(trace_rsb(*t, i) == 0 for i in (1, 2, 3))
 
 
 # ---------------------------------------------------------------------------

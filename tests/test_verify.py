@@ -932,6 +932,13 @@ def test_a_parameter_that_is_not_an_int_is_refused_by_name(theorem, params, name
         verify(theorem, **params)
 
 
+def test_thm35_is_never_given_a_partition_of_floats():
+    # from_blocks took 2.0 as an element, and thm3.5 then ended in a raw
+    # TypeError while reading the partition's labels
+    with pytest.raises(ValueError, match="must be an integer, got 2.0"):
+        verify("thm3.5", pi=OrderedSetPartition.from_blocks([[1], [2.0]]))
+
+
 def test_zero_parts_inside_a_composition_are_allowed():
     assert verify("eq1.1", parts=(2, 0, 1)).passed
     assert verify("doubleton", parts=(1, 0, 1)).passed
