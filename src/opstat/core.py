@@ -261,6 +261,13 @@ class PartitionType:
 _BLOCK_SPLIT = re.compile(r"[\s,]+")
 
 
+def _element(el: object) -> int:
+    """``el``, refused before it is compared unless it is an ``int``."""
+    if type(el) is not int:  # a float or a bool is not an element
+        raise ValueError(f"an element must be an integer, got {el!r}")
+    return el
+
+
 @dataclass(frozen=True)
 class OrderedSetPartition:
     """A sequence of disjoint nonempty blocks whose union is {1, ..., n}.
@@ -279,11 +286,9 @@ class OrderedSetPartition:
         for block in self.blocks:
             if not block:
                 raise ValueError("empty block")
-            if list(block) != sorted(block):
+            if list(block) != sorted(block, key=_element):
                 raise ValueError(f"block not sorted: {block}")
             for el in block:
-                if type(el) is not int:
-                    raise ValueError(f"an element must be an integer, got {el!r}")
                 if not 1 <= el <= self.n:
                     raise ValueError(f"element {el} outside 1..{self.n}")
                 if el in seen:
@@ -305,7 +310,7 @@ class OrderedSetPartition:
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], n: int | None = None) -> OrderedSetPartition:
-        normalized = tuple(tuple(sorted(b)) for b in blocks)
+        normalized = tuple(tuple(sorted(b, key=_element)) for b in blocks)
         if n is None:
             n = max((el for b in normalized for el in b), default=0)
         return cls(n, normalized)

@@ -13,7 +13,7 @@ determine the other six coordinates of i:
     lob = L - los    lcb = L - lcs    lsb = los - lcs = lcb - lob
     rob = R - ros    rcb = R - rcs    rsb = ros - rcs = rcb - rob
 
-Three counters compare elements with the other blocks' openers and closers:
+Five counters compare elements with the other blocks' openers and closers:
 
 * ``coord_stats`` counts all ten coordinates of one element literally; it
   is the reference the tests compare the kernel against.

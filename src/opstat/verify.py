@@ -149,40 +149,32 @@ def _as_standard_partition(pi: Union[OrderedSetPartition, str]) -> OrderedSetPar
 
 
 # ---------------------------------------------------------------------------
-# One fold, keyed per distinct row, for every enumerated sum
+# Two folds: objects keyed as they are visited, and rows a kernel packs
 # ---------------------------------------------------------------------------
 
 def _fold(family: Iterable, row: Callable, keys: Callable, slots: int, check: Callable | None = None) -> tuple:
-    """Count j sums the j-th of the ``slots`` keys in ``keys(row(obj))``
-    over the family, keying each distinct row once, weighted by its number
-    of objects.  ``check(obj, row(obj))`` runs on every object in order until
-    it first returns a counterexample, which is returned beside the counts."""
+    """Count j sums the j-th of the ``slots`` keys in ``keys(row(obj))`` over
+    the family, each object keyed as it is visited.  ``check(obj, row(obj))``
+    runs on every object in order until it first returns a counterexample."""
+    counts: list[dict] = [{} for _ in range(slots)]
     first = None
-    if check is None:
-        rows = Counter(map(row, family))
-    else:
-        rows = Counter()
-        for obj in family:
-            values = row(obj)
-            rows[values] = rows.get(values, 0) + 1
-            if first is None:
-                first = check(obj, values)
-    return _key_counts(rows, keys, slots), first
+    for obj in family:
+        values = row(obj)
+        for counter, key in zip(counts, keys(values)):
+            counter[key] = counter.get(key, 0) + 1
+        if first is None and check is not None:
+            first = check(obj, values)
+    return counts, first
 
 
-def _key_counts(rows: Counter, keys: Callable, slots: int) -> list[dict]:
-    """Each distinct row keyed once, weighted by its number of objects."""
+def _key_counts(rows: dict, keys: Callable, slots: int) -> list[dict]:
+    """The counts of ``_fold`` for rows already counted, as ``Counter``
+    counts a kernel's packed rows: each distinct row keyed once."""
     counts: list[dict] = [{} for _ in range(slots)]
     for values, objects in rows.items():
         for counter, key in zip(counts, keys(values)):
             counter[key] = counter.get(key, 0) + objects
     return counts
-
-
-def _sum_sweep(family: Iterable, row: Callable, keys: Callable, slots: int, rhs: LaurentPolynomial) -> tuple:
-    """Each of the ``slots`` sums of ``_fold`` against ``rhs``."""
-    counts, _ = _fold(family, row, keys, slots)
-    return [(LaurentPolynomial(c), rhs) for c in counts], None
 
 
 def _q_keys(row: Sequence[int]) -> list[tuple[int, int, int, int]]:
@@ -193,8 +185,8 @@ def _q_keys(row: Sequence[int]) -> list[tuple[int, int, int, int]]:
 def _eq23_sweep(n: int, k: int) -> tuple[list, None]:
     """p^rcb q^lsb over the standard forms, each drawn as its (rcb, lsb)."""
     rows = Counter(set_partitions(n, k, fields=("rcb", "lsb")))
-    lhs = LaurentPolynomial({(rcb, lsb, 0, 0): count for (rcb, lsb), count in rows.items()})
-    return [(lhs, stirling_pq(n, k))], None
+    (counts,) = _key_counts(rows, lambda row: ((*row, 0, 0),), 1)
+    return [(LaurentPolynomial(counts), stirling_pq(n, k))], None
 
 
 # ---------------------------------------------------------------------------
@@ -352,15 +344,15 @@ def _upsilon_violation(pi: OrderedSetPartition, row: tuple) -> str | None:
     return None
 
 
-def _type_triples(row: tuple) -> tuple[tuple, ...]:
-    """The bInv- and bMaj-based triples, keyed by type and as exponents."""
+def _type_triples(row: tuple) -> tuple[tuple, tuple]:
+    """The bInv- and bMaj-based triples, each keyed with the type."""
     word, a, b, ci, c, d, cm, _ = row
-    return (word, a, b, ci), (word, c, d, cm), (a, b, ci, 0), (c, d, cm, 0)
+    return (word, a, b, ci), (word, c, d, cm)
 
 
 def _thm33_sweep(n: int, k: int) -> tuple[list, str | None]:
-    (inv_by_type, maj_by_type, inv, maj), counterexample = _fold(
-        ordered_set_partitions(n, k, allow_large=True), _typed_side, _type_triples, 4,
+    (inv_by_type, maj_by_type), counterexample = _fold(
+        ordered_set_partitions(n, k, allow_large=True), _typed_side, _type_triples, 2,
         _upsilon_violation,
     )
     # both counters count every object of a type once, so the per-type
@@ -370,7 +362,9 @@ def _thm33_sweep(n: int, k: int) -> tuple[list, str | None]:
     )
     if bad_word is not None and counterexample is None:
         counterexample = f"type {LatticePath(tuple(bad_word)).partition_type()}"
-    # equal per-type distributions make the totals equal
+    # equal per-type distributions make the totals equal; a total drops the type
+    untyped = lambda key: ((*key[1:], 0),)
+    inv, maj = (_key_counts(by_type, untyped, 1)[0] for by_type in (inv_by_type, maj_by_type))
     return [(LaurentPolynomial(maj), LaurentPolynomial(inv))], counterexample
 
 
@@ -508,8 +502,8 @@ _CHECKS = {
         lambda p: factorial(p["pi"].k),
     ),
     # words have sum(parts) letters, doubleton partitions 2 * sum(parts) elements
-    "eq1.1": _Check(("parts",), lambda parts: _sum_sweep(
-        words(parts), _word_inv_maj, _q_keys, 2, _q_multinomial(parts)),
+    "eq1.1": _Check(("parts",), lambda parts: ([(LaurentPolynomial(c), rhs) for rhs in [_q_multinomial(parts)]
+        for c in _fold(words(parts), _word_inv_maj, _q_keys, 2)[0]], None),
         "word distribution mismatch", lambda p: sum(p["parts"]), lambda p: _word_count(p["parts"])),
     "eq2.3": _Check(("n", "k"), _eq23_sweep, "distribution mismatch"),
     "eq5.8": _op_check("eq5.8", "t-refined distribution mismatch"),

@@ -75,8 +75,13 @@ def test_missing_elements_rejected():
         (lambda: OrderedSetPartition(2, ((1,), (2.0,))), "2.0"),
         (lambda: OrderedSetPartition(2, ((True,), (2,))), "True"),
         (lambda: OrderedSetPartition(True, ((1,),)), "True"),
+        # refused by name before a block is sorted or n is inferred
+        (lambda: OrderedSetPartition(2, ((1, "a"),)), "'a'"),
+        (lambda: OrderedSetPartition.from_blocks([[1, "2"]]), "'2'"),
+        (lambda: OrderedSetPartition.from_blocks([[1], ["2"]]), "'2'"),
     ],
-    ids=["from_blocks-float", "float-element", "bool-element", "bool-n"],
+    ids=["from_blocks-float", "float-element", "bool-element", "bool-n", "str-element", "from_blocks-str-element",
+         "from_blocks-str-block"],
 )
 def test_partition_takes_only_int_sizes_and_elements(build, named):
     with pytest.raises(ValueError, match=f"must be an integer, got {named}"):

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import json
+import math
 import random
 from collections import Counter
 
@@ -8,7 +9,7 @@ import pytest
 from order_reference import order_row
 
 from opstat.core import OrderedSetPartition
-from opstat.families import DeskScaleError, beta
+from opstat.families import DeskScaleError, beta, permutations, set_partitions, stirling2
 from opstat.qpoly import LaurentPolynomial, q_factorial
 from opstat.verify import THEOREM_IDS, VerificationReport, run_task, verify
 
@@ -815,6 +816,60 @@ def test_all_ids_are_runnable():
     assert set(params) == set(THEOREM_IDS)
     for theorem, kwargs in params.items():
         assert verify(theorem, **kwargs).passed
+
+
+def _enumerated_tasks():
+    """(id, params, family size) for every id that enumerates: n <= 5 at
+    every k, every sigma of thm3.1, every standard form of thm3.5, and
+    every composition with sum <= 4."""
+    for n in range(1, 6):
+        for k in range(1, n + 1):
+            orders = math.factorial(k) * stirling2(n, k)
+            for theorem in ("thm3.2", "thm3.3", "thm3.4", "eq5.8", "eq9.2"):
+                yield theorem, dict(n=n, k=k), orders
+            yield "eq2.3", dict(n=n, k=k), stirling2(n, k)
+            for sigma in permutations(k):
+                yield "thm3.1", dict(n=n, k=k, sigma=sigma), stirling2(n, k)
+            for pi in set_partitions(n, k):
+                yield "thm3.5", dict(pi=pi), math.factorial(k)
+    for total in range(1, 5):
+        for length in range(1, total + 1):
+            for parts in itertools.product(range(1, total + 1), repeat=length):
+                if sum(parts) == total:
+                    words = math.factorial(total) // math.prod(map(math.factorial, parts))
+                    yield "eq1.1", dict(parts=parts), words
+                    yield "doubleton", dict(parts=parts), math.factorial(total)
+
+
+def test_every_enumerated_sum_counts_its_family():
+    # at p = q = t = 1 each side of every pair counts the family it sums
+    module = importlib.import_module(_VERIFY)
+    tasks = list(_enumerated_tasks())
+    assert {theorem for theorem, _, _ in tasks} == set(THEOREM_IDS) - {"zezh"}
+    for theorem, params, size in tasks:
+        check, params = module._prepare(theorem, False, **params)
+        pairs, counterexample = check.sweep(**params)
+        assert counterexample is None, (theorem, params)
+        for lhs, rhs in pairs:
+            assert (lhs.evaluate(), rhs.evaluate()) == (size, size), (theorem, params)
+
+
+def test_thm33_folds_every_object_past_its_first_counterexample(monkeypatch):
+    module = importlib.import_module(_VERIFY)
+    first = next(module.ordered_set_partitions(4, 2))
+    calls = []
+
+    def planted(pi, row):
+        calls.append(pi)
+        return f"planted at {pi}" if pi == first else None
+
+    monkeypatch.setattr(module, "_upsilon_violation", planted)
+    report = verify("thm3.3", n=4, k=2)
+    assert not report.passed
+    assert report.counterexample == f"planted at {first}"
+    # the check stops at the first counterexample; the fold does not
+    assert calls == [first]
+    assert report.lhs.evaluate() == report.rhs.evaluate() == 2 * 7
 
 
 def test_desk_scale_guard_sizes_partition_and_composition_checks():
