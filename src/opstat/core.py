@@ -7,8 +7,8 @@ immutable after construction and every operation is a pure function.
 
 The public constructors validate: ``Permutation(...)``,
 ``OrderedSetPartition(...)``, ``from_blocks`` and ``parse`` reject anything
-that is not a permutation or a partition of [n] into sorted blocks, and
-any size, image or element whose type is not exactly ``int``.  The
+that is not a permutation or a partition of [n] into sorted blocks, each a
+tuple or a list, and any size, image or element not of type ``int``.  The
 private ``_trusted`` constructors skip that check and are only called on
 values that are valid by construction: ``rearranged`` and ``standard_form``
 reorder the blocks of a validated partition (and ``standard_form`` ranks
@@ -268,6 +268,13 @@ def _element(el: object) -> int:
     return el
 
 
+def _sequence(value: object, what: str) -> tuple:
+    """``value`` as a tuple, refused unless it is a tuple or a list."""
+    if not isinstance(value, (tuple, list)):
+        raise ValueError(f"{what} must be a tuple or a list, got {value!r}")
+    return tuple(value)
+
+
 @dataclass(frozen=True)
 class OrderedSetPartition:
     """A sequence of disjoint nonempty blocks whose union is {1, ..., n}.
@@ -282,6 +289,7 @@ class OrderedSetPartition:
     def __post_init__(self):
         if type(self.n) is not int:  # a float or a bool is not a size
             raise ValueError(f"n must be an integer, got {self.n!r}")
+        object.__setattr__(self, "blocks", tuple(_sequence(b, "a block") for b in _sequence(self.blocks, "blocks")))
         seen: set[int] = set()
         for block in self.blocks:
             if not block:
@@ -310,7 +318,7 @@ class OrderedSetPartition:
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[Iterable[int]], n: int | None = None) -> OrderedSetPartition:
-        normalized = tuple(tuple(sorted(b, key=_element)) for b in blocks)
+        normalized = tuple(tuple(sorted(_sequence(b, "a block"), key=_element)) for b in blocks)
         if n is None:
             n = max((el for b in normalized for el in b), default=0)
         return cls(n, normalized)

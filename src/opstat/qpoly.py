@@ -9,10 +9,10 @@ constant equals, and hashes as, its coefficient.
 A product of two polynomials is one dict update per pair of terms
 (``_schoolbook_mul``).
 
-The seven closed-form recursions (``q_factorial``, ``pq_factorial``,
-``gauss_binomial``, ``stirling_pq``, ``stirling_q``, ``s_hat_pq``,
-``carlitz_aq``) run on the same packed layout, ``_Layout``: there a monomial
-factor is a shift, [k]_q and [k]_{p,q} are k shifts and a sum is an integer
+``pq_factorial`` and ``s_hat_pq`` are read off ``q_factorial`` and
+``stirling_q`` at q/p, and cached alike.  The other five closed-form
+recursions fill on one packed layout, ``_Layout``: there a monomial factor
+is a shift, [k]_q and [k]_{p,q} are k shifts and a sum is an integer
 addition.  A missing cell is filled without recursion (``_fill``): every
 missing cell it reaches is computed a row at a time, keeping as integers
 only the cells of the row below still to be read, and unpacked once into
@@ -570,7 +570,7 @@ def _fill(body, cells: dict[Cell, LaurentPolynomial], targets: Iterable[Cell]) -
                 hi = map(max, zip(*(map(add, spans[b][1], map(max, zip(*m))) for m, b in live)))
                 spans[args] = (tuple(lo), tuple(hi), None, sum(len(m) * spans[b][3] for m, b in live))
             parts[args] = live
-    if not spans:
+    if not spans or len(rows) == 1:  # no cell to fill, or each reads only zeros
         for parts, _ in rows:
             cells.update(dict.fromkeys(parts, ZERO))
         return
@@ -641,12 +641,9 @@ def q_factorial(k: int, var: str = "q") -> LaurentPolynomial:
 
 @_recursion
 def pq_factorial(k: int) -> LaurentPolynomial:
-    """[k]_{p,q}! = [k]_{p,q} [k-1]_{p,q}!."""
-    if k < 0:
-        raise ValueError("factorial of a negative argument")
-    if k == 0:
-        return ONE
-    return [(_pq_powers(k), (k - 1,))]
+    """[k]_{p,q}! = p^C(k,2) [k]_{q/p}!, since [j]_{p,q} = p^(j-1) [j]_{q/p}."""
+    factorial = q_factorial(k)  # refuses a negative k before comb does
+    return LaurentPolynomial.variable("p", comb(k, 2)) * subs_q_to_q_over_p(factorial)
 
 
 def pochhammer(n: int, x: LaurentPolynomial = X, q: LaurentPolynomial = Q) -> LaurentPolynomial:
@@ -705,20 +702,13 @@ def stirling_tilde(n: int, k: int) -> LaurentPolynomial:
 
 @_recursion
 def s_hat_pq(n: int, k: int) -> LaurentPolynomial:
-    """The Laurent variant with recursion
-    q^(k-1) S(n-1,k-1) + p^(-n) [k]_{p,q} S(n-1,k)."""
-    if n == 0 and k == 0:
-        return ONE
-    if k <= 0 or k > n:
-        return ZERO
-    return [
-        (_powers("q", k - 1, k), (n - 1, k - 1)),
-        ([(i - n, j, 0, 0) for i, j, _, _ in _pq_powers(k)], (n - 1, k)),
-    ]
+    """The Laurent variant with recursion q^(k-1) S(n-1,k-1) + p^(-n) [k]_{p,q} S(n-1,k), read
+    off its solution p^(C(k,2) - C(n-k+1,2) - (n-k)) S_{q/p}(n,k), :func:`s_hat_closed_form`."""
+    return ZERO if k < 0 or k > n else s_hat_closed_form(n, k)
 
 
 def s_hat_closed_form(n: int, k: int) -> LaurentPolynomial:
-    """p^(C(k,2) - C(n-k+1,2) - (n-k)) S_{q/p}(n,k), which s_hat_pq equals."""
+    """p^(C(k,2) - C(n-k+1,2) - (n-k)) S_{q/p}(n,k), for 0 <= k <= n."""
     shift = comb(k, 2) - comb(n - k + 1, 2) - (n - k)
     return LaurentPolynomial.variable("p", shift) * subs_q_to_q_over_p(stirling_q(n, k))
 

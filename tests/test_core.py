@@ -88,6 +88,31 @@ def test_partition_takes_only_int_sizes_and_elements(build, named):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        (lambda: OrderedSetPartition(1, (1,)), "a block must be a tuple or a list, got 1"),
+        (lambda: OrderedSetPartition(1, ("1",)), "a block must be a tuple or a list, got '1'"),
+        (lambda: OrderedSetPartition(2, ({1, 2},)), r"a block must be a tuple or a list, got \{1, 2\}"),
+        (lambda: OrderedSetPartition(1, 1), "blocks must be a tuple or a list, got 1"),
+        (lambda: OrderedSetPartition.from_blocks([1, 2]), "a block must be a tuple or a list, got 1"),
+        (lambda: OrderedSetPartition.from_blocks([[1], range(2, 3)]),
+         r"a block must be a tuple or a list, got range\(2, 3\)"),
+    ],
+    ids=["int-block", "str-block", "set-block", "int-blocks", "from_blocks-int-block", "from_blocks-range-block"],
+)
+def test_partition_takes_only_tuple_or_list_blocks(build, named):
+    with pytest.raises(ValueError, match=f"^{named}$"):
+        build()
+
+
+@pytest.mark.parametrize("blocks", [([1, 2],), [(1, 2)], [[1, 2]]], ids=["list-block", "list-blocks", "lists"])
+def test_partition_stores_blocks_as_tuples(blocks):
+    pi, expected = OrderedSetPartition(2, blocks), OrderedSetPartition(2, ((1, 2),))
+    assert type(pi.blocks) is tuple and all(type(block) is tuple for block in pi.blocks)
+    assert pi == expected and hash(pi) == hash(expected)
+
+
 def test_json_shape():
     pi = OrderedSetPartition.parse("2 3/1")
     assert pi.to_json() == {"n": 3, "blocks": [[2, 3], [1]]}

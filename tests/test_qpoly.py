@@ -293,7 +293,7 @@ def test_products_with_integers_and_zero():
 
 def test_s_hat_products_sum_to_the_recursion():
     # q^(k-1) S_hat(n-1,k-1) + p^(-n) [k]_{p,q} S_hat(n-1,k), the recursion
-    # s_hat_pq fills on the packed layout, through Laurent factors
+    # that s_hat_pq's closed form solves, through Laurent factors
     for n in range(2, 10):
         for k in range(1, n):
             left = checked_product(LaurentPolynomial.variable("p", -n), pq_int(k))
@@ -392,10 +392,20 @@ def test_closed_form_recursions_run_past_the_recursion_limit():
 @pytest.mark.parametrize("fn,n", [(q_factorial, 70), (pq_factorial, 40)])
 def test_factorials_fill_the_cells_their_recursion_reads(fn, n):
     # the fill and the recursion must call with the same arguments, or
-    # the filled cells are never read
+    # the filled cells are never read; pq_factorial reads its one cell off
+    # q_factorial's, so only q_factorial fills a row per k
+    q_factorial.cache_clear()
     fn.cache_clear()
     fn(n)
-    assert len(fn.cells) == n + 1
+    assert len(q_factorial.cells) == n + 1
+    assert len(fn.cells) == (n + 1 if fn is q_factorial else 1)
+
+
+def test_pq_factorial_refuses_a_negative_argument():
+    pq_factorial.cache_clear()
+    with pytest.raises(ValueError, match="^factorial of a negative argument$"):
+        pq_factorial(-1)
+    assert pq_factorial.cells == {}
 
 
 def test_recursions_keep_their_names_and_caches():
@@ -459,7 +469,8 @@ def test_recursions_match_the_reference(fn):
 def test_factorials_match_the_reference(fn, var):
     reference = getattr(qpoly_reference, fn.__name__)
     args = () if var is None else (var,)
-    for order in (range(15), range(14, -1, -1)):
+    top = 14 if var else 40  # pq_factorial is read off q_factorial, cheaply
+    for order in (range(top + 1), range(top, -1, -1)):
         clear_recursions()
         for k in order:
             assert fn(k, *args) == reference(k, *args), k
@@ -473,7 +484,7 @@ def test_stirling_pq_matches_the_reference_at_22():
 
 def test_s_hat_pq_matches_the_reference_with_negative_p_exponents():
     clear_recursions()
-    for n in range(13):
+    for n in range(23):
         for k in range(n + 1):
             poly = s_hat_pq(n, k)
             assert poly == qpoly_reference.s_hat_pq(n, k), (n, k)
