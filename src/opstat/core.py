@@ -392,14 +392,13 @@ class OrderedSetPartition:
         return mins == sorted(mins)
 
     def standard_form(self) -> tuple[OrderedSetPartition, Permutation]:
-        """Sort the blocks by minima; also return the permutation sigma with
+        """Sort the blocks, which sorts them by minima, as disjoint blocks
+        differ there; also return the permutation sigma with
         self = B_{sigma(1)}/.../B_{sigma(k)} in terms of the sorted blocks."""
-        blocks = self.blocks
-        order = sorted(range(self.k), key=lambda j: blocks[j][0])
-        std = OrderedSetPartition._trusted(self.n, tuple(blocks[j] for j in order))
-        rank = {j: m for m, j in enumerate(order, start=1)}
-        sigma = Permutation._trusted(tuple(rank[j] for j in range(self.k)))
-        return std, sigma
+        sorted_blocks = tuple(sorted(self.blocks))
+        rank = {block: m for m, block in enumerate(sorted_blocks, start=1)}
+        sigma = Permutation._trusted(tuple(map(rank.__getitem__, self.blocks)))
+        return OrderedSetPartition._trusted(self.n, sorted_blocks), sigma
 
     def rearranged(self, sigma: Permutation) -> OrderedSetPartition:
         """Block sequence B_{sigma(1)}, ..., B_{sigma(k)}."""

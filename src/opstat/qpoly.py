@@ -491,8 +491,9 @@ X = LaurentPolynomial.variable("x")
 
 
 def subs_q_to_q_over_p(poly: LaurentPolynomial) -> LaurentPolynomial:
-    """Replace q by q/p, i.e. each q-exponent also subtracts from p's."""
-    return poly.map_exponents(lambda e: (e[0] - e[1], e[1], e[2], e[3]))
+    """Replace q by q/p, i.e. each q-exponent also subtracts from p's.  The
+    map of exponent vectors is injective, so it merges no terms."""
+    return _poly({(a - b, b, c, d): coeff for (a, b, c, d), coeff in poly._terms.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,11 @@ Five counters compare elements with the other blocks' openers and closers:
   and the other block's two comparisons.  Each field is a signed sum of
   those reads, so the terms are packed straight from them by one
   coefficient per read.  ``table_side`` reads all of ``transport_side``,
-  one object at a time: thm3.3's ordered partitions and rearrangement
-  classes read it, and thm3.5 checks beta's MAJ on each member's side.  The tests compare it with
-  ``transport_side``, and the matrix with a reference that reads one
-  ordered pair at a time.
+  one object at a time, off the tables of the last two sets of blocks it
+  read: thm3.3's ordered partitions and their images under upsilon, and
+  rearrangement classes read it, and thm3.5 checks beta's MAJ on each
+  member's side.  The tests compare it with ``transport_side``, and the
+  matrix with a reference that reads one ordered pair at a time.
 * ``block_order_totals`` sums the same tables over every block order of a
   standard form at once, for the sums over all of OP(n,k)
   (``families.ordered_set_partitions`` with ``fields``).  The rows of
@@ -588,30 +589,35 @@ def _pair_table(blocks: tuple[tuple[int, ...], ...]) -> tuple[dict, int]:
     return {block: (row, 1 << j) for j, (block, row) in enumerate(zip(blocks, rows))}, width
 
 
-# The table of the last partition read.  Block orders of one set of blocks
-# share it.
-_side_table: tuple[dict, int] = ({}, 0)
+# The tables of the last two sets of blocks read, the more recent first:
+# a partition and an image with other blocks keep one each.
+_side_tables: tuple[tuple[dict, int], tuple[dict, int]] = (({}, 0), ({}, 0))
 
 
 def table_side(pi: OrderedSetPartition) -> tuple[int, ...]:
     """``transport_side(pi)`` read from the pair table of pi's blocks.
 
-    The table of the last partition read is kept and rebuilt only when one
-    of pi's blocks is not in it, so the k! block orders of one set of blocks
-    share one table wherever they come in the family.  Every term is a sum
-    over pairs of pi's own blocks, so any table that holds them all gives
-    the same answer.  bMaj is read from the k - 1 adjacent pairs; the last
-    two fields give rsb_TC = (ros - rcs) - rsb_OS and INV = ros over the
-    openers, with rsb_OS = INV - bInv and MAJ = rsb_OS + bMaj.
+    The tables of the last two sets of blocks read are kept, and a new one
+    replaces the one read less recently, so the k! block orders of one set
+    of blocks share one table, also between reads of another set.  Every
+    term is a sum over pairs of pi's own blocks, so any table that holds
+    them all gives the same answer.  bMaj is read from the k - 1 adjacent
+    pairs; the last two fields give rsb_TC = (ros - rcs) - rsb_OS and
+    INV = ros over the openers, with rsb_OS = INV - bInv and
+    MAJ = rsb_OS + bMaj.
     """
-    global _side_table
-    index, width = _side_table
+    global _side_tables
+    newer, older = _side_tables
+    index, width = newer
     blocks = pi.blocks
     mask = total = b_maj = pos = opener = 0
     for block in blocks:
         entry = index.get(block)
         if entry is None:
-            _side_table = _pair_table(blocks)
+            if all(map(older[0].__contains__, blocks)):
+                _side_tables = older, newer
+            else:
+                _side_tables = _pair_table(blocks), newer
             return table_side(pi)
         row, bit = entry
         total += row[mask]

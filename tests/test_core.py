@@ -151,8 +151,9 @@ def test_standard_form_idempotent():
 
 def test_standard_form_matches_validated_rebuild_exhaustive():
     # both results are built unchecked; each must equal, and hash like, what
-    # the validating constructors build from its fields
-    for n in range(1, 7):
+    # the validating constructors build from its fields; n = 0 is the empty
+    # partition
+    for n in range(7):
         for pi in ordered_set_partitions(n):
             pi = OrderedSetPartition(pi.n, pi.blocks)
             std, sigma = pi.standard_form()

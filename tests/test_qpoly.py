@@ -699,6 +699,19 @@ def test_q_over_p_substitution():
     assert subs_q_to_q_over_p(P ** 3) == P ** 3
 
 
+def test_q_over_p_substitution_matches_the_exponent_map():
+    # the substitution builds its terms unchecked; map_exponents merges equal
+    # exponent vectors and drops zero coefficients, so the two agree only if
+    # the map of exponent vectors is injective
+    by_map = lambda poly: poly.map_exponents(lambda e: (e[0] - e[1], e[1], e[2], e[3]))
+    for k in range(41):
+        assert pq_factorial(k) == P ** comb(k, 2) * by_map(q_factorial(k))
+    for n in range(23):
+        for k in range(n + 1):
+            shift = comb(k, 2) - comb(n - k + 1, 2) - (n - k)
+            assert s_hat_closed_form(n, k) == LaurentPolynomial.variable("p", shift) * by_map(stirling_q(n, k))
+
+
 # ---------------------------------------------------------------------------
 # Eulerian numbers and the two closing identities
 # ---------------------------------------------------------------------------

@@ -362,28 +362,43 @@ def test_table_composites_match_six_composites_exhaustive():
 
 
 def test_table_side_matches_transport_side_exhaustive():
-    # every block order of every ordered partition with n <= 6
+    # every block order of every ordered partition with n <= 6, each followed
+    # by its image under upsilon, as thm3.3 reads them, through the two
+    # tables that table_side keeps
+    from opstat.paths import upsilon
+
     for n in range(1, 7):
         for pi in ordered_set_partitions(n):
-            assert table_side(pi) == transport_side(pi)
+            for rho in (pi, upsilon(pi)):
+                assert table_side(rho) == transport_side(rho)
 
 
-def test_table_side_reads_any_table_that_holds_the_blocks():
-    # 1/2 and 2/1 are read from the table of 3/1/2, whose blocks include theirs
+def test_table_side_reads_any_table_that_holds_the_blocks(monkeypatch):
+    # 1/2 and 2/1 are read from the table of 3/1/2, whose blocks include
+    # theirs; of the two tables kept, a new one replaces the less recently read
     from opstat import statistics
 
-    big = OrderedSetPartition.parse("3/1/2")
-    assert table_side(big) == transport_side(big)
-    table = statistics._side_table
-    for text in ("1/2", "2/1", "3/1/2", "2/3/1"):
-        pi = OrderedSetPartition.parse(text)
-        assert table_side(pi) == transport_side(pi)
-        assert statistics._side_table is table
-    for text in ("2 3/1", "1/2"):
-        pi = OrderedSetPartition.parse(text)
-        assert table_side(pi) == transport_side(pi)
-        assert statistics._side_table is not table
-        table = statistics._side_table
+    built = []
+    pair_table = statistics._pair_table
+    monkeypatch.setattr(statistics, "_pair_table", lambda blocks: built.append(blocks) or pair_table(blocks))
+    monkeypatch.setattr(statistics, "_side_tables", (({}, 0), ({}, 0)))
+
+    def read(*texts):
+        for text in texts:
+            pi = OrderedSetPartition.parse(text)
+            assert table_side(pi) == transport_side(pi)
+
+    first, second, third = ((3,), (1,), (2,)), ((2, 3), (1,)), ((1, 3), (2,))
+    read("3/1/2", "1/2", "2/1", "3/1/2", "2/3/1")
+    assert built == [first]
+    # reads that alternate between two sets of blocks build no more tables
+    read("2 3/1", "3/1/2", "1/2 3", "1/2/3", "2 3/1", "2/1/3")
+    assert built == [first, second]
+    # the third set evicts the second, read less recently than the first
+    read("1 3/2", "2/1/3", "2/1 3")
+    assert built == [first, second, third]
+    read("2 3/1")
+    assert built == [first, second, third, second]
 
 
 @pytest.mark.parametrize("order", ["increasing", "decreasing"])

@@ -256,25 +256,53 @@ def test_thm31_tests_the_class_of_a_recorded_partner(monkeypatch):
     )
 
 
-def test_thm33_reads_the_step_word_twice_per_object(monkeypatch):
-    # once for the object's row and once for its image under upsilon
+def test_thm33_reads_the_step_word_once_per_object_and_once_per_form(monkeypatch):
+    # once for each standard form's type, which its block orders share, and
+    # once for each object's image under upsilon
     module = importlib.import_module(_VERIFY)
     step_word = module.step_word
     calls = []
     monkeypatch.setattr(module, "step_word", lambda pi: calls.append(pi) or step_word(pi))
     assert verify("thm3.3", n=5, k=3).passed
-    assert len(calls) == 2 * 150  # 3! S(5,3) ordered partitions
+    assert len(calls) == 150 + 25  # 3! S(5,3) ordered partitions, S(5,3) forms
+    first = next(set_partitions(5, 3))
+    assert calls[:2] == [first, module.upsilon(first)]
+
+
+def test_thm33_reads_every_side_from_the_pair_table(monkeypatch):
+    # pi's side and its image's, twice per object, and none by transport_side
+    module = importlib.import_module(_VERIFY)
+    calls = Counter()
+    for name in ("table_side", "transport_side"):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda pi, _name=name, _fn=original: calls.update([_name]) or _fn(pi))
+    assert verify("thm3.3", n=5, k=3).passed
+    assert calls == {"table_side": 2 * 150}
+
+
+def test_thm33_sees_a_raised_bmaj_triple_at_one_image(monkeypatch):
+    # the image's own row carries the raised entry too, but its check reads
+    # only the bInv triple of it; so the transport names _TARGET only if
+    # the image's side is read through table_side, and else the per-type
+    # counts name a type
+    module = importlib.import_module(_VERIFY)
+    image = module.upsilon(_TARGET)
+    assert image != _TARGET
+    _plant(monkeypatch, "table_side", image, _bump(3))
+    _assert_fails_at(verify("thm3.3", n=4, k=3), f"triple transport fails: {_TARGET} -> {image}")
 
 
 def test_thm33_checks_every_object_not_every_distinct_row(monkeypatch):
     # the plant fails only at an object whose row an earlier, passing object
     # already has, so a fold that checked each distinct row once would pass
     from opstat.families import ordered_set_partitions
+    from opstat.paths import step_word
+    from opstat.statistics import table_side
 
     module = importlib.import_module(_VERIFY)
     seen = set()
     for repeat in ordered_set_partitions(4, 3):
-        row = module._typed_side(repeat)
+        row = (step_word(repeat), *table_side(repeat)[:7])
         if row in seen:
             break
         seen.add(row)
@@ -547,7 +575,7 @@ def _plant_pair(monkeypatch, field):
         return terms
 
     monkeypatch.setattr(statistics, "_pair_matrix", planted)
-    monkeypatch.setattr(statistics, "_side_table", ({}, 0))  # no table built before the plant
+    monkeypatch.setattr(statistics, "_side_tables", (({}, 0), ({}, 0)))  # no table built before the plant
 
 
 @pytest.mark.parametrize("theorem,offset", [("thm3.2", 0), ("thm3.4", 3)])
