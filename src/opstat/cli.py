@@ -76,7 +76,7 @@ def render_stats_table(pi: OrderedSetPartition) -> str:
 
 def _cmd_stats(args) -> int:
     pi = OrderedSetPartition.parse(args.partition)
-    if args.stat:
+    if args.stat is not None:
         value = resolve_stat(args.stat)(pi)
         if args.json:
             print(json.dumps({"partition": pi.to_json(), "stat": args.stat, "value": value}))

@@ -199,10 +199,11 @@ def ordered_set_partitions(
     """All ordered set partitions of [n] (with k blocks when k is given):
     standard forms in generator order, block orders lexicographic.
 
-    With ``fields``, names in ``statistics.ORDER_FIELDS`` (k is then
-    required), each block order comes as its values of those fields packed
-    into one int by ``statistics.block_order_totals``, and no partition is
-    built; ``statistics.unpack_totals`` reads the counted totals.
+    With ``fields``, signed sums of statistic names such as
+    ``"mak+binv"`` (k is then required), each block order comes as its
+    values of those fields packed into one int by
+    ``statistics.block_order_totals``, and no partition is built;
+    ``statistics.unpack_totals`` reads the counted totals.
     """
     _check_scale(n, allow_large)
     if fields is None:

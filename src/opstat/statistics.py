@@ -13,44 +13,35 @@ determine the other six coordinates of i:
     lob = L - los    lcb = L - lcs    lsb = los - lcs = lcb - lob
     rob = R - ros    rcb = R - rcs    rsb = ros - rcs = rcb - rob
 
-Five counters compare elements with the other blocks' openers and closers:
+One read table and two kernels compute every other statistic:
 
 * ``coord_stats`` counts all ten coordinates of one element literally; it
-  is the reference the tests compare the kernel against.
-* ``_pair_counts`` is the kernel.  It visits each pair of blocks once and
-  returns los, ros, lcs and rcs summed over all elements and over the
-  openers, plus bMaj and bDes.  Every other statistic is linear in that
-  tuple: the six other coordinates by the identities above (summed, L and
-  R become sum(pos * |B|) and its complement, and C(k,2) each over the
-  openers), bInv as rcs over the openers, TC as all minus OS.
-  ``aggregate_profile`` maps it to every coordinate sum, restriction, block
-  statistic and composite, and ``stat``, ``stat_restricted`` and
-  ``composite`` read from the profile; ``transport_side`` maps it straight
-  to what one side of a transport check compares (the six Euler-Mahonian
-  composites, rsb_TC, INV and MAJ), and ``six_composites`` is the first six
-  of those.
-* ``rcb_lsb_rows`` gives rcb and lsb, which is all eq2.3 reads, for every
-  standard form of [n] into k blocks without building one: it keeps
-  running totals while the forms grow one element at a time
-  (``families.set_partitions`` with ``fields``).  The tests compare it with
-  the profile.
-* ``table_side`` is the pair-table kernel for sums over whole families.  A
-  pair of blocks adds the same terms to every block order that puts the
-  same one of the two on the left, so one table per set of blocks holds,
-  for each block, the prefix sums of those terms over every subset of the
-  other blocks.  Each block order then costs one table lookup and one
-  addition per block.  The terms come from one matrix per set of blocks
-  (``_pair_matrix``) that reads each unordered pair once for both of its
-  orders: four bisects and two comparisons with one block on the left,
-  and with the other on the left the same four counts in another order
-  and the other block's two comparisons.  Each field is a signed sum of
-  those reads, so the terms are packed straight from them by one
-  coefficient per read.  ``table_side`` reads all of ``transport_side``,
-  one object at a time, off the tables of the last two sets of blocks it
-  read: thm3.3's ordered partitions and their images under upsilon, and
-  rearrangement classes read it, and thm3.5 checks beta's MAJ on each
-  member's side.  The tests compare it with ``transport_side``, and the
-  matrix with a reference that reads one ordered pair at a time.
+  is the reference the tests compare the kernels against.
+* ``_FORMS`` maps each statistic name to its coefficients over thirteen
+  reads (``_READS``), ten per pair of blocks and three per pair of
+  adjacent blocks, written once as signed sums of names.  A field is any
+  signed sum of names, such as ``"mak+binv"``; ``_packing`` packs fields
+  into one coefficient per read, and as fields are byte-wide, ``struct``
+  decodes a packed total in one call.
+* ``_read_sums`` is the per-partition kernel: it visits each pair of
+  blocks once and returns the thirteen sums.  ``aggregate_profile``,
+  ``stat``, ``stat_restricted``, ``composite`` and ``transport_side`` read
+  forms off it; ``transport_side`` gives what one side of a transport
+  check compares (the six Euler-Mahonian composites, rsb_TC, INV and MAJ),
+  and ``six_composites`` is its first six.
+* ``_pair_matrix`` is the pair-table kernel: it reads the ten pair reads
+  of each unordered pair of blocks once for both of its orders and packs
+  the pair terms of any fields from them.  A pair adds the same terms to
+  every block order that puts the same one of the two on the left, so one
+  table per set of blocks holds, for each block, the prefix sums of those
+  terms over every subset of the other blocks, and each block order costs
+  one table lookup and one addition per block.  ``table_side`` reads all of
+  ``transport_side``, one object at a time, off the tables of the last two
+  sets of blocks it read, adding bMaj from the adjacent blocks: thm3.3's
+  ordered partitions and their images under upsilon, and rearrangement
+  classes read it, and thm3.5 checks beta's MAJ on each member's side.
+  The tests compare it with ``transport_side``, and the matrix with a
+  reference that reads one ordered pair at a time.
 * ``block_order_totals`` sums the same tables over every block order of a
   standard form at once, for the sums over all of OP(n,k)
   (``families.ordered_set_partitions`` with ``fields``).  The rows of
@@ -61,15 +52,21 @@ Five counters compare elements with the other blocks' openers and closers:
   ``Counter`` counts them with no Python frame per order;
   ``unpack_totals`` reads each distinct total once.  A caller names the
   fields its keys read, and only those are packed, so orders that agree
-  on them share one total.  The packing coefficients depend on the fields
-  and the field width alone, and the cell tuples on the number m of
-  trailing blocks they cover, at most six; both are kept in a
-  ``functools.cache``, so one sweep builds them once.  A loop over the
-  first k - m blocks writes each prefix into a sub-table of the blocks
-  left.  The benchmark (``bench/run.py``) empties those caches before
-  every pass, as a fresh process starts without them, so building them
-  counts in the measured time.  The tests compare the kernel with
-  ``table_side``, one object at a time.
+  on them share one total.  bDes has no position weight, so a field that
+  reads it is refused.  The packing depends on the fields and the field
+  width alone, and the cell tuples on the number m of trailing blocks
+  they cover, at most six; both are kept in a ``functools.cache``, so one
+  sweep builds them once.  A loop over the first k - m blocks writes each
+  prefix into a sub-table of the blocks left.  The benchmark
+  (``bench/run.py``) empties those caches before every pass, as a fresh
+  process starts without them, so building them counts in the measured
+  time.  The tests compare the kernel with the per-object references, one
+  order at a time.
+* ``rcb_lsb_rows`` gives rcb and lsb, which is all eq2.3 reads, for every
+  standard form of [n] into k blocks without building one: it keeps
+  running totals while the forms grow one element at a time
+  (``families.set_partitions`` with ``fields``).  The tests compare it with
+  the profile.
 
 ``binv``, ``bdes_set`` and ``bmaj`` compare blocks by definition; they are
 the reference for the kernel's block statistics.
@@ -78,6 +75,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import struct
 from bisect import bisect
 from collections import Counter
 from dataclasses import dataclass
@@ -105,7 +103,6 @@ __all__ = [
     "aggregate_profile",
     "rcb_lsb_rows",
     "resolve_stat",
-    "ORDER_FIELDS",
     "block_order_totals",
     "unpack_totals",
 ]
@@ -219,62 +216,141 @@ def bmaj(pi: OrderedSetPartition) -> int:
 
 
 # ---------------------------------------------------------------------------
-# The per-partition kernel: aggregates, restrictions and composites
+# The read table: every statistic is a linear form over thirteen reads
 # ---------------------------------------------------------------------------
 
-def _pair_counts(blocks: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """(los, ros, lcs, rcs) summed over all elements, the same four summed
-    over the openers (block minima), then bMaj and bDes.
+# A pair of blocks, A left of B, with openers a0, b0 and closers ac, bc, is
+# read as ten numbers: los and lcs, the elements of B above a0 and above ac;
+# ros and rcs, those of A above b0 and above bc; C = 1, which sums to
+# C(k,2), as L and R do over the openers; ros_os = [a0 > b0],
+# lcs_os = [b0 > ac] and rcs_os = [a0 > bc], three of the same coordinates
+# of the openers; and L = |B| and R = |A|, which summed over the pairs are
+# L and R of the identities above summed over the elements.  Adjacent
+# blocks at positions j and j + 1 give three more: bmaj = j [a0 > bc],
+# majsigma = j [a0 > b0] and bdes = [a0 > bc].
+_READS = ("los", "ros", "lcs", "rcs", "C", "ros_os", "lcs_os", "rcs_os", "L", "R", "bmaj", "majsigma", "bdes")
+_BMAJ, _MAJSIGMA, _BDES = 10, 11, 12  # the adjacent reads, after the pair reads
 
-    Each pair of blocks is visited once: the elements of the left block see
-    the right block's opener and closer on their right, and vice versa.
-    Blocks are sorted, so each count of one side is one ``bisect``.
-    """
-    los = ros = lcs = rcs = los_os = ros_os = lcs_os = rcs_os = 0
-    for a, left in enumerate(blocks, start=1):
-        lo, lc, size = left[0], left[-1], len(left)
-        for right in blocks[a:]:
-            ro, rc = right[0], right[-1]
-            ros += size - bisect(left, ro)
-            rcs += size - bisect(left, rc)
-            los += len(right) - bisect(right, lo)
-            lcs += len(right) - bisect(right, lc)
-            if lo > ro:
-                ros_os += 1
-            else:
-                los_os += 1
-            if lo > rc:
-                rcs_os += 1
-            elif ro > lc:
-                lcs_os += 1
-    b_maj = b_des = 0
-    for a in range(1, len(blocks)):
-        if blocks[a - 1][0] > blocks[a][-1]:
-            b_maj += a
-            b_des += 1
-    return los, ros, lcs, rcs, los_os, ros_os, lcs_os, rcs_os, b_maj, b_des
+# Every other statistic, as a signed sum of reads and of names defined above
+# it.  Of two openers one lies above the other, an opener above another
+# block's closer lies above that whole block, and the class permutation
+# lists the openers' ranks in block order.
+_DEFINITIONS = (
+    ("lob", "L-los"), ("rob", "R-ros"), ("lcb", "L-lcs"), ("rcb", "R-rcs"), ("lsb", "los-lcs"), ("rsb", "ros-rcs"),
+    ("los_os", "C-ros_os"), ("lob_os", "C-los_os"), ("rob_os", "C-ros_os"),
+    ("lcb_os", "C-lcs_os"), ("rcb_os", "C-rcs_os"), ("lsb_os", "los_os-lcs_os"), ("rsb_os", "ros_os-rcs_os"),
+    *((f"{name}_tc", f"{name}-{name}_os") for name in COORD_NAMES),
+    ("binv", "rcs_os"), ("cbinv", "C-binv"), ("cbmaj", "C-bmaj"),
+    ("mak", "ros+lcs"), ("makp", "lob+rcb"), ("cinvlsb", "lsb+cbinv+C"), ("cmajlsb", "lsb+cbmaj+C"),
+    ("inv", "rsb_os+binv"), ("maj", "rsb_os+bmaj"), ("cls", "lcs+rcs"), ("opb", "lob+rob"), ("sb", "lsb+rsb"),
+    ("invsigma", "ros_os"),
+)
 
 
-def _coordinates(los: int, ros: int, lcs: int, rcs: int, left: int, right: int) -> tuple[int, ...]:
-    """The ten coordinates, in ``COORD_NAMES`` order, from the four counts
-    and the numbers of blocks to the left and right."""
-    return (los, ros, left - los, right - ros, lcs, rcs, left - lcs, right - rcs, los - lcs, ros - rcs)
+def _form(field: str, names: dict[str, tuple[int, ...]] | None = None) -> tuple[int, ...]:
+    """The coefficients over ``_READS`` of a signed sum of statistic names,
+    such as ``"mak+binv"``, the names looked up in ``names`` (``_FORMS``)."""
+    names = _FORMS if names is None else names
+    total = (0,) * len(_READS)
+    for term in field.replace("-", "+-").split("+"):
+        name = term.removeprefix("-")
+        form = names.get(name)
+        if form is None:
+            raise ValueError(f"unknown statistic {name!r} in {field!r}")
+        total = tuple(map(operator.sub if term.startswith("-") else operator.add, total, form))
+    return total
 
+
+def _forms() -> dict[str, tuple[int, ...]]:
+    names = {read: tuple(int(r == s) for s in range(len(_READS))) for r, read in enumerate(_READS)}
+    for name, field in _DEFINITIONS:
+        names[name] = _form(field, names)
+    return {name: form for name, form in names.items() if name not in ("C", "L", "R")}
+
+
+# each statistic name, its coefficient per read
+_FORMS = _forms()
 
 # the block statistics and composites in ``aggregate_profile``
 _COMPOSITES = (
     "binv", "bmaj", "bdes", "cbinv", "cbmaj",
     "mak", "makp", "cinvlsb", "cmajlsb", "inv", "maj", "cls", "opb", "sb",
 )
+STAT_NAMES = tuple(COORD_NAMES) + tuple(sorted((*_COMPOSITES, "invsigma", "majsigma")))
+_PROFILE = (*(f"{name}_{cls}" for cls in ("os", "tc") for name in COORD_NAMES), *COORD_NAMES, *_COMPOSITES)
 
-_SIGMA_STATS: dict[str, Callable[[OrderedSetPartition], int]] = {
-    "invsigma": lambda pi: pi.standard_form()[1].inversion_number(),
-    "majsigma": lambda pi: pi.standard_form()[1].major_index(),
-}
+_STRUCT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
 
-STAT_NAMES = tuple(COORD_NAMES) + tuple(sorted((*_COMPOSITES, *_SIGMA_STATS)))
-_OS_KEYS = tuple(f"{name}_os" for name in COORD_NAMES)
-_TC_KEYS = tuple(f"{name}_tc" for name in COORD_NAMES)
+
+@cache
+def _packing(fields: tuple[str, ...], width: int) -> tuple[tuple[int, ...], Callable, int]:
+    """The coefficient of each read in the packed ``fields``, signed sums of
+    names with field s at shift s * width, and the decoder of a packed
+    total: fields are byte-wide, so one ``struct`` unpack of its bytes
+    reads them all, and the number of those bytes."""
+    forms = [_form(field) for field in fields]
+    coefficients = tuple(sum(form[r] << s * width for s, form in enumerate(forms)) for r in range(len(_READS)))
+    layout = struct.Struct(f"<{len(fields)}{_STRUCT_CODES[width]}")
+    return coefficients, layout.unpack, layout.size
+
+
+def _field_width(n: int, k: int) -> int:
+    """The bits of one packed field, a whole number of bytes.  No field can
+    borrow from or carry into the next: on any partition of [n] into
+    k <= n blocks, each statistic and each field packed here sums to at
+    least 0 and less than 2nk, as no coordinate sum exceeds (k-1)n and no
+    block statistic C(k,2)."""
+    return max(8, 1 << ((2 * k * n).bit_length() - 1).bit_length())
+
+
+# ---------------------------------------------------------------------------
+# The per-partition kernel: aggregates, restrictions and composites
+# ---------------------------------------------------------------------------
+
+def _read_sums(blocks: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The thirteen reads, in ``_READS`` order, summed over the pairs and
+    the adjacent pairs of blocks.
+
+    Each pair of blocks is visited once.  Blocks are sorted, so each count
+    of one side is one ``bisect``.
+    """
+    los = ros = lcs = rcs = ros_os = lcs_os = rcs_os = n = right = 0
+    k = len(blocks)
+    for a, left in enumerate(blocks, start=1):
+        lo, lc, size = left[0], left[-1], len(left)
+        n += size
+        right += size * (k - a)
+        for other in blocks[a:]:
+            oo, oc = other[0], other[-1]
+            los += len(other) - bisect(other, lo)
+            ros += size - bisect(left, oo)
+            lcs += len(other) - bisect(other, lc)
+            rcs += size - bisect(left, oc)
+            if lo > oo:
+                ros_os += 1
+                if lo > oc:
+                    rcs_os += 1
+            elif oo > lc:
+                lcs_os += 1
+    b_maj = maj_sigma = b_des = 0
+    for j in range(1, k):
+        opener, after = blocks[j - 1][0], blocks[j]
+        if opener > after[0]:
+            maj_sigma += j
+            if opener > after[-1]:
+                b_maj += j
+                b_des += 1
+    return (
+        los, ros, lcs, rcs, k * (k - 1) // 2, ros_os, lcs_os, rcs_os, (k - 1) * n - right, right,
+        b_maj, maj_sigma, b_des,
+    )
+
+
+def _values(pi: OrderedSetPartition, fields: tuple[str, ...]) -> tuple[int, ...]:
+    """The values of ``fields`` on pi, packed from one kernel call and
+    decoded at once."""
+    coefficients, unpack, size = _packing(fields, _field_width(pi.n, pi.k))
+    return unpack(sum(map(operator.mul, _read_sums(pi.blocks), coefficients)).to_bytes(size, "little"))
 
 
 def aggregate_profile(pi: OrderedSetPartition) -> dict[str, int]:
@@ -287,32 +363,7 @@ def aggregate_profile(pi: OrderedSetPartition) -> dict[str, int]:
     The test suite compares it exhaustively at small n with sums of the
     reference ``coord_stats``.
     """
-    los, ros, lcs, rcs, los_os, ros_os, lcs_os, rcs_os, b_maj, b_des = _pair_counts(pi.blocks)
-    k = pi.k
-    choose2 = k * (k - 1) // 2
-    # the j-th opener has j - 1 blocks on its left and k - j on its right;
-    # summed over all elements, a block's position counts once per element
-    left = sum(pos * len(block) for pos, block in enumerate(pi.blocks))
-    os_values = _coordinates(los_os, ros_os, lcs_os, rcs_os, choose2, choose2)
-    all_values = _coordinates(los, ros, lcs, rcs, left, (k - 1) * pi.n - left)
-    out = dict(zip(_OS_KEYS, os_values))
-    out.update(zip(_TC_KEYS, map(operator.sub, all_values, os_values)))
-    out.update(zip(COORD_NAMES, all_values))
-    out["binv"] = rcs_os  # an opener above another block's closer lies above that whole block
-    out["bmaj"] = b_maj
-    out["bdes"] = b_des
-    out["cbinv"] = choose2 - out["binv"]
-    out["cbmaj"] = choose2 - out["bmaj"]
-    out["mak"] = out["ros"] + out["lcs"]
-    out["makp"] = out["lob"] + out["rcb"]
-    out["cinvlsb"] = out["lsb"] + out["cbinv"] + choose2
-    out["cmajlsb"] = out["lsb"] + out["cbmaj"] + choose2
-    out["inv"] = out["rsb_os"] + out["binv"]
-    out["maj"] = out["rsb_os"] + out["bmaj"]
-    out["cls"] = out["lcs"] + out["rcs"]
-    out["opb"] = out["lob"] + out["rob"]
-    out["sb"] = out["lsb"] + out["rsb"]
-    return out
+    return dict(zip(_PROFILE, _values(pi, _PROFILE)))
 
 
 # The last _TAIL elements of each standard form are placed by plain
@@ -407,7 +458,7 @@ def stat_restricted(pi: OrderedSetPartition, name: str, cls: str) -> int:
         raise ValueError(f"not a coordinate statistic: {name}")
     if cls.upper() not in ("OS", "TC"):
         raise ValueError(f"restriction class must be OS or TC, got {cls!r}")
-    return aggregate_profile(pi)[f"{name}_{cls.lower()}"]
+    return sum(map(operator.mul, _read_sums(pi.blocks), _FORMS[f"{name}_{cls.lower()}"]))
 
 
 def resolve_stat(name: str) -> Callable[[OrderedSetPartition], int]:
@@ -418,14 +469,11 @@ def resolve_stat(name: str) -> Callable[[OrderedSetPartition], int]:
     statistics inv(sigma)/maj(sigma) are addressed as "invsigma"/"majsigma".
     The exact spellings "Inv" and "Maj" are kept for the latter pair.
     """
-    if name in ("Inv", "Maj"):
-        return _SIGMA_STATS["invsigma" if name == "Inv" else "majsigma"]
-    low = "makp" if name.lower() == "mak'" else name.lower()
-    if low in _SIGMA_STATS:
-        return _SIGMA_STATS[low]
-    if low in STAT_NAMES or low in _OS_KEYS or low in _TC_KEYS:
-        return lambda pi: aggregate_profile(pi)[low]
-    raise ValueError(f"unknown statistic: {name!r}")
+    low = {"Inv": "invsigma", "Maj": "majsigma"}.get(name) or name.lower()
+    form = _FORMS.get("makp" if low == "mak'" else low)
+    if form is None:
+        raise ValueError(f"unknown statistic: {name!r}")
+    return lambda pi: sum(map(operator.mul, _read_sums(pi.blocks), form))
 
 
 def stat(pi: OrderedSetPartition, name: str) -> int:
@@ -436,7 +484,8 @@ def stat(pi: OrderedSetPartition, name: str) -> int:
 
 def composite(pi: OrderedSetPartition, name: str) -> int:
     """Evaluate one of the composed statistics (mak, makp, cinvlsb, ...)."""
-    if name not in ("Inv", "Maj") and name.lower() not in (*_COMPOSITES, *_SIGMA_STATS, "mak'"):
+    low = name.lower()
+    if name not in ("Inv", "Maj") and (low in COORD_NAMES or low not in (*STAT_NAMES, "mak'")):
         raise ValueError(f"unknown composite statistic: {name!r}")
     return resolve_stat(name)(pi)
 
@@ -448,112 +497,47 @@ def six_composites(pi: OrderedSetPartition) -> tuple[int, int, int, int, int, in
     return transport_side(pi)[:6]
 
 
+# everything one side of a transport check compares
+_SIDE = ("mak+binv", "makp+binv", "cinvlsb", "mak+bmaj", "makp+bmaj", "cmajlsb", "rsb_tc", "inv", "maj")
+
+
 def transport_side(pi: OrderedSetPartition) -> tuple[int, ...]:
     """The six composites of ``six_composites``, then rsb_TC, INV and MAJ:
-    everything one side of a transport check compares, read off one kernel
-    call without building the profile.
-
-    mak = ros + lcs, makp = lob + rcb = (k-1)n - los - rcs, lsb = los - lcs,
-    bInv = rcs over the openers, rsb = ros - rcs (so rsb_TC is that of all
-    elements minus that of the openers), INV = rsb_OS + bInv = ros over the
-    openers and MAJ = rsb_OS + bMaj.
-    """
-    los, ros, lcs, rcs, _, ros_os, _, b_inv, b_maj, _ = _pair_counts(pi.blocks)
-    k = pi.k
-    return _side(ros + lcs, (k - 1) * pi.n - los - rcs, los - lcs, b_inv, b_maj, ros - rcs, ros_os, k)
-
-
-def _side(mak: int, makp: int, lsb: int, b_inv: int, b_maj: int, rsb: int, inv: int, k: int) -> tuple[int, ...]:
-    """The ``transport_side`` tuple of a partition with k blocks from its
-    mak, makp, lsb, bInv, bMaj, rsb and INV (ros over the openers)."""
-    twice_choose2 = k * (k - 1)
-    rsb_os = inv - b_inv
-    return (
-        mak + b_inv,
-        makp + b_inv,
-        lsb + twice_choose2 - b_inv,
-        mak + b_maj,
-        makp + b_maj,
-        lsb + twice_choose2 - b_maj,
-        rsb - rsb_os,
-        inv,
-        rsb_os + b_maj,
-    )
+    the forms of ``_SIDE``, read off one kernel call without building the
+    profile."""
+    return _values(pi, _SIDE)
 
 
 # ---------------------------------------------------------------------------
 # The pair-table kernel: one table per set of blocks, O(k) per block order
 # ---------------------------------------------------------------------------
 
-# A pair of blocks, A left of B, is read as six numbers: ros and rcs, the
-# elements of A above B's opener and above B's closer; los and lcs, those of
-# B above A's opener and above A's closer; and whether A's opener lies above
-# B's closer and above B's opener.  With B left of A the same pair reads
-# (los, lcs, ros, rcs) and the two comparisons of B's opener.  Each pair
-# field is a signed sum of the reads: mak = ros + lcs, los + rcs,
-# lsb = los - lcs, bInv, rsb = ros - rcs and INV = ros over the openers.
-_PAIR_READS = {
-    "mak": (1, 0, 0, 1, 0, 0),
-    "los+rcs": (0, 1, 1, 0, 0, 0),
-    "lsb": (0, 0, 1, -1, 0, 0),
-    "binv": (0, 0, 0, 0, 1, 0),
-    "rsb": (1, -1, 0, 0, 0, 0),
-    "inv": (0, 0, 0, 0, 0, 1),
-}
-PAIR_FIELDS = tuple(_PAIR_READS)
-
-# The fields that ``block_order_totals`` reads off adjacent blocks, each the
-# sum of the positions j at which block j dominates block j + 1 (bMaj) or
-# has the larger opener (maj sigma, the major index of the class
-# permutation): the two comparisons of the pair reads.
-_ADJACENT_READS = {
-    "bmaj": (1, 0),
-    "majsigma": (0, 1),
-}
-ORDER_FIELDS = PAIR_FIELDS + tuple(_ADJACENT_READS)
-
-
-@cache
-def _packing(fields: tuple[str, ...], width: int) -> tuple[tuple[int, ...], tuple[int, int] | None]:
-    """The coefficient of each of the six pair reads in the packed
-    ``fields``, field s at shift s * width, then those of the two
-    comparisons in the adjacent fields, or None when ``fields`` reads no
-    adjacent pair."""
-
-    def coefficients(reads: dict, count: int) -> tuple[int, ...]:
-        return tuple(
-            sum(reads[f][r] << s * width for s, f in enumerate(fields) if f in reads) for r in range(count)
-        )
-
-    adjacent = coefficients(_ADJACENT_READS, 2)
-    return coefficients(_PAIR_READS, 6), adjacent if any(adjacent) else None
-
-
 def _pair_matrix(blocks: tuple[tuple[int, ...], ...], fields: tuple[str, ...], width: int) -> list[list[int]]:
     """The pair terms of ``fields``, packed as ``_packing`` packs them:
     entry [i][j] is what B_i left of B_j adds, and the diagonal is 0.
 
-    Each pair of blocks is read once, for both of its orders.  Blocks are
+    Each pair of blocks is read once, for both of its orders: with the other
+    block on the left, los trades places with ros, lcs with rcs and L with
+    R, and the comparisons are those of the other opener.  Blocks are
     sorted, so each count is one ``bisect``.
     """
-    c_ros, c_rcs, c_los, c_lcs, c_dominates, c_above = _packing(fields, width)[0]
+    coefficients = _packing(fields, width)[0]
+    c_los, c_ros, c_lcs, c_rcs, c_pair, c_above, c_lcs_os, c_rcs_os, c_left, c_right = coefficients[:_BMAJ]
     terms = [[0] * len(blocks) for _ in blocks]
     for a, left in enumerate(blocks):
         lo, lc, size = left[0], left[-1], len(left)
         row = terms[a]
         for b in range(a + 1, len(blocks)):
             right = blocks[b]
-            ro, rc = right[0], right[-1]
+            ro, rc, other = right[0], right[-1], len(right)
+            los = other - bisect(right, lo)
             ros = size - bisect(left, ro)
+            lcs = other - bisect(right, lc)
             rcs = size - bisect(left, rc)
-            los = len(right) - bisect(right, lo)
-            lcs = len(right) - bisect(right, lc)
-            row[b] = (
-                ros * c_ros + rcs * c_rcs + los * c_los + lcs * c_lcs + (lo > rc) * c_dominates + (lo > ro) * c_above
-            )
-            terms[b][a] = (
-                los * c_ros + lcs * c_rcs + ros * c_los + rcs * c_lcs + (ro > lc) * c_dominates + (ro > lo) * c_above
-            )
+            forward = los * c_los + ros * c_ros + lcs * c_lcs + rcs * c_rcs + other * c_left + size * c_right + c_pair
+            backward = ros * c_los + los * c_ros + rcs * c_lcs + lcs * c_rcs + size * c_left + other * c_right + c_pair
+            row[b] = forward + (lo > ro) * c_above + (ro > lc) * c_lcs_os + (lo > rc) * c_rcs_os
+            terms[b][a] = backward + (ro > lo) * c_above + (lo > rc) * c_lcs_os + (ro > lc) * c_rcs_os
     return terms
 
 
@@ -574,24 +558,18 @@ def _pair_rows(terms: list[list[int]]) -> list[list[int]]:
     return rows
 
 
-def _field_width(n: int, k: int) -> int:
-    """The bits of one packed field.  No field can carry into the next:
-    over any block order of k blocks of [n], each sums to less than 2nk."""
-    return (2 * k * n).bit_length()
-
-
-def _pair_table(blocks: tuple[tuple[int, ...], ...]) -> tuple[dict, int]:
+def _pair_table(blocks: tuple[tuple[int, ...], ...]) -> tuple[dict, tuple]:
     """Map each block B_j to (W_j, 2^j), with W_j from ``_pair_rows`` over
-    all six ``PAIR_FIELDS``, the first lowest, and return it with the field
-    width."""
+    the forms of ``_SIDE``, and return it with their packing."""
     width = _field_width(sum(map(len, blocks)), len(blocks))
-    rows = _pair_rows(_pair_matrix(blocks, PAIR_FIELDS, width))
-    return {block: (row, 1 << j) for j, (block, row) in enumerate(zip(blocks, rows))}, width
+    rows = _pair_rows(_pair_matrix(blocks, _SIDE, width))
+    return {block: (row, 1 << j) for j, (block, row) in enumerate(zip(blocks, rows))}, _packing(_SIDE, width)
 
 
 # The tables of the last two sets of blocks read, the more recent first:
-# a partition and an image with other blocks keep one each.
-_side_tables: tuple[tuple[dict, int], tuple[dict, int]] = (({}, 0), ({}, 0))
+# a partition and an image with other blocks keep one each.  Each is held
+# with the packing of its fields; the empty partition reads the first.
+_side_tables: tuple[tuple[dict, tuple | None], tuple[dict, tuple | None]] = (({}, _packing(_SIDE, 8)), ({}, None))
 
 
 def table_side(pi: OrderedSetPartition) -> tuple[int, ...]:
@@ -602,13 +580,11 @@ def table_side(pi: OrderedSetPartition) -> tuple[int, ...]:
     of blocks share one table, also between reads of another set.  Every
     term is a sum over pairs of pi's own blocks, so any table that holds
     them all gives the same answer.  bMaj is read from the k - 1 adjacent
-    pairs; the last two fields give rsb_TC = (ros - rcs) - rsb_OS and
-    INV = ros over the openers, with rsb_OS = INV - bInv and
-    MAJ = rsb_OS + bMaj.
+    pairs.
     """
     global _side_tables
     newer, older = _side_tables
-    index, width = newer
+    index, packing = newer
     blocks = pi.blocks
     mask = total = b_maj = pos = opener = 0
     for block in blocks:
@@ -626,17 +602,8 @@ def table_side(pi: OrderedSetPartition) -> tuple[int, ...]:
             b_maj += pos
         opener = block[0]
         pos += 1
-    field = (1 << width) - 1
-    return _side(
-        total & field,
-        (pos - 1) * pi.n - (total >> width & field),
-        total >> 2 * width & field,
-        total >> 3 * width & field,
-        b_maj,
-        total >> 4 * width & field,
-        total >> 5 * width,
-        pos,
-    )
+    coefficients, unpack, size = packing
+    return unpack((total + b_maj * coefficients[_BMAJ]).to_bytes(size, "little"))
 
 
 # ---------------------------------------------------------------------------
@@ -695,9 +662,10 @@ def _order_totals(blocks: tuple[tuple[int, ...], ...], fields: Sequence[str], wi
     m = min(k, _SUFFIX_BLOCKS)
     start = k - m
     rows = _pair_rows(_pair_matrix(blocks, fields, width))
-    weights = _packing(fields, width)[1]
-    adjacent = weights and [
-        [(left[0] > right[-1]) * weights[0] + (left[0] > right[0]) * weights[1] for right in blocks] for left in blocks
+    coefficients = _packing(fields, width)[0]
+    c_bmaj, c_majsigma = coefficients[_BMAJ], coefficients[_MAJSIGMA]
+    adjacent = (c_bmaj or c_majsigma) and [
+        [(left[0] > right[-1]) * c_bmaj + (left[0] > right[0]) * c_majsigma for right in blocks] for left in blocks
     ]
     cells = _suffix_cells(m, bool(adjacent))
     heads = m << m
@@ -732,16 +700,18 @@ def block_order_totals(
 ) -> Iterator[int]:
     """One packed total per block order of the standard forms ``forms``
     (partitions of [n] into k blocks), each form's orders in
-    ``itertools.permutations`` order.  ``fields`` are names in
-    ``ORDER_FIELDS``: the ``PAIR_FIELDS``, summed over the pairs of blocks,
-    and bmaj and majsigma, read off adjacent blocks.
+    ``itertools.permutations`` order.  ``fields`` are signed sums of
+    statistic names, such as ``"mak+binv"``: their pair reads are summed
+    over the pairs of blocks, and bmaj and majsigma read off adjacent
+    blocks.  bdes is read per partition only, so a field that reads it is
+    refused.
 
     The totals are summed in C and built no partition; count them, then
     read each distinct total once with ``unpack_totals``.
     """
-    unknown = [f for f in fields if f not in ORDER_FIELDS]
-    if unknown:
-        raise ValueError(f"unknown block order field {unknown[0]!r}; known: {', '.join(ORDER_FIELDS)}")
+    for field in fields:
+        if _form(field)[_BDES]:
+            raise ValueError(f"block order field {field!r} reads bdes, which is read per partition only")
     return itertools.chain.from_iterable(_form_totals(forms, n, k, tuple(fields), _field_width(n, k)))
 
 
@@ -757,9 +727,5 @@ def _form_totals(
 def unpack_totals(totals: Counter, n: int, k: int, fields: Sequence[str]) -> Counter:
     """The counts of ``block_order_totals`` keyed by the values of
     ``fields``, each distinct total read once."""
-    width = _field_width(n, k)
-    field = (1 << width) - 1
-    return Counter({
-        tuple(total >> slot * width & field for slot in range(len(fields))): count
-        for total, count in totals.items()
-    })
+    _, unpack, size = _packing(tuple(fields), _field_width(n, k))
+    return Counter({unpack(total.to_bytes(size, "little")): count for total, count in totals.items()})

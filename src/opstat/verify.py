@@ -35,10 +35,12 @@ doubleton the rearrangement class of the doubleton partition of a
 """
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from math import comb, factorial
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence, Union
 
 from .core import (
@@ -178,6 +180,14 @@ def _key_counts(rows: dict, keys: Callable, slots: int) -> list[dict]:
     return counts
 
 
+def _slot_keys(slots: tuple[tuple[int, ...], ...]) -> Callable:
+    """Key a row by position: slot j's key holds the row's entries at
+    ``slots[j]``, at least two, such as its p, q and t exponents, padded
+    with zeros to four."""
+    getters = [(itemgetter(*slot), (0,) * (4 - len(slot))) for slot in slots]
+    return lambda row: [get(row) + pad for get, pad in getters]
+
+
 def _q_keys(row: Sequence[int]) -> list[tuple[int, int, int, int]]:
     """Each entry of the row, such as (inv, maj), as a q exponent."""
     return [(0, e, 0, 0) for e in row]
@@ -186,61 +196,13 @@ def _q_keys(row: Sequence[int]) -> list[tuple[int, int, int, int]]:
 def _eq23_sweep(n: int, k: int) -> tuple[list, None]:
     """p^rcb q^lsb over the standard forms, each drawn as its (rcb, lsb)."""
     rows = Counter(set_partitions(n, k, fields=("rcb", "lsb")))
-    (counts,) = _key_counts(rows, lambda row: ((*row, 0, 0),), 1)
+    (counts,) = _key_counts(rows, _slot_keys(((0, 1),)), 1)
     return [(LaurentPolynomial(counts), stirling_pq(n, k))], None
 
 
 # ---------------------------------------------------------------------------
 # Sums over all ordered partitions: thm3.2, thm3.4, eq5.8 and eq9.2
 # ---------------------------------------------------------------------------
-
-# Each id names the block order fields that its keys read
-# (``statistics.block_order_totals``), so its rows carry only those.  With
-# makp = (k-1)n - (los+rcs), thm3.2 takes (mak+bInv, cinvLSB) and
-# (makp+bInv, cinvLSB), cinvLSB = lsb + k(k-1) - bInv, and thm3.4 the same
-# with bMaj.  eq5.8 and eq9.2 take cls + rsb_TC = mak + bInv - INV,
-# opb + rsb_TC = makp + bInv - INV and sb - rsb_TC = lsb - bInv + INV,
-# against t^INV and t^(maj sigma) (inv sigma = INV), or t^MAJ,
-# MAJ = INV - bInv + bMaj.
-_INV = 7  # the entry of transport_side and table_side
-
-_EM_FIELDS = ("mak", "los+rcs", "lsb")
-_T_FIELDS = (*_EM_FIELDS, "binv", "inv")
-
-
-def _em_pair(offset: int, composites: Sequence[int]) -> tuple[tuple[int, int, int, int], ...]:
-    """(mak+bStat, cstatLSB) and (mak'+bStat, cstatLSB) as p,q exponents,
-    for bStat = bInv (offset 0) or bMaj (offset 3)."""
-    a, b, c = composites[offset:offset + 3]
-    return (a, c, 0, 0), (b, c, 0, 0)
-
-
-def _em_keys(n: int, k: int, row: Sequence[int]) -> tuple[tuple[int, int, int, int], ...]:
-    """thm3.2/thm3.4 from the row (mak, los+rcs, lsb, bStat)."""
-    mak, los_rcs, lsb, b_stat = row
-    c_stat_lsb = lsb + k * (k - 1) - b_stat
-    return (mak + b_stat, c_stat_lsb, 0, 0), ((k - 1) * n - los_rcs + b_stat, c_stat_lsb, 0, 0)
-
-
-def _t_keys(n: int, k: int, row: Sequence[int], t_weights: tuple[int, ...]) -> list[tuple[int, int, int, int]]:
-    """eq5.8/eq9.2: p^(cls+rsb_TC) q^(sb-rsb_TC), then the same with opb in
-    place of cls, each against t to each of ``t_weights``, from a row that
-    starts (mak, los+rcs, lsb, bInv, INV)."""
-    mak, los_rcs, lsb, b_inv, inv = row[:5]
-    q_weight = lsb - b_inv + inv
-    p_weights = (mak + b_inv - inv, (k - 1) * n - los_rcs + b_inv - inv)
-    return [(p_weight, q_weight, t, 0) for p_weight in p_weights for t in t_weights]
-
-
-def _eq58_keys(n: int, k: int, row: Sequence[int]) -> list[tuple[int, int, int, int]]:
-    """t^(inv sigma) and t^(maj sigma), from the row ending (INV, maj sigma)."""
-    return _t_keys(n, k, row, row[4:6])
-
-
-def _eq92_keys(n: int, k: int, row: Sequence[int]) -> list[tuple[int, int, int, int]]:
-    """t^MAJ, MAJ = INV - bInv + bMaj, from the row ending (bInv, INV, bMaj)."""
-    return _t_keys(n, k, row, (row[4] - row[3] + row[5],))
-
 
 def _em_rhs(n: int, k: int) -> LaurentPolynomial:
     return LaurentPolynomial.variable("q", comb(k, 2)) * pq_factorial(k) * stirling_pq(n, k)
@@ -250,21 +212,32 @@ def _t_rhs(n: int, k: int) -> LaurentPolynomial:
     return q_factorial(k, "t") * stirling_pq(n, k)
 
 
-# per id: the fields its rows carry, its keys, its number of slots, its RHS
+# Each id names its slots as tuples of forms (``statistics._FORMS``), each
+# slot's p, q and t exponents in order; its rows carry each form once.  The
+# t-refined sums share their p exponents.
+_T_P = ("cls+rsb_tc", "opb+rsb_tc")
 _OP_SUMS = {
-    "thm3.2": ((*_EM_FIELDS, "binv"), _em_keys, 2, _em_rhs),
-    "thm3.4": ((*_EM_FIELDS, "bmaj"), _em_keys, 2, _em_rhs),
-    "eq5.8": ((*_T_FIELDS, "majsigma"), _eq58_keys, 4, _t_rhs),
-    "eq9.2": ((*_T_FIELDS, "bmaj"), _eq92_keys, 2, _t_rhs),
+    "thm3.2": ((("mak+binv", "cinvlsb"), ("makp+binv", "cinvlsb")), _em_rhs),
+    "thm3.4": ((("mak+bmaj", "cmajlsb"), ("makp+bmaj", "cmajlsb")), _em_rhs),
+    "eq5.8": (tuple((p, "sb-rsb_tc", t) for p in _T_P for t in ("invsigma", "majsigma")), _t_rhs),
+    "eq9.2": (tuple((p, "sb-rsb_tc", "maj") for p in _T_P), _t_rhs),
 }
+
+
+def _op_fields(slots: tuple[tuple[str, ...], ...]) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
+    """The forms that ``slots`` read, each once, and each slot as the
+    positions of its forms among them."""
+    fields = tuple(dict.fromkeys(itertools.chain.from_iterable(slots)))
+    return fields, tuple(tuple(map(fields.index, slot)) for slot in slots)
 
 
 def _op_sweep(theorem: str, n: int, k: int) -> tuple[list, None]:
     """The sums of ``theorem`` over OP(n,k): every block order, drawn as its
     packed fields, counted, then keyed once per distinct row."""
-    fields, keys, slots, rhs = _OP_SUMS[theorem]
+    slots, rhs = _OP_SUMS[theorem]
+    fields, positions = _op_fields(slots)
     totals = Counter(ordered_set_partitions(n, k, allow_large=True, fields=fields))
-    counts = _key_counts(unpack_totals(totals, n, k, fields), partial(keys, n, k), slots)
+    counts = _key_counts(unpack_totals(totals, n, k, fields), _slot_keys(positions), len(slots))
     return [(LaurentPolynomial(c), rhs(n, k)) for c in counts], None
 
 
@@ -313,7 +286,8 @@ def _xi_violation(pi: OrderedSetPartition, sigma: Permutation, side: tuple[int, 
 def _thm31_sweep(n: int, k: int, sigma: Permutation) -> tuple[list, str | None]:
     partners: dict = {}
     counts, counterexample = _fold(
-        sigma_partitions(n, k, sigma), transport_side, partial(_em_pair, 0), 2,
+        # (mak+bInv, cinvLSB) and (mak'+bInv, cinvLSB), by position in the side
+        sigma_partitions(n, k, sigma), transport_side, _slot_keys(((0, 2), (1, 2))), 2,
         lambda pi, side: _xi_violation(pi, sigma, side, partners),
     )
     inv = sigma.inversion_number()
@@ -341,12 +315,6 @@ def _upsilon_violation(pi: OrderedSetPartition, row: tuple) -> str | None:
     return None
 
 
-def _type_triples(row: tuple) -> tuple[tuple, tuple]:
-    """The bInv- and bMaj-based triples, each keyed with the type."""
-    word, a, b, ci, c, d, cm, _ = row
-    return (word, a, b, ci), (word, c, d, cm)
-
-
 def _thm33_sweep(n: int, k: int) -> tuple[list, str | None]:
     """pi's row is its type, as its path's step word, which belongs to the
     blocks and so is read once per standard form, then the first seven
@@ -362,7 +330,9 @@ def _thm33_sweep(n: int, k: int) -> tuple[list, str | None]:
             yield from rearrangements(std)
 
     (inv_by_type, maj_by_type), counterexample = _fold(
-        block_orders(), lambda pi: (word, *table_side(pi)[:7]), _type_triples, 2, _upsilon_violation
+        # the bInv- and bMaj-based triples, each keyed with the type
+        block_orders(), lambda pi: (word, *table_side(pi)[:7]), _slot_keys(((0, 1, 2, 3), (0, 4, 5, 6))), 2,
+        _upsilon_violation,
     )
     # both counters count every object of a type once, so the per-type
     # distributions differ only where a key of the first has another count
@@ -372,8 +342,7 @@ def _thm33_sweep(n: int, k: int) -> tuple[list, str | None]:
     if bad_word is not None and counterexample is None:
         counterexample = f"type {LatticePath(tuple(bad_word)).partition_type()}"
     # equal per-type distributions make the totals equal; a total drops the type
-    untyped = lambda key: ((*key[1:], 0),)
-    inv, maj = (_key_counts(by_type, untyped, 1)[0] for by_type in (inv_by_type, maj_by_type))
+    inv, maj = (_key_counts(by_type, _slot_keys(((1, 2, 3),)), 1)[0] for by_type in (inv_by_type, maj_by_type))
     return [(LaurentPolynomial(maj), LaurentPolynomial(inv))], counterexample
 
 
@@ -383,7 +352,7 @@ def _thm33_sweep(n: int, k: int) -> tuple[list, str | None]:
 
 def _inv_maj(rho: OrderedSetPartition) -> tuple[int, int]:
     """INV and MAJ, the last two entries of rho's ``table_side``."""
-    return table_side(rho)[_INV:]
+    return table_side(rho)[-2:]
 
 
 def _thm35_sweep(pi: OrderedSetPartition) -> tuple[list, str | None]:

@@ -56,6 +56,14 @@ def test_stats_single_statistic(capsys):
     assert capsys.readouterr().out.strip() == "19"
 
 
+def test_stats_refuses_an_empty_statistic_name(capsys):
+    # an empty --stat names no statistic: it must not print the whole table
+    assert main(["stats", "1 2/3", "--stat", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown statistic: ''" in captured.err
+
+
 def test_map_commands(capsys):
     assert main(["map", "--xi", "6/3 5 7/1 4 10/9/2 8"]) == 0
     assert capsys.readouterr().out.strip() == "4 6 8/3 7 10/1 9/5/2"

@@ -163,7 +163,7 @@ def test_table_side_random(pi):
 def test_trefinement_keys_random(pi):
     # the eq5.8/eq9.2 keys of the rows that their sweeps count against the
     # profile and the standard form's permutation
-    from opstat.verify import _OP_SUMS
+    from opstat.verify import _OP_SUMS, _op_fields, _slot_keys
 
     prof = aggregate_profile(pi)
     p_weights = [prof[name] + prof["rsb_tc"] for name in ("cls", "opb")]
@@ -171,7 +171,7 @@ def test_trefinement_keys_random(pi):
     t_weights = (stat(pi, "invsigma"), stat(pi, "majsigma"))
     keys = {}
     for theorem in ("eq5.8", "eq9.2"):
-        fields, key, *_ = _OP_SUMS[theorem]
-        keys[theorem] = key(pi.n, pi.k, order_row(pi, fields))
+        fields, positions = _op_fields(_OP_SUMS[theorem][0])
+        keys[theorem] = _slot_keys(positions)(order_row(pi, fields))
     assert keys["eq5.8"] == [(p, q_weight, t, 0) for p in p_weights for t in t_weights]
     assert keys["eq9.2"] == [(p, q_weight, prof["maj"], 0) for p in p_weights]

@@ -2,6 +2,7 @@ import itertools
 import math
 from collections import Counter
 
+import order_reference
 import pytest
 from order_reference import order_row, packed_pair_term, pair_rows
 from trace_reference import parse_trace, trace_bdes_set, trace_bmaj, trace_ros, trace_rsb
@@ -10,7 +11,6 @@ from opstat.core import OrderedSetPartition
 from opstat.families import ordered_set_partitions, set_partitions, stirling2
 from opstat.statistics import (
     COORD_NAMES,
-    ORDER_FIELDS,
     aggregate_profile,
     bdes_set,
     binv,
@@ -30,6 +30,12 @@ from opstat.statistics import (
 )
 
 PI = OrderedSetPartition.parse("6 8/5/1 4 7/3 9/2")
+
+# fields that read every pair read and both adjacent reads that a table
+# packs: los, ros, lcs and rcs through the first five, ros_os, rcs_os and
+# lcs_os through INV, bInv and lcs_os, C through cbinv, L and R through
+# mak', then bMaj and maj sigma
+EVERY_READ = ("mak", "los+rcs", "lsb", "binv", "rsb", "inv", "lcs_os", "cbinv", "makp", "bmaj", "majsigma")
 
 # the full worked coordinate table, rows in element order 6 8 | 5 | 1 4 7 | 3 9 | 2
 TABLE = {
@@ -381,7 +387,7 @@ def test_table_side_reads_any_table_that_holds_the_blocks(monkeypatch):
     built = []
     pair_table = statistics._pair_table
     monkeypatch.setattr(statistics, "_pair_table", lambda blocks: built.append(blocks) or pair_table(blocks))
-    monkeypatch.setattr(statistics, "_side_tables", (({}, 0), ({}, 0)))
+    monkeypatch.setattr(statistics, "_side_tables", (({}, None), ({}, None)))
 
     def read(*texts):
         for text in texts:
@@ -412,18 +418,26 @@ def test_table_side_matches_transport_side_at_the_packing_extremes(order):
 
 
 def test_order_row_matches_the_profile_exhaustive():
-    # the per-object reference of block_order_totals, field by field
-    names = {"los+rcs": None, "binv": "binv", "rsb": "rsb", "inv": "ros_os", "bmaj": "bmaj"}
+    # the per-object reference of block_order_totals, field by field, on
+    # the fields of every OP(n,k) sum and of table_side, against the
+    # per-partition kernel
+    from opstat import statistics
+    from opstat.verify import _OP_SUMS, _op_fields
+
+    field_sets = [_op_fields(slots)[0] for slots, _ in _OP_SUMS.values()] + [EVERY_READ]
     for n in range(1, 6):
         for pi in ordered_set_partitions(n):
             prof = aggregate_profile(pi)
-            expected = [
-                prof["los"] + prof["rcs"] if name == "los+rcs"
-                else stat(pi, "majsigma") if name == "majsigma"
-                else prof[names.get(name, name)]
-                for name in ORDER_FIELDS
-            ]
-            assert list(order_row(pi, ORDER_FIELDS)) == expected
+            for fields in field_sets:
+                expected = [
+                    sum(
+                        sign * (prof[name] if name in prof else stat(pi, name))
+                        for sign, name in order_reference.terms(field)
+                    )
+                    for field in fields
+                ]
+                assert list(order_row(pi, fields)) == expected
+            assert order_row(pi, statistics._SIDE) == transport_side(pi)
 
 
 def _order_rows(forms, n, k, fields):
@@ -439,7 +453,7 @@ def test_block_order_totals_match_the_per_object_reference(monkeypatch, suffix):
     monkeypatch.setattr(statistics, "_SUFFIX_BLOCKS", suffix)
     for n in range(1, 7):
         for k in range(1, n + 1):
-            for fields in (ORDER_FIELDS, ("majsigma", "lsb", "bmaj")):
+            for fields in (EVERY_READ, ("majsigma", "lsb", "bmaj")):
                 expected = Counter(order_row(pi, fields) for pi in ordered_set_partitions(n, k))
                 assert _order_rows(set_partitions(n, k), n, k, fields) == expected
 
@@ -467,15 +481,15 @@ def test_order_totals_come_in_permutations_order():
 
     std = OrderedSetPartition.parse("1 9/2/3 10/4/5/6/7/8")
     width = statistics._field_width(std.n, std.k)
-    runs = statistics._order_totals(std.blocks, ORDER_FIELDS, width)
+    runs = statistics._order_totals(std.blocks, EVERY_READ, width)
     totals = [total for run in runs for total in run]
     orders = list(itertools.permutations(std.blocks))
     assert len(totals) == len(orders) == math.factorial(8)
     field = (1 << width) - 1
     for index in range(0, len(orders), 101):
         pi = OrderedSetPartition._trusted(std.n, orders[index])
-        row = tuple(totals[index] >> slot * width & field for slot in range(len(ORDER_FIELDS)))
-        assert row == order_row(pi, ORDER_FIELDS)
+        row = tuple(totals[index] >> slot * width & field for slot in range(len(EVERY_READ)))
+        assert row == order_row(pi, EVERY_READ)
 
 
 def test_the_cell_cache_holds_only_suffix_orders():
@@ -515,13 +529,15 @@ def test_the_layout_follows_the_suffix_size(monkeypatch):
 def test_pair_rows_read_both_orders_of_a_pair_as_the_ordered_reference():
     # each pair of blocks is read once for both of its orders; the reference
     # reads one ordered pair at a time, under the fields of every OP(n,k)
-    # sum and the six of table_side's table, in standard and reversed order
+    # sum, the nine of table_side's table and fields that read every pair
+    # read, in standard and reversed order
     import importlib
 
     from opstat import statistics
 
-    field_sets = [fields for fields, *_ in importlib.import_module("opstat.verify")._OP_SUMS.values()]
-    field_sets.append(statistics.PAIR_FIELDS)
+    verify = importlib.import_module("opstat.verify")
+    field_sets = [verify._op_fields(slots)[0] for slots, _ in verify._OP_SUMS.values()]
+    field_sets += [statistics._SIDE, EVERY_READ]
     for n in range(1, 8):
         for std in set_partitions(n):
             width = statistics._field_width(n, std.k)
@@ -532,19 +548,26 @@ def test_pair_rows_read_both_orders_of_a_pair_as_the_ordered_reference():
                         for j, right in enumerate(blocks):
                             assert terms[i][j] == (packed_pair_term(left, right, fields, width) if i != j else 0)
                     assert statistics._pair_rows(terms) == pair_rows(blocks, fields, width)
-                table, table_width = statistics._pair_table(blocks)
-                assert table_width == width
-                assert [table[block][0] for block in blocks] == pair_rows(blocks, statistics.PAIR_FIELDS, width)
+                table, packing = statistics._pair_table(blocks)
+                assert packing == statistics._packing(statistics._SIDE, width)
+                assert [table[block][0] for block in blocks] == pair_rows(blocks, statistics._SIDE, width)
 
 
 def test_block_order_totals_refuse_unknown_fields_and_other_forms():
-    with pytest.raises(ValueError, match="unknown block order field 'maj'"):
-        block_order_totals(set_partitions(3, 2), 3, 2, ("mak", "maj"))
+    # maj and signed sums of names are fields; an unknown name is not, nor
+    # bdes, which no table holds
+    assert list(block_order_totals(set_partitions(3, 2), 3, 2, ("maj", "mak+binv", "sb-rsb_tc")))
+    for field in ("majx", "mak+", "mak++binv", "-mak"):
+        with pytest.raises(ValueError, match=r"unknown statistic '\w*' in"):
+            block_order_totals(set_partitions(3, 2), 3, 2, ("mak", field))
+    for field in ("bdes", "mak-bdes"):
+        with pytest.raises(ValueError, match=f"field '{field}' reads bdes, which is read per partition only"):
+            block_order_totals(set_partitions(3, 2), 3, 2, ("mak", field))
     # another k, and another n of the same field width: (4, 3) and (5, 3)
-    # both pack 5-bit fields
+    # both pack 8-bit fields
     from opstat import statistics
 
-    assert statistics._field_width(4, 3) == statistics._field_width(5, 3)
+    assert statistics._field_width(4, 3) == statistics._field_width(5, 3) == 8
     for forms, other in (
         ([*set_partitions(3, 2), *set_partitions(3, 3)], "1/2/3"),
         ([*set_partitions(4, 3), *set_partitions(5, 3)], "1 2 3/4/5"),
@@ -567,3 +590,55 @@ def test_aggregate_profile_matches_definitions():
             assert prof["rsb_os"] == stat_restricted(pi, "rsb", "OS")
             assert prof["rsb_tc"] == stat_restricted(pi, "rsb", "TC")
             assert prof["maj"] == stat(pi, "maj")
+
+
+def test_every_form_equals_its_definition_exhaustive():
+    # every name of the read table, as the dot product of its coefficients
+    # with the kernel's reads, and through stat, against the coordinate
+    # sums, the block statistics by definition and the class permutation,
+    # on every ordered partition with n <= 6, the empty one included
+    import operator
+
+    from order_reference import reference_stats
+
+    from opstat import statistics
+
+    count = 0
+    for n in range(7):
+        for pi in ordered_set_partitions(n):
+            expected = reference_stats(pi)
+            assert set(expected) == set(statistics._FORMS)
+            reads = statistics._read_sums(pi.blocks)
+            for name, form in statistics._FORMS.items():
+                assert sum(map(operator.mul, reads, form)) == expected[name] == stat(pi, name), name
+            assert aggregate_profile(pi) == {name: expected[name] for name in aggregate_profile(pi)}
+            count += 1
+    assert count == 5317
+
+
+def test_every_packed_form_stays_inside_its_field_exhaustive():
+    # the premise of _field_width: every form of the read table, every field
+    # that an OP(n,k) sum packs and every field of table_side sums to at
+    # least 0 and less than 2nk on every ordered partition with n <= 7, so
+    # no packed field borrows from or carries into the next
+    import importlib
+    import operator
+
+    from opstat import statistics
+
+    verify = importlib.import_module("opstat.verify")
+    fields = {field for slots, _ in verify._OP_SUMS.values() for slot in slots for field in slot}
+    forms = {statistics._form(field) for field in (*statistics._FORMS, *fields, *statistics._SIDE)}
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            reads = set(map(statistics._read_sums, (pi.blocks for pi in ordered_set_partitions(n, k))))
+            for form in forms:
+                values = [sum(map(operator.mul, row, form)) for row in reads]
+                assert 0 <= min(values) and max(values) < 2 * n * k
+            assert 2 * n * k <= 1 << statistics._field_width(n, k)
+
+
+def test_field_widths_are_whole_bytes():
+    from opstat import statistics
+
+    assert [statistics._field_width(n, 1) for n in (0, 1, 127, 128, 32767, 32768)] == [8, 8, 8, 16, 16, 32]

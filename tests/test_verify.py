@@ -129,13 +129,13 @@ def test_trefinements_build_sigma_once_per_object(monkeypatch):
 
 
 def _trefinement_keys(pi):
-    """The eq5.8 and eq9.2 keys of pi as their sweeps read them, from pi's
-    row of each id's fields."""
+    """The eq5.8 and eq9.2 keys of pi as their sweeps key them, from pi's
+    reference row of each id's fields."""
     module = importlib.import_module(_VERIFY)
     keys = []
     for theorem in ("eq5.8", "eq9.2"):
-        fields, key, *_ = module._OP_SUMS[theorem]
-        keys.append(key(pi.n, pi.k, order_row(pi, fields)))
+        fields, positions = module._op_fields(module._OP_SUMS[theorem][0])
+        keys.append(module._slot_keys(positions)(order_row(pi, fields)))
     return keys
 
 
@@ -169,7 +169,7 @@ def test_trefinement_keys_match_profile_and_class_permutation_exhaustive():
 # expects the check to fail with the first violating object.
 
 _TARGET = OrderedSetPartition.parse("4/1 3/2")  # n = 4, k = 3, sigma = 3 1 2
-_ROS, _ROS_OS, _BMAJ = 1, 5, 8  # entries of the kernel tuple
+_ROS, _ROS_OS, _BMAJ = 1, 5, 10  # entries of the kernel's reads
 
 
 def _kernel_off_by_one(monkeypatch, index):
@@ -178,15 +178,15 @@ def _kernel_off_by_one(monkeypatch, index):
     opstat.verify) see the same raised entry: at _TARGET it returns the side
     that the planted kernel gives."""
     statistics = importlib.import_module("opstat.statistics")
-    kernel = statistics._pair_counts
+    kernel = statistics._read_sums
 
     def planted(blocks):
-        counts = kernel(blocks)
+        reads = kernel(blocks)
         if blocks == _TARGET.blocks:
-            counts = counts[:index] + (counts[index] + 1,) + counts[index + 1:]
-        return counts
+            reads = reads[:index] + (reads[index] + 1,) + reads[index + 1:]
+        return reads
 
-    monkeypatch.setattr(statistics, "_pair_counts", planted)
+    monkeypatch.setattr(statistics, "_read_sums", planted)
     verify_module = importlib.import_module(_VERIFY)
     table_side = verify_module.table_side
     monkeypatch.setattr(
@@ -465,18 +465,12 @@ def _plant_order(monkeypatch, target, field, delta):
     monkeypatch.setattr(statistics, "_order_totals", planted)
 
 
-def _swap(monkeypatch, index, x, y):
-    """Exchange ``side[index] - side[INV]`` of the ``transport_side`` of
-    partitions ``x`` and ``y`` in the kernel's totals: for index 0 (1) that
-    is cls+rsb_TC = mak + bInv - INV (opb+rsb_TC, which falls as los+rcs
-    rises), eq5.8's p weight.  Each keeps its own INV."""
-    from opstat.statistics import transport_side
-
-    side_x, side_y = transport_side(_parsed(x)), transport_side(_parsed(y))
-    shift = side_y[index] - side_y[_INV] - side_x[index] + side_x[_INV]
-    field, sign = ("mak", 1) if index == 0 else ("los+rcs", -1)
-    _plant_order(monkeypatch, _parsed(x), field, sign * shift)
-    _plant_order(monkeypatch, _parsed(y), field, -sign * shift)
+def _swap(monkeypatch, field, x, y):
+    """Exchange ``field`` of partitions ``x`` and ``y`` in the kernel's
+    totals: cls+rsb_TC or opb+rsb_TC, eq5.8's p weights."""
+    (value_x,), (value_y,) = order_row(_parsed(x), (field,)), order_row(_parsed(y), (field,))
+    _plant_order(monkeypatch, _parsed(x), field, value_y - value_x)
+    _plant_order(monkeypatch, _parsed(y), field, value_x - value_y)
 
 
 def _add(values, index, delta):
@@ -492,23 +486,23 @@ _INV, _MAJ = 7, 8  # entries of transport_side and table_side
 _SLOT_PLANTS = [
     # id, parameters, plant, the first slot the plant reaches, which the
     # report shows and names when it is not the first;
-    # mak raises mak+bStat, and los+rcs lowers mak'+bStat by as much
-    ("thm3.2", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "mak", 1), 1),
-    ("thm3.2", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "los+rcs", -1), 2),
-    ("thm3.4", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "mak", 1), 1),
-    ("thm3.4", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "los+rcs", -1), 2),
+    # mak+bStat and mak'+bStat, each read by one slot
+    ("thm3.2", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "mak+binv", 1), 1),
+    ("thm3.2", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "makp+binv", 1), 2),
+    ("thm3.4", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "mak+bmaj", 1), 1),
+    ("thm3.4", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "makp+bmaj", 1), 2),
     # eq2.3's rows are (rcb, lsb)
     ("eq2.3", dict(n=4, k=3), lambda mp: _plant_row(mp, _parsed("1 3/2/4"), _bump(0)), 1),
-    # likewise for cls+rsb_TC = mak + bInv - INV and opb+rsb_TC
-    ("eq9.2", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "mak", 1), 1),
-    ("eq9.2", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "los+rcs", -1), 2),
+    # likewise for cls+rsb_TC and opb+rsb_TC
+    ("eq9.2", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "cls+rsb_tc", 1), 1),
+    ("eq9.2", dict(n=4, k=3), lambda mp: _plant_order(mp, _TARGET, "opb+rsb_tc", 1), 2),
     # the two partitions share rsb_TC, sb and inv (maj) of the class
     # permutation, so only the slot pairing the swapped cls (opb) with maj
     # (inv) sees the swap
-    ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, 0, "1 2/4/3", "2 3/4/1"), 1),
-    ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, 0, "1 2/4/3", "2 3/1/4"), 2),
-    ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, 1, "1 2/4/3", "2 3/4/1"), 3),
-    ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, 1, "1 2/4/3", "2 3/1/4"), 4),
+    ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, "cls+rsb_tc", "1 2/4/3", "2 3/4/1"), 1),
+    ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, "cls+rsb_tc", "1 2/4/3", "2 3/1/4"), 2),
+    ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, "opb+rsb_tc", "1 2/4/3", "2 3/4/1"), 3),
+    ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, "opb+rsb_tc", "1 2/4/3", "2 3/1/4"), 4),
     ("eq1.1", dict(parts=(2, 1)), lambda mp: _plant(mp, "inversion_number", (2, 1, 1), lambda v: v + 1), 1),
     ("eq1.1", dict(parts=(2, 1)), lambda mp: _plant(mp, "major_index", (2, 1, 1), lambda v: v + 1), 2),
     ("doubleton", dict(parts=(2, 1)), lambda mp: _plant(mp, "table_side", _DOUBLETON, _bump(_MAJ)), 1),
@@ -561,28 +555,30 @@ _RHS_TIMES_Q = [
 ]
 
 
-def _plant_pair(monkeypatch, field):
-    """Raise ``field`` by one in the packed term of 4 left of 1 3 only,
-    where ``statistics._pair_matrix`` packs it, in every matrix that reads
-    that field of that pair."""
+def _plant_pair(monkeypatch, *raised):
+    """Raise each field in ``raised`` by one in the packed term of 4 left of
+    1 3 only, where ``statistics._pair_matrix`` packs it, in every matrix
+    that reads that field of that pair."""
     statistics = importlib.import_module("opstat.statistics")
     original = statistics._pair_matrix
 
     def planted(blocks, fields, width):
         terms = original(blocks, fields, width)
-        if field in fields and (4,) in blocks and (1, 3) in blocks:
-            terms[blocks.index((4,))][blocks.index((1, 3))] += 1 << fields.index(field) * width
+        if (4,) in blocks and (1, 3) in blocks:
+            for field in set(raised) & set(fields):
+                terms[blocks.index((4,))][blocks.index((1, 3))] += 1 << fields.index(field) * width
         return terms
 
     monkeypatch.setattr(statistics, "_pair_matrix", planted)
-    monkeypatch.setattr(statistics, "_side_tables", (({}, 0), ({}, 0)))  # no table built before the plant
+    monkeypatch.setattr(statistics, "_side_tables", (({}, None), ({}, None)))  # no table built before the plant
 
 
 @pytest.mark.parametrize("theorem,offset", [("thm3.2", 0), ("thm3.4", 3)])
 def test_em_sweeps_see_one_raised_pair_table_entry_in_slot_0_only(monkeypatch, theorem, offset):
-    # mak, for 4 left of 1 3 only: the table of 4/1 3/2 adds it to the three
-    # block orders that put 4 left of 1 3, and mak' does not read it
-    _plant_pair(monkeypatch, "mak")
+    # mak+bStat, for 4 left of 1 3 only: the table of 4/1 3/2 adds it to the
+    # three block orders that put 4 left of 1 3, and the slot of mak'+bStat
+    # does not read it
+    _plant_pair(monkeypatch, "mak+binv", "mak+bmaj")
     (mak_slot, makp_slot), _ = importlib.import_module(_VERIFY)._CHECKS[theorem].sweep(n=4, k=3)
     assert mak_slot[0] != mak_slot[1]
     assert makp_slot[0] == makp_slot[1]
@@ -593,11 +589,12 @@ def test_em_sweeps_see_one_raised_pair_table_entry_in_slot_0_only(monkeypatch, t
 
 
 def test_thm35_sees_one_raised_ros_os_field_of_the_pair_table(monkeypatch):
-    # INV = ros over the openers, for 4 left of 1 3 only: the table of
-    # 4/1 3/2 adds it to the three block orders that put 4 left of 1 3, so
-    # INV and MAJ are one too high there, and the first of them in
-    # rearrangement order, 2/4/1 3, is the counterexample
-    _plant_pair(monkeypatch, "inv")
+    # INV = ros over the openers, for 4 left of 1 3 only, and MAJ, which
+    # reads it too: the table of 4/1 3/2 adds them to the three block
+    # orders that put 4 left of 1 3, so INV and MAJ are one too high there,
+    # and the first of them in rearrangement order, 2/4/1 3, is the
+    # counterexample
+    _plant_pair(monkeypatch, "inv", "maj")
     pairs, counterexample = importlib.import_module(_VERIFY)._thm35_sweep(_TARGET.standard_form()[0])
     assert all(lhs != rhs for lhs, rhs in pairs)
     _assert_fails_at(verify("thm3.5", pi=_TARGET), "MAJ(beta((0, 1, 2))) != 3 at 2/4/1 3")
@@ -612,10 +609,11 @@ def test_em_sweep_counts_match_the_reference_kernel():
     module = importlib.import_module(_VERIFY)
     for n in range(1, 8):
         for k in range(1, n + 1):
-            # one key per object and slot, straight from the reference kernel
+            # one key per object and slot, straight from the reference kernel:
+            # (mak+bStat, cstatLSB) and (mak'+bStat, cstatLSB)
             keys = [
-                module._em_pair(0, c) + module._em_pair(3, c)
-                for c in map(six_composites, ordered_set_partitions(n, k))
+                ((a, ci, 0, 0), (b, ci, 0, 0), (c, cm, 0, 0), (d, cm, 0, 0))
+                for a, b, ci, c, d, cm in map(six_composites, ordered_set_partitions(n, k))
             ]
             reference = [Counter(key[slot] for key in keys) for slot in range(4)]
             for theorem, expected in (("thm3.2", reference[:2]), ("thm3.4", reference[2:])):
@@ -624,21 +622,28 @@ def test_em_sweep_counts_match_the_reference_kernel():
 
 
 def _op_rows_match_the_per_object_reference(max_n):
+    from order_reference import field_values, reference_stats
+
     from opstat.families import ordered_set_partitions
     from opstat.statistics import unpack_totals
 
     module = importlib.import_module(_VERIFY)
+    field_sets = [module._op_fields(slots)[0] for slots, _ in module._OP_SUMS.values()]
     for n in range(1, max_n + 1):
         for k in range(1, n + 1):
-            for fields, *_ in module._OP_SUMS.values():
-                expected = Counter(order_row(pi, fields) for pi in ordered_set_partitions(n, k))
+            expected = [Counter() for _ in field_sets]
+            for pi in ordered_set_partitions(n, k):
+                values = reference_stats(pi)
+                for rows, fields in zip(expected, field_sets):
+                    rows[field_values(values, fields)] += 1
+            for rows, fields in zip(expected, field_sets):
                 totals = Counter(ordered_set_partitions(n, k, fields=fields))
-                assert unpack_totals(totals, n, k, fields) == expected
+                assert unpack_totals(totals, n, k, fields) == rows
 
 
 def test_op_sums_count_the_rows_of_the_per_object_reference():
     # every n <= 7 and every k: the rows that thm3.2, thm3.4, eq5.8 and
-    # eq9.2 fold are those of table_side (plus maj sigma), one per object
+    # eq9.2 fold are those of the reference statistics, one per object
     assert set(importlib.import_module(_VERIFY)._OP_SUMS) == {"thm3.2", "thm3.4", "eq5.8", "eq9.2"}
     _op_rows_match_the_per_object_reference(7)
 
@@ -1049,3 +1054,21 @@ def test_comparator_reports_counterexamples():
     assert report.passed
     assert report.lhs == q_factorial(2)
     assert not (report.lhs == q_factorial(2) + 1)
+
+
+def test_thm32_fails_when_cinvlsb_has_a_wrong_coefficient(monkeypatch, request):
+    # cinvLSB = lsb + 2 C(k,2) - bInv, planted without its bInv: both slots
+    # read the planted form, so the first is shown
+    statistics = importlib.import_module("opstat.statistics")
+    assert verify("thm3.2", n=4, k=3).passed
+    form = list(statistics._FORMS["cinvlsb"])
+    form[statistics._READS.index("rcs_os")] += 1
+    monkeypatch.setitem(statistics._FORMS, "cinvlsb", tuple(form))
+    # the packings of the planted form are dropped, before and after
+    statistics._packing.cache_clear()
+    request.addfinalizer(statistics._packing.cache_clear)
+    report = verify("thm3.2", n=4, k=3)
+    assert not report.passed and report.to_json()["pass"] is False
+    assert report.counterexample is None
+    assert report.lhs != report.rhs
+    assert report.detail == "distribution mismatch"
