@@ -40,7 +40,6 @@ from .paths import (
     psi_inv,
     theta_map,
     upsilon,
-    upsilon_inv,
     varphi,
     xi_map,
 )

@@ -34,7 +34,9 @@ from math import factorial
 from typing import Iterator, Sequence
 
 from .core import OrderedSetPartition, PartitionType, Permutation, _decimal
-from .paths import LatticePath, PathDiagram, _close, _gap, _insert, psi_inv
+# ``psi_inv`` is imported for the benchmark's tracer (bench/tracing.py),
+# which wraps it under this module's name; ``beta_inv`` reads ``_labels``
+from .paths import LatticePath, PathDiagram, _close, _gap, _insert, _labels, psi_inv
 from .statistics import block_order_totals, rcb_lsb_rows
 
 __all__ = [
@@ -383,11 +385,6 @@ def beta(pi0: OrderedSetPartition, c: Sequence[int]) -> OrderedSetPartition:
 
 
 def beta_inv(pi: OrderedSetPartition) -> tuple[int, ...]:
-    """Recover the subdiagonal vector: c_j is the rsb at the j-th opener plus
-    the growth of the block major index across that opener's trace step."""
-    diagram = psi_inv(pi)
-    return tuple(
-        label
-        for step, label in zip(diagram.path.steps, diagram.labels)
-        if step in ("N", "E")
-    )
+    """Recover the subdiagonal vector: c_j, psi_inv's j-th N/E label, is the
+    rsb at the j-th opener plus the growth of bMaj across its trace step."""
+    return tuple(label for step, label in _labels(pi, by_gap_rank=False) if step == "N" or step == "E")

@@ -18,17 +18,18 @@ ordered set partitions:
 Both are bijections; composing them and the label-transport involution
 ``varphi`` yields the maps ``xi_map``, ``upsilon`` and ``theta_map``.
 
-The encoders and their inverses build objects that are valid by
-construction, so they skip validation through the private ``_trusted``
-constructors; the validating constructors are the tests' oracle.  The
-encoders, their inverses and ``families.beta`` hold their state as int
-bitmasks: an active flag per block and a special flag per gap, kept by two
-local rules (see "Shared trace-growing machinery"), so no block's contents
-are read to place a block.  ``_gap`` is the one ordering of psi's gaps.
-
-The diagram ``varphi`` returns is validated.  ``varphi`` collects the labels
-and the North/South-East pairing in one pass over the diagram and writes
-the image in one pass over the reversed steps, and
+The encoders run on a stream of (step, label) pairs: ``_labels`` reads
+``phi_inv``'s or ``psi_inv``'s pairs off a partition and ``_place`` places
+any stream of pairs as ``phi`` or ``psi`` does.  The composed maps feed one
+into the other, through ``varphi``'s ``_transport`` for xi and theta, and
+build no path diagram.  Both hold their state, as ``families.beta`` does,
+in two int masks, an active flag per block and a special flag per gap, kept
+by two local rules (see "Shared trace-growing machinery"), so no block's
+contents are read to place a block.  ``_gap`` is the one ordering of psi's
+gaps.  What they build is valid by construction and goes through the
+unchecked ``_trusted`` constructors; the validating ones are the tests'
+oracle.  ``_transport`` checks each label it writes against its step's
+bound: on a diagram's labels, all that ``PathDiagram`` would check.
 ``LatticePath.associated_permutation`` pairs the steps in one stack pass,
 as brackets are matched.
 """
@@ -59,7 +60,6 @@ __all__ = [
     "gamma_sigma",
     "xi_map",
     "upsilon",
-    "upsilon_inv",
     "theta_map",
 ]
 
@@ -175,7 +175,7 @@ class LatticePath:
 
     def reverse(self) -> LatticePath:
         """Read the steps backwards, exchanging North and South-East."""
-        return LatticePath(_reversed_steps(self.steps))
+        return LatticePath(tuple(_REVERSED_STEP[s] for s in reversed(self.steps)))
 
     def associated_permutation(self) -> Permutation:
         """Pair the j-th North step, starting at height t, with the first
@@ -198,10 +198,6 @@ class LatticePath:
 
 
 _REVERSED_STEP = {NORTH: SOUTH_EAST, SOUTH_EAST: NORTH, EAST: EAST, NULL: NULL}
-
-
-def _reversed_steps(steps: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(_REVERSED_STEP[s] for s in reversed(steps))
 
 
 def step_word(pi: OrderedSetPartition) -> str:
@@ -312,8 +308,9 @@ class PathDiagram:
 # ``_gap`` reads psi's gap off the special mask; phi's gap is counted from
 # the right end, so phi never reads that mask, but both decoders and
 # ``families.beta`` keep the masks by the two rules, indexed by trace
-# position.  ``_read_labels`` indexes them by pi's blocks, whose created
-# ones are the trace in pi's order, so there an insertion moves no bit.
+# position.  ``_labels`` indexes them by pi's blocks, whose created ones
+# are the trace in pi's order, so there an insertion moves no bit.  These
+# three are looked up as module globals at each call.
 
 def _gap(special: int, r: int, label: int) -> int:
     """The gap position a_label of a trace with r blocks and the special
@@ -350,13 +347,14 @@ def _close(active: int, special: int, closed: int) -> tuple[int, int]:
     return active & ~closed, special & ~closed
 
 
-def _run_encoding(h: PathDiagram, by_gap_rank: bool) -> OrderedSetPartition:
-    """Decode h.  An N/E label names the gap of the new block: it counts the
-    gaps right of it (phi) or is read by ``_gap`` (psi).  An O/D label l
-    names the active block with l active blocks right of it."""
+def _place(pairs, n: int, by_gap_rank: bool) -> OrderedSetPartition:
+    """Place the (step, label) pairs of a path diagram on [n], the i-th
+    pair taking element i.  An N/E label names the gap of the new block: it
+    counts the gaps right of it (phi) or is read by ``_gap`` (psi).  An O/D
+    label l names the active block with l active blocks right of it."""
     blocks: list[list[int]] = []  # the trace, left to right
     active = special = 0  # over the trace's positions
-    for i, (step, label) in enumerate(zip(h.path.steps, h.labels), start=1):
+    for i, (step, label) in enumerate(pairs, start=1):
         if step == NORTH or step == EAST:
             r = len(blocks)
             pos = r - label if by_gap_rank else _gap(special, r, label)
@@ -374,19 +372,19 @@ def _run_encoding(h: PathDiagram, by_gap_rank: bool) -> OrderedSetPartition:
     assert not active
     # each block grew in increasing order and every element of [n] went
     # into one block, so the blocks are a sorted partition of [n]
-    return OrderedSetPartition._trusted(h.n, tuple(map(tuple, blocks)))
+    return OrderedSetPartition._trusted(n, tuple(map(tuple, blocks)))
 
 
-def _read_labels(pi: OrderedSetPartition, by_gap_rank: bool) -> PathDiagram:
-    """Inverse of ``_run_encoding``.  The masks run over pi's block
-    indices: the trace's blocks are the ``created`` ones, in pi's order.  At
-    an opener or singleton of block b the label counts the created blocks
-    right of b (phi), or is the rank of the gap left of c, the next created
-    block right of b, in ``_gap``'s order (psi): 0 when there is no c, 1 +
-    the special gaps right of c when c's gap is special, and 1 + t + the
-    non-special gaps left of c otherwise.  Elsewhere it counts the active
-    blocks right of b.  The labels lie within their steps' bounds, so the
-    diagram is built unchecked.
+def _labels(pi: OrderedSetPartition, by_gap_rank: bool):
+    """The (step, label) pairs that ``_place`` turns back into pi, element
+    by element.  The masks run over pi's block indices: the trace's blocks
+    are the ``created`` ones, in pi's order.  At an opener or singleton of
+    block b the label counts the created blocks right of b (phi), or is the
+    rank of the gap left of c, the next created block right of b, in
+    ``_gap``'s order (psi): 0 when there is no c, 1 + the special gaps right
+    of c when c's gap is special, and 1 + t + the non-special gaps left of c
+    otherwise.  Elsewhere it counts the active blocks right of b.  Each label
+    lies within its step's bounds.
     """
     steps = [NULL] * pi.n  # step_word(pi), read in the pass that fills owner
     owner = [0] * pi.n  # 1 << b for each element of pi's block b
@@ -400,30 +398,34 @@ def _read_labels(pi: OrderedSetPartition, by_gap_rank: bool) -> PathDiagram:
             steps[block[0] - 1] = NORTH
             steps[block[-1] - 1] = SOUTH_EAST
     created = active = special = 0
-    labels = []
     for step, bit in zip(steps, owner):
         if step == NORTH or step == EAST:
             right = created & -bit  # b itself is not created yet
             if by_gap_rank:
-                labels.append(right.bit_count())
+                yield step, right.bit_count()
             elif right:
                 c = right & -right
                 if special & c:
-                    labels.append(1 + (special & -(c << 1)).bit_count())
+                    yield step, 1 + (special & -(c << 1)).bit_count()
                 else:
-                    labels.append(1 + special.bit_count() + (created & ~special & c - 1).bit_count())
+                    yield step, 1 + special.bit_count() + (created & ~special & c - 1).bit_count()
                 special |= c
             else:
-                labels.append(0)
+                yield step, 0
             created |= bit
             if step == NORTH:
                 active |= bit
                 special |= bit
         else:
-            labels.append((active & -bit).bit_count() - 1)
+            yield step, (active & -bit).bit_count() - 1
             if step == SOUTH_EAST:
                 active, special = _close(active, special, bit)
-    return PathDiagram._trusted(LatticePath._trusted(tuple(steps)), tuple(labels))
+
+
+def _diagram(pairs) -> PathDiagram:
+    """The diagram of pairs whose labels lie within their steps' bounds."""
+    steps, labels = tuple(zip(*pairs)) or ((), ())  # no pairs: the empty diagram
+    return PathDiagram._trusted(LatticePath._trusted(steps), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -437,13 +439,13 @@ def phi(h: PathDiagram) -> OrderedSetPartition:
     The resulting partition has the same type as the path, and the labels
     record ros_i at openers/singletons and rsb_i elsewhere.
     """
-    return _run_encoding(h, by_gap_rank=True)
+    return _place(zip(h.path.steps, h.labels), h.n, by_gap_rank=True)
 
 
 def phi_inv(pi: OrderedSetPartition) -> PathDiagram:
     """Inverse of ``phi``: the path is read off the type; the labels are
     ros_i at openers/singletons and rsb_i elsewhere."""
-    return _read_labels(pi, by_gap_rank=True)
+    return _diagram(_labels(pi, by_gap_rank=True))
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +455,14 @@ def phi_inv(pi: OrderedSetPartition) -> PathDiagram:
 def psi(h: PathDiagram) -> OrderedSetPartition:
     """Decode a path diagram inserting new blocks at the gap whose relabelled
     number equals the step label (see ``_gap``)."""
-    return _run_encoding(h, by_gap_rank=False)
+    return _place(zip(h.path.steps, h.labels), h.n, by_gap_rank=False)
 
 
 def psi_inv(pi: OrderedSetPartition) -> PathDiagram:
     """Inverse of ``psi``: at the j-th opener/singleton the label is
     rsb_i plus the growth of the block major index since the previous
     opener/singleton; elsewhere it is rsb_i."""
-    return _read_labels(pi, by_gap_rank=False)
+    return _diagram(_labels(pi, by_gap_rank=False))
 
 
 # ---------------------------------------------------------------------------
@@ -471,38 +473,60 @@ def _os_positions(path: LatticePath) -> tuple[int, ...]:
     return tuple(i for i, s in enumerate(path.steps, start=1) if s in (NORTH, EAST))
 
 
-def varphi(h: PathDiagram) -> PathDiagram:
-    """Involution on path diagrams over the path reversal.
+def _transport(pairs: list[tuple[str, int]]) -> list[tuple[str, int]]:
+    """``varphi`` on the (step, label) pairs of a diagram, in order.
 
-    Opener/singleton labels are copied in order, transient labels are
-    reversed, and South-East labels travel along the North/South-East
-    pairing of the associated permutation.  Both label sums (over N/E and
-    over O/D steps) are preserved.
-
-    Read on the steps of h, the image reverses the order in which the N/E
-    labels are read, leaves each transient label on its step and moves each
-    South-East label onto its matching North step.  One pass over h
-    collects the N/E labels and the pairing, and one pass over the reversed
-    steps writes the image, which is validated.
+    Read on the input's steps, the image reverses the order of the N/E
+    labels, leaves each transient label on its step and moves each
+    South-East label onto its matching North step.  One pass collects the
+    N/E labels and the pairing, and one pass over the reversed steps writes
+    the image and checks each label against its step's bound.  No label
+    fits a South-East or Null step at height 0, so this also keeps the path
+    off the axis's underside and, as more North than South-East steps
+    reverse into a path that ends below the axis, brings it back to 0.
     """
-    steps = h.path.steps
     os_labels = []  # the labels of the N/E steps, in order
-    moved = list(h.labels)  # each North step takes its South-East's label
+    moved = [0] * len(pairs)  # each North step takes its South-East's label
     unmatched = []  # the open North steps
-    for i, (step, label) in enumerate(zip(steps, h.labels)):
+    for i, (step, label) in enumerate(pairs):
         if step == NORTH or step == EAST:
             os_labels.append(label)
             if step == NORTH:
                 unmatched.append(i)
         elif step == SOUTH_EAST:
             moved[unmatched.pop()] = label
-    # the reversed path reads h's South-East and East steps as its N/E steps
-    os_iter = iter(os_labels)
-    labels = tuple(
-        next(os_iter) if step == SOUTH_EAST or step == EAST else moved[i]
-        for i, step in zip(reversed(range(len(steps))), reversed(steps))
-    )
-    return PathDiagram(LatticePath(_reversed_steps(steps)), labels)
+    os_labels.reverse()  # popped from the end, so taken in reading order
+    image = []
+    x = y = 0  # the starting point of the step written
+    for i, (step, label) in zip(reversed(range(len(pairs))), reversed(pairs)):
+        # the reversed path reads the South-East and East steps as its N/E steps
+        if step == SOUTH_EAST:
+            step, label, bound = NORTH, os_labels.pop(), x + y
+            y += 1
+        elif step == EAST:
+            label, bound = os_labels.pop(), x + y
+            x += 1
+        elif step == NORTH:
+            step, label, bound = SOUTH_EAST, moved[i], y - 1
+            x += 1
+            y -= 1
+        else:
+            bound = y - 1
+        if not 0 <= label <= bound:
+            raise ValueError(f"label {label} at step {len(image) + 1} ({step}) outside 0..{bound}")
+        image.append((step, label))
+    return image
+
+
+def varphi(h: PathDiagram) -> PathDiagram:
+    """Involution on path diagrams over the path reversal.
+
+    Opener/singleton labels are copied in order, transient labels are
+    reversed, and South-East labels travel along the North/South-East
+    pairing of the associated permutation.  Both label sums (over N/E and
+    over O/D steps) are preserved.  ``_transport`` checks the image.
+    """
+    return _diagram(_transport(list(zip(h.path.steps, h.labels))))
 
 
 def diagram_permutation(h: PathDiagram) -> Permutation:
@@ -543,20 +567,16 @@ def xi_map(pi: OrderedSetPartition) -> OrderedSetPartition:
     """Involution conjugating ``varphi`` through ``phi``; complements the
     type, preserves rsb over transients/closers and the class permutation's
     inversion number, and swaps the statistics cls and opb."""
-    return phi(varphi(phi_inv(pi)))
+    return _place(_transport(list(_labels(pi, by_gap_rank=True))), pi.n, by_gap_rank=True)
 
 
 def upsilon(pi: OrderedSetPartition) -> OrderedSetPartition:
-    """Bijection carrying inversion-like statistics to major-like ones:
-    MAJ(upsilon(pi)) = INV(pi), with the type and rsb_TC preserved."""
-    return psi(phi_inv(pi))
-
-
-def upsilon_inv(pi: OrderedSetPartition) -> OrderedSetPartition:
-    return phi(psi_inv(pi))
+    """``psi`` after ``phi_inv``, carrying inversion-like statistics to
+    major-like ones: MAJ(upsilon(pi)) = INV(pi), type and rsb_TC kept."""
+    return _place(_labels(pi, by_gap_rank=True), pi.n, by_gap_rank=False)
 
 
 def theta_map(pi: OrderedSetPartition) -> OrderedSetPartition:
     """Involution conjugating ``varphi`` through ``psi``; complements the
     type and preserves rsb_TC and MAJ."""
-    return psi(varphi(psi_inv(pi)))
+    return _place(_transport(list(_labels(pi, by_gap_rank=False))), pi.n, by_gap_rank=False)

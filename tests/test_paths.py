@@ -19,6 +19,7 @@ from opstat.core import OrderedSetPartition, PartitionType, Permutation
 from opstat.families import (
     _paths,
     beta,
+    beta_inv,
     fubini,
     ordered_set_partitions,
     path_diagrams,
@@ -35,6 +36,7 @@ from opstat.paths import (
     _close,
     _gap,
     _insert,
+    _transport,
     diagram_permutation,
     g_map,
     gamma_sigma,
@@ -45,7 +47,6 @@ from opstat.paths import (
     step_word,
     theta_map,
     upsilon,
-    upsilon_inv,
     varphi,
     xi_map,
 )
@@ -461,10 +462,42 @@ def test_xi_theta_involutions():
             assert theta_map(theta_map(pi)) == pi
 
 
+def upsilon_inv(pi: OrderedSetPartition) -> OrderedSetPartition:
+    """The inverse of ``upsilon``, phi after psi_inv: the round-trip
+    reference."""
+    return phi(psi_inv(pi))
+
+
 def test_upsilon_bijection_roundtrip():
     for n in range(1, 7):
         for pi in ordered_set_partitions(n):
             assert upsilon_inv(upsilon(pi)) == pi
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_composed_maps_match_their_compositions(n):
+    # the maps stream labels from the encoders' inverses to the encoders;
+    # the public compositions build every path diagram on the way
+    count = 0
+    for pi in ordered_set_partitions(n):
+        assert upsilon(pi) == psi(phi_inv(pi))
+        assert xi_map(pi) == phi(varphi(phi_inv(pi)))
+        assert theta_map(pi) == psi(varphi(psi_inv(pi)))
+        h = psi_inv(pi)
+        assert beta_inv(pi) == tuple(label for step, label in zip(h.path.steps, h.labels) if step in (NORTH, EAST))
+        count += 1
+    assert count == fubini(n)
+
+
+def test_transport_refuses_a_label_past_its_bound():
+    # RUN's East step (the 6th, at x + y = 3) with 4: varphi's image reads
+    # the N/E labels in the same order, so it lands on its 4th step, a North
+    # step at x + y = 3
+    pairs = list(zip(RUN.path.steps, RUN.labels))
+    assert pairs[5] == (EAST, 3)
+    pairs[5] = (EAST, 4)
+    with pytest.raises(ValueError, match=r"^label 4 at step 4 \(N\) outside 0\.\.3$"):
+        _transport(pairs)
 
 
 def test_upsilon_maj_equals_inv_exhaustive():
@@ -601,7 +634,7 @@ def _run_encoding_by_replay(h: PathDiagram, by_gap_rank: bool) -> OrderedSetPart
 
 
 def _read_labels_by_replay(pi: OrderedSetPartition, by_gap_rank: bool) -> PathDiagram:
-    """Inverse of ``_run_encoding``: grow the traces of pi and record, per
+    """Inverse of ``_run_encoding_by_replay``: grow the traces of pi and record, per
     element, the step and the label with which ``_grow`` puts it where pi
     has it.
 

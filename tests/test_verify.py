@@ -1,9 +1,12 @@
 import importlib
+import importlib.util
 import itertools
 import json
 import math
 import random
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from order_reference import order_row
@@ -331,6 +334,56 @@ def test_thm33_sees_two_special_gaps_swapped_in_psi(monkeypatch):
     monkeypatch.setattr(paths, "_gap", planted)
     assert verify("thm3.3", n=5, k=2).passed
     _assert_fails_at(verify("thm3.3", n=5, k=3), "triple transport fails: 3 5/4/1 2 -> 4/3 5/1 2")
+
+
+def test_the_benchmark_tracer_fits_the_package(monkeypatch):
+    # bench/tracing.py wraps the names that the package's modules look up;
+    # one that a module no longer has breaks a traced run at install
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    spec = importlib.util.spec_from_file_location("bench_tracing", bench / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    owners = [importlib.import_module(f"opstat.{name}") for name in tracing.LAYERS]
+    owners += [OrderedSetPartition, LaurentPolynomial]
+    tables = owners[0]._TABLES
+
+    def attributes():
+        return [dict(vars(owner)) for owner in owners] + [dict(tables)]
+
+    before = attributes()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        installed = attributes()
+        assert verify("thm3.3", n=4, k=3).passed
+        assert verify("thm3.5", pi="1 3/2/4").passed
+    finally:
+        tracer.uninstall()
+    calls = tracer.summary()
+    assert calls["paths.upsilon"]["calls"] == 36 and calls["families.beta_inv"]["calls"] == 6
+    replaced = [
+        (name, value, after[name])
+        for old, new, after in zip(before, installed, attributes())
+        for name, value in old.items()
+        if new[name] is not value
+    ]
+    assert {"psi_inv", "stat", "upsilon", "xi_map"} <= {name for name, _, _ in replaced}
+    assert all(value is restored for _, value, restored in replaced)
+
+
+def test_thm31_sees_the_insert_rule_leave_active_bits_in_place(monkeypatch):
+    # the insert rule planted to shift the special bits only: the active
+    # blocks at and right of the new block keep their old positions
+    paths = importlib.import_module("opstat.paths")
+    insert = paths._insert
+
+    def planted(active, special, r, pos, opens):
+        _, special = insert(active, special, r, pos, opens)
+        return active | opens << pos, special
+
+    monkeypatch.setattr(paths, "_insert", planted)
+    _assert_fails_at(verify("thm3.1", n=4, k=3, sigma="312"), "triple swap fails: 4/1 3/2 -> 3/1 4/2")
 
 
 @pytest.mark.parametrize(
