@@ -6,7 +6,7 @@ two- or three-variable polynomial, and compares against the closed form.
 """
 from opstat import ordered_set_partitions
 from opstat.qpoly import distribution, pq_factorial, stirling_pq, LaurentPolynomial
-from opstat.statistics import binv, composite
+from opstat.statistics import binv, stat
 from opstat.verify import verify
 
 print("The flagship identity: summing p^(mak+bInv) q^cinvLSB over all")
@@ -15,7 +15,7 @@ print("ordered partitions of [n] with k blocks gives q^C(k,2) [k]_pq! S_pq(n,k).
 n, k = 5, 3
 lhs = distribution(
     ordered_set_partitions(n, k),
-    [(lambda pi: composite(pi, "mak") + binv(pi), "p"), ("cinvlsb", "q")],
+    [(lambda pi: stat(pi, "mak") + binv(pi), "p"), ("cinvlsb", "q")],
 )
 rhs = LaurentPolynomial.variable("q", k * (k - 1) // 2) * pq_factorial(k) * stirling_pq(n, k)
 print(f"n={n}, k={k}:")

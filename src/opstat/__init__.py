@@ -6,13 +6,9 @@ from .core import (
     OrderedSetPartition,
     PartitionType,
     Permutation,
-    WordStats,
     decompose_doubleton,
     doubleton_partition,
     from_d_code,
-    from_lehmer,
-    recombine_doubleton,
-    word_stats,
 )
 from .families import (
     DeskScaleError,
@@ -57,7 +53,6 @@ from .qpoly import (
     s_hat_pq,
     stirling_pq,
     stirling_q,
-    stirling_tilde,
     verify_q_frobenius,
     verify_zezh,
 )
@@ -67,7 +62,6 @@ from .statistics import (
     bdes_set,
     bmaj,
     block_relation,
-    composite,
     coord_stats,
     coordinate_table,
     stat,

@@ -18,7 +18,6 @@ reorders the validated blocks of its standard form.
 """
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,16 +27,11 @@ __all__ = [
     "Permutation",
     "OrderedSetPartition",
     "PartitionType",
-    "WordStats",
-    "from_lehmer",
     "from_d_code",
-    "word_stats",
-    "descent_positions",
     "inversion_number",
     "major_index",
     "doubleton_partition",
     "decompose_doubleton",
-    "recombine_doubleton",
 ]
 
 def _decimal(token: str) -> int:
@@ -139,19 +133,6 @@ class Permutation:
         return {"images": list(self.images)}
 
 
-def from_lehmer(code: Sequence[int]) -> Permutation:
-    """Inverse of ``Permutation.lehmer_code``: images[i] is the (c_i+1)-th
-    unused value."""
-    n = len(code)
-    remaining = list(range(1, n + 1))
-    images = []
-    for i, c in enumerate(code):
-        if not 0 <= c <= n - 1 - i:
-            raise ValueError(f"Lehmer code entry {c} at position {i + 1} out of range 0..{n - 1 - i}")
-        images.append(remaining.pop(c))
-    return Permutation(tuple(images))
-
-
 def from_d_code(code: Sequence[int]) -> Permutation:
     """Inverse of ``Permutation.d_code``: insert values 1..k so that value i
     has exactly d_i smaller values to its right."""
@@ -167,29 +148,13 @@ def from_d_code(code: Sequence[int]) -> Permutation:
 # Word statistics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WordStats:
-    des: int
-    inv: int
-    maj: int
-
-
-def descent_positions(word: Sequence[int]) -> list[int]:
-    return [i for i in range(1, len(word)) if word[i - 1] > word[i]]
-
-
 def inversion_number(word: Sequence[int]) -> int:
     n = len(word)
     return sum(1 for i in range(n) for j in range(i + 1, n) if word[i] > word[j])
 
 
 def major_index(word: Sequence[int]) -> int:
-    return sum(descent_positions(word))
-
-
-def word_stats(word: Sequence[int]) -> WordStats:
-    """des, inv and maj of a word (empty word gives all zeros)."""
-    return WordStats(len(descent_positions(word)), inversion_number(word), major_index(word))
+    return sum(i for i in range(1, len(word)) if word[i - 1] > word[i])
 
 
 # ---------------------------------------------------------------------------
@@ -470,16 +435,3 @@ def decompose_doubleton(
                           OrderedSetPartition(0, ()))
         offset += 2 * size
     return letters, tuple(components)
-
-
-def recombine_doubleton(
-    word: Sequence[int], components: Sequence[OrderedSetPartition], parts: Sequence[int]
-) -> OrderedSetPartition:
-    """Inverse of ``decompose_doubleton``."""
-    offsets = list(itertools.accumulate((2 * p for p in parts), initial=0))
-    iters = [iter(c.blocks) for c in components]
-    blocks = []
-    for letter in word:
-        block = next(iters[letter - 1])
-        blocks.append(tuple(el + offsets[letter - 1] for el in block))
-    return OrderedSetPartition(offsets[-1], tuple(blocks))

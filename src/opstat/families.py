@@ -34,9 +34,10 @@ from math import factorial
 from typing import Iterator, Sequence
 
 from .core import OrderedSetPartition, PartitionType, Permutation, _decimal
+from . import paths
 # ``psi_inv`` is imported for the benchmark's tracer (bench/tracing.py),
 # which wraps it under this module's name; ``beta_inv`` reads ``_labels``
-from .paths import LatticePath, PathDiagram, _close, _gap, _insert, _labels, psi_inv
+from .paths import LatticePath, PathDiagram, _labels, psi_inv
 from .statistics import block_order_totals, rcb_lsb_rows
 
 __all__ = [
@@ -324,13 +325,7 @@ def path_diagrams(n: int, k: int, allow_large: bool = False) -> Iterator[PathDia
     _check_scale(n, allow_large)
     for steps in _paths(n, k):
         path = LatticePath(steps)
-        ranges = []
-        for i in range(1, n + 1):
-            if steps[i - 1] in ("O", "D"):
-                ranges.append(range(path.y(i)))
-            else:
-                ranges.append(range(path.x(i) + path.y(i) + 1))
-        for labels in itertools.product(*ranges):
+        for labels in itertools.product(*(range(bound + 1) for bound in path.bounds)):
             yield PathDiagram(path, labels)
 
 
@@ -354,6 +349,7 @@ def beta(pi0: OrderedSetPartition, c: Sequence[int]) -> OrderedSetPartition:
     those that are no longer active close by the close rule.  A block placed
     directly left of a complete block sets that block's special bit, by the
     insert rule, and the bit stays: no block descent is read off the blocks.
+    The rules are looked up on ``paths`` at each call, as its decoders do.
     """
     if not pi0.is_standard():
         raise ValueError("beta expects a standard-form partition")
@@ -377,10 +373,10 @@ def beta(pi0: OrderedSetPartition, c: Sequence[int]) -> OrderedSetPartition:
                 closed |= bit
             rest ^= bit
         if closed:
-            active, special = _close(active, special, closed)
-        pos = _gap(special, r, c_j)
+            active, special = paths._close(active, special, closed)
+        pos = paths._gap(special, r, c_j)
         order.insert(pos, block)
-        active, special = _insert(active, special, r, pos, len(block) > 1)
+        active, special = paths._insert(active, special, r, pos, len(block) > 1)
     return OrderedSetPartition._trusted(pi0.n, tuple(order))
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import OrderedSetPartition, _decimal
+from .core import OrderedSetPartition
 from .paths import (
     EAST,
     NORTH,
@@ -30,6 +30,7 @@ from .paths import (
     SOUTH_EAST,
     LatticePath,
     PathDiagram,
+    _read_diagram,
     phi,
     phi_inv,
     varphi,
@@ -92,13 +93,7 @@ class MotzkinDiagram:
 
     @classmethod
     def parse(cls, text: str) -> MotzkinDiagram:
-        body = text.strip().replace(":", " ")
-        parts = body.split()
-        if not parts:
-            raise ValueError(f"no steps in diagram text: {text!r}")
-        steps = tuple(parts[0].upper())
-        labels = tuple(_decimal(t) for t in " ".join(parts[1:]).replace(",", " ").split())
-        return cls(steps, labels)
+        return cls(*_read_diagram(text))
 
     def to_json(self) -> dict:
         return {"steps": "".join(self.steps), "labels": list(self.labels)}

@@ -6,8 +6,9 @@ below the x-axis; Null steps require positive height.  Serialized step
 letters: N (North), E (East), D (South-East, "down"), O (Null, "loop").
 
 A path diagram attaches an integer label to every step, bounded by the
-step's coordinates.  Two different slot conventions turn diagrams into
-ordered set partitions:
+step's coordinates: ``LatticePath.bounds``, from the one walk over the
+steps that also checks the path and gives its points.  Two different slot
+conventions turn diagrams into ordered set partitions:
 
 * ``phi`` numbers the gaps between the blocks of the partial partition
   right-to-left and grows the partition by plain positional insertion;
@@ -64,7 +65,9 @@ __all__ = [
 ]
 
 NORTH, EAST, SOUTH_EAST, NULL = "N", "E", "D", "O"
-_STEP_CHARS = {NORTH, EAST, SOUTH_EAST, NULL}
+_MOVES = {NORTH: (0, 1), EAST: (1, 0), SOUTH_EAST: (1, -1), NULL: (0, 0)}
+# the step of each class of a ``PartitionType``, in ``as_tuple`` order
+_TYPE_STEPS = (NORTH, SOUTH_EAST, EAST, NULL)
 
 
 @dataclass(frozen=True)
@@ -75,24 +78,32 @@ class LatticePath:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
-        x = y = 0
+        self._walk  # refuses an invalid path
+
+    @cached_property
+    def _walk(self) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+        """``points`` and ``bounds``, from one pass that refuses a path that
+        dips below the axis, takes a Null step at height 0 or ends off it."""
+        points, bounds = [(0, 0)], []
+        x = y = 0  # the starting point of step i
         for i, step in enumerate(self.steps, start=1):
-            if step not in _STEP_CHARS:
+            if step not in _MOVES:
                 raise ValueError(f"bad step {step!r} at position {i}")
-            if step == NORTH:
-                y += 1
-            elif step == EAST:
-                x += 1
-            elif step == SOUTH_EAST:
-                x += 1
-                y -= 1
-                if y < 0:
-                    raise ValueError(f"path dips below the axis at step {i}")
+            if step == NORTH or step == EAST:
+                bounds.append(x + y)
+            elif y:
+                bounds.append(y - 1)
+            elif step == NULL:
+                raise ValueError(f"null step at height 0 (step {i})")
             else:
-                if y == 0:
-                    raise ValueError(f"null step at height 0 (step {i})")
-        if y != 0:
+                raise ValueError(f"path dips below the axis at step {i}")
+            dx, dy = _MOVES[step]
+            x += dx
+            y += dy
+            points.append((x, y))
+        if y:
             raise ValueError("path does not return to height 0")
+        return tuple(points), tuple(bounds)
 
     @classmethod
     def _trusted(cls, steps: tuple[str, ...]) -> LatticePath:
@@ -112,23 +123,18 @@ class LatticePath:
 
     @property
     def k(self) -> int:
-        return sum(1 for s in self.steps if s in (EAST, SOUTH_EAST))
+        return self.points[-1][0]
 
-    @cached_property
+    @property
     def points(self) -> tuple[tuple[int, int], ...]:
         """The n+1 visited points, starting at (0, 0)."""
-        pts = [(0, 0)]
-        x = y = 0
-        for step in self.steps:
-            if step == NORTH:
-                y += 1
-            elif step == EAST:
-                x += 1
-            elif step == SOUTH_EAST:
-                x += 1
-                y -= 1
-            pts.append((x, y))
-        return tuple(pts)
+        return self._walk[0]
+
+    @property
+    def bounds(self) -> tuple[int, ...]:
+        """Each step's largest label: y - 1 on O/D steps and x + y on N/E
+        steps, where (x, y) is the step's starting point."""
+        return self._walk[1]
 
     def x(self, i: int) -> int:
         """Abscissa of step i (coordinates of the step's starting point)."""
@@ -153,24 +159,13 @@ class LatticePath:
     def partition_type(self) -> PartitionType:
         """North steps play strict openers, South-East strict closers,
         East singletons and Null transients."""
-        return PartitionType(
-            frozenset(self.step_positions(NORTH)),
-            frozenset(self.step_positions(SOUTH_EAST)),
-            frozenset(self.step_positions(EAST)),
-            frozenset(self.step_positions(NULL)),
-        )
+        return PartitionType(*(frozenset(self.step_positions(kind)) for kind in _TYPE_STEPS))
 
     @classmethod
     def from_type(cls, lam: PartitionType) -> LatticePath:
         kind_of = {}
-        for i in lam.openers:
-            kind_of[i] = NORTH
-        for i in lam.closers:
-            kind_of[i] = SOUTH_EAST
-        for i in lam.singletons:
-            kind_of[i] = EAST
-        for i in lam.transients:
-            kind_of[i] = NULL
+        for kind, members in zip(_TYPE_STEPS, lam.as_tuple()):
+            kind_of.update(dict.fromkeys(members, kind))
         return cls(tuple(kind_of[i] for i in range(1, lam.n + 1)))
 
     def reverse(self) -> LatticePath:
@@ -215,6 +210,17 @@ def step_word(pi: OrderedSetPartition) -> str:
     return "".join(steps)
 
 
+def _read_diagram(text: str) -> tuple[tuple[str, ...], tuple[int, ...]]:
+    """The upper-cased steps and the labels of diagram text such as
+    "NNNOOEDDED 0,0,2,1,2,3,2,0,1,0": the step letters end at a space or a
+    ":", and spaces, commas and ":" separate the labels.  ``PathDiagram`` and
+    ``motzkin.MotzkinDiagram`` parse their text with it."""
+    parts = text.replace(":", " ").split()
+    if not parts:
+        raise ValueError(f"no steps in diagram text: {text!r}")
+    return tuple(parts[0].upper()), tuple(_decimal(t) for t in " ".join(parts[1:]).replace(",", " ").split())
+
+
 @dataclass(frozen=True)
 class PathDiagram:
     """A path together with one label per step.  Null and South-East labels
@@ -227,25 +233,11 @@ class PathDiagram:
         object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) != self.path.n:
             raise ValueError("one label per step required")
-        x = y = 0  # the starting point of step i
-        for i, (step, label) in enumerate(zip(self.path.steps, self.labels), start=1):
+        for i, (step, label, bound) in enumerate(zip(self.path.steps, self.labels, self.path.bounds), start=1):
             if type(label) is not int:  # a float or a bool is not a label
                 raise ValueError(f"a label must be an integer, got {label!r} at step {i}")
-            if step in (NULL, SOUTH_EAST):
-                bound = y - 1
-            else:
-                bound = x + y
             if not 0 <= label <= bound:
-                raise ValueError(
-                    f"label {label} at step {i} ({step}) outside 0..{bound}"
-                )
-            if step == NORTH:
-                y += 1
-            elif step == EAST:
-                x += 1
-            elif step == SOUTH_EAST:
-                x += 1
-                y -= 1
+                raise ValueError(f"label {label} at step {i} ({step}) outside 0..{bound}")
 
     @classmethod
     def _trusted(cls, path: LatticePath, labels: tuple[int, ...]) -> PathDiagram:
@@ -267,13 +259,9 @@ class PathDiagram:
 
     @classmethod
     def parse(cls, text: str) -> PathDiagram:
-        """Parse "NNNOOEDDED 0,0,2,1,2,3,2,0,1,0" (":" also separates)."""
-        body = text.strip().replace(":", " ")
-        parts = body.split()
-        if not parts:
-            raise ValueError(f"no steps in diagram text: {text!r}")
-        labels = tuple(_decimal(t) for t in " ".join(parts[1:]).replace(",", " ").split())
-        return cls(LatticePath.parse(parts[0]), labels)
+        """Parse "NNNOOEDDED 0,0,2,1,2,3,2,0,1,0" (see ``_read_diagram``)."""
+        steps, labels = _read_diagram(text)
+        return cls(LatticePath(steps), labels)
 
     def to_text(self) -> str:
         return f"{self.path.to_text()} {','.join(str(v) for v in self.labels)}"
@@ -310,7 +298,8 @@ class PathDiagram:
 # ``families.beta`` keep the masks by the two rules, indexed by trace
 # position.  ``_labels`` indexes them by pi's blocks, whose created ones
 # are the trace in pi's order, so there an insertion moves no bit.  These
-# three are looked up as module globals at each call.
+# three are looked up on this module at each call, by ``families.beta`` too,
+# so one plant reaches every user.
 
 def _gap(special: int, r: int, label: int) -> int:
     """The gap position a_label of a trace with r blocks and the special

@@ -51,7 +51,6 @@ __all__ = [
     "ONE",
     "P",
     "Q",
-    "T",
     "X",
     "q_int",
     "pq_int",
@@ -61,9 +60,7 @@ __all__ = [
     "pochhammer",
     "stirling_pq",
     "stirling_q",
-    "stirling_tilde",
     "s_hat_pq",
-    "s_hat_closed_form",
     "carlitz_aq",
     "subs_q_to_q_over_p",
     "verify_zezh",
@@ -486,7 +483,6 @@ ZERO = LaurentPolynomial()
 ONE = LaurentPolynomial.constant(1)
 P = LaurentPolynomial.variable("p")
 Q = LaurentPolynomial.variable("q")
-T = LaurentPolynomial.variable("t")
 X = LaurentPolynomial.variable("x")
 
 
@@ -694,22 +690,12 @@ def stirling_q(n: int, k: int) -> LaurentPolynomial:
     return [(_powers("q", k - 1, k), (n - 1, k - 1)), (_powers("q", 0, k), (n - 1, k))]
 
 
-def stirling_tilde(n: int, k: int) -> LaurentPolynomial:
-    """The companion normalisation q^(-C(k,2)) S_q(n,k) (a genuine polynomial)."""
-    return stirling_q(n, k).map_exponents(
-        lambda e: (e[0], e[1] - comb(k, 2), e[2], e[3])
-    )
-
-
 @_recursion
 def s_hat_pq(n: int, k: int) -> LaurentPolynomial:
     """The Laurent variant with recursion q^(k-1) S(n-1,k-1) + p^(-n) [k]_{p,q} S(n-1,k), read
-    off its solution p^(C(k,2) - C(n-k+1,2) - (n-k)) S_{q/p}(n,k), :func:`s_hat_closed_form`."""
-    return ZERO if k < 0 or k > n else s_hat_closed_form(n, k)
-
-
-def s_hat_closed_form(n: int, k: int) -> LaurentPolynomial:
-    """p^(C(k,2) - C(n-k+1,2) - (n-k)) S_{q/p}(n,k), for 0 <= k <= n."""
+    off its solution p^(C(k,2) - C(n-k+1,2) - (n-k)) S_{q/p}(n,k)."""
+    if k < 0 or k > n:
+        return ZERO
     shift = comb(k, 2) - comb(n - k + 1, 2) - (n - k)
     return LaurentPolynomial.variable("p", shift) * subs_q_to_q_over_p(stirling_q(n, k))
 

@@ -25,10 +25,10 @@ One read table and two kernels compute every other statistic:
   decodes a packed total in one call.
 * ``_read_sums`` is the per-partition kernel: it visits each pair of
   blocks once and returns the thirteen sums.  ``aggregate_profile``,
-  ``stat``, ``stat_restricted``, ``composite`` and ``transport_side`` read
-  forms off it; ``transport_side`` gives what one side of a transport
-  check compares (the six Euler-Mahonian composites, rsb_TC, INV and MAJ),
-  and ``six_composites`` is its first six.
+  ``stat``, ``stat_restricted`` and ``transport_side`` read forms off it;
+  ``transport_side`` gives what one side of a transport check compares
+  (the six Euler-Mahonian composites, rsb_TC, INV and MAJ), and
+  ``six_composites`` is its first six.
 * ``_pair_matrix`` is the pair-table kernel: it reads the ten pair reads
   of each unordered pair of blocks once for both of its orders and packs
   the pair terms of any fields from them.  A pair adds the same terms to
@@ -87,7 +87,6 @@ from .core import OrderedSetPartition
 __all__ = [
     "CoordStats",
     "COORD_NAMES",
-    "STAT_NAMES",
     "coord_stats",
     "coordinate_table",
     "stat",
@@ -96,7 +95,6 @@ __all__ = [
     "binv",
     "bdes_set",
     "bmaj",
-    "composite",
     "six_composites",
     "table_side",
     "transport_side",
@@ -276,7 +274,6 @@ _COMPOSITES = (
     "binv", "bmaj", "bdes", "cbinv", "cbmaj",
     "mak", "makp", "cinvlsb", "cmajlsb", "inv", "maj", "cls", "opb", "sb",
 )
-STAT_NAMES = tuple(COORD_NAMES) + tuple(sorted((*_COMPOSITES, "invsigma", "majsigma")))
 _PROFILE = (*(f"{name}_{cls}" for cls in ("os", "tc") for name in COORD_NAMES), *COORD_NAMES, *_COMPOSITES)
 
 _STRUCT_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
@@ -479,14 +476,6 @@ def resolve_stat(name: str) -> Callable[[OrderedSetPartition], int]:
 def stat(pi: OrderedSetPartition, name: str) -> int:
     """Evaluate a named statistic; coordinate names are summed over all
     elements, e.g. stat(pi, "ros") = ros_1 + ... + ros_n."""
-    return resolve_stat(name)(pi)
-
-
-def composite(pi: OrderedSetPartition, name: str) -> int:
-    """Evaluate one of the composed statistics (mak, makp, cinvlsb, ...)."""
-    low = name.lower()
-    if name not in ("Inv", "Maj") and (low in COORD_NAMES or low not in (*STAT_NAMES, "mak'")):
-        raise ValueError(f"unknown composite statistic: {name!r}")
     return resolve_stat(name)(pi)
 
 

@@ -56,6 +56,15 @@ def test_stats_single_statistic(capsys):
     assert capsys.readouterr().out.strip() == "19"
 
 
+def test_stats_single_statistic_json(capsys):
+    assert main(["stats", "6 8/5/1 4 7/3 9/2", "--stat", "mak", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "partition": {"n": 9, "blocks": [[6, 8], [5], [1, 4, 7], [3, 9], [2]]},
+        "stat": "mak",
+        "value": 21,
+    }
+
+
 def test_stats_refuses_an_empty_statistic_name(capsys):
     # an empty --stat names no statistic: it must not print the whole table
     assert main(["stats", "1 2/3", "--stat", ""]) == 1

@@ -126,6 +126,11 @@ def test_sigma_partitions_count_and_class():
         assert all(pi.standard_form()[1] == sigma for pi in members)
 
 
+def test_sigma_partitions_refuse_a_sigma_of_the_wrong_size():
+    with pytest.raises(ValueError, match="^sigma acts on 3 blocks, expected 2$"):
+        next(sigma_partitions(4, 2, Permutation.parse("312")))
+
+
 def test_sigma_class_sizes_at_scale():
     # every sigma-class has exactly S(n,k) members, k <= 4, n <= 7
     for n in range(1, 8):

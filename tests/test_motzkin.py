@@ -11,6 +11,7 @@ from opstat.motzkin import (
     motzkin_encode,
     motzkin_g,
 )
+from opstat.paths import LatticePath, PathDiagram
 from opstat.statistics import stat
 
 # the worked 15-element pair: applying the involution to FIG6 yields FIG7
@@ -53,6 +54,16 @@ def test_diagram_validation():
         MotzkinDiagram(("F",), (3,))
     with pytest.raises(ValueError, match="return"):
         MotzkinDiagram(("U",), (1,))
+
+
+@pytest.mark.parametrize("head, sep", [(" ", ","), (":", ","), (" ", " "), (":", ":"), (" : ", ", ")])
+def test_diagram_parsers_take_the_same_separators(head, sep):
+    # the steps end at a space or a ":", and spaces, commas and ":" separate
+    # the labels, in path-diagram and Motzkin text alike
+    path = PathDiagram(LatticePath.parse("NNNOOEDDED"), (0, 0, 2, 1, 2, 3, 2, 0, 1, 0))
+    assert PathDiagram.parse("NNNOOEDDED" + head + sep.join(map(str, path.labels))) == path
+    motzkin = MotzkinDiagram(tuple("UUDFUDUFUFDUDDD"), (1, 1, 2, 1, 1, 2, 1, 3, 1, 2, 3, 1, 2, 2, 1))
+    assert MotzkinDiagram.parse("UUDFUDUFUFDUDDD" + head + sep.join(map(str, motzkin.labels))) == motzkin
 
 
 def test_g_worked_example():

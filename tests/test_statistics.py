@@ -17,7 +17,6 @@ from opstat.statistics import (
     block_order_totals,
     block_relation,
     bmaj,
-    composite,
     coord_stats,
     coordinate_table,
     resolve_stat,
@@ -187,22 +186,22 @@ def test_trace_rsb_no_active():
 # ---------------------------------------------------------------------------
 
 def test_composites_worked_example():
-    assert composite(PI, "mak") == 17 + 4  # ros + lcs
-    assert composite(PI, "makp") == 10 + 9  # lob + rcb
-    assert composite(PI, "inv") == 8
-    assert composite(PI, "Inv") == 8  # equals inv of sigma = 54132
-    assert composite(PI, "inv") == stat_restricted(PI, "rsb", "OS") + binv(PI)
-    assert composite(PI, "inv") == stat_restricted(PI, "ros", "OS")
+    assert stat(PI, "mak") == 17 + 4  # ros + lcs
+    assert stat(PI, "makp") == 10 + 9  # lob + rcb
+    assert stat(PI, "inv") == 8
+    assert stat(PI, "Inv") == 8  # equals inv of sigma = 54132
+    assert stat(PI, "inv") == stat_restricted(PI, "rsb", "OS") + binv(PI)
+    assert stat(PI, "inv") == stat_restricted(PI, "ros", "OS")
 
 
 def test_cinvlsb_single_block():
-    assert composite(OrderedSetPartition.parse("1 2 3"), "cinvlsb") == 0
+    assert stat(OrderedSetPartition.parse("1 2 3"), "cinvlsb") == 0
 
 
 def test_name_resolution():
-    assert resolve_stat("MAK")(PI) == composite(PI, "mak")
-    assert resolve_stat("mak'")(PI) == composite(PI, "makp")
-    assert resolve_stat("cinvLSB")(PI) == composite(PI, "cinvlsb")
+    assert resolve_stat("MAK")(PI) == stat(PI, "mak")
+    assert resolve_stat("mak'")(PI) == stat(PI, "makp")
+    assert resolve_stat("cinvLSB")(PI) == stat(PI, "cinvlsb")
     assert resolve_stat("ros_os")(PI) == 8
     with pytest.raises(ValueError):
         resolve_stat("dez")
@@ -237,21 +236,21 @@ def test_functional_identities():
             prof = aggregate_profile(pi)
             inv_s = stat(pi, "invsigma")
             k = pi.k
-            assert composite(pi, "mak") + prof["binv"] == prof["cls"] + prof["rsb_tc"] + inv_s
-            assert composite(pi, "makp") + prof["binv"] == prof["opb"] + prof["rsb_tc"] + inv_s
-            assert composite(pi, "cinvlsb") == k * (k - 1) + prof["sb"] - prof["rsb_tc"] - inv_s
+            assert stat(pi, "mak") + prof["binv"] == prof["cls"] + prof["rsb_tc"] + inv_s
+            assert stat(pi, "makp") + prof["binv"] == prof["opb"] + prof["rsb_tc"] + inv_s
+            assert stat(pi, "cinvlsb") == k * (k - 1) + prof["sb"] - prof["rsb_tc"] - inv_s
 
 
 def test_six_composites_matches_definitions():
     for n in range(1, 6):
         for pi in ordered_set_partitions(n):
             expected = (
-                composite(pi, "mak") + binv(pi),
-                composite(pi, "makp") + binv(pi),
-                composite(pi, "cinvlsb"),
-                composite(pi, "mak") + bmaj(pi),
-                composite(pi, "makp") + bmaj(pi),
-                composite(pi, "cmajlsb"),
+                stat(pi, "mak") + binv(pi),
+                stat(pi, "makp") + binv(pi),
+                stat(pi, "cinvlsb"),
+                stat(pi, "mak") + bmaj(pi),
+                stat(pi, "makp") + bmaj(pi),
+                stat(pi, "cmajlsb"),
             )
             assert six_composites(pi) == expected
 

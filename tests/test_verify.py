@@ -11,10 +11,12 @@ from pathlib import Path
 import pytest
 from order_reference import order_row
 
-from opstat.core import OrderedSetPartition
+from opstat.core import OrderedSetPartition, Permutation
 from opstat.families import DeskScaleError, beta, permutations, set_partitions, stirling2
-from opstat.qpoly import LaurentPolynomial, q_factorial
-from opstat.verify import THEOREM_IDS, VerificationReport, run_task, verify
+from opstat.paths import upsilon, xi_map
+from opstat.qpoly import Q, LaurentPolynomial, q_factorial
+from opstat.statistics import table_side, transport_side
+from opstat.verify import THEOREM_IDS, VerificationReport, _upsilon_violation, _xi_violation, run_task, verify
 
 
 def test_unknown_id():
@@ -392,17 +394,57 @@ def test_thm31_sees_the_insert_rule_leave_active_bits_in_place(monkeypatch):
         ("thm3.3", dict(n=4, k=3), "triple transport fails: 2/4/1 3 -> 2/4/1 3"),
         ("thm3.3", dict(n=5, k=4), "triple transport fails: 2/1 3/5/4 -> 2/5/1 3/4"),
         ("thm3.3", dict(n=6, k=5), "triple transport fails: 2/1 3/4/6/5 -> 2/6/1 3/4/5"),
-        ("thm3.5", dict(pi="1 3/2/4"), "beta_inv round-trip fails at 2/4/1 3: beta gives 4/2/1 3"),
-        ("thm3.5", dict(pi="1 2 4/3/5"), "beta_inv round-trip fails at 3/5/1 2 4: beta gives 5/3/1 2 4"),
-        ("thm3.5", dict(pi="1 2 3 5/4/6"), "beta_inv round-trip fails at 4/6/1 2 3 5: beta gives 6/4/1 2 3 5"),
+        ("thm3.5", dict(pi="1 3/2/4"), "MAJ(beta((0, 1, 1))) != 2 at 2/4/1 3"),
+        ("thm3.5", dict(pi="1 2 4/3/5"), "MAJ(beta((0, 1, 1))) != 2 at 3/5/1 2 4"),
+        ("thm3.5", dict(pi="1 2 3 5/4/6"), "MAJ(beta((0, 1, 1))) != 2 at 4/6/1 2 3 5"),
     ],
 )
 def test_transport_checks_see_a_closing_block_keep_its_special_gap(monkeypatch, theorem, params, counterexample):
     # the close rule planted to clear the active bit only: the closed block's
-    # gap stays special, though its closer exceeds its left neighbour's opener
+    # gap stays special, though its closer exceeds its left neighbour's opener.
+    # beta and beta_inv both see the plant, so beta's round trip holds and
+    # thm3.5 fails on MAJ
     paths = importlib.import_module("opstat.paths")
     monkeypatch.setattr(paths, "_close", lambda active, special, closed: (active & ~closed, special))
     _assert_fails_at(verify(theorem, **params), counterexample)
+
+
+def test_thm35_sees_a_gap_rule_that_ignores_the_label(monkeypatch):
+    # every new block planted at the right end: beta looks the rule up on
+    # paths at each call, so it sends every vector to pi's own order
+    monkeypatch.setattr(importlib.import_module("opstat.paths"), "_gap", lambda special, r, label: r)
+    _assert_fails_at(verify("thm3.5", pi="1 3/2/4"), "beta_inv round-trip fails at 1 3/4/2: beta gives 1 3/2/4")
+
+
+def test_thm33_reports_an_image_of_another_type():
+    # a row whose type is not pi's: upsilon keeps the type, so its image's
+    # step word differs from the row's, though the triples agree
+    pi = OrderedSetPartition.parse("2/4/1 3")
+    row = ("EEEE", *table_side(pi)[:7])
+    assert _upsilon_violation(pi, row) == f"type changes: {pi} -> {upsilon(pi)}"
+
+
+def test_thm31_reports_an_image_outside_the_class_on_its_first_visit():
+    # pi checked against a class it is not in: xi keeps pi's class, so the
+    # image is outside the one named, and no partner has been recorded
+    pi = OrderedSetPartition.parse("4/1 3/2")
+    partners = {}
+    message = _xi_violation(pi, Permutation.identity(3), transport_side(pi), partners)
+    assert message == f"image leaves the sigma-class: {pi} -> {xi_map(pi)}"
+    assert partners == {}
+
+
+def test_doubleton_sees_rsb_os_not_split(monkeypatch):
+    verify_module = importlib.import_module(_VERIFY)
+    profile = verify_module.aggregate_profile
+    monkeypatch.setattr(verify_module, "aggregate_profile", lambda rho: {**profile(rho), "rsb_os": profile(rho)["rsb_os"] + 1})
+    _assert_fails_at(verify("doubleton", parts=(1, 1)), "rsb_OS does not split at 1 2/3 4")
+
+
+def test_doubleton_sees_a_class_factor_that_is_not_the_q_factorial(monkeypatch):
+    # [p]_q! planted to be q times too big, so no class factor matches it
+    monkeypatch.setattr(importlib.import_module(_VERIFY), "q_factorial", lambda k: q_factorial(k) * Q)
+    _assert_fails_at(verify("doubleton", parts=(2, 1)), "class factor for part 2 is not [2]_q!")
 
 
 @pytest.mark.parametrize(
