@@ -330,16 +330,6 @@ class OrderedSetPartition:
         """Element -> 1-based position of its block."""
         return {el: j for j, block in enumerate(self.blocks, start=1) for el in block}
 
-    @cached_property
-    def openers(self) -> frozenset[int]:
-        """Minima of all blocks (singletons included)."""
-        return frozenset(b[0] for b in self.blocks)
-
-    @cached_property
-    def closers(self) -> frozenset[int]:
-        """Maxima of all blocks (singletons included)."""
-        return frozenset(b[-1] for b in self.blocks)
-
     def partition_type(self) -> PartitionType:
         openers, closers, singles, trans = set(), set(), set(), set()
         for block in self.blocks:

@@ -136,14 +136,6 @@ class LatticePath:
         steps, where (x, y) is the step's starting point."""
         return self._walk[1]
 
-    def x(self, i: int) -> int:
-        """Abscissa of step i (coordinates of the step's starting point)."""
-        return self.points[i - 1][0]
-
-    def y(self, i: int) -> int:
-        """Height of step i (ordinate of the step's starting point)."""
-        return self.points[i - 1][1]
-
     def to_text(self) -> str:
         return "".join(self.steps)
 

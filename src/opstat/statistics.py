@@ -24,24 +24,23 @@ One read table and two kernels compute every other statistic:
   into one coefficient per read, and as fields are byte-wide, ``struct``
   decodes a packed total in one call.
 * ``_read_sums`` is the per-partition kernel: it visits each pair of
-  blocks once and returns the thirteen sums.  ``aggregate_profile``,
-  ``stat``, ``stat_restricted`` and ``transport_side`` read forms off it;
-  ``transport_side`` gives what one side of a transport check compares
-  (the six Euler-Mahonian composites, rsb_TC, INV and MAJ), and
-  ``six_composites`` is its first six.
+  blocks once and returns the thirteen sums.  ``field_values`` reads any
+  fields off one call of it, and ``aggregate_profile``, ``stat``,
+  ``stat_restricted`` and ``six_composites`` are ``field_values`` of their
+  forms.
 * ``_pair_matrix`` is the pair-table kernel: it reads the ten pair reads
   of each unordered pair of blocks once for both of its orders and packs
   the pair terms of any fields from them.  A pair adds the same terms to
   every block order that puts the same one of the two on the left, so one
   table per set of blocks holds, for each block, the prefix sums of those
   terms over every subset of the other blocks, and each block order costs
-  one table lookup and one addition per block.  ``table_side`` reads all of
-  ``transport_side``, one object at a time, off the tables of the last two
-  sets of blocks it read, adding bMaj from the adjacent blocks: thm3.3's
-  ordered partitions and their images under upsilon, and rearrangement
-  classes read it, and thm3.5 checks beta's MAJ on each member's side.
-  The tests compare it with ``transport_side``, and the matrix with a
-  reference that reads one ordered pair at a time.
+  one table lookup and one addition per block.  ``order_reader`` builds
+  the table of one set of blocks and returns a reader of any order of any
+  of them, the adjacent reads taken from adjacent blocks, that hands a
+  partition with another block to ``field_values``.  A transport sweep
+  owns one reader per set of blocks it sweeps.  The tests compare the
+  readers with ``field_values``, and the matrix with a reference that
+  reads one ordered pair at a time.
 * ``block_order_totals`` sums the same tables over every block order of a
   standard form at once, for the sums over all of OP(n,k)
   (``families.ordered_set_partitions`` with ``fields``).  The rows of
@@ -96,8 +95,8 @@ __all__ = [
     "bdes_set",
     "bmaj",
     "six_composites",
-    "table_side",
-    "transport_side",
+    "field_values",
+    "order_reader",
     "aggregate_profile",
     "rcb_lsb_rows",
     "resolve_stat",
@@ -343,11 +342,14 @@ def _read_sums(blocks: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     )
 
 
-def _values(pi: OrderedSetPartition, fields: tuple[str, ...]) -> tuple[int, ...]:
-    """The values of ``fields`` on pi, packed from one kernel call and
-    decoded at once."""
+def field_values(pi: OrderedSetPartition, fields: tuple[str, ...]) -> tuple[int, ...]:
+    """The values of ``fields``, signed sums of names such as ``"mak+binv"``,
+    on pi, packed from one kernel call and decoded at once, modulo
+    2^(8 size): a faulty kernel's field outside its range reads as a wrong
+    value, which the checks report, not as an error."""
     coefficients, unpack, size = _packing(fields, _field_width(pi.n, pi.k))
-    return unpack(sum(map(operator.mul, _read_sums(pi.blocks), coefficients)).to_bytes(size, "little"))
+    total = sum(map(operator.mul, _read_sums(pi.blocks), coefficients))
+    return unpack((total & ~(-1 << 8 * size)).to_bytes(size, "little"))
 
 
 def aggregate_profile(pi: OrderedSetPartition) -> dict[str, int]:
@@ -360,7 +362,7 @@ def aggregate_profile(pi: OrderedSetPartition) -> dict[str, int]:
     The test suite compares it exhaustively at small n with sums of the
     reference ``coord_stats``.
     """
-    return dict(zip(_PROFILE, _values(pi, _PROFILE)))
+    return dict(zip(_PROFILE, field_values(pi, _PROFILE)))
 
 
 # The last _TAIL elements of each standard form are placed by plain
@@ -455,7 +457,7 @@ def stat_restricted(pi: OrderedSetPartition, name: str, cls: str) -> int:
         raise ValueError(f"not a coordinate statistic: {name}")
     if cls.upper() not in ("OS", "TC"):
         raise ValueError(f"restriction class must be OS or TC, got {cls!r}")
-    return sum(map(operator.mul, _read_sums(pi.blocks), _FORMS[f"{name}_{cls.lower()}"]))
+    return field_values(pi, (f"{name}_{cls.lower()}",))[0]
 
 
 def resolve_stat(name: str) -> Callable[[OrderedSetPartition], int]:
@@ -467,10 +469,10 @@ def resolve_stat(name: str) -> Callable[[OrderedSetPartition], int]:
     The exact spellings "Inv" and "Maj" are kept for the latter pair.
     """
     low = {"Inv": "invsigma", "Maj": "majsigma"}.get(name) or name.lower()
-    form = _FORMS.get("makp" if low == "mak'" else low)
-    if form is None:
+    fields = ("makp" if low == "mak'" else low,)
+    if fields[0] not in _FORMS:
         raise ValueError(f"unknown statistic: {name!r}")
-    return lambda pi: sum(map(operator.mul, _read_sums(pi.blocks), form))
+    return lambda pi: field_values(pi, fields)[0]
 
 
 def stat(pi: OrderedSetPartition, name: str) -> int:
@@ -479,22 +481,13 @@ def stat(pi: OrderedSetPartition, name: str) -> int:
     return resolve_stat(name)(pi)
 
 
+_SIX = ("mak+binv", "makp+binv", "cinvlsb", "mak+bmaj", "makp+bmaj", "cmajlsb")
+
+
 def six_composites(pi: OrderedSetPartition) -> tuple[int, int, int, int, int, int]:
     """(mak+bInv, makp+bInv, cinvLSB, mak+bMaj, makp+bMaj, cmajLSB), the
-    six Euler-Mahonian composites: the first six entries of
-    ``transport_side``."""
-    return transport_side(pi)[:6]
-
-
-# everything one side of a transport check compares
-_SIDE = ("mak+binv", "makp+binv", "cinvlsb", "mak+bmaj", "makp+bmaj", "cmajlsb", "rsb_tc", "inv", "maj")
-
-
-def transport_side(pi: OrderedSetPartition) -> tuple[int, ...]:
-    """The six composites of ``six_composites``, then rsb_TC, INV and MAJ:
-    the forms of ``_SIDE``, read off one kernel call without building the
-    profile."""
-    return _values(pi, _SIDE)
+    six Euler-Mahonian composites."""
+    return field_values(pi, _SIX)
 
 
 # ---------------------------------------------------------------------------
@@ -547,52 +540,45 @@ def _pair_rows(terms: list[list[int]]) -> list[list[int]]:
     return rows
 
 
-def _pair_table(blocks: tuple[tuple[int, ...], ...]) -> tuple[dict, tuple]:
-    """Map each block B_j to (W_j, 2^j), with W_j from ``_pair_rows`` over
-    the forms of ``_SIDE``, and return it with their packing."""
-    width = _field_width(sum(map(len, blocks)), len(blocks))
-    rows = _pair_rows(_pair_matrix(blocks, _SIDE, width))
-    return {block: (row, 1 << j) for j, (block, row) in enumerate(zip(blocks, rows))}, _packing(_SIDE, width)
+def order_reader(
+    blocks: tuple[tuple[int, ...], ...], fields: tuple[str, ...]
+) -> Callable[[OrderedSetPartition], tuple[int, ...]]:
+    """A reader of ``fields`` on any order of any of ``blocks``, built on
+    one pair table of them; it gives ``field_values(rho, fields)``.
 
-
-# The tables of the last two sets of blocks read, the more recent first:
-# a partition and an image with other blocks keep one each.  Each is held
-# with the packing of its fields; the empty partition reads the first.
-_side_tables: tuple[tuple[dict, tuple | None], tuple[dict, tuple | None]] = (({}, _packing(_SIDE, 8)), ({}, None))
-
-
-def table_side(pi: OrderedSetPartition) -> tuple[int, ...]:
-    """``transport_side(pi)`` read from the pair table of pi's blocks.
-
-    The tables of the last two sets of blocks read are kept, and a new one
-    replaces the one read less recently, so the k! block orders of one set
-    of blocks share one table, also between reads of another set.  Every
-    term is a sum over pairs of pi's own blocks, so any table that holds
-    them all gives the same answer.  bMaj is read from the k - 1 adjacent
-    pairs.
+    Every term is a sum over pairs of rho's own blocks, so the table of any
+    set of blocks that holds them all gives it: each block of rho adds its
+    row's cell on the mask of the blocks left of it, and the adjacent reads
+    come from the k - 1 adjacent pairs.  A partition with a block outside
+    ``blocks`` is read by ``field_values``.
     """
-    global _side_tables
-    newer, older = _side_tables
-    index, packing = newer
-    blocks = pi.blocks
-    mask = total = b_maj = pos = opener = 0
-    for block in blocks:
-        entry = index.get(block)
-        if entry is None:
-            if all(map(older[0].__contains__, blocks)):
-                _side_tables = older, newer
-            else:
-                _side_tables = _pair_table(blocks), newer
-            return table_side(pi)
-        row, bit = entry
-        total += row[mask]
-        mask |= bit
-        if opener > block[-1]:
-            b_maj += pos
-        opener = block[0]
-        pos += 1
-    coefficients, unpack, size = packing
-    return unpack((total + b_maj * coefficients[_BMAJ]).to_bytes(size, "little"))
+    width = _field_width(sum(map(len, blocks)), len(blocks))
+    coefficients, unpack, size = _packing(fields, width)
+    c_bmaj, c_majsigma, c_bdes = coefficients[_BMAJ:]
+    rows = _pair_rows(_pair_matrix(blocks, fields, width))
+    table = {block: (row, 1 << j) for j, (block, row) in enumerate(zip(blocks, rows))}
+    get = table.get
+
+    def read(rho: OrderedSetPartition) -> tuple[int, ...]:
+        mask = total = b_maj = maj_sigma = b_des = pos = opener = 0
+        for block in rho.blocks:
+            entry = get(block)
+            if entry is None:
+                return field_values(rho, fields)
+            row, bit = entry
+            total += row[mask]
+            mask |= bit
+            if opener > block[0]:
+                maj_sigma += pos
+                if opener > block[-1]:
+                    b_maj += pos
+                    b_des += 1
+            opener = block[0]
+            pos += 1
+        total += b_maj * c_bmaj + maj_sigma * c_majsigma + b_des * c_bdes
+        return unpack(total.to_bytes(size, "little"))
+
+    return read
 
 
 # ---------------------------------------------------------------------------

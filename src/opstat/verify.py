@@ -82,11 +82,11 @@ from .qpoly import (
 # here calls them
 from .statistics import (
     aggregate_profile,
+    field_values,
+    order_reader,
     six_composites,
     stat,
     stat_restricted,
-    table_side,
-    transport_side,
     unpack_totals,
 )
 
@@ -245,19 +245,21 @@ def _op_sweep(theorem: str, n: int, k: int) -> tuple[list, None]:
 # thm3.1: sigma-classes with the (p/q)^inv factor, plus the xi transport
 # ---------------------------------------------------------------------------
 
-# Each transport check reads both of its sides as ``transport_side`` tuples:
-# (mak+bInv, mak'+bInv, cinvLSB, mak+bMaj, mak'+bMaj, cmajLSB, rsb_TC, INV,
-# MAJ).  pi's side is in its row, which the fold hands to the pointwise check.
-# Where the objects come as block orders of one set of blocks (thm3.3's
-# ordered partitions, as in the OP(n,k) sums above, and a rearrangement
-# class), it is read from the pair table, ``table_side``, and so are the
-# images under upsilon, which mostly keep pi's blocks.  xi complements the
-# type, so its images have other blocks and are read by ``transport_side``.
+# Each transport check names the forms it reads of both of its sides, as
+# the sums above name theirs.  pi's side is in its row, which the fold hands
+# to the pointwise check.  Where the objects come as block orders of one set
+# of blocks (thm3.3's ordered partitions, as in the OP(n,k) sums above, and
+# a rearrangement class), the sweep builds one ``order_reader`` for them and
+# reads the images under upsilon with it too, as these mostly keep pi's
+# blocks.  xi complements the type, so its images have other blocks, and
+# both sides are read by ``field_values``.
+_XI_FIELDS = ("mak+binv", "makp+binv", "cinvlsb", "rsb_tc")
+
 
 def _xi_violation(pi: OrderedSetPartition, sigma: Permutation, side: tuple[int, ...], partners: dict) -> str | None:
     """The conjugated involution must swap mak+bInv with mak'+bInv, fix
     cinvLSB and rsb_TC, and stay inside the sigma-class.  ``side`` is pi's
-    ``transport_side``, its row in the fold.
+    ``_XI_FIELDS``, its row in the fold.
 
     A sweep passes one ``partners`` dict to every check.  When pi passes
     with xi(pi) = rho != pi, xi(rho) = pi holds, and rho's checks are pi's
@@ -268,8 +270,8 @@ def _xi_violation(pi: OrderedSetPartition, sigma: Permutation, side: tuple[int, 
     if image is not None:
         return None if image.standard_form()[1] == sigma else f"image leaves the sigma-class: {pi} -> {image}"
     image = xi_map(pi)
-    a, b, ci, _, _, _, rsb_tc, *_ = side
-    a2, b2, ci2, _, _, _, rsb_tc2, *_ = transport_side(image)
+    a, b, ci, rsb_tc = side
+    a2, b2, ci2, rsb_tc2 = field_values(image, _XI_FIELDS)
     if (a2, b2, ci2) != (b, a, ci):
         return f"triple swap fails: {pi} -> {image}"
     if rsb_tc != rsb_tc2:
@@ -286,8 +288,8 @@ def _xi_violation(pi: OrderedSetPartition, sigma: Permutation, side: tuple[int, 
 def _thm31_sweep(n: int, k: int, sigma: Permutation) -> tuple[list, str | None]:
     partners: dict = {}
     counts, counterexample = _fold(
-        # (mak+bInv, cinvLSB) and (mak'+bInv, cinvLSB), by position in the side
-        sigma_partitions(n, k, sigma), transport_side, _slot_keys(((0, 2), (1, 2))), 2,
+        # (mak+bInv, cinvLSB) and (mak'+bInv, cinvLSB)
+        sigma_partitions(n, k, sigma), lambda pi: field_values(pi, _XI_FIELDS), _slot_keys(((0, 2), (1, 2))), 2,
         lambda pi, side: _xi_violation(pi, sigma, side, partners),
     )
     inv = sigma.inversion_number()
@@ -299,13 +301,18 @@ def _thm31_sweep(n: int, k: int, sigma: Permutation) -> tuple[list, str | None]:
 # thm3.3: per-type equidistribution plus the upsilon transport
 # ---------------------------------------------------------------------------
 
-def _upsilon_violation(pi: OrderedSetPartition, row: tuple) -> str | None:
+# the bInv-based triple, the bMaj-based one and rsb_TC
+_UPSILON_FIELDS = ("mak+binv", "makp+binv", "cinvlsb", "mak+bmaj", "makp+bmaj", "cmajlsb", "rsb_tc")
+
+
+def _upsilon_violation(pi: OrderedSetPartition, row: tuple, read: Callable) -> str | None:
     """The encoding swap must preserve the type and rsb_TC and carry the
-    bInv-based triple to the bMaj-based one.  The image's side is read off
-    its own blocks, like pi's."""
+    bInv-based triple to the bMaj-based one.  ``row`` is pi's type and its
+    ``_UPSILON_FIELDS``, and ``read`` reads those of the image, with pi's
+    pair table where the image keeps pi's blocks."""
     image = upsilon(pi)
     word, a, b, ci, _, _, _, rsb_tc = row
-    _, _, _, c2, d2, cm2, rsb_tc2, *_ = table_side(image)
+    _, _, _, c2, d2, cm2, rsb_tc2 = read(image)
     if (c2, d2, cm2) != (a, b, ci):
         return f"triple transport fails: {pi} -> {image}"
     if step_word(image) != word:
@@ -316,23 +323,24 @@ def _upsilon_violation(pi: OrderedSetPartition, row: tuple) -> str | None:
 
 
 def _thm33_sweep(n: int, k: int) -> tuple[list, str | None]:
-    """pi's row is its type, as its path's step word, which belongs to the
-    blocks and so is read once per standard form, then the first seven
-    entries of its ``table_side``: the two triples and rsb_TC.  As in
-    ``ordered_set_partitions``, the tracer (bench/tracing.py) wraps no
-    generator of the forms, so it counts the block orders alone."""
-    word = ""
+    """pi's row is its type, as its path's step word, then its
+    ``_UPSILON_FIELDS``.  The type and the reader belong to the blocks, so
+    each is made once per standard form.  As in ``ordered_set_partitions``,
+    the tracer (bench/tracing.py) wraps no generator of the forms, so it
+    counts the block orders alone."""
+    word, read = "", None
 
     def block_orders() -> Iterable[OrderedSetPartition]:
-        nonlocal word
+        nonlocal word, read
         for std in _standard_forms(n, k):
             word = step_word(std)
+            read = order_reader(std.blocks, _UPSILON_FIELDS)
             yield from rearrangements(std)
 
     (inv_by_type, maj_by_type), counterexample = _fold(
         # the bInv- and bMaj-based triples, each keyed with the type
-        block_orders(), lambda pi: (word, *table_side(pi)[:7]), _slot_keys(((0, 1, 2, 3), (0, 4, 5, 6))), 2,
-        _upsilon_violation,
+        block_orders(), lambda pi: (word, *read(pi)), _slot_keys(((0, 1, 2, 3), (0, 4, 5, 6))), 2,
+        lambda pi, row: _upsilon_violation(pi, row, read),
     )
     # both counters count every object of a type once, so the per-type
     # distributions differ only where a key of the first has another count
@@ -350,9 +358,7 @@ def _thm33_sweep(n: int, k: int) -> tuple[list, str | None]:
 # thm3.5: rearrangement classes of a partition
 # ---------------------------------------------------------------------------
 
-def _inv_maj(rho: OrderedSetPartition) -> tuple[int, int]:
-    """INV and MAJ, the last two entries of rho's ``table_side``."""
-    return table_side(rho)[-2:]
+_INV_MAJ = ("inv", "maj")
 
 
 def _thm35_sweep(pi: OrderedSetPartition) -> tuple[list, str | None]:
@@ -372,7 +378,8 @@ def _thm35_sweep(pi: OrderedSetPartition) -> tuple[list, str | None]:
             return f"MAJ(beta({c})) != {sum(c)} at {rho}"
         return None
 
-    (acc_inv, acc_maj), counterexample = _fold(rearrangements(pi), _inv_maj, _q_keys, 2, beta_violation)
+    read = order_reader(pi.blocks, _INV_MAJ)  # one pair table for the class
+    (acc_inv, acc_maj), counterexample = _fold(rearrangements(pi), read, _q_keys, 2, beta_violation)
     rhs = q_factorial(pi.k)
     return [(LaurentPolynomial(acc_maj), rhs), (LaurentPolynomial(acc_inv), rhs)], counterexample
 
@@ -413,9 +420,8 @@ def _doubleton_sweep(parts: tuple[int, ...]) -> tuple[list, str | None]:
             return f"rsb_OS does not split at {rho}"
         return None
 
-    counts, counterexample = _fold(
-        rearrangements(doubleton_partition(parts)), _inv_maj, _q_keys, 2, split_violation
-    )
+    pi = doubleton_partition(parts)
+    counts, counterexample = _fold(rearrangements(pi), order_reader(pi.blocks, _INV_MAJ), _q_keys, 2, split_violation)
     acc_inv, acc_maj = map(LaurentPolynomial, counts)
     factor = LaurentPolynomial.constant(1)
     for p in parts:

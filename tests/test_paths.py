@@ -105,8 +105,8 @@ def test_path_from_type_rejects_bad_prefix():
 
 
 def test_heights_worked_example():
-    assert (RUN_PATH.x(7), RUN_PATH.y(7)) == (1, 3)  # step 7 starts at (1, 3)
-    assert (RUN_PATH.x(1), RUN_PATH.y(1)) == (0, 0)
+    assert RUN_PATH.points[6] == (1, 3)  # step 7 starts at (1, 3)
+    assert RUN_PATH.points[0] == (0, 0)
 
 
 def test_heights_law_at_rises_and_flats():
@@ -116,7 +116,7 @@ def test_heights_law_at_rises_and_flats():
         for i, step in enumerate(path.steps, start=1):
             if step in ("N", "E"):
                 rank += 1
-                assert path.x(i) + path.y(i) + 1 == rank
+                assert sum(path.points[i - 1]) + 1 == rank
 
 
 def test_associated_permutation_figure_example():
@@ -156,7 +156,7 @@ def test_reverse_involution_and_height_law():
         # the height of step i of the reverse is the ordinate of the point
         # the original reaches after n - i steps
         for i in range(1, path.n + 1):
-            assert rev.y(i) == path.points[path.n + 1 - i][1]
+            assert rev.points[i - 1][1] == path.points[path.n + 1 - i][1]
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +547,8 @@ def test_diagram_label_bounds_match_step_coordinates():
             except ValueError:
                 continue
             for i, step in enumerate(steps, start=1):
-                bound = path.y(i) - 1 if step in "OD" else path.x(i) + path.y(i)
+                x, y = path.points[i - 1]
+                bound = y - 1 if step in "OD" else x + y
                 for label in (-1, bound, bound + 1):
                     labels = [0] * n
                     labels[i - 1] = label
@@ -821,8 +822,8 @@ def _associated_permutation_by_scans(path):
     souths = _positions(path, "D")
     images = []
     for o in _positions(path, "N"):
-        t = path.y(o)
-        images.append(next(j for j, c in enumerate(souths, start=1) if c > o and path.y(c) == t + 1))
+        t = path.points[o - 1][1]
+        images.append(next(j for j, c in enumerate(souths, start=1) if c > o and path.points[c - 1][1] == t + 1))
     return Permutation(tuple(images))
 
 

@@ -22,12 +22,13 @@ from opstat.statistics import (
     aggregate_profile,
     binv,
     bmaj,
+    field_values,
+    order_reader,
     six_composites,
     stat,
     stat_restricted,
-    table_side,
-    transport_side,
 )
+from opstat.verify import _INV_MAJ, _OP_SUMS, _UPSILON_FIELDS, _XI_FIELDS
 
 
 @st.composite
@@ -147,14 +148,35 @@ def test_fast_paths_match_definitions_random(pi):
 @settings(max_examples=80)
 @given(partitions(max_n=10))
 def test_table_composites_random(pi):
-    # the six composites are the first six entries that table_side reads
-    assert table_side(pi)[:6] == six_composites(pi)
+    # the six composites are the first six fields that thm3.3's reader reads
+    assert order_reader(pi.blocks, _UPSILON_FIELDS)(pi)[:6] == six_composites(pi)
 
 
 @settings(max_examples=80)
 @given(partitions(max_n=10))
 def test_table_side_random(pi):
-    assert table_side(pi) == transport_side(pi)
+    # a reader of pi's blocks reads pi and its image under upsilon as
+    # field_values does, under the fields of each transport check
+    image = upsilon(pi)
+    for fields in (_XI_FIELDS, _UPSILON_FIELDS, _INV_MAJ):
+        read = order_reader(pi.blocks, fields)
+        assert read(pi) == field_values(pi, fields)
+        assert read(image) == field_values(image, fields)
+
+
+@settings(max_examples=60)
+@given(partitions())
+def test_every_packed_form_stays_inside_its_field_random(pi):
+    # the premise of _field_width past the exhaustive range, up to the
+    # desk-scale limit: every form of the read table, every field that an
+    # OP(n,k) sum packs and every field that a transport check reads sums
+    # to at least 0 and less than 2nk, by the per-object reference
+    from opstat import statistics
+
+    fields = {field for slots, _ in _OP_SUMS.values() for slot in slots for field in slot}
+    fields.update(_XI_FIELDS, _UPSILON_FIELDS, _INV_MAJ)
+    values = order_row(pi, (*statistics._FORMS, *sorted(fields)))
+    assert 0 <= min(values) and max(values) < 2 * pi.n * pi.k <= 1 << statistics._field_width(pi.n, pi.k)
 
 
 @settings(max_examples=80)

@@ -8,7 +8,8 @@ from order_reference import order_row, packed_pair_term, pair_rows
 from trace_reference import parse_trace, trace_bdes_set, trace_bmaj, trace_ros, trace_rsb
 
 from opstat.core import OrderedSetPartition
-from opstat.families import ordered_set_partitions, set_partitions, stirling2
+from opstat.families import ordered_set_partitions, rearrangements, set_partitions, stirling2
+from opstat.paths import upsilon
 from opstat.statistics import (
     COORD_NAMES,
     aggregate_profile,
@@ -19,14 +20,15 @@ from opstat.statistics import (
     bmaj,
     coord_stats,
     coordinate_table,
+    field_values,
+    order_reader,
     resolve_stat,
     six_composites,
     stat,
     stat_restricted,
-    table_side,
-    transport_side,
     unpack_totals,
 )
+from opstat.verify import _INV_MAJ, _UPSILON_FIELDS, _XI_FIELDS
 
 PI = OrderedSetPartition.parse("6 8/5/1 4 7/3 9/2")
 
@@ -35,6 +37,11 @@ PI = OrderedSetPartition.parse("6 8/5/1 4 7/3 9/2")
 # lcs_os through INV, bInv and lcs_os, C through cbinv, L and R through
 # mak', then bMaj and maj sigma
 EVERY_READ = ("mak", "los+rcs", "lsb", "binv", "rsb", "inv", "lcs_os", "cbinv", "makp", "bmaj", "majsigma")
+
+# the fields that each transport check reads, and for a reader, which also
+# reads bDes, EVERY_READ with it
+CHECK_FIELDS = (_XI_FIELDS, _UPSILON_FIELDS, _INV_MAJ)
+READER_FIELDS = (*CHECK_FIELDS, (*EVERY_READ, "bdes"))
 
 # the full worked coordinate table, rows in element order 6 8 | 5 | 1 4 7 | 3 9 | 2
 TABLE = {
@@ -218,8 +225,8 @@ def test_big_and_sigma_statistics_agree_for_inv():
 def test_positional_statistics_via_type():
     # cls, opb and sb depend only on openers/closers as positions in [n]
     for pi in ordered_set_partitions(6):
-        openers = sorted(pi.openers)
-        closers = sorted(pi.closers)
+        openers = sorted(b[0] for b in pi.blocks)
+        closers = sorted(b[-1] for b in pi.blocks)
         n, k = pi.n, pi.k
         lam = pi.partition_type()
         assert stat(pi, "cls") == sum(n - i for i in closers)
@@ -268,8 +275,8 @@ def test_invariant_sweep_n7():
         assert six[0] == prof["cls"] + prof["rsb_tc"] + inv_s
         assert six[1] == prof["opb"] + prof["rsb_tc"] + inv_s
         assert six[2] == k * (k - 1) + prof["sb"] - prof["rsb_tc"] - inv_s
-        assert prof["cls"] == sum(n - i for i in pi.closers)
-        assert prof["opb"] == sum(i - 1 for i in pi.openers)
+        assert prof["cls"] == sum(n - b[-1] for b in pi.blocks)
+        assert prof["opb"] == sum(b[0] - 1 for b in pi.blocks)
         lam = pi.partition_type()
         assert prof["sb"] == sum(lam.closers) - sum(lam.openers) + k - n
 
@@ -305,14 +312,16 @@ def test_profile_and_fast_path_match_reference_exhaustive():
 
 
 def test_transport_side_matches_profile_and_reference_exhaustive():
-    # the per-side tuple of the transport checks against six_composites and
-    # the profile, and against sums of the ten-counter reference and the
-    # block-pair definitions, on all ordered partitions with n <= 6
+    # the fields of the transport checks, each a side of one, against
+    # six_composites and the profile, and against sums of the ten-counter
+    # reference and the block-pair definitions, on all ordered partitions
+    # with n <= 6
     for n in range(1, 7):
         for pi in ordered_set_partitions(n):
-            side = transport_side(pi)
+            side = field_values(pi, (*_UPSILON_FIELDS, *_INV_MAJ))
             prof = aggregate_profile(pi)
             assert side == (*six_composites(pi), prof["rsb_tc"], prof["inv"], prof["maj"])
+            assert field_values(pi, _XI_FIELDS) == (*side[:3], side[6])
 
             lam = pi.partition_type()
             opener_like = lam.openers | lam.singletons
@@ -360,50 +369,60 @@ def test_rcb_lsb_rows_need_k_and_only_those_fields():
 
 def test_table_composites_match_six_composites_exhaustive():
     # every block order of every ordered partition with n <= 6: the six
-    # composites are the first six entries that table_side reads
+    # composites are the first six fields that thm3.3's reader reads
     for n in range(1, 7):
-        for pi in ordered_set_partitions(n):
-            assert table_side(pi)[:6] == six_composites(pi)
+        for std in set_partitions(n):
+            read = order_reader(std.blocks, _UPSILON_FIELDS)
+            for pi in rearrangements(std):
+                assert read(pi)[:6] == six_composites(pi)
 
 
 def test_table_side_matches_transport_side_exhaustive():
-    # every block order of every ordered partition with n <= 6, each followed
-    # by its image under upsilon, as thm3.3 reads them, through the two
-    # tables that table_side keeps
-    from opstat.paths import upsilon
-
+    # every block order of every ordered partition with n <= 6, then its
+    # image under upsilon, as thm3.3 reads them: the reader of the standard
+    # form's blocks gives field_values under the fields of each transport
+    # check and under fields that read every read, bDes included
     for n in range(1, 7):
-        for pi in ordered_set_partitions(n):
-            for rho in (pi, upsilon(pi)):
-                assert table_side(rho) == transport_side(rho)
+        for std in set_partitions(n):
+            readers = [(order_reader(std.blocks, fields), fields) for fields in READER_FIELDS]
+            for pi in rearrangements(std):
+                for rho in (pi, upsilon(pi)):
+                    for read, fields in readers:
+                        assert read(rho) == field_values(rho, fields)
 
 
-def test_table_side_reads_any_table_that_holds_the_blocks(monkeypatch):
-    # 1/2 and 2/1 are read from the table of 3/1/2, whose blocks include
-    # theirs; of the two tables kept, a new one replaces the less recently read
+def test_a_reader_hands_a_partition_with_another_block_to_field_values(monkeypatch):
+    # the table of 1 3/2 holds the blocks of 2/1 3 but not those of 1/2 3
     from opstat import statistics
 
-    built = []
-    pair_table = statistics._pair_table
-    monkeypatch.setattr(statistics, "_pair_table", lambda blocks: built.append(blocks) or pair_table(blocks))
-    monkeypatch.setattr(statistics, "_side_tables", (({}, None), ({}, None)))
+    calls = []
+    original = statistics.field_values
+    monkeypatch.setattr(statistics, "field_values", lambda pi, fields: calls.append(pi) or original(pi, fields))
+    read = order_reader(OrderedSetPartition.parse("1 3/2").blocks, EVERY_READ)
+    own, other = OrderedSetPartition.parse("2/1 3"), OrderedSetPartition.parse("1/2 3")
+    assert read(own) == order_row(own, EVERY_READ)
+    assert calls == []
+    assert read(other) == order_row(other, EVERY_READ)
+    assert calls == [other]
 
-    def read(*texts):
-        for text in texts:
-            pi = OrderedSetPartition.parse(text)
-            assert table_side(pi) == transport_side(pi)
 
-    first, second, third = ((3,), (1,), (2,)), ((2, 3), (1,)), ((1, 3), (2,))
-    read("3/1/2", "1/2", "2/1", "3/1/2", "2/3/1")
-    assert built == [first]
-    # reads that alternate between two sets of blocks build no more tables
-    read("2 3/1", "3/1/2", "1/2 3", "1/2/3", "2 3/1", "2/1/3")
-    assert built == [first, second]
-    # the third set evicts the second, read less recently than the first
-    read("1 3/2", "2/1/3", "2/1 3")
-    assert built == [first, second, third]
-    read("2 3/1")
-    assert built == [first, second, third, second]
+def test_table_side_reads_any_table_that_holds_the_blocks():
+    # a reader reads every order of its own blocks, and every order of those
+    # of them that partition some [m], the empty partition included, as the
+    # per-object reference does
+    for text, orders in (("3/1/2", 1 + 1 + 2 + 6), ("1 4/2/3 5/6", 1 + 6 + 24), ("1 5/2/3 4/6/7", 1 + 6 + 24 + 120)):
+        std = OrderedSetPartition.parse(text)
+        for fields in READER_FIELDS:
+            read = order_reader(std.blocks, fields)
+            count = 0
+            for size in range(std.k + 1):
+                for blocks in itertools.permutations(std.blocks, size):
+                    m = sum(map(len, blocks))
+                    if {el for block in blocks for el in block} == set(range(1, m + 1)):
+                        rho = OrderedSetPartition(m, blocks)
+                        assert read(rho) == order_row(rho, fields)
+                        count += 1
+            assert count == orders
 
 
 @pytest.mark.parametrize("order", ["increasing", "decreasing"])
@@ -413,14 +432,14 @@ def test_table_side_matches_transport_side_at_the_packing_extremes(order):
     # in decreasing order every pair is an inversion and a descent
     elements = range(1, 13) if order == "increasing" else range(12, 0, -1)
     pi = OrderedSetPartition.parse("/".join(map(str, elements)))
-    assert table_side(pi) == transport_side(pi)
+    for fields in READER_FIELDS:
+        assert order_reader(pi.blocks, fields)(pi) == field_values(pi, fields)
 
 
 def test_order_row_matches_the_profile_exhaustive():
     # the per-object reference of block_order_totals, field by field, on
-    # the fields of every OP(n,k) sum and of table_side, against the
-    # per-partition kernel
-    from opstat import statistics
+    # the fields of every OP(n,k) sum and of the transport checks, against
+    # the per-partition kernel
     from opstat.verify import _OP_SUMS, _op_fields
 
     field_sets = [_op_fields(slots)[0] for slots, _ in _OP_SUMS.values()] + [EVERY_READ]
@@ -436,7 +455,8 @@ def test_order_row_matches_the_profile_exhaustive():
                     for field in fields
                 ]
                 assert list(order_row(pi, fields)) == expected
-            assert order_row(pi, statistics._SIDE) == transport_side(pi)
+            for fields in CHECK_FIELDS:
+                assert order_row(pi, fields) == field_values(pi, fields)
 
 
 def _order_rows(forms, n, k, fields):
@@ -528,7 +548,7 @@ def test_the_layout_follows_the_suffix_size(monkeypatch):
 def test_pair_rows_read_both_orders_of_a_pair_as_the_ordered_reference():
     # each pair of blocks is read once for both of its orders; the reference
     # reads one ordered pair at a time, under the fields of every OP(n,k)
-    # sum, the nine of table_side's table and fields that read every pair
+    # sum, those of the transport checks and fields that read every pair
     # read, in standard and reversed order
     import importlib
 
@@ -536,7 +556,7 @@ def test_pair_rows_read_both_orders_of_a_pair_as_the_ordered_reference():
 
     verify = importlib.import_module("opstat.verify")
     field_sets = [verify._op_fields(slots)[0] for slots, _ in verify._OP_SUMS.values()]
-    field_sets += [statistics._SIDE, EVERY_READ]
+    field_sets += [*CHECK_FIELDS, EVERY_READ]
     for n in range(1, 8):
         for std in set_partitions(n):
             width = statistics._field_width(n, std.k)
@@ -547,9 +567,6 @@ def test_pair_rows_read_both_orders_of_a_pair_as_the_ordered_reference():
                         for j, right in enumerate(blocks):
                             assert terms[i][j] == (packed_pair_term(left, right, fields, width) if i != j else 0)
                     assert statistics._pair_rows(terms) == pair_rows(blocks, fields, width)
-                table, packing = statistics._pair_table(blocks)
-                assert packing == statistics._packing(statistics._SIDE, width)
-                assert [table[block][0] for block in blocks] == pair_rows(blocks, statistics._SIDE, width)
 
 
 def test_block_order_totals_refuse_unknown_fields_and_other_forms():
@@ -617,9 +634,9 @@ def test_every_form_equals_its_definition_exhaustive():
 
 def test_every_packed_form_stays_inside_its_field_exhaustive():
     # the premise of _field_width: every form of the read table, every field
-    # that an OP(n,k) sum packs and every field of table_side sums to at
-    # least 0 and less than 2nk on every ordered partition with n <= 7, so
-    # no packed field borrows from or carries into the next
+    # that an OP(n,k) sum packs and every field that a transport check reads
+    # sums to at least 0 and less than 2nk on every ordered partition with
+    # n <= 7, so no packed field borrows from or carries into the next
     import importlib
     import operator
 
@@ -627,7 +644,8 @@ def test_every_packed_form_stays_inside_its_field_exhaustive():
 
     verify = importlib.import_module("opstat.verify")
     fields = {field for slots, _ in verify._OP_SUMS.values() for slot in slots for field in slot}
-    forms = {statistics._form(field) for field in (*statistics._FORMS, *fields, *statistics._SIDE)}
+    fields.update(itertools.chain.from_iterable(CHECK_FIELDS))
+    forms = {statistics._form(field) for field in (*statistics._FORMS, *fields)}
     for n in range(1, 8):
         for k in range(1, n + 1):
             reads = set(map(statistics._read_sums, (pi.blocks for pi in ordered_set_partitions(n, k))))

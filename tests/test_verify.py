@@ -15,8 +15,17 @@ from opstat.core import OrderedSetPartition, Permutation
 from opstat.families import DeskScaleError, beta, permutations, set_partitions, stirling2
 from opstat.paths import upsilon, xi_map
 from opstat.qpoly import Q, LaurentPolynomial, q_factorial
-from opstat.statistics import table_side, transport_side
-from opstat.verify import THEOREM_IDS, VerificationReport, _upsilon_violation, _xi_violation, run_task, verify
+from opstat.statistics import field_values, order_reader
+from opstat.verify import (
+    _UPSILON_FIELDS,
+    _XI_FIELDS,
+    THEOREM_IDS,
+    VerificationReport,
+    _upsilon_violation,
+    _xi_violation,
+    run_task,
+    verify,
+)
 
 
 def test_unknown_id():
@@ -87,16 +96,18 @@ def test_thm35_fails_when_beta_leaves_the_class(monkeypatch):
 
 def test_thm35_runs_table_side_beta_and_beta_inv_once_per_member(monkeypatch):
     # the round trip and the MAJ check run inside the fold, on the row that
-    # it reads, so no member is built or read a second time
+    # it reads off the class's one reader, so no member is built or read a
+    # second time
     module = importlib.import_module("opstat.verify")
     calls = Counter()
-    for name in ("table_side", "beta", "beta_inv"):
+    for name in ("beta", "beta_inv"):
         original = getattr(module, name)
         monkeypatch.setattr(
             module, name, lambda *args, _name=name, _fn=original: calls.update([_name]) or _fn(*args)
         )
+    _count_reads(monkeypatch, calls)
     assert verify("thm3.5", pi="1 4/2 3/5/6").passed
-    assert calls == {"table_side": 24, "beta": 24, "beta_inv": 24}  # 4!
+    assert calls == {"order_reader": 1, "read": 24, "beta": 24, "beta_inv": 24}  # 4!
 
 
 @pytest.mark.parametrize(
@@ -179,9 +190,10 @@ _ROS, _ROS_OS, _BMAJ = 1, 5, 10  # entries of the kernel's reads
 
 def _kernel_off_by_one(monkeypatch, index):
     """Raise entry ``index`` of the block-pair kernel by one on _TARGET only.
-    The sweeps that read sides from the pair table (``table_side`` on
-    opstat.verify) see the same raised entry: at _TARGET it returns the side
-    that the planted kernel gives."""
+    The sweeps that read sides from a pair table (the readers that
+    ``order_reader`` on opstat.verify builds) see the same raised entry: at
+    _TARGET each reader defers to ``field_values``, which reads the planted
+    kernel."""
     statistics = importlib.import_module("opstat.statistics")
     kernel = statistics._read_sums
 
@@ -192,13 +204,7 @@ def _kernel_off_by_one(monkeypatch, index):
         return reads
 
     monkeypatch.setattr(statistics, "_read_sums", planted)
-    verify_module = importlib.import_module(_VERIFY)
-    table_side = verify_module.table_side
-    monkeypatch.setattr(
-        verify_module,
-        "table_side",
-        lambda pi: statistics.transport_side(pi) if pi == _TARGET else table_side(pi),
-    )
+    _plant_reader(monkeypatch, _TARGET)
 
 
 def _assert_fails_at(report, counterexample):
@@ -275,25 +281,35 @@ def test_thm33_reads_the_step_word_once_per_object_and_once_per_form(monkeypatch
 
 
 def test_thm33_reads_every_side_from_the_pair_table(monkeypatch):
-    # pi's side and its image's, twice per object, and none by transport_side
+    # pi's side and its image's, twice per object, off one reader per
+    # standard form, which hands only the images with other blocks to
+    # field_values
+    from opstat.families import ordered_set_partitions
+
     module = importlib.import_module(_VERIFY)
+    statistics = importlib.import_module("opstat.statistics")
     calls = Counter()
-    for name in ("table_side", "transport_side"):
-        original = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda pi, _name=name, _fn=original: calls.update([_name]) or _fn(pi))
+    _count_reads(monkeypatch, calls)
+    for owner in (module, statistics):
+        original = owner.field_values
+        monkeypatch.setattr(
+            owner, "field_values", lambda pi, fields, _fn=original: calls.update(["field_values"]) or _fn(pi, fields)
+        )
+    moved = sum(set(upsilon(pi).blocks) != set(pi.blocks) for pi in ordered_set_partitions(5, 3))
+    assert 0 < moved < 150
     assert verify("thm3.3", n=5, k=3).passed
-    assert calls == {"table_side": 2 * 150}
+    assert calls == {"order_reader": 25, "read": 2 * 150, "field_values": moved}  # S(5,3) forms
 
 
 def test_thm33_sees_a_raised_bmaj_triple_at_one_image(monkeypatch):
     # the image's own row carries the raised entry too, but its check reads
     # only the bInv triple of it; so the transport names _TARGET only if
-    # the image's side is read through table_side, and else the per-type
+    # the image's side is read through the reader, and else the per-type
     # counts name a type
     module = importlib.import_module(_VERIFY)
     image = module.upsilon(_TARGET)
     assert image != _TARGET
-    _plant(monkeypatch, "table_side", image, _bump(3))
+    _plant_reader(monkeypatch, image, _bump(3))
     _assert_fails_at(verify("thm3.3", n=4, k=3), f"triple transport fails: {_TARGET} -> {image}")
 
 
@@ -302,12 +318,11 @@ def test_thm33_checks_every_object_not_every_distinct_row(monkeypatch):
     # already has, so a fold that checked each distinct row once would pass
     from opstat.families import ordered_set_partitions
     from opstat.paths import step_word
-    from opstat.statistics import table_side
 
     module = importlib.import_module(_VERIFY)
     seen = set()
     for repeat in ordered_set_partitions(4, 3):
-        row = (step_word(repeat), *table_side(repeat)[:7])
+        row = (step_word(repeat), *field_values(repeat, _UPSILON_FIELDS))
         if row in seen:
             break
         seen.add(row)
@@ -317,7 +332,7 @@ def test_thm33_checks_every_object_not_every_distinct_row(monkeypatch):
     monkeypatch.setattr(
         module,
         "_upsilon_violation",
-        lambda pi, row: f"planted at {pi}" if pi == repeat else upsilon_violation(pi, row),
+        lambda pi, row, read: f"planted at {pi}" if pi == repeat else upsilon_violation(pi, row, read),
     )
     _assert_fails_at(verify("thm3.3", n=4, k=3), f"planted at {repeat}")
 
@@ -420,8 +435,9 @@ def test_thm33_reports_an_image_of_another_type():
     # a row whose type is not pi's: upsilon keeps the type, so its image's
     # step word differs from the row's, though the triples agree
     pi = OrderedSetPartition.parse("2/4/1 3")
-    row = ("EEEE", *table_side(pi)[:7])
-    assert _upsilon_violation(pi, row) == f"type changes: {pi} -> {upsilon(pi)}"
+    read = order_reader(pi.blocks, _UPSILON_FIELDS)
+    row = ("EEEE", *read(pi))
+    assert _upsilon_violation(pi, row, read) == f"type changes: {pi} -> {upsilon(pi)}"
 
 
 def test_thm31_reports_an_image_outside_the_class_on_its_first_visit():
@@ -429,7 +445,7 @@ def test_thm31_reports_an_image_outside_the_class_on_its_first_visit():
     # image is outside the one named, and no partner has been recorded
     pi = OrderedSetPartition.parse("4/1 3/2")
     partners = {}
-    message = _xi_violation(pi, Permutation.identity(3), transport_side(pi), partners)
+    message = _xi_violation(pi, Permutation.identity(3), field_values(pi, _XI_FIELDS), partners)
     assert message == f"image leaves the sigma-class: {pi} -> {xi_map(pi)}"
     assert partners == {}
 
@@ -506,6 +522,35 @@ def _plant(monkeypatch, name, target, change):
     )
 
 
+def _plant_reader(monkeypatch, target, change=lambda values: values):
+    """Make every reader that ``opstat.verify.order_reader`` builds defer
+    to ``statistics.field_values`` at ``target`` and return ``change`` of
+    the values it gives."""
+    module = importlib.import_module(_VERIFY)
+    statistics = importlib.import_module("opstat.statistics")
+    original = module.order_reader
+
+    def planted(blocks, fields):
+        read = original(blocks, fields)
+        return lambda pi: change(statistics.field_values(pi, fields)) if pi == target else read(pi)
+
+    monkeypatch.setattr(module, "order_reader", planted)
+
+
+def _count_reads(monkeypatch, calls):
+    """Count in ``calls`` the readers that ``opstat.verify.order_reader``
+    builds and the reads they make."""
+    module = importlib.import_module(_VERIFY)
+    original = module.order_reader
+
+    def counted(blocks, fields):
+        calls.update(["order_reader"])
+        read = original(blocks, fields)
+        return lambda pi: calls.update(["read"]) or read(pi)
+
+    monkeypatch.setattr(module, "order_reader", counted)
+
+
 def _stand_in(monkeypatch, generator, member, stand_in):
     """Make the family generator ``opstat.verify.<generator>`` yield
     ``stand_in`` where it would yield ``member``."""
@@ -577,7 +622,7 @@ def _parsed(text):
 
 
 _DOUBLETON = _parsed("5 6/1 3/2 4")  # a rearrangement of doubleton_partition((2, 1))
-_INV, _MAJ = 7, 8  # entries of transport_side and table_side
+_INV, _MAJ = 0, 1  # entries of the rows of thm3.5 and doubleton
 _SLOT_PLANTS = [
     # id, parameters, plant, the first slot the plant reaches, which the
     # report shows and names when it is not the first;
@@ -600,8 +645,8 @@ _SLOT_PLANTS = [
     ("eq5.8", dict(n=4, k=3), lambda mp: _swap(mp, "opb+rsb_tc", "1 2/4/3", "2 3/1/4"), 4),
     ("eq1.1", dict(parts=(2, 1)), lambda mp: _plant(mp, "inversion_number", (2, 1, 1), lambda v: v + 1), 1),
     ("eq1.1", dict(parts=(2, 1)), lambda mp: _plant(mp, "major_index", (2, 1, 1), lambda v: v + 1), 2),
-    ("doubleton", dict(parts=(2, 1)), lambda mp: _plant(mp, "table_side", _DOUBLETON, _bump(_MAJ)), 1),
-    ("doubleton", dict(parts=(2, 1)), lambda mp: _plant(mp, "table_side", _DOUBLETON, _bump(_INV)), 2),
+    ("doubleton", dict(parts=(2, 1)), lambda mp: _plant_reader(mp, _DOUBLETON, _bump(_MAJ)), 1),
+    ("doubleton", dict(parts=(2, 1)), lambda mp: _plant_reader(mp, _DOUBLETON, _bump(_INV)), 2),
     # a duplicate stands in for a sigma-class member that differs from it
     # only in mak+bInv (mak'+bInv); the xi transport holds on both
     ("thm3.1", dict(n=4, k=2, sigma="21"),
@@ -665,7 +710,6 @@ def _plant_pair(monkeypatch, *raised):
         return terms
 
     monkeypatch.setattr(statistics, "_pair_matrix", planted)
-    monkeypatch.setattr(statistics, "_side_tables", (({}, None), ({}, None)))  # no table built before the plant
 
 
 @pytest.mark.parametrize("theorem,offset", [("thm3.2", 0), ("thm3.4", 3)])
@@ -987,7 +1031,7 @@ def test_thm33_folds_every_object_past_its_first_counterexample(monkeypatch):
     first = next(module.ordered_set_partitions(4, 2))
     calls = []
 
-    def planted(pi, row):
+    def planted(pi, row, read):
         calls.append(pi)
         return f"planted at {pi}" if pi == first else None
 
