@@ -72,9 +72,9 @@ DESK_COUNT_DEFAULT = 10**6
 # and k = 6 at n = 12, 6! S(12, 6) ~ 9.5 * 10**8, does not.
 DESK_ORDERS_DEFAULT = 10**8
 # The largest n to which ``opstat table`` and zezh fill the closed-form
-# recursions without allow_large.  The S_pq table takes 0.7 s and 61 MiB at
-# n = 22 with --json, zezh 0.42 s and 41 MiB at (n, k) = (40, 20) and 6-8 s
-# and 470 MiB at (80, 40) (2 cores, Python 3.11), most of it cached cells.
+# recursions without allow_large.  The S_pq table takes 0.3-0.4 s and 28 MiB
+# at n = 22 with --json, zezh 0.1-0.17 s and 21 MiB at (n, k) = (40, 20) and
+# 3-5 s and 118 MiB at (80, 40) (one process each, 2 cores, Python 3.11).
 TABLE_MAX_N = 22
 
 

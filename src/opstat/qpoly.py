@@ -15,9 +15,12 @@ recursions fill on one packed layout, ``_Layout``: there a monomial factor
 is a shift, [k]_q and [k]_{p,q} are k shifts and a sum is an integer
 addition.  A missing cell is filled without recursion (``_fill``): every
 missing cell it reaches is computed a row at a time, keeping as integers
-only the cells of the row below still to be read, and unpacked once into
-the dict of cells that the recursion owns; ``fill`` does the same for a
-whole table in one pass.
+only the cells of the row below still to be read, and stored as its
+integer on the fill's layout with its span (``_Cell``); ``fill`` does the
+same for a whole table in one pass.  A call unpacks the one cell that it
+returns and keeps nothing of it.  A later fill, and ``verify_zezh``, move a
+stored cell onto their own layout with :meth:`_Layout.reslot`, which
+unpacks nothing unless the two layouts' strides differ.
 The slot width is set once per fill from the largest value at p = q = 1,
 which bounds every coefficient since none is negative.  ``verify_zezh``
 builds both of its sides as integers on one layout, decides equality on the
@@ -40,9 +43,9 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from functools import partial, wraps
 from itertools import compress, product, repeat
-from math import comb, prod
+from math import comb, gcd, prod
 from operator import add, eq, lshift, mul, or_, sub
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 __all__ = [
     "LaurentPolynomial",
@@ -428,16 +431,57 @@ class _Layout:
         full = len(terms) == prod(b - a + 1 for a, b in zip(origin, last))
         return _poly(terms, (origin, last, full, total))
 
+    def reslot(self, cell: _Cell) -> int:
+        """``cell``, packed on its own layout, on this one from the same
+        origin.  When the strides of every variable that the cell spans
+        agree, a slot keeps its index: the integer is the same if the widths
+        agree too, else its slots are copied a column at a time, a column
+        being as wide as the greatest common divisor of the two widths.
+        Only when a stride differs is the cell read and written again."""
+        source = cell.layout
+        if any(a != b and s != t for a, b, s, t in zip(cell.origin, cell.last, source.strides, self.strides)):
+            poly = cell.poly()
+            return self.write(poly._terms, cell.origin, _span(poly)[2])
+        if source.width == self.width:
+            return cell.packed
+        unit = gcd(source.width, self.width)  # 1, 2, 4 or 8 bytes
+        count = -(-cell.packed.bit_length() // (8 * source.width))
+        old = memoryview(cell.packed.to_bytes(count * source.width, "little")).cast(_CODES[unit])
+        slots = bytearray(count * self.width)
+        new = memoryview(slots).cast(_CODES[unit])
+        old_step, new_step = source.width // unit, self.width // unit
+        for column in range(min(old_step, new_step)):  # a narrower slot drops high columns, which are zero
+            new[column::new_step] = old[column::old_step]
+        return int.from_bytes(slots, "little")
 
-def _span(poly: LaurentPolynomial) -> tuple[Sequence[int], Sequence[int], list | None, int]:
-    """For a nonzero ``poly`` with no negative coefficient: least and
-    greatest exponent vectors bounding its terms; the terms' exponents by
-    variable, or None when the terms are every vector of the box between
-    the two, in order; and its value at 1.  A polynomial read off a layout
-    knows these; any other is scanned."""
-    terms = poly._terms
-    if poly._span:
-        origin, last, full, total = poly._span
+
+class _Cell(NamedTuple):
+    """A cell that a fill computed: ``packed`` on the fill's ``layout``
+    with its least exponent vector, ``origin``, in slot 0, its greatest,
+    ``last``, and its value at 1, ``total``."""
+
+    layout: _Layout
+    packed: int
+    origin: tuple[int, ...]
+    last: tuple[int, ...]
+    total: int
+
+    def poly(self) -> LaurentPolynomial:
+        return self.layout.poly(self.packed, self.origin, self.last, self.total)
+
+
+def _span(value: LaurentPolynomial | _Cell) -> tuple[Sequence[int], Sequence[int], list | None, int]:
+    """For a nonzero polynomial with no negative coefficient, or a cell a
+    fill stored: least and greatest exponent vectors bounding its terms; the
+    terms' exponents by variable, or None when the terms are every vector of
+    the box between the two, in order, or when ``value`` is a stored cell,
+    which is re-slotted, not written; and its value at 1.  A stored cell, or
+    a polynomial read off a layout, knows these; any other is scanned."""
+    if isinstance(value, _Cell):
+        return value.origin, value.last, None, value.total
+    terms = value._terms
+    if value._span:
+        origin, last, full, total = value._span
         return origin, last, None if full else list(zip(*terms)), sum(terms.values()) if total is None else total
     first, last = next(iter(terms)), next(reversed(terms))
     box = [range(a, b + 1) for a, b in zip(first, last)]
@@ -447,9 +491,17 @@ def _span(poly: LaurentPolynomial) -> tuple[Sequence[int], Sequence[int], list |
     return list(map(min, columns)), list(map(max, columns)), columns, sum(terms.values())
 
 
-# A sum of parts, each a monomial times a product of polynomials with no
-# negative coefficient.
-Part = tuple[Exponents, Sequence[LaurentPolynomial]]
+def _pack(layout: _Layout, value: LaurentPolynomial | _Cell, origin: Sequence[int], columns: list | None) -> int:
+    """``value`` on ``layout`` from ``origin``, with the span :func:`_span`
+    gave: a stored cell re-slotted, a polynomial written."""
+    if isinstance(value, _Cell):
+        return layout.reslot(value)
+    return layout.write(value._terms, origin, columns)
+
+
+# A sum of parts, each a monomial times a product of factors: polynomials
+# with no negative coefficient, or cells that a fill stored.
+Part = tuple[Exponents, Sequence[Union[LaurentPolynomial, _Cell]]]
 
 
 def _packed_sums(*sides: Sequence[Part]) -> tuple[_Layout, list[int]]:
@@ -462,7 +514,7 @@ def _packed_sums(*sides: Sequence[Part]) -> tuple[_Layout, list[int]]:
     for s, side in enumerate(sides):
         for monomial, factors in side:
             if all(factors):
-                written = [(factor._terms, *_span(factor)) for factor in factors]
+                written = [(factor, *_span(factor)) for factor in factors]
                 lo = list(map(sum, zip(monomial, *(w[1] for w in written))))
                 hi = list(map(sum, zip(monomial, *(w[2] for w in written))))
                 spans.append((s, written, lo, hi, prod(w[4] for w in written)))
@@ -474,7 +526,7 @@ def _packed_sums(*sides: Sequence[Part]) -> tuple[_Layout, list[int]]:
     layout = _Layout([range(a, b + 1) for a, b in zip(start, stop)], bound)
     totals = [0] * len(sides)
     for s, written, lo, _, _ in spans:
-        packed = prod(layout.write(terms, origin, columns) for terms, origin, _, columns, _ in written)
+        packed = prod(_pack(layout, factor, origin, columns) for factor, origin, _, columns, _ in written)
         totals[s] += packed << layout.offset(list(map(sub, lo, start)))
     return layout, totals
 
@@ -505,40 +557,58 @@ Parts = list[tuple[Sequence[Exponents], Cell]]
 
 def _recursion(body: Callable[..., LaurentPolynomial | Parts]):
     """A recursion whose ``body`` gives base values and parts (see
-    ``Parts``), with a dict of the cells it has computed.  A missing cell is
-    filled by :func:`_fill`, without recursion, so any n is in reach;
-    ``fill(cells)`` on the result fills the given cells and those they reach
-    in one pass, and ``cache_clear()`` empties the dict, ``cells``."""
-    cells: dict[Cell, LaurentPolynomial] = {}
+    ``Parts``), with a dict of the cells it has computed, ``cells``: a base
+    value as its polynomial, a cell that :func:`_fill` computed as a
+    ``_Cell``.  A missing cell is filled without recursion, so any n is in
+    reach.  A call returns its cell as a polynomial, unpacking a ``_Cell``
+    each time; ``stored`` returns it as kept.  ``fill(cells)`` fills the
+    given cells and those they reach in one pass, and ``cache_clear()``
+    empties ``cells``."""
+    cells: dict[Cell, LaurentPolynomial | _Cell] = {}
     signature = inspect.signature(body)
 
-    @wraps(body)
-    def cached(*args, **kwargs):
+    def stored(*args, **kwargs) -> LaurentPolynomial | _Cell:
         if kwargs:  # the cell under its positional arguments, which fills use
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
             args = bound.args
-        if args not in cells:
+        cell = cells.get(args)
+        if cell is None:
             _fill(body, cells, [args])
-        return cells[args]
+            cell = cells[args]
+        return cell
+
+    @wraps(body)
+    def cached(*args, **kwargs):
+        cell = stored(*args, **kwargs)
+        return cell.poly() if isinstance(cell, _Cell) else cell
 
     cached.cells = cells
+    cached.stored = stored
     cached.cache_clear = cells.clear
     cached.fill = partial(_fill, body, cells)
     return cached
 
 
-def _fill(body, cells: dict[Cell, LaurentPolynomial], targets: Iterable[Cell]) -> None:
+def _stored(fn: Callable[..., LaurentPolynomial], *args) -> LaurentPolynomial | _Cell:
+    """``fn(*args)`` as its recursion keeps it; a callable that is no
+    recursion, such as a planted factor, is called."""
+    stored = getattr(fn, "stored", None)
+    return stored(*args) if stored else fn(*args)
+
+
+def _fill(body, cells: dict[Cell, LaurentPolynomial | _Cell], targets: Iterable[Cell]) -> None:
     """Store in ``cells`` the cells ``targets`` of one row and every cell
     they reach.  Walking down, every cell they reach is looked up, and those
     missing are expanded into their parts until a stored cell or a base case
     is met.  Then the missing cells are filled upwards, a row at a time, as
     integers on one layout, keeping only the cells of the row below still to
     be read: a monomial factor is a shift and a sum an addition.  Each is
-    unpacked once and stored.  The layout's sizes are the largest extent of
-    any cell and its width holds the largest value at 1, which bounds every
-    coefficient since none is negative; each cell is packed from its least
-    exponents."""
+    stored as its integer with its span (a ``_Cell``), and none is unpacked.
+    The layout's sizes are the largest extent of any cell and its width
+    holds the largest value at 1, which bounds every coefficient since none
+    is negative; each cell is packed from its least exponents, a known cell
+    below written if a polynomial and re-slotted if stored."""
     rows = []  # from the targets down: (cells to fill with their parts, known cells)
     level = dict.fromkeys(targets)
     while level:
@@ -580,7 +650,7 @@ def _fill(body, cells: dict[Cell, LaurentPolynomial], targets: Iterable[Cell]) -
         for args, value in known.items():
             if args in readers:  # a nonzero cell that a cell above reads
                 origin, _, columns, _ = spans[args]
-                packed[args] = layout.write(value._terms, origin, columns)
+                packed[args] = _pack(layout, value, origin, columns)
         for args, cell in parts.items():
             if not cell:
                 cells[args] = ZERO
@@ -590,7 +660,7 @@ def _fill(body, cells: dict[Cell, LaurentPolynomial], targets: Iterable[Cell]) -
                 below[b] << layout.offset(list(map(sub, map(add, spans[b][0], m), origin)))
                 for monomials, b in cell for m in monomials
             )
-            cells[args] = layout.poly(packed[args], origin, last, total)
+            cells[args] = _Cell(layout, packed[args], origin, last, total)
             for _, b in cell:  # a cell below is dropped once its last reader has it
                 readers[b] -= 1
                 if not readers[b]:
@@ -775,13 +845,17 @@ class TruncatedSeries:
 def verify_zezh(n: int, k: int) -> tuple[bool, LaurentPolynomial, LaurentPolynomial]:
     """Check [k]_q! S_q(n,k) = sum_m q^(k(k-m)) C_q(n-m, n-k) A_q(n, m-1)
     exactly; returns (equal, lhs, rhs).  Both sides are integers on one
-    packed layout, compared as integers and unpacked for the report, once
-    if they are equal."""
+    packed layout, multiplied from the cells as their recursions keep them,
+    compared as integers and unpacked for the report, once if they are
+    equal."""
     if not n >= k >= 1:
         raise ValueError("need n >= k >= 1")
     layout, (lhs, rhs) = _packed_sums(
-        [((0, 0, 0, 0), [q_factorial(k), stirling_q(n, k)])],
-        [((0, k * (k - m), 0, 0), [gauss_binomial(n - m, n - k), carlitz_aq(n, m - 1)]) for m in range(1, k + 1)],
+        [((0, 0, 0, 0), [_stored(q_factorial, k), _stored(stirling_q, n, k)])],
+        [
+            ((0, k * (k - m), 0, 0), [_stored(gauss_binomial, n - m, n - k), _stored(carlitz_aq, n, m - 1)])
+            for m in range(1, k + 1)
+        ],
     )
     equal = lhs == rhs
     side = layout.poly(lhs)

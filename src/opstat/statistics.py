@@ -37,8 +37,9 @@ One read table and two kernels compute every other statistic:
   one table lookup and one addition per block.  ``order_reader`` builds
   the table of one set of blocks and returns a reader of any order of any
   of them, the adjacent reads taken from adjacent blocks, that hands a
-  partition with another block to ``field_values``.  A transport sweep
-  owns one reader per set of blocks it sweeps.  The tests compare the
+  partition with another block to ``field_values``.  It refuses a table of
+  more than ``READER_MAX_CELLS`` cells before building any.  A transport
+  sweep owns one reader per set of blocks it sweeps.  The tests compare the
   readers with ``field_values``, and the matrix with a reference that
   reads one ordered pair at a time.
 * ``block_order_totals`` sums the same tables over every block order of a
@@ -540,6 +541,14 @@ def _pair_rows(terms: list[list[int]]) -> list[list[int]]:
     return rows
 
 
+# The most cells, k 2^(k-1) for k blocks, in the table of ``order_reader``.
+# With thm3.3's fields a reader on 16 blocks takes 0.08 s and 57 MiB, and on
+# 17 blocks 0.15 s and 121 MiB (about 114 bytes a cell; 2 cores, Python
+# 3.11), so 18 blocks, the most admitted, take about 260 MiB.  A class of 19
+# blocks has 19! orders, which no check finishes, so no flag lifts this.
+READER_MAX_CELLS = 18 * 2**17
+
+
 def order_reader(
     blocks: tuple[tuple[int, ...], ...], fields: tuple[str, ...]
 ) -> Callable[[OrderedSetPartition], tuple[int, ...]]:
@@ -550,8 +559,15 @@ def order_reader(
     set of blocks that holds them all gives it: each block of rho adds its
     row's cell on the mask of the blocks left of it, and the adjacent reads
     come from the k - 1 adjacent pairs.  A partition with a block outside
-    ``blocks`` is read by ``field_values``.
+    ``blocks`` is read by ``field_values``.  A table of more than
+    ``READER_MAX_CELLS`` cells is refused before any is built.
     """
+    cells = len(blocks) * 2 ** len(blocks) // 2
+    if cells > READER_MAX_CELLS:
+        raise ValueError(
+            f"a reader on {len(blocks)} blocks needs {cells} table cells, past the limit "
+            f"{READER_MAX_CELLS}; its {len(blocks)}! orders cannot be checked"
+        )
     width = _field_width(sum(map(len, blocks)), len(blocks))
     coefficients, unpack, size = _packing(fields, width)
     c_bmaj, c_majsigma, c_bdes = coefficients[_BMAJ:]

@@ -343,6 +343,27 @@ def test_count_guard_refuses_large_classes_before_enumerating(capsys, monkeypatc
         assert captured.err == f"error: {message} --allow-large (allow_large=True) to override\n"
 
 
+def test_a_reader_past_its_limit_exits_1_even_with_allow_large(capsys, monkeypatch):
+    # the count guard yields to --allow-large, the reader's does not: one
+    # block past a limit lowered to three blocks' 12 cells, and twenty
+    # blocks at the real limit, refused before any row is built
+    statistics = importlib.import_module("opstat.statistics")
+    monkeypatch.setattr(statistics, "_pair_rows", lambda terms: pytest.fail("a refused reader built its rows"))
+    twenty = "/".join(map(str, range(1, 21)))
+    for argv, cells, limit in ((["--pi", "1/2/3/4"], 32, 3 * 2**2), (["--pi", twenty], 20 * 2**19, None)):
+        with monkeypatch.context() as m:
+            if limit is not None:
+                m.setattr(statistics, "READER_MAX_CELLS", limit)
+            assert main(["verify", "thm3.5", *argv, "--allow-large", "--jobs", "1"]) == 1
+        captured = capsys.readouterr()
+        blocks = argv[1].count("/") + 1
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: a reader on {blocks} blocks needs {cells} table cells, past the limit "
+            f"{limit or statistics.READER_MAX_CELLS}; its {blocks}! orders cannot be checked\n"
+        )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

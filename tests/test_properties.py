@@ -154,7 +154,7 @@ def test_table_composites_random(pi):
 
 @settings(max_examples=80)
 @given(partitions(max_n=10))
-def test_table_side_random(pi):
+def test_order_reader_random(pi):
     # a reader of pi's blocks reads pi and its image under upsilon as
     # field_values does, under the fields of each transport check
     image = upsilon(pi)

@@ -526,6 +526,64 @@ def test_a_cell_keeps_the_span_it_was_filled_with():
             assert full == (len(poly.terms) == prod(b - a + 1 for a, b in zip(origin, last)))
 
 
+@pytest.mark.parametrize("source_width,target_width", list(product((1, 2, 4, 8, 16, 24), repeat=2)))
+def test_reslot_equals_a_write_of_the_read(source_width, target_width):
+    # a stored cell moved onto another layout, with the strides it spans
+    # agreeing (a width change, or the same integer) and then with p's
+    # stride wider, is what reading it and writing it again gives; the
+    # one-row cell spans no stride that differs
+    top = 2 ** (8 * min(source_width, target_width)) - 1
+    grid = {(1, 2, 0, 0): top, (1, 4, 0, 0): 1, (2, 3, 0, 0): 7, (3, 2, 0, 0): top - 1, (3, 4, 0, 0): 2}
+    row = {(2, 1, 0, 0): 3, (2, 2, 0, 0): top, (2, 3, 0, 0): 1}
+    source = qpoly._Layout([range(4), range(5), range(1), range(1)], 2 ** (8 * source_width) - 1)
+    assert source.width == source_width
+    for q_size in (5, 9):
+        target = qpoly._Layout([range(4), range(q_size), range(1), range(1)], 2 ** (8 * target_width) - 1)
+        assert target.width == target_width
+        for terms in (grid, row):
+            columns = list(zip(*terms))
+            origin, last = tuple(map(min, columns)), tuple(map(max, columns))
+            cell = qpoly._Cell(source, source.write(terms, origin, columns), origin, last, sum(terms.values()))
+            read = source.read(cell.packed, origin)[0]
+            assert read == terms
+            assert target.reslot(cell) == target.write(read, origin, list(zip(*read)))
+            assert target.poly(target.reslot(cell), origin) == LaurentPolynomial(terms)
+
+
+def test_a_fill_with_a_wider_q_extent_reslots_the_cells_below_it():
+    # S_pq(6, k) are filled on a layout whose p stride, the q extent, is
+    # narrower than that of a fill to n = 12, which reads them as they are
+    # kept and leaves them so
+    clear_recursions()
+    stirling_pq.fill([(6, k) for k in range(7)])
+    small = {args: cell for args, cell in stirling_pq.cells.items() if isinstance(cell, qpoly._Cell)}
+    stirling_pq.fill([(12, k) for k in range(13)])
+    wide = stirling_pq.stored(12, 6).layout
+    assert all(stirling_pq.stored(*args) is cell for args, cell in small.items())
+    assert all(cell.layout.strides[0] < wide.strides[0] for cell in small.values())
+    for cell in small.values():
+        read = cell.layout.read(cell.packed, cell.origin)[0]
+        assert wide.reslot(cell) == wide.write(read, cell.origin, list(zip(*read)))
+    for n in range(13):
+        for k in range(n + 1):
+            assert stirling_pq(n, k) == qpoly_reference.stirling_pq(n, k), (n, k)
+
+
+def test_filled_cells_stay_packed():
+    # a fill stores no term dict, only base values as polynomials, and each
+    # call unpacks its cell anew, keeping nothing
+    clear_recursions()
+    stirling_pq.fill([(20, k) for k in range(21)])
+    body = stirling_pq.__wrapped__
+    packed = {args for args, cell in stirling_pq.cells.items() if isinstance(cell, qpoly._Cell)}
+    assert packed == {(n, k) for n in range(1, 21) for k in range(1, n + 1)}
+    assert all(stirling_pq.cells[args] == body(*args) for args in stirling_pq.cells.keys() - packed)
+    for k in range(21):
+        first, second = stirling_pq(20, k), stirling_pq(20, k)
+        assert first == second == qpoly_reference.stirling_pq(20, k), k
+    assert all(isinstance(stirling_pq.cells[args], qpoly._Cell) for args in packed)
+
+
 def test_recursions_take_their_arguments_by_keyword():
     assert q_factorial(5, var="t") == q_factorial(5, "t") == qpoly_reference.q_factorial(5, "t")
     assert stirling_pq(n=6, k=3) == qpoly_reference.stirling_pq(6, 3)

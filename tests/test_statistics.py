@@ -311,7 +311,7 @@ def test_profile_and_fast_path_match_reference_exhaustive():
             )
 
 
-def test_transport_side_matches_profile_and_reference_exhaustive():
+def test_field_values_match_profile_and_reference_exhaustive():
     # the fields of the transport checks, each a side of one, against
     # six_composites and the profile, and against sums of the ten-counter
     # reference and the block-pair definitions, on all ordered partitions
@@ -377,7 +377,7 @@ def test_table_composites_match_six_composites_exhaustive():
                 assert read(pi)[:6] == six_composites(pi)
 
 
-def test_table_side_matches_transport_side_exhaustive():
+def test_order_reader_matches_field_values_exhaustive():
     # every block order of every ordered partition with n <= 6, then its
     # image under upsilon, as thm3.3 reads them: the reader of the standard
     # form's blocks gives field_values under the fields of each transport
@@ -406,7 +406,32 @@ def test_a_reader_hands_a_partition_with_another_block_to_field_values(monkeypat
     assert calls == [other]
 
 
-def test_table_side_reads_any_table_that_holds_the_blocks():
+def test_order_reader_refuses_a_table_past_its_limit(monkeypatch):
+    # k 2^(k-1) cells for k blocks: with the limit one short of four
+    # blocks' 32, three blocks still build a reader and four are refused
+    # before any row is built
+    from opstat import statistics
+
+    def built(terms):
+        raise AssertionError("a refused reader built its rows")
+
+    three, four = OrderedSetPartition.parse("1/2/3"), OrderedSetPartition.parse("1/2/3/4")
+    monkeypatch.setattr(statistics, "READER_MAX_CELLS", 4 * 2**3 - 1)
+    assert order_reader(three.blocks, _INV_MAJ)(three) == field_values(three, _INV_MAJ)
+    monkeypatch.setattr(statistics, "_pair_rows", built)
+    with pytest.raises(ValueError, match=r"^a reader on 4 blocks needs 32 table cells, past the limit 31; its 4! orders"):
+        order_reader(four.blocks, _INV_MAJ)
+    # the limit itself admits 18 blocks and refuses 19, so thirty are
+    # refused by their count, never built
+    monkeypatch.undo()
+    monkeypatch.setattr(statistics, "_pair_rows", built)
+    assert 18 * 2**17 <= statistics.READER_MAX_CELLS < 19 * 2**18
+    thirty = tuple((i,) for i in range(1, 31))
+    with pytest.raises(ValueError, match=f"^a reader on 30 blocks needs {30 * 2**29} table cells"):
+        order_reader(thirty, _UPSILON_FIELDS)
+
+
+def test_order_reader_reads_any_table_that_holds_the_blocks():
     # a reader reads every order of its own blocks, and every order of those
     # of them that partition some [m], the empty partition included, as the
     # per-object reference does
@@ -426,7 +451,7 @@ def test_table_side_reads_any_table_that_holds_the_blocks():
 
 
 @pytest.mark.parametrize("order", ["increasing", "decreasing"])
-def test_table_side_matches_transport_side_at_the_packing_extremes(order):
+def test_order_reader_matches_field_values_at_the_packing_extremes(order):
     # twelve singletons: the most blocks, and so the widest fields and the
     # largest table, for the ground sets that the desk-scale guard admits;
     # in decreasing order every pair is an inversion and a descent

@@ -94,7 +94,7 @@ def test_thm35_fails_when_beta_leaves_the_class(monkeypatch):
     assert report.counterexample == "beta_inv round-trip fails at 1 3/2 4: beta gives 1 4/2 3"
 
 
-def test_thm35_runs_table_side_beta_and_beta_inv_once_per_member(monkeypatch):
+def test_thm35_runs_the_reader_beta_and_beta_inv_once_per_member(monkeypatch):
     # the round trip and the MAJ check run inside the fold, on the row that
     # it reads off the class's one reader, so no member is built or read a
     # second time
