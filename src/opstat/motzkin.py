@@ -140,16 +140,17 @@ def _path_diagram(d: MotzkinDiagram) -> PathDiagram:
     return PathDiagram(LatticePath(tuple(steps)), tuple(labels))
 
 
-def _rev(pi: OrderedSetPartition) -> OrderedSetPartition:
+def _rev(pi: OrderedSetPartition, caller: str) -> OrderedSetPartition:
+    """``pi``'s blocks reversed; a refusal names the map ``caller``."""
     if not pi.is_standard():
-        raise ValueError("motzkin_encode expects a standard-form partition")
+        raise ValueError(f"{caller} expects a standard-form partition")
     return OrderedSetPartition._trusted(pi.n, pi.blocks[::-1])
 
 
 def motzkin_encode(pi: OrderedSetPartition) -> MotzkinDiagram:
     """Encode a standard-form partition as a labelled Motzkin path:
     ``phi_inv`` of the reversed blocks."""
-    return _motzkin(phi_inv(_rev(pi)))
+    return _motzkin(phi_inv(_rev(pi, "motzkin_encode")))
 
 
 def motzkin_decode(d: MotzkinDiagram) -> OrderedSetPartition:
@@ -169,4 +170,4 @@ def lambda_map(pi: OrderedSetPartition) -> OrderedSetPartition:
     """Involution on standard-form partitions exchanging the statistics mak
     (= ros + lcs) and rcb while preserving lcb and the block count: the
     standard form of ``xi_map`` of the reversed blocks."""
-    return xi_map(_rev(pi)).standard_form()[0]
+    return xi_map(_rev(pi, "lambda_map")).standard_form()[0]

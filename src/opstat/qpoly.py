@@ -15,24 +15,28 @@ recursions fill on one packed layout, ``_Layout``: there a monomial factor
 is a shift, [k]_q and [k]_{p,q} are k shifts and a sum is an integer
 addition.  A missing cell is filled without recursion (``_fill``): every
 missing cell it reaches is computed a row at a time, keeping as integers
-only the cells of the row below still to be read, and stored as its
-integer on the fill's layout with its span (``_Cell``); ``fill`` does the
-same for a whole table in one pass.  A call unpacks the one cell that it
-returns and keeps nothing of it.  A later fill, and ``verify_zezh``, move a
-stored cell onto their own layout with :meth:`_Layout.reslot`, which
-unpacks nothing unless the two layouts' strides differ.
-The slot width is set once per fill from the largest value at p = q = 1,
-which bounds every coefficient since none is negative.  ``verify_zezh``
-builds both of its sides as integers on one layout, decides equality on the
-integers, and unpacks them for the report.  ``tests/qpoly_reference.py``
-keeps the recursions in polynomial arithmetic, as the reference.
+only the row below, and stored as its integer on the fill's layout with its
+span, least and greatest exponent vectors and value at 1 (``_Cell``);
+``fill`` does the same for a whole table in one pass.  A call unpacks the
+one cell that it returns and keeps nothing of it.  A later fill, and
+``verify_zezh``, move a stored cell onto their own layout with
+:meth:`_Layout.reslot`, which unpacks nothing unless the two layouts'
+strides differ.  A polynomial, such as a base value, is scanned for its
+span and written with each term at its exponent vector's index
+(:meth:`_Layout.write`).  The slot width is set once per fill from the
+largest value at p = q = 1, which bounds every coefficient since none is
+negative.  ``verify_zezh`` builds both of its sides as integers on one
+layout, decides equality on the integers, and unpacks them for the report.
+``tests/qpoly_reference.py`` keeps the recursions in polynomial
+arithmetic, as the reference.
 
 A polynomial is written from its terms in descending order of exponent
-vectors; one read off a layout holds them in ascending order, so they are
-reversed, not sorted.  ``to_text`` writes each term with factor strings made
-once per variable and exponent, and ``to_json_text`` writes
-``json.dumps(to_json())`` a term at a time.  The reference writers,
-term by term from sorted terms, are in ``tests/qpoly_reference.py``.
+vectors; one read off a layout holds them in ascending order, and a flag
+says so, so they are reversed, not sorted.  ``to_text`` writes each term
+with factor strings made once per variable and exponent, and
+``to_json_text`` writes ``json.dumps(to_json())`` a term at a time.  The
+reference writers, term by term from sorted terms, are in
+``tests/qpoly_reference.py``.
 """
 from __future__ import annotations
 
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 from functools import partial, wraps
 from itertools import compress, product, repeat
 from math import comb, gcd, prod
-from operator import add, eq, lshift, mul, or_, sub
+from operator import add, lshift, mul, or_, sub
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, Union
 
 __all__ = [
@@ -86,7 +90,7 @@ class LaurentPolynomial:
     """Integer-coefficient polynomial in p, q, t, x with integer (possibly
     negative) exponents, stored sparsely as {exponent vector: coefficient}."""
 
-    __slots__ = ("_terms", "_hash", "_span")
+    __slots__ = ("_terms", "_hash", "_ascending")
 
     def __init__(self, terms: Mapping[Exponents, int] | None = None):
         data: dict[Exponents, int] = {}
@@ -101,7 +105,7 @@ class LaurentPolynomial:
                     data[exps] = data.get(exps, 0) + coeff
         object.__setattr__(self, "_terms", {e: c for e, c in data.items() if c})
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_span", None)
+        object.__setattr__(self, "_ascending", False)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("LaurentPolynomial is immutable")
@@ -234,7 +238,7 @@ class LaurentPolynomial:
 
     def sorted_terms(self) -> list[tuple[Exponents, int]]:
         """Terms in descending lexicographic order of exponent vectors."""
-        if self._span is not None:  # read off a layout, so in ascending order
+        if self._ascending:  # read off a layout
             return list(reversed(self._terms.items()))
         return sorted(self._terms.items(), reverse=True)  # exponent vectors are unique
 
@@ -284,16 +288,15 @@ class _Factors(dict):
 _FACTORS = tuple(map(_Factors, VARS))
 
 
-def _poly(terms: dict[Exponents, int], span: tuple | None = None) -> LaurentPolynomial:
+def _poly(terms: dict[Exponents, int], ascending: bool = False) -> LaurentPolynomial:
     """A polynomial on ``terms`` as they are: well-formed exponent vectors
-    and no zero coefficient.  ``span`` is what :func:`_span` would find, when
-    it is known; only a polynomial read off a layout knows it, and its terms
-    are in ascending order of exponent vectors, which :meth:`sorted_terms`
-    relies on."""
+    and no zero coefficient.  ``ascending`` says that the terms are in
+    ascending order of exponent vectors, as read off a layout, which
+    :meth:`sorted_terms` relies on."""
     out = LaurentPolynomial.__new__(LaurentPolynomial)
     object.__setattr__(out, "_terms", terms)
     object.__setattr__(out, "_hash", None)
-    object.__setattr__(out, "_span", span)
+    object.__setattr__(out, "_ascending", ascending)
     return out
 
 
@@ -371,25 +374,17 @@ class _Layout:
         """The shift, in bits, that multiplies by the monomial ``exps``."""
         return 8 * self.width * sum(map(mul, exps, self.strides))
 
-    def write(self, terms: Terms, origin: Sequence[int], columns: Sequence[Sequence[int]] | None) -> int:
-        """``terms`` packed with exponent vector ``origin`` in slot 0.
-        ``columns`` are the exponents by variable, as ``zip(*terms)`` gives
-        them, or None when the terms fill the box from ``origin`` to their
-        last exponent vector in order (see :func:`_span`)."""
-        values = terms.values()
-        if columns is None:  # the terms fill the box from origin to their last vector, in order
-            spread = [v for v, (a, b) in enumerate(zip(origin, next(reversed(terms)))) if a != b]
-            if len(spread) > 1 or spread and self.strides[spread[0]] != 1:
-                columns = list(zip(*terms))
-        if columns is not None:
-            index, base = None, 0
-            for column, o, stride, r in zip(columns, origin, self.strides, self.box):
-                if len(r) > 1:  # a variable the box does not span adds nothing
-                    term = column if stride == 1 else map(mul, column, repeat(stride))
-                    index, base = term if index is None else map(add, index, term), base + o * stride
-            index = [0] * len(terms) if index is None else list(map(sub, index, repeat(base)))
-            values = [0] * (max(index) + 1)
-            deque(map(values.__setitem__, index, terms.values()), 0)
+    def write(self, terms: Terms, origin: Sequence[int]) -> int:
+        """``terms``, which are not empty, packed with exponent vector
+        ``origin`` in slot 0, each at the index of its exponent vector."""
+        index, base = None, 0
+        for column, o, stride, r in zip(zip(*terms), origin, self.strides, self.box):
+            if len(r) > 1:  # a variable the box does not span adds nothing
+                term = column if stride == 1 else map(mul, column, repeat(stride))
+                index, base = term if index is None else map(add, index, term), base + o * stride
+        index = [0] * len(terms) if index is None else list(map(sub, index, repeat(base)))
+        values = [0] * (max(index) + 1)
+        deque(map(values.__setitem__, index, terms.values()), 0)
         code = _CODES.get(self.width)
         if code:
             data = _little_endian(array(code, values)).tobytes()
@@ -397,12 +392,11 @@ class _Layout:
             data = b"".join(map(partial(int.to_bytes, length=self.width, byteorder="little"), values))
         return int.from_bytes(data, "little")
 
-    def read(self, packed: int, origin: Sequence[int] | None = None) -> tuple[Terms, list[range]]:
+    def read(self, packed: int, origin: Sequence[int] | None = None) -> Terms:
         """The nonzero coefficients of ``packed``, whose slot 0 holds the
         exponent vector ``origin`` (the box's least by default), by exponent
-        vector, and the box they were read from: the layout's sizes from
-        ``origin``, cut after the last value of the first variable that has
-        a nonzero coefficient."""
+        vector in ascending order: the slots of the layout's sizes from
+        ``origin``, up to the last that ``packed`` reaches."""
         sizes = list(map(len, self.box))
         slots = -(-packed.bit_length() // (8 * self.width))
         sizes[0] = min(sizes[0], -(-slots // self.strides[0]))
@@ -417,19 +411,12 @@ class _Layout:
             coeffs = low[words - 1::words]
             for i in range(words - 2, -1, -1):
                 coeffs = list(map(or_, map(lshift, coeffs, repeat(8 * _WORD)), low[i::words]))
-        return dict(zip(compress(product(*box), coeffs), filter(None, coeffs))), box
+        return dict(zip(compress(product(*box), coeffs), filter(None, coeffs)))
 
-    def poly(self, packed: int, origin: Sequence[int] | None = None, last: Sequence[int] | None = None,
-             total: int | None = None) -> LaurentPolynomial:
-        """:meth:`read` as a polynomial that keeps its span (see
-        :func:`_span`): ``origin`` to ``last`` if the latter is given,
-        else the box read, and ``total``, its value at 1, if known."""
-        terms, box = self.read(packed, origin)
-        if not terms:
-            return ZERO
-        origin, last = [r.start for r in box], last or [r[-1] for r in box]
-        full = len(terms) == prod(b - a + 1 for a, b in zip(origin, last))
-        return _poly(terms, (origin, last, full, total))
+    def poly(self, packed: int, origin: Sequence[int] | None = None) -> LaurentPolynomial:
+        """:meth:`read` as a polynomial that knows its terms are in
+        ascending order."""
+        return _poly(self.read(packed, origin), True)
 
     def reslot(self, cell: _Cell) -> int:
         """``cell``, packed on its own layout, on this one from the same
@@ -440,8 +427,7 @@ class _Layout:
         Only when a stride differs is the cell read and written again."""
         source = cell.layout
         if any(a != b and s != t for a, b, s, t in zip(cell.origin, cell.last, source.strides, self.strides)):
-            poly = cell.poly()
-            return self.write(poly._terms, cell.origin, _span(poly)[2])
+            return self.write(source.read(cell.packed, cell.origin), cell.origin)
         if source.width == self.width:
             return cell.packed
         unit = gcd(source.width, self.width)  # 1, 2, 4 or 8 bytes
@@ -467,36 +453,26 @@ class _Cell(NamedTuple):
     total: int
 
     def poly(self) -> LaurentPolynomial:
-        return self.layout.poly(self.packed, self.origin, self.last, self.total)
+        return self.layout.poly(self.packed, self.origin)
 
 
-def _span(value: LaurentPolynomial | _Cell) -> tuple[Sequence[int], Sequence[int], list | None, int]:
+def _span(value: LaurentPolynomial | _Cell) -> tuple[Sequence[int], Sequence[int], int]:
     """For a nonzero polynomial with no negative coefficient, or a cell a
-    fill stored: least and greatest exponent vectors bounding its terms; the
-    terms' exponents by variable, or None when the terms are every vector of
-    the box between the two, in order, or when ``value`` is a stored cell,
-    which is re-slotted, not written; and its value at 1.  A stored cell, or
-    a polynomial read off a layout, knows these; any other is scanned."""
+    fill stored: the least and greatest exponent vectors bounding its terms,
+    and its value at 1.  A stored cell knows these; a polynomial is
+    scanned."""
     if isinstance(value, _Cell):
-        return value.origin, value.last, None, value.total
-    terms = value._terms
-    if value._span:
-        origin, last, full, total = value._span
-        return origin, last, None if full else list(zip(*terms)), sum(terms.values()) if total is None else total
-    first, last = next(iter(terms)), next(reversed(terms))
-    box = [range(a, b + 1) for a, b in zip(first, last)]
-    if prod(map(len, box)) == len(terms) and all(map(eq, terms, product(*box))):
-        return first, last, None, sum(terms.values())
-    columns = list(zip(*terms))
-    return list(map(min, columns)), list(map(max, columns)), columns, sum(terms.values())
+        return value.origin, value.last, value.total
+    columns = list(zip(*value._terms))
+    return list(map(min, columns)), list(map(max, columns)), sum(value._terms.values())
 
 
-def _pack(layout: _Layout, value: LaurentPolynomial | _Cell, origin: Sequence[int], columns: list | None) -> int:
-    """``value`` on ``layout`` from ``origin``, with the span :func:`_span`
-    gave: a stored cell re-slotted, a polynomial written."""
+def _pack(layout: _Layout, value: LaurentPolynomial | _Cell, origin: Sequence[int]) -> int:
+    """``value`` on ``layout`` from ``origin``, its least exponent vector: a
+    stored cell re-slotted, a polynomial written."""
     if isinstance(value, _Cell):
         return layout.reslot(value)
-    return layout.write(value._terms, origin, columns)
+    return layout.write(value._terms, origin)
 
 
 # A sum of parts, each a monomial times a product of factors: polynomials
@@ -517,7 +493,7 @@ def _packed_sums(*sides: Sequence[Part]) -> tuple[_Layout, list[int]]:
                 written = [(factor, *_span(factor)) for factor in factors]
                 lo = list(map(sum, zip(monomial, *(w[1] for w in written))))
                 hi = list(map(sum, zip(monomial, *(w[2] for w in written))))
-                spans.append((s, written, lo, hi, prod(w[4] for w in written)))
+                spans.append((s, written, lo, hi, prod(w[3] for w in written)))
     if not spans:
         return _Layout([range(1)] * len(VARS), 0), [0] * len(sides)
     start = list(map(min, zip(*(span[2] for span in spans))))
@@ -526,7 +502,7 @@ def _packed_sums(*sides: Sequence[Part]) -> tuple[_Layout, list[int]]:
     layout = _Layout([range(a, b + 1) for a, b in zip(start, stop)], bound)
     totals = [0] * len(sides)
     for s, written, lo, _, _ in spans:
-        packed = prod(_pack(layout, factor, origin, columns) for factor, origin, _, columns, _ in written)
+        packed = prod(_pack(layout, factor, origin) for factor, origin, _, _ in written)
         totals[s] += packed << layout.offset(list(map(sub, lo, start)))
     return layout, totals
 
@@ -602,13 +578,14 @@ def _fill(body, cells: dict[Cell, LaurentPolynomial | _Cell], targets: Iterable[
     they reach.  Walking down, every cell they reach is looked up, and those
     missing are expanded into their parts until a stored cell or a base case
     is met.  Then the missing cells are filled upwards, a row at a time, as
-    integers on one layout, keeping only the cells of the row below still to
-    be read: a monomial factor is a shift and a sum an addition.  Each is
-    stored as its integer with its span (a ``_Cell``), and none is unpacked.
-    The layout's sizes are the largest extent of any cell and its width
-    holds the largest value at 1, which bounds every coefficient since none
-    is negative; each cell is packed from its least exponents, a known cell
-    below written if a polynomial and re-slotted if stored."""
+    integers on one layout, keeping only the row below: a monomial factor is
+    a shift and a sum an addition.  Each is stored as its integer with its
+    span (a ``_Cell``), and none is unpacked.  The layout's sizes are the
+    largest extent of any cell and its width holds the largest value at 1,
+    which bounds every coefficient since none is negative; each cell is
+    packed from its least exponents.  A known cell is packed only when a
+    part reads it, so never a target: written if a polynomial, re-slotted if
+    stored."""
     rows = []  # from the targets down: (cells to fill with their parts, known cells)
     level = dict.fromkeys(targets)
     while level:
@@ -622,7 +599,7 @@ def _fill(body, cells: dict[Cell, LaurentPolynomial | _Cell], targets: Iterable[
                     continue
                 cells[args] = value
             known[args] = value
-        rows.append((parts, known))
+        rows.append((parts, known if rows else {}))  # no part reads a known target
         level = dict.fromkeys(below for cell in parts.values() for _, below in cell)
     # least and greatest exponents and value at 1 of each nonzero cell, upwards
     spans = {}
@@ -635,36 +612,30 @@ def _fill(body, cells: dict[Cell, LaurentPolynomial | _Cell], targets: Iterable[
             if live:
                 lo = map(min, zip(*(map(add, spans[b][0], map(min, zip(*m))) for m, b in live)))
                 hi = map(max, zip(*(map(add, spans[b][1], map(max, zip(*m))) for m, b in live)))
-                spans[args] = (tuple(lo), tuple(hi), None, sum(len(m) * spans[b][3] for m, b in live))
+                spans[args] = (tuple(lo), tuple(hi), sum(len(m) * spans[b][2] for m, b in live))
             parts[args] = live
     if not spans or len(rows) == 1:  # no cell to fill, or each reads only zeros
         for parts, _ in rows:
             cells.update(dict.fromkeys(parts, ZERO))
         return
-    extent = [max(hi[v] - lo[v] + 1 for lo, hi, _, _ in spans.values()) for v in range(len(VARS))]
-    layout = _Layout([range(size) for size in extent], max(span[3] for span in spans.values()))
-    readers = Counter(below for parts, _ in rows for cell in parts.values() for _, below in cell)
+    extent = [max(hi[v] - lo[v] + 1 for lo, hi, _ in spans.values()) for v in range(len(VARS))]
+    layout = _Layout([range(size) for size in extent], max(span[2] for span in spans.values()))
     packed = {}
     for parts, known in reversed(rows):
         below, packed = packed, {}
         for args, value in known.items():
-            if args in readers:  # a nonzero cell that a cell above reads
-                origin, _, columns, _ = spans[args]
-                packed[args] = _pack(layout, value, origin, columns)
+            if value:  # a nonzero cell that a cell above reads
+                packed[args] = _pack(layout, value, spans[args][0])
         for args, cell in parts.items():
             if not cell:
                 cells[args] = ZERO
                 continue
-            origin, last, _, total = spans[args]
+            origin, last, total = spans[args]
             packed[args] = sum(
                 below[b] << layout.offset(list(map(sub, map(add, spans[b][0], m), origin)))
                 for monomials, b in cell for m in monomials
             )
             cells[args] = _Cell(layout, packed[args], origin, last, total)
-            for _, b in cell:  # a cell below is dropped once its last reader has it
-                readers[b] -= 1
-                if not readers[b]:
-                    del below[b]
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,13 @@ def test_map_commands(capsys):
     assert capsys.readouterr().out.strip() == "1 12 15/2 4/3 6 9/5 7/8/10 11/13 14"
 
 
+def test_map_lambda_refusal_names_lambda_map(capsys):
+    assert main(["map", "--lambda", "3/1 2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: lambda_map expects a standard-form partition\n"
+
+
 def test_encode_decode_roundtrip(capsys):
     assert main(["encode", "6/3 5 7/1 4 10/9/2 8"]) == 0
     diagram = capsys.readouterr().out.strip()

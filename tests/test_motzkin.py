@@ -35,8 +35,13 @@ def test_encode_all_singletons():
 
 
 def test_encode_requires_standard_form():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^motzkin_encode expects a standard-form partition$"):
         motzkin_encode(OrderedSetPartition.parse("2/1"))
+
+
+def test_lambda_refusal_names_lambda_map():
+    with pytest.raises(ValueError, match="^lambda_map expects a standard-form partition$"):
+        lambda_map(OrderedSetPartition.parse("3/1 2"))
 
 
 def test_decode_roundtrip_exhaustive():

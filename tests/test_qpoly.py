@@ -318,19 +318,18 @@ def test_pack_unpack_roundtrip():
         layout = qpoly._Layout(box, top)
         assert layout.width == width
         terms = {(0, e, 0, 0): v for e, v in zip(box[1], values) if v}
-        columns = list(zip(*terms))
-        packed = layout.write(terms, (0, -3, 0, 0), columns)
+        packed = layout.write(terms, (0, -3, 0, 0))
         assert packed == sum(v * 256 ** (width * i) for i, v in enumerate(values))
-        assert layout.read(packed)[0] == terms
+        assert layout.read(packed) == terms
         # coefficients in slot order, with no gap: the slots are the values
         dense = {(0, e, 0, 0): v or 9 for e, v in zip(box[1], values)}
-        assert layout.read(layout.write(dense, (0, -3, 0, 0), None))[0] == dense
+        assert layout.read(layout.write(dense, (0, -3, 0, 0))) == dense
     # a gap-free box whose rows are not consecutive slots of the layout
     layout = qpoly._Layout([range(3), range(4), range(1), range(2)], 100)
     for box in ([range(2), range(1, 3), range(1), range(2)], [range(3), range(1), range(1), range(1)]):
         dense = {e: i + 1 for i, e in enumerate(product(*box))}
         origin = [r.start for r in box]
-        assert layout.read(layout.write(dense, origin, None), origin)[0] == dense
+        assert layout.read(layout.write(dense, origin), origin) == dense
 
 
 def test_a_layout_is_never_one_bit_short_of_its_bound():
@@ -350,7 +349,7 @@ def test_an_unsigned_layout_refuses_a_negative_coefficient():
         assert layout.width == width
         for terms in ({(0, 0, 0, 0): 1, (0, 2, 0, 0): -1}, {(0, 0, 0, 0): 1, (0, 1, 0, 0): -1, (0, 2, 0, 0): 1}):
             with pytest.raises(OverflowError):
-                layout.write(terms, (0, 0, 0, 0), list(zip(*terms)))
+                layout.write(terms, (0, 0, 0, 0))
 
 
 def test_row_cache_runs_past_the_recursion_limit():
@@ -512,18 +511,18 @@ def test_fill_caches_the_cells_its_targets_reach():
 
 
 def test_a_cell_keeps_the_span_it_was_filled_with():
-    # a cell read off a layout carries its exact least and greatest exponents,
-    # so writing it again needs no scan
+    # a stored cell carries its exact least and greatest exponents and its
+    # value at 1, so packing it again needs no scan
     clear_recursions()
     stirling_pq.fill([(12, k) for k in range(13)])
     for n in range(1, 13):
         for k in range(1, n + 1):
-            poly = stirling_pq(n, k)
-            origin, last, full, total = poly._span
-            columns = list(zip(*poly.terms))
-            assert (list(origin), list(last)) == ([min(c) for c in columns], [max(c) for c in columns])
-            assert total == stirling2(n, k)
-            assert full == (len(poly.terms) == prod(b - a + 1 for a, b in zip(origin, last)))
+            cell = stirling_pq.stored(n, k)
+            assert isinstance(cell, qpoly._Cell)
+            columns = list(zip(*stirling_pq(n, k).terms))
+            assert (list(cell.origin), list(cell.last)) == ([min(c) for c in columns], [max(c) for c in columns])
+            assert cell.total == stirling2(n, k)
+            assert qpoly._span(cell) == (cell.origin, cell.last, cell.total)
 
 
 @pytest.mark.parametrize("source_width,target_width", list(product((1, 2, 4, 8, 16, 24), repeat=2)))
@@ -543,10 +542,10 @@ def test_reslot_equals_a_write_of_the_read(source_width, target_width):
         for terms in (grid, row):
             columns = list(zip(*terms))
             origin, last = tuple(map(min, columns)), tuple(map(max, columns))
-            cell = qpoly._Cell(source, source.write(terms, origin, columns), origin, last, sum(terms.values()))
-            read = source.read(cell.packed, origin)[0]
+            cell = qpoly._Cell(source, source.write(terms, origin), origin, last, sum(terms.values()))
+            read = source.read(cell.packed, origin)
             assert read == terms
-            assert target.reslot(cell) == target.write(read, origin, list(zip(*read)))
+            assert target.reslot(cell) == target.write(read, origin)
             assert target.poly(target.reslot(cell), origin) == LaurentPolynomial(terms)
 
 
@@ -562,11 +561,42 @@ def test_a_fill_with_a_wider_q_extent_reslots_the_cells_below_it():
     assert all(stirling_pq.stored(*args) is cell for args, cell in small.items())
     assert all(cell.layout.strides[0] < wide.strides[0] for cell in small.values())
     for cell in small.values():
-        read = cell.layout.read(cell.packed, cell.origin)[0]
-        assert wide.reslot(cell) == wide.write(read, cell.origin, list(zip(*read)))
+        read = cell.layout.read(cell.packed, cell.origin)
+        assert wide.reslot(cell) == wide.write(read, cell.origin)
     for n in range(13):
         for k in range(n + 1):
             assert stirling_pq(n, k) == qpoly_reference.stirling_pq(n, k), (n, k)
+
+
+def test_a_fill_neither_writes_nor_reslots_a_stored_target(monkeypatch):
+    # a fill of row 8 whose targets (8, 3) and (8, 5) are stored packs the
+    # stored cells of row 7 that its missing targets read, but no target
+    clear_recursions()
+    stirling_pq.fill([(6, k) for k in range(7)])
+    stirling_pq.fill([(8, 3), (8, 5)])
+    stored = [stirling_pq.stored(8, 3), stirling_pq.stored(8, 5)]
+    below = [stirling_pq.stored(7, k) for k in (2, 3, 4, 5)]
+    assert all(isinstance(cell, qpoly._Cell) for cell in stored + below)
+    written, reslotted = [], []
+    write, reslot = qpoly._Layout.write, qpoly._Layout.reslot
+
+    def spy_write(layout, terms, origin):
+        written.append(dict(terms))
+        return write(layout, terms, origin)
+
+    def spy_reslot(layout, cell):
+        reslotted.append(cell)
+        return reslot(layout, cell)
+
+    monkeypatch.setattr(qpoly._Layout, "write", spy_write)
+    monkeypatch.setattr(qpoly._Layout, "reslot", spy_reslot)
+    stirling_pq.fill([(8, k) for k in range(9)])
+    assert all(any(cell is read for cell in reslotted) for read in below)
+    assert not any(cell is target for cell in reslotted for target in stored)
+    assert not any(terms == stirling_pq(8, k).terms for terms in written for k in (3, 5))
+    assert [stirling_pq.stored(8, 3), stirling_pq.stored(8, 5)] == stored
+    for k in range(9):
+        assert stirling_pq(8, k) == qpoly_reference.stirling_pq(8, k), k
 
 
 def test_filled_cells_stay_packed():
@@ -638,7 +668,7 @@ def test_writers_match_the_reference_on_every_recursion_cell():
     cells = [fn(n, k) for fn in RECURSIONS for n in range(15) for k in range(n + 1)]
     cells += [q_factorial(k, var) for var in ("q", "t") for k in range(15)]
     cells += [pq_factorial(k) for k in range(15)]
-    assert sum(cell._span is not None for cell in cells) > len(cells) // 2
+    assert sum(cell._ascending for cell in cells) > len(cells) // 2
     for cell in cells:
         assert_rendered_as_the_reference(cell)
 
