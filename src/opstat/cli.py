@@ -289,7 +289,11 @@ def _cmd_table(args) -> int:
         raise ValueError(f"--n {size} exceeds the table limit {TABLE_MAX_N}; pass --allow-large to override")
     label, fn = _TABLES[args.kind]
     fn.fill([(size, k) for k in range(size + 1)])  # every row below in one pass
-    cells = ((n, k, fn(n, k)) for n in range(size + 1) for k in range(n + 1))
+    # JSON rows are written off the cells as the recursion keeps them: a
+    # packed cell (``_Cell``, never zero) off its slots, unpacking nothing,
+    # and a polynomial, such as a base value, by its own writer
+    get = fn.stored if args.json else fn
+    cells = ((n, k, get(n, k)) for n in range(size + 1) for k in range(n + 1))
     rows = ((n, k, poly) for n, k, poly in cells if poly)
     if args.json:
         # a row at a time, the text of json.dumps of the list of row objects

@@ -27,6 +27,8 @@ span and written with each term at its exponent vector's index
 largest value at p = q = 1, which bounds every coefficient since none is
 negative.  ``verify_zezh`` builds both of its sides as integers on one
 layout, decides equality on the integers, and unpacks them for the report.
+A recursion refuses, with a ``ValueError``, an argument of a parameter
+annotated ``int`` whose type is not exactly ``int``.
 ``tests/qpoly_reference.py`` keeps the recursions in polynomial
 arithmetic, as the reference.
 
@@ -34,9 +36,14 @@ A polynomial is written from its terms in descending order of exponent
 vectors; one read off a layout holds them in ascending order, and a flag
 says so, so they are reversed, not sorted.  ``to_text`` writes each term
 with factor strings made once per variable and exponent, and
-``to_json_text`` writes ``json.dumps(to_json())`` a term at a time.  The
-reference writers, term by term from sorted terms, are in
-``tests/qpoly_reference.py``.
+``to_json_text`` writes ``json.dumps(to_json())`` a term at a time.  A
+stored cell writes the same text off its slots, unpacking nothing
+(``_Cell.to_json_text``): its slots are decoded as :meth:`_Layout.read`
+decodes them (:meth:`_Layout.decode`), its rows along the layout's last
+spanned variable walked from the top with rows of zeros skipped, and each
+term formats only its coefficient.  ``opstat table --json`` writes its
+packed rows so.  The reference writers, term by term from sorted terms,
+are in ``tests/qpoly_reference.py``.
 """
 from __future__ import annotations
 
@@ -401,17 +408,22 @@ class _Layout:
         slots = -(-packed.bit_length() // (8 * self.width))
         sizes[0] = min(sizes[0], -(-slots // self.strides[0]))
         box = [range(o, o + size) for o, size in zip(origin or [r.start for r in self.box], sizes)]
-        data = packed.to_bytes(sizes[0] * self.strides[0] * self.width, "little")
+        coeffs = self.decode(packed, sizes[0] * self.strides[0])
+        return dict(zip(compress(product(*box), coeffs), filter(None, coeffs)))
+
+    def decode(self, packed: int, count: int) -> Sequence[int]:
+        """The first ``count`` slots of ``packed`` as integers: an array of
+        machine integers, or, for slots of whole words, their words joined."""
+        data = packed.to_bytes(count * self.width, "little")
         code = _CODES.get(self.width)
         if code:
-            coeffs = _little_endian(array(code, data))
-        else:
-            words = self.width // _WORD
-            low = _little_endian(array("Q", data))
-            coeffs = low[words - 1::words]
-            for i in range(words - 2, -1, -1):
-                coeffs = list(map(or_, map(lshift, coeffs, repeat(8 * _WORD)), low[i::words]))
-        return dict(zip(compress(product(*box), coeffs), filter(None, coeffs)))
+            return _little_endian(array(code, data))
+        words = self.width // _WORD
+        low = _little_endian(array("Q", data))
+        coeffs = low[words - 1::words]
+        for i in range(words - 2, -1, -1):
+            coeffs = list(map(or_, map(lshift, coeffs, repeat(8 * _WORD)), low[i::words]))
+        return coeffs
 
     def poly(self, packed: int, origin: Sequence[int] | None = None) -> LaurentPolynomial:
         """:meth:`read` as a polynomial that knows its terms are in
@@ -454,6 +466,29 @@ class _Cell(NamedTuple):
 
     def poly(self) -> LaurentPolynomial:
         return self.layout.poly(self.packed, self.origin)
+
+    def to_json_text(self) -> str:
+        """``self.poly().to_json_text()``, written off the slots.  The rows
+        along the layout's last spanned variable, which are runs of
+        consecutive slots, are walked from the top over the cell's own box;
+        a row of zeros is skipped, and a nonzero one writes its other
+        exponents once.  The text of each exponent of the row's variable,
+        with the exponents after it, is made once per cell, so a term
+        formats only its coefficient."""
+        layout, origin, last = self.layout, self.origin, self.last
+        v = max((i for i, r in enumerate(layout.box) if len(r) > 1), default=len(VARS) - 1)
+        extents = list(map(sub, last, origin))
+        coeffs = layout.decode(self.packed, sum(map(mul, extents, layout.strides)) + 1)
+        tail = "".join(f", {e}" for e in origin[v + 1:])
+        exps = [f"{e}{tail}]" for e in range(last[v], origin[v] - 1, -1)]
+        terms = []
+        for high in product(*(range(e, -1, -1) for e in extents[:v])):
+            start = sum(map(mul, high, layout.strides))
+            row = coeffs[start:start + extents[v] + 1][::-1]
+            if any(row):
+                head = "".join(f"{o + h}, " for o, h in zip(origin, high))
+                terms += [f"[{c}, {head}{e}" for c, e in zip(row, exps) if c]
+        return f"[{', '.join(terms)}]"
 
 
 def _span(value: LaurentPolynomial | _Cell) -> tuple[Sequence[int], Sequence[int], int]:
@@ -539,15 +574,30 @@ def _recursion(body: Callable[..., LaurentPolynomial | Parts]):
     reach.  A call returns its cell as a polynomial, unpacking a ``_Cell``
     each time; ``stored`` returns it as kept.  ``fill(cells)`` fills the
     given cells and those they reach in one pass, and ``cache_clear()``
-    empties ``cells``."""
+    empties ``cells``.  Each call and each fill first refuses, with a
+    ``ValueError``, an argument whose type is not exactly ``int`` for a
+    parameter that ``body`` annotates ``int``: as 2.0 == 2 and True == 1,
+    such an argument would find a warm cell, or store one under its key."""
     cells: dict[Cell, LaurentPolynomial | _Cell] = {}
     signature = inspect.signature(body)
+    annotated = [param.annotation in (int, "int") for param in signature.parameters.values()]  # "int" if postponed
+    names = list(signature.parameters)[:sum(annotated)]  # the parameters annotated int, which come first
+    if not all(annotated[:len(names)]):
+        raise TypeError(f"{body.__name__}: the parameters annotated int must come first")
+    ints = (int,) * len(names)
+
+    def check(args: Cell) -> None:
+        for name, value in zip(names, args):
+            if type(value) is not int:
+                raise ValueError(f"{body.__name__}: {name} must be an int, got {value!r}")
 
     def stored(*args, **kwargs) -> LaurentPolynomial | _Cell:
         if kwargs:  # the cell under its positional arguments, which fills use
             bound = signature.bind(*args, **kwargs)
             bound.apply_defaults()
             args = bound.args
+        if tuple(map(type, args[:len(ints)])) != ints:  # one comparison when all are int
+            check(args)
         cell = cells.get(args)
         if cell is None:
             _fill(body, cells, [args])
@@ -559,10 +609,16 @@ def _recursion(body: Callable[..., LaurentPolynomial | Parts]):
         cell = stored(*args, **kwargs)
         return cell.poly() if isinstance(cell, _Cell) else cell
 
+    def fill(targets: Iterable[Cell]) -> None:
+        targets = list(targets)
+        for args in targets:
+            check(args)
+        _fill(body, cells, targets)
+
     cached.cells = cells
     cached.stored = stored
     cached.cache_clear = cells.clear
-    cached.fill = partial(_fill, body, cells)
+    cached.fill = fill
     return cached
 
 

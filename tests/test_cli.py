@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import opstat
-from opstat.cli import _TABLES, main, render_stats_table
+from opstat import qpoly
+from opstat.cli import _TABLES, TABLE_MAX_N, main, render_stats_table
 from opstat.core import OrderedSetPartition
 
 GOLDEN_TABLE = """\
@@ -782,16 +783,36 @@ def test_large_outputs_match_recorded_digests(capsys, argv):
     assert hashlib.sha256(out.encode()).hexdigest() == LARGE_OUTPUT_DIGESTS[argv]
 
 
-@pytest.mark.parametrize("kind", sorted(_TABLES))
-@pytest.mark.parametrize("size", [0, 1, 6])
+# 27 is the least n whose S_pq fill needs 16-byte slots: S(27, k) reaches 67 bits
+@pytest.mark.parametrize("size,kind", [(size, kind) for size in (0, 1, 6) for kind in sorted(_TABLES)] + [(27, "stirling-pq")])
 def test_streamed_table_json_is_the_dump_of_its_rows(capsys, kind, size):
-    assert main(["table", kind, "--n", str(size), "--json"]) == 0
+    assert main(["table", kind, "--n", str(size), "--json"] + ["--allow-large"] * (size > TABLE_MAX_N)) == 0
     fn = _TABLES[kind][1]
     rows = [
         {"n": n, "k": k, "poly": fn(n, k).to_json()}
         for n in range(size + 1) for k in range(n + 1) if fn(n, k)
     ]
     assert capsys.readouterr().out == json.dumps(rows) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["eulerian", "gauss", "stirling", "stirling-pq"])
+def test_json_table_unpacks_no_stored_cell(monkeypatch, capsys, kind):
+    # after the fill, every row is written off the cell as it is kept
+    fn = _TABLES[kind][1]
+    fn.cache_clear()
+    fn.fill([(10, k) for k in range(11)])
+    assert any(isinstance(cell, qpoly._Cell) for cell in fn.cells.values())
+
+    def unpack(*args, **kwargs):
+        raise AssertionError("a stored cell was unpacked")
+
+    for owner, name in ((qpoly._Layout, "read"), (qpoly._Layout, "poly"), (qpoly._Cell, "poly")):
+        monkeypatch.setattr(owner, name, unpack)
+    assert main(["table", kind, "--n", "10", "--json"]) == 0
+    out = capsys.readouterr().out
+    monkeypatch.undo()
+    rows = [{"n": n, "k": k, "poly": fn(n, k).to_json()} for n in range(11) for k in range(n + 1) if fn(n, k)]
+    assert out == json.dumps(rows) + "\n"
 
 
 def test_a_reader_that_leaves_early_gets_no_traceback():

@@ -1,6 +1,11 @@
+import contextlib
 import importlib.util
+import inspect
+import io
 import json
+import re
 import sys
+from functools import partial
 from itertools import product
 from math import comb, factorial, prod
 from pathlib import Path
@@ -10,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from opstat import qpoly
+from opstat.cli import main
 from opstat.families import ordered_set_partitions, permutations, set_partitions, stirling2
 from opstat.qpoly import (
     ONE,
@@ -597,6 +603,80 @@ def test_a_fill_neither_writes_nor_reslots_a_stored_target(monkeypatch):
     assert [stirling_pq.stored(8, 3), stirling_pq.stored(8, 5)] == stored
     for k in range(9):
         assert stirling_pq(8, k) == qpoly_reference.stirling_pq(8, k), k
+
+
+PACKED_RECURSIONS = (q_factorial, gauss_binomial, stirling_pq, stirling_q, carlitz_aq)
+
+
+def assert_written_as_the_reference(cell: qpoly._Cell) -> None:
+    poly = cell.poly()
+    assert cell.to_json_text() == poly.to_json_text() == json.dumps(poly.to_json())
+
+
+def test_cell_writer_matches_the_reference_on_every_stored_cell():
+    # 16-byte slots from the S_pq fill at 27, whose largest S(27, k) has 67
+    # bits; 24-byte carlitz cells from zezh at (40, 20), which the eulerian
+    # table at 14 then reads as they were kept, off its wider fill
+    clear_recursions()
+    stirling_pq.fill([(27, k) for k in range(28)])
+    q_factorial.fill([(12, "t")])
+    assert verify_zezh(40, 20)[0]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["table", "eulerian", "--n", "14", "--json"]) == 0
+    cells = [cell for fn in PACKED_RECURSIONS for cell in fn.cells.values() if isinstance(cell, qpoly._Cell)]
+    assert {16, 24} <= {cell.layout.width for cell in cells}
+    assert any(cell.layout.width == 24 for cell in map(carlitz_aq.stored, [14] * 14, range(14)))
+    assert any(cell.origin[2] != cell.last[2] for cell in cells)  # t spanned, by q_factorial(k, "t")
+    for cell in cells:
+        assert_written_as_the_reference(cell)
+
+
+@pytest.mark.parametrize("width", (1, 2, 4, 8, 16, 24))
+def test_cell_writer_skips_zero_rows_and_padding(width):
+    # rows of zeros inside the cell's box, along t and along the p, q rows
+    # above it, and a layout wider than the box in every spanned variable
+    top = 2 ** (8 * width) - 1
+    terms = {(-1, 2, 0, 5): top, (-1, 2, 3, 5): 1, (1, 2, 1, 5): 7, (1, 4, 3, 5): top - 1, (2, 4, 0, 5): 2}
+    layout = qpoly._Layout([range(6), range(7), range(5), range(1)], top)
+    assert layout.width == width
+    columns = list(zip(*terms))
+    origin, last = tuple(map(min, columns)), tuple(map(max, columns))
+    cell = qpoly._Cell(layout, layout.write(terms, origin), origin, last, sum(terms.values()))
+    assert cell.poly() == LaurentPolynomial(terms)
+    assert_written_as_the_reference(cell)
+    column = qpoly._Layout([range(1), range(9), range(1), range(1)], top)  # one row, the last variable spanned
+    row = {(3, -4, -2, 0): top, (3, 0, -2, 0): 1, (3, 4, -2, 0): 3}
+    origin, last = (3, -4, -2, 0), (3, 4, -2, 0)
+    assert_written_as_the_reference(qpoly._Cell(column, column.write(row, origin), origin, last, top + 4))
+    single = qpoly._Layout([range(1)] * 4, top)  # no variable spanned
+    assert_written_as_the_reference(qpoly._Cell(single, top, (2, -1, 0, 3), (2, -1, 0, 3), top))
+
+
+ALL_RECURSIONS = (q_factorial, pq_factorial) + RECURSIONS
+
+
+@pytest.mark.parametrize("fn", ALL_RECURSIONS, ids=lambda fn: fn.__name__)
+def test_recursions_refuse_arguments_that_are_not_ints(fn):
+    # 1.0 == 1 == True, so a float or a bool would find a warm int cell, and
+    # a cold one would be stored under it; a string fails inside the body
+    good = (1,) if fn in (q_factorial, pq_factorial) else (3, 1)
+    names = list(inspect.signature(fn).parameters)
+    for warm in (False, True):
+        clear_recursions()
+        if warm:
+            fn(*good)
+        before = [dict(other.cells) for other in ALL_RECURSIONS]
+        for i, value in enumerate(good):
+            for bad in (float(value), value + 0.5, str(value), True, False):
+                args = good[:i] + (bad,) + good[i + 1:]
+                message = f"{fn.__name__}: {names[i]} must be an int, got {bad!r}"
+                for call in (partial(fn, *args), partial(fn.stored, *args), partial(fn, **dict(zip(names, args))),
+                             partial(fn.fill, [good, args])):
+                    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                        call()
+        for other, cells in zip(ALL_RECURSIONS, before):
+            assert other.cells.keys() == cells.keys() and all(other.cells[args] is cells[args] for args in cells)
+    assert fn(*good) == getattr(qpoly_reference, fn.__name__)(*good)
 
 
 def test_filled_cells_stay_packed():
